@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, compose,
-                     identity, kernel, LinAlgError, make_map,
-                     map_from_columns, matrix_from_rows, quotient_by_rows,
-                     rank, solve_through, tensor, tensor_space, zero_map)
+from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, cached_hash,
+                     compose, identity, kernel, LinAlgError, make_map,
+                     map_from_columns, quotient_by_rows, scale, tensor,
+                     tensor_space, zero_map)
 
 
 class StructureError(Exception):
@@ -33,6 +33,8 @@ class Algebra:
     space: VectorSpace
     mult: tuple
     unit: tuple
+
+    __hash__ = cached_hash
 
     @property
     def field(self) -> Field:
@@ -129,6 +131,8 @@ class Module:
     side: str  # "left" | "right"
     action: tuple  # tuple[LinearMap, ...]
 
+    __hash__ = cached_hash
+
     @property
     def field(self) -> Field:
         return self.space.field
@@ -136,15 +140,6 @@ class Module:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def act(self, v: Sequence[FieldScalar], r: Sequence[FieldScalar]) -> tuple:
-        out = [self.field.zero] * self.dim
-        for i, ri in enumerate(r):
-            if not ri:
-                continue
-            img = self.action[i](v)
-            out = [o + ri * x for o, x in zip(out, img)]
-        return tuple(out)
 
     def check(self):
         alg = self.algebra
@@ -176,13 +171,8 @@ def _action_of(mod: "Module", r: Sequence[FieldScalar]) -> LinearMap:
     acc = zero_map(mod.space, mod.space)
     for i, ri in enumerate(r):
         if ri:
-            acc = acc + _scale_map(ri, mod.action[i])
+            acc = acc + scale(ri, mod.action[i])
     return acc
-
-
-def _scale_map(a: FieldScalar, f: LinearMap) -> LinearMap:
-    rows = tuple(tuple(a * x for x in row) for row in f.matrix)
-    return LinearMap(f.source, f.target, rows)
 
 
 @dataclass(frozen=True)
@@ -194,6 +184,8 @@ class Bimodule:
     space: VectorSpace
     left: tuple   # tuple[LinearMap, ...]
     right: tuple  # tuple[LinearMap, ...]
+
+    __hash__ = cached_hash
 
     @property
     def field(self) -> Field:
@@ -232,6 +224,8 @@ class ModuleMap:
     source: object  # Module | Bimodule
     target: object
     lin: LinearMap
+
+    __hash__ = cached_hash
 
     def is_equivariant(self) -> bool:
         pairs = []
@@ -324,21 +318,23 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
     """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r."""
     field = Xspace.field
     ambient = tensor_space(Xspace, Yspace)
+    n = Yspace.dim
+    box, zero_row = field.box, ambient.zero_vector()
     rows = []
     for A, L in zip(right_mats, left_mats):
+        y_cols = [[(j, y.value) for j, y in enumerate(L.column(b)) if y.value]
+                  for b in range(n)]
         for a in range(Xspace.dim):
-            xa = A(Xspace.basis_vector(a))
-            for b in range(Yspace.dim):
-                yb = L(Yspace.basis_vector(b))
-                row = [field.zero] * ambient.dim
-                for i, xi in enumerate(xa):
-                    if xi:
-                        row[i * Yspace.dim + b] = row[i * Yspace.dim + b] + xi
-                for j, yj in enumerate(yb):
-                    if yj:
-                        row[a * Yspace.dim + j] = row[a * Yspace.dim + j] - yj
-                if any(row):
-                    rows.append(tuple(row))
+            xa = [(i, x.value) for i, x in enumerate(A.column(a)) if x.value]
+            for b in range(n):
+                row = [0] * ambient.dim
+                for i, x in xa:
+                    row[i * n + b] += x
+                for j, y in y_cols[b]:
+                    row[a * n + j] -= y
+                row = box(row)
+                if row != zero_row:
+                    rows.append(row)
     quot, proj, section = quotient_by_rows(ambient, rows, prefix)
     return TensorCell(quot, proj, section)
 
@@ -346,9 +342,9 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
 def descend(cell_src: TensorCell, ambient_map: LinearMap,
             proj_tgt: LinearMap) -> LinearMap:
     """Induce a map on quotients from an ambient map; verifies well-definedness."""
-    induced = compose(compose(proj_tgt, ambient_map), cell_src.section)
-    if compose(induced, cell_src.proj).matrix != \
-            compose(proj_tgt, ambient_map).matrix:
+    pushed = compose(proj_tgt, ambient_map)
+    induced = compose(pushed, cell_src.section)
+    if compose(induced, cell_src.proj).matrix != pushed.matrix:
         raise LinAlgError("ambient map does not descend to the quotient")
     return induced
 

@@ -30,10 +30,6 @@ SCHEMA = 1
 CHECK_GROUPS = ("axioms", "T", "functor", "embedding", "rigidity")
 
 
-class DataError(Exception):
-    """Semantically invalid request against valid data (exit 1)."""
-
-
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
         payload = {"schema": SCHEMA, **payload}

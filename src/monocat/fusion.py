@@ -11,6 +11,7 @@ transposes.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -102,15 +103,18 @@ class FusionData:
         for (i, k, j), c in self.mult.items():
             if i in idx and k in idx and j in idx and c:
                 C[idx[i]][idx[k]][idx[j]] = c
+        # columns over the summation index m: C[m][d][j] and C[a][m][j]
+        outer = [[[C[m][d][j] for m in rng] for j in rng] for d in rng]
+        inner = [[[C[a][m][j] for m in rng] for j in rng] for a in rng]
         for a in rng:
-            Ca = C[a]
+            Ca_j = inner[a]
             for b in rng:
-                Cab = Ca[b]
+                Cab = C[a][b]
                 for d in rng:
-                    Cbd = C[b][d]
+                    Cbd, Cd_j = C[b][d], outer[d]
                     for j in rng:
-                        lhs = sum(Cab[m] * C[m][d][j] for m in rng)
-                        rhs = sum(Cbd[m] * Ca[m][j] for m in rng)
+                        lhs = sum(map(mul, Cab, Cd_j[j]))
+                        rhs = sum(map(mul, Cbd, Ca_j[j]))
                         if lhs != rhs:
                             failures.append({
                                 "check": "associativity",

@@ -3,7 +3,19 @@
 Scalars are arbitrary-precision rationals (characteristic 0) or canonical
 residues (characteristic p, p prime, p <= 97).  All arithmetic is exact;
 "the diagram commutes" always means entrywise equality of matrices, never
-closeness up to a tolerance.
+closeness up to a tolerance.  Inexact input (a float) is rejected, and so
+is a fraction whose denominator is not invertible in the field.
+
+Scalars of F_p are interned: the field builds its p canonical
+``FieldScalar``s once, and every scalar this module returns in
+characteristic p is one of them.  Equal matrices over F_p hold the same
+objects, so comparing them stops at the identity test of each entry.
+Rationals are boxed fresh.
+
+The exact kernel (``compose``, ``tensor``, ``LinearMap.__call__``, map
+addition, ``scale`` and ``_rref``) computes on the raw ``.value``s, skips
+zero operand entries, reduces once per output entry and boxes the result
+through the field.
 
 Matrix convention: a LinearMap f has ``matrix[r][c]`` = coefficient of the
 r-th target basis vector in the image of the c-th source basis vector, so
@@ -12,13 +24,16 @@ r-th target basis vector in the image of the c-th source basis vector, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from itertools import chain
+from typing import Iterable, Sequence, Union
 
 _SMALL_PRIMES = frozenset(
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
      53, 59, 61, 67, 71, 73, 79, 83, 89, 97])
+
+_INTERNED: dict = {}  # p -> the p scalars of F_p, indexed by residue
 
 
 class LinAlgError(Exception):
@@ -29,18 +44,61 @@ class NotInvertible(LinAlgError):
     """Raised by solve_iso when no two-sided inverse exists."""
 
 
+def cached_hash(self) -> int:
+    """Hash of a frozen dataclass's fields, computed once per instance.
+
+    Assigned as ``__hash__`` in the class body; equality stays the
+    dataclass's structural ``__eq__``.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 @dataclass(frozen=True)
 class Field:
-    """Base field: Q (char 0) or F_p for a prime p <= 97."""
+    """Base field: Q (char 0) or F_p for a prime p <= 97.
+
+    ``zero`` and ``one`` are the field's scalars 0 and 1.
+    """
 
     char: int = 0
 
     def __post_init__(self):
         if self.char != 0 and self.char not in _SMALL_PRIMES:
             raise ValueError(f"unsupported characteristic {self.char}")
+        table = None
+        if self.char:
+            table = _INTERNED.get(self.char)
+            if table is None:
+                table = tuple(FieldScalar(self, v) for v in range(self.char))
+                _INTERNED[self.char] = table
+            zero, one = table[0], table[1]
+        else:
+            zero = FieldScalar(self, Fraction(0))
+            one = FieldScalar(self, Fraction(1))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
 
     def __call__(self, value) -> "FieldScalar":
-        return FieldScalar(self, self._coerce(value))
+        return self.scalar(self._coerce(value))
+
+    def scalar(self, v) -> "FieldScalar":
+        """The scalar of a raw value (an int, or over Q a Fraction)."""
+        if self.char:
+            return self._table[v % self.char]
+        return FieldScalar(self, Fraction(v))
+
+    def box(self, values) -> tuple:
+        """Scalars of raw values, each reduced once."""
+        if self.char:
+            p, table = self.char, self._table
+            return tuple([table[v % p] for v in values])
+        return tuple([FieldScalar(self, Fraction(v)) for v in values])
 
     def _coerce(self, value):
         if isinstance(value, FieldScalar):
@@ -49,27 +107,24 @@ class Field:
             return value.value
         if isinstance(value, str):
             if "/" in value:
-                num, den = value.split("/")
-                value = Fraction(int(num), int(den))
+                num, den = (int(s) for s in value.split("/"))
+                if den == 0:
+                    raise ValueError(f"zero denominator in {value!r}")
+                value = Fraction(num, den)
             else:
                 value = int(value)
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"inexact or unsupported scalar {value!r}: "
+                             "give an integer or a fraction 'a/b'")
         if self.char == 0:
             return Fraction(value)
         if isinstance(value, Fraction):
-            den = pow(value.denominator % self.char, self.char - 2, self.char)
+            if value.denominator % self.char == 0:
+                raise ValueError(
+                    f"{value} is not defined in characteristic {self.char}")
+            den = pow(value.denominator, -1, self.char)
             return (value.numerator * den) % self.char
-        return int(value) % self.char
-
-    @property
-    def zero(self) -> "FieldScalar":
-        return self(0)
-
-    @property
-    def one(self) -> "FieldScalar":
-        return self(1)
-
-
-QQ = Field(0)
+        return value % self.char
 
 
 @dataclass(frozen=True)
@@ -85,35 +140,29 @@ class FieldScalar:
 
     def __add__(self, other):
         self._check(other)
-        ch = self.field.char
-        v = self.value + other.value
-        return FieldScalar(self.field, v % ch if ch else v)
+        return self.field.scalar(self.value + other.value)
 
     def __sub__(self, other):
         self._check(other)
-        ch = self.field.char
-        v = self.value - other.value
-        return FieldScalar(self.field, v % ch if ch else v)
+        return self.field.scalar(self.value - other.value)
 
     def __mul__(self, other):
         self._check(other)
-        ch = self.field.char
-        v = self.value * other.value
-        return FieldScalar(self.field, v % ch if ch else v)
+        return self.field.scalar(self.value * other.value)
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __neg__(self):
-        return self.field(-self.value)
+        return self.field.scalar(-self.value)
 
     def inverse(self) -> "FieldScalar":
         if not self:
             raise ZeroDivisionError("division by zero in exact field")
         if self.field.char == 0:
-            return self.field(Fraction(1, 1) / self.value)
-        return self.field(pow(self.value, self.field.char - 2, self.field.char))
+            return self.field.scalar(1 / self.value)
+        return self.field.scalar(pow(self.value, -1, self.field.char))
 
     def __bool__(self):
         return self.value != 0
@@ -129,6 +178,9 @@ class FieldScalar:
         return int(self.value)
 
 
+QQ = Field(0)
+
+
 @dataclass(frozen=True)
 class VectorSpace:
     """Finite-dimensional space with a fixed ordered basis of opaque labels."""
@@ -139,6 +191,8 @@ class VectorSpace:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
+
+    __hash__ = cached_hash
 
     @property
     def dim(self) -> int:
@@ -152,12 +206,16 @@ class VectorSpace:
         return (self.field.zero,) * self.dim
 
     def basis_vector(self, i: int) -> tuple:
-        z = self.field.zero
-        o = self.field.one
-        return tuple(o if j == i else z for j in range(self.dim))
+        zeros = self.zero_vector()
+        return zeros[:i] + (self.field.one,) + zeros[i + 1:]
 
 
 Matrix = tuple  # tuple of tuples of FieldScalar
+
+
+def _check_same_field(a: Field, b: Field):
+    if a is not b and a != b:
+        raise ValueError("mixed-field arithmetic")
 
 
 @dataclass(frozen=True)
@@ -169,9 +227,12 @@ class LinearMap:
     def __post_init__(self):
         if len(self.matrix) != self.target.dim:
             raise ValueError("matrix row count != target dimension")
+        n = self.source.dim
         for row in self.matrix:
-            if len(row) != self.source.dim:
+            if len(row) != n:
                 raise ValueError("matrix column count != source dimension")
+
+    __hash__ = cached_hash
 
     @property
     def field(self) -> Field:
@@ -180,13 +241,18 @@ class LinearMap:
     def __call__(self, vec: Sequence[FieldScalar]) -> tuple:
         if len(vec) != self.source.dim:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.matrix:
-            acc = self.field.zero
-            for a, v in zip(row, vec):
-                acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        for v in vec:
+            if not isinstance(v, FieldScalar):
+                raise ValueError("mixed-field arithmetic")
+            _check_same_field(v.field, field)
+        nz = [(j, v.value) for j, v in enumerate(vec) if v.value]
+        return field.box(sum(row[j].value * v for j, v in nz)
+                         for row in self.matrix)
+
+    def column(self, c: int) -> tuple:
+        """Image of the c-th source basis vector."""
+        return tuple([row[c] for row in self.matrix])
 
     def is_zero(self) -> bool:
         return all(not a for row in self.matrix for a in row)
@@ -194,12 +260,9 @@ class LinearMap:
     def __add__(self, other: "LinearMap") -> "LinearMap":
         if other.source != self.source or other.target != self.target:
             raise ValueError("shape mismatch in map addition")
-        field, ch = self.field, self.field.char
-        rows = tuple(
-            tuple(FieldScalar(field, (a.value + b.value) % ch if ch
-                              else a.value + b.value)
-                  for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix))
+        box = self.field.box
+        rows = tuple(box([a.value + b.value for a, b in zip(r1, r2)])
+                     for r1, r2 in zip(self.matrix, other.matrix))
         return LinearMap(self.source, self.target, rows)
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
@@ -221,16 +284,8 @@ def map_from_columns(source: VectorSpace, target: VectorSpace,
     return LinearMap(source, target, rows)
 
 
-def map_from_function(source: VectorSpace, target: VectorSpace,
-                      fn: Callable[[int], Sequence[FieldScalar]]) -> LinearMap:
-    """Build a map from its values on basis vectors (fn(i) = image coords)."""
-    return map_from_columns(source, target, [tuple(fn(i)) for i in range(source.dim)])
-
-
 def identity(space: VectorSpace) -> LinearMap:
-    z, o = space.field.zero, space.field.one
-    rows = tuple(tuple(o if i == j else z for j in range(space.dim))
-                 for i in range(space.dim))
+    rows = tuple(space.basis_vector(i) for i in range(space.dim))
     return LinearMap(space, space, rows)
 
 
@@ -240,29 +295,40 @@ def zero_map(source: VectorSpace, target: VectorSpace) -> LinearMap:
 
 
 def scale(a: FieldScalar, f: LinearMap) -> LinearMap:
-    field, ch, av = f.field, f.field.char, a.value
-    rows = tuple(tuple(FieldScalar(field, (av * x.value) % ch if ch
-                                   else av * x.value)
-                       for x in row) for row in f.matrix)
+    _check_same_field(a.field, f.field)
+    av = a.value
+    if not av:
+        return zero_map(f.source, f.target)
+    if av == 1:
+        return f
+    box = f.field.box
+    rows = tuple(box([av * x.value for x in row]) for row in f.matrix)
     return LinearMap(f.source, f.target, rows)
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g."""
-    if g.target != f.source:
+    if g.target is not f.source and g.target != f.source:
         raise ValueError("compose: inner dimensions do not match")
-    field, ch = f.field, f.field.char
-    fraw = [[a.value for a in row] for row in f.matrix]
-    graw_t = list(zip(*[[b.value for b in row] for row in g.matrix])) \
-        if g.matrix else []
+    scalar = f.field.scalar
+    zero_row = (f.field.zero,) * g.source.dim
+    g_rows = [[(c, b.value) for c, b in enumerate(row) if b.value]
+              for row in g.matrix]
     rows = []
-    for frow in fraw:
-        row = []
-        for c in range(g.source.dim):
-            col = graw_t[c] if graw_t else ()
-            s = sum(a * b for a, b in zip(frow, col))
-            row.append(FieldScalar(field, s % ch if ch else s))
-        rows.append(tuple(row))
+    for frow in f.matrix:
+        acc = {}  # column -> unreduced sum of products
+        for j, a in enumerate(frow):
+            a = a.value
+            if a:
+                for c, b in g_rows[j]:
+                    acc[c] = acc.get(c, 0) + a * b
+        if acc:
+            row = list(zero_row)
+            for c, v in acc.items():
+                row[c] = scalar(v)
+            rows.append(tuple(row))
+        else:
+            rows.append(zero_row)
     return LinearMap(g.source, f.target, tuple(rows))
 
 
@@ -276,18 +342,25 @@ def compose_all(*maps: LinearMap) -> LinearMap:
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product on the chosen bases, row-major pair ordering."""
+    field = f.field
+    _check_same_field(g.field, field)
     src = tensor_space(f.source, g.source)
     tgt = tensor_space(f.target, g.target)
-    field, ch = f.field, f.field.char
-    rows = []
-    for fr in f.matrix:
-        for gr in g.matrix:
-            rows.append(tuple(
-                FieldScalar(field, (a.value * b.value) % ch if ch
-                            else a.value * b.value)
-                for a in fr for b in gr))
-    if not rows:
+    if not f.matrix or not g.matrix:
         return zero_map(src, tgt)
+    zero_block = (field.zero,) * g.source.dim
+    # per row of g, a -> a·row, built once per distinct entry a of f
+    g_blocks = [{0: zero_block, 1: grow} for grow in g.matrix]
+    rows = []
+    for frow in f.matrix:
+        f_values = [a.value for a in frow]
+        distinct = set(f_values)
+        for grow, blocks in zip(g.matrix, g_blocks):
+            for a in distinct:
+                if a not in blocks:
+                    blocks[a] = field.box([a * b.value for b in grow])
+            rows.append(tuple(chain.from_iterable(
+                map(blocks.__getitem__, f_values))))
     return LinearMap(src, tgt, tuple(rows))
 
 
@@ -314,28 +387,34 @@ def _rref(field: Field, rows):
                 break
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        v = rows[r][c]
-        inv = pow(v, ch - 2, ch) if ch else 1 / Fraction(v)
-        if ch:
-            rows[r] = [(inv * x) % ch for x in rows[r]]
-        else:
-            rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                if ch:
-                    rows[i] = [(x - factor * y) % ch
-                               for x, y in zip(rows[i], rows[r])]
-                else:
-                    rows[i] = [x - factor * y
-                               for x, y in zip(rows[i], rows[r])]
+        prow = rows[piv]
+        rows[piv] = rows[r]
+        v = prow[c]
+        if v != 1:
+            if ch:
+                inv = pow(v, -1, ch)
+                prow = [inv * x % ch for x in prow]
+            else:
+                inv = 1 / Fraction(v)
+                prow = [inv * x for x in prow]
+        rows[r] = prow
+        # entries left of c vanish on every row from r down
+        nz = [(c2, prow[c2]) for c2 in range(c, ncols) if prow[c2]]
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i == r or not factor:
+                continue
+            if ch:
+                for c2, x in nz:
+                    row[c2] = (row[c2] - factor * x) % ch
+            else:
+                for c2, x in nz:
+                    row[c2] = row[c2] - factor * x
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return [tuple(FieldScalar(field, x) for x in row)
-            for row in rows[:r]], pivots
+    return [field.box(row) for row in rows[:r]], pivots
 
 
 def rank(f: LinearMap) -> int:
@@ -374,33 +453,6 @@ def solve_iso(f: LinearMap) -> LinearMap:
     return LinearMap(f.target, f.source, inv)
 
 
-def solve(f: LinearMap, target_vec: Sequence[FieldScalar]):
-    """One solution x with f(x) = target_vec, or None if inconsistent."""
-    field = f.field
-    aug = [list(row) + [b] for row, b in zip(f.matrix, target_vec)]
-    if not aug:
-        return f.source.zero_vector()
-    rows, pivots = _rref(field, aug)
-    n = f.source.dim
-    x = [field.zero] * n
-    for prow, pc in zip(rows, pivots):
-        if pc == n:
-            return None
-        x[pc] = prow[-1]
-    return tuple(x)
-
-
-def right_inverse(f: LinearMap) -> LinearMap:
-    """A section of a surjective map f (f ∘ section = id)."""
-    cols = []
-    for i in range(f.target.dim):
-        sol = solve(f, f.target.basis_vector(i))
-        if sol is None:
-            raise NotInvertible("map is not surjective")
-        cols.append(sol)
-    return map_from_columns(f.target, f.source, cols)
-
-
 def quotient_by_rows(space: VectorSpace, rows, prefix: str = "q"):
     """Quotient of `space` by the row span; returns (Q, projection, section).
 
@@ -428,15 +480,3 @@ def cokernel(f: LinearMap):
     """Cokernel target/im(f) with the projection map."""
     columns = list(zip(*f.matrix)) if f.target.dim and f.source.dim else []
     return quotient_by_rows(f.target, [tuple(c) for c in columns])[:2]
-
-
-def solve_through(surj: LinearMap, g: LinearMap) -> LinearMap:
-    """The unique h with h ∘ surj = g, assuming g kills ker(surj).
-
-    Raises LinAlgError when g does not factor through surj.
-    """
-    sec = right_inverse(surj)
-    h = compose(g, sec)
-    if compose(h, surj).matrix != g.matrix:
-        raise LinAlgError("map does not factor through the quotient")
-    return h

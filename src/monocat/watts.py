@@ -9,7 +9,8 @@ R-R-bimodules with its monoidal structure ξ.  Every claimed identity is
 checked by exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
-with morphisms drawn from full hom bases between sample members.
+with morphisms drawn from hom bases between sample members (at most four
+basis maps per pair, see ``_hom_samples``).
 """
 
 from __future__ import annotations
@@ -180,9 +181,9 @@ class CustomTensor:
     def _mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
         src = self.product(f.source, g.source)
         tgt = self.product(f.target, g.target)
-        amb = self._ambient_map(f, g)
-        induced = compose(compose(tgt.smap, amb), src.section)
-        if compose(induced, src.smap).matrix != compose(tgt.smap, amb).matrix:
+        pushed = compose(tgt.smap, self._ambient_map(f, g))
+        induced = compose(pushed, src.section)
+        if compose(induced, src.smap).matrix != pushed.matrix:
             raise MalformedTensor(
                 f"{self.name}: ⊙ of maps does not descend for "
                 f"({f.source.name} -> {f.target.name}, "
@@ -249,7 +250,7 @@ class StrictTensor(CustomTensor):
         cols = [None] * (d * X.dim)
         for i in range(d):
             for b in range(X.dim):
-                cols[i * X.dim + b] = X.action[i](X.space.basis_vector(b))
+                cols[i * X.dim + b] = X.action[i].column(b)
         amb = map_from_columns(cell.smap.source, X.space, cols)
         lam = _descend_cell(cell, amb, identity(X.space))
         return ModuleMap(cell.module, X, lam)
@@ -260,7 +261,7 @@ class StrictTensor(CustomTensor):
         cols = [None] * (X.dim * d)
         for b in range(X.dim):
             for i in range(d):
-                cols[b * d + i] = X.action[i](X.space.basis_vector(b))
+                cols[b * d + i] = X.action[i].column(b)
         amb = map_from_columns(cell.smap.source, X.space, cols)
         rho = _descend_cell(cell, amb, identity(X.space))
         return ModuleMap(cell.module, X, rho)
@@ -657,8 +658,7 @@ class WattsContext:
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
-        cols = [X.action[i](X.space.basis_vector(a))
-                for i in range(self.algebra.dim)]
+        cols = [X.action[i].column(a) for i in range(self.algebra.dim)]
         return ModuleMap(self.R, X, map_from_columns(self.R.space, X.space,
                                                      cols))
 
@@ -901,7 +901,7 @@ def _collapse_regular(P: Bimodule) -> LinearMap:
     cols = []
     for i in range(P.algebra.dim):
         for a in range(P.dim):
-            cols.append(P.left[i](P.space.basis_vector(a)))
+            cols.append(P.left[i].column(a))
     amb = map_from_columns(cell.proj.source, P.space, cols)
     return descend(cell, amb, identity(P.space))
 
@@ -993,7 +993,7 @@ class OmegaFunctor:
             cols = []
             for i in range(wc.algebra.dim):
                 for a in range(inner.space.dim):
-                    cols.append(left1_res[i](inner.space.basis_vector(a)))
+                    cols.append(left1_res[i].column(a))
             amb = map_from_columns(dc.outer.proj.source, inner.space, cols)
             self._u[X] = descend(dc.outer, amb, identity(inner.space))
         return self._u[X]
@@ -1101,7 +1101,7 @@ def verify_monoidal_functor(wc: WattsContext,
         cols = []
         for i in range(wc.algebra.dim):
             for a in range(oX.dim):
-                cols.append(oX.left[i](oX.space.basis_vector(a)))
+                cols.append(oX.left[i].column(a))
         lam_str = descend(cell_rx,
                           map_from_columns(cell_rx.proj.source, oX.space,
                                            cols),
@@ -1116,7 +1116,7 @@ def verify_monoidal_functor(wc: WattsContext,
         cols = []
         for a in range(oX.dim):
             for i in range(wc.algebra.dim):
-                cols.append(oX.right[i](oX.space.basis_vector(a)))
+                cols.append(oX.right[i].column(a))
         rho_str = descend(cell_xr,
                           map_from_columns(cell_xr.proj.source, oX.space,
                                            cols),

@@ -74,6 +74,17 @@ class TestExitCodes:
                                   "--checks", "nonsense"])
         assert code == 2
 
+    def test_fraction_undefined_in_characteristic_is_usage_error(
+            self, capsys, tmp_path):
+        data = json.loads((FIXTURES / "strict-f3-z2.json").read_text())
+        data["modules"][1]["action"][1] = [["1/3"]]
+        path = tmp_path / "third.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["watts", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "1/3" in err
+
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])
         assert code == 1

@@ -1,12 +1,18 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocat.linalg import (Field, QQ, VectorSpace, compose, identity, kernel,
-                            make_map, NotInvertible, quotient_by_rows, rank,
-                            solve_iso, tensor, zero_map)
+from monocat.algmod import Algebra, Module, ModuleMap
+from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
+                            _rref, compose, identity, kernel, make_map,
+                            NotInvertible, quotient_by_rows, rank, scale,
+                            solve_iso, tensor, tensor_space, zero_map)
 
+F2 = Field(2)
 F3 = Field(3)
 F5 = Field(5)
+F97 = Field(97)
 
 
 def _space(field, n):
@@ -139,3 +145,263 @@ def test_quotient_projection_section():
     assert compose(proj, section).matrix == identity(quot).matrix
     for row in rows:
         assert all(not x for x in proj(row))
+
+
+# ---------------------------------------------------------------------------
+# The kernel against plain dense formulas
+
+
+def ref_compose(f, g):
+    field, ch = f.field, f.field.char
+    fraw = [[a.value for a in row] for row in f.matrix]
+    graw_t = list(zip(*[[b.value for b in row] for row in g.matrix])) \
+        if g.matrix else []
+    rows = []
+    for frow in fraw:
+        row = []
+        for c in range(g.source.dim):
+            col = graw_t[c] if graw_t else ()
+            s = sum(a * b for a, b in zip(frow, col))
+            row.append(FieldScalar(field, s % ch if ch else s))
+        rows.append(tuple(row))
+    return LinearMap(g.source, f.target, tuple(rows))
+
+
+def ref_tensor(f, g):
+    src = tensor_space(f.source, g.source)
+    tgt = tensor_space(f.target, g.target)
+    field, ch = f.field, f.field.char
+    rows = []
+    for fr in f.matrix:
+        for gr in g.matrix:
+            rows.append(tuple(
+                FieldScalar(field, (a.value * b.value) % ch if ch
+                            else a.value * b.value)
+                for a in fr for b in gr))
+    if not rows:
+        return zero_map(src, tgt)
+    return LinearMap(src, tgt, tuple(rows))
+
+
+def ref_apply(f, vec):
+    out = []
+    for row in f.matrix:
+        acc = f.field.zero
+        for a, v in zip(row, vec):
+            acc = acc + a * v
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_rref(field, rows):
+    ch = field.char
+    rows = [[x.value for x in r] for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        v = rows[r][c]
+        inv = pow(v, ch - 2, ch) if ch else 1 / Fraction(v)
+        if ch:
+            rows[r] = [(inv * x) % ch for x in rows[r]]
+        else:
+            rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                if ch:
+                    rows[i] = [(x - factor * y) % ch
+                               for x, y in zip(rows[i], rows[r])]
+                else:
+                    rows[i] = [x - factor * y
+                               for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(FieldScalar(field, x) for x in row)
+            for row in rows[:r]], pivots
+
+
+KERNEL_FIELDS = (QQ, F2, F3, F97)
+
+
+def _entry(field):
+    if field.char:
+        nonzero = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        nonzero = st.fractions(min_value=-3, max_value=3,
+                               max_denominator=4)
+    # mostly zeros, so that zero rows and columns are common
+    return st.one_of(st.just(0), st.just(0), nonzero)
+
+
+@st.composite
+def _maps(draw, shapes):
+    """A field and matrices of the given shapes (letters name dimensions,
+    each 0..4; e.g. ("mn", "nk") draws two composable maps)."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    dims = {}
+    for letter in "".join(shapes):
+        if letter not in dims:
+            dims[letter] = draw(st.integers(min_value=0, max_value=4))
+    spaces = {letter: VectorSpace.make(field, d, letter)
+              for letter, d in dims.items()}
+    maps = []
+    for rows_letter, cols_letter in shapes:
+        entries = draw(st.lists(
+            st.lists(_entry(field), min_size=dims[cols_letter],
+                     max_size=dims[cols_letter]),
+            min_size=dims[rows_letter], max_size=dims[rows_letter]))
+        maps.append(make_map(spaces[cols_letter], spaces[rows_letter],
+                             entries))
+    return field, maps
+
+
+def _same(field, got, want):
+    """Entry for entry equal; over F_p every entry is the interned one."""
+    assert got == want
+    for a in got:
+        assert a.field == field
+        if field.char:
+            assert a is field(a.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps(("mn", "nk")))
+def test_compose_matches_dense(drawn):
+    field, (f, g) = drawn
+    got, want = compose(f, g), ref_compose(f, g)
+    assert (got.source, got.target) == (want.source, want.target)
+    for got_row, want_row in zip(got.matrix, want.matrix):
+        _same(field, got_row, want_row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps(("mn", "kl")))
+def test_tensor_matches_dense(drawn):
+    field, (f, g) = drawn
+    got, want = tensor(f, g), ref_tensor(f, g)
+    assert (got.source, got.target) == (want.source, want.target)
+    assert len(got.matrix) == len(want.matrix)
+    for got_row, want_row in zip(got.matrix, want.matrix):
+        _same(field, got_row, want_row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps(("mn",)), st.data())
+def test_apply_and_column_match_dense(drawn, data):
+    field, (f,) = drawn
+    vec = tuple(field(data.draw(_entry(field))) for _ in range(f.source.dim))
+    _same(field, f(vec), ref_apply(f, vec))
+    for c in range(f.source.dim):
+        _same(field, f.column(c), ref_apply(f, f.source.basis_vector(c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps(("mn",)))
+def test_rref_matches_dense(drawn):
+    field, (f,) = drawn
+    got_rows, got_pivots = _rref(field, f.matrix)
+    want_rows, want_pivots = ref_rref(field, f.matrix)
+    assert got_pivots == want_pivots
+    assert len(got_rows) == len(want_rows)
+    for got_row, want_row in zip(got_rows, want_rows):
+        _same(field, got_row, want_row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maps(("mn", "mn")), st.data())
+def test_add_and_scale_match_dense(drawn, data):
+    field, (f, g) = drawn
+    a = field(data.draw(_entry(field)))
+    for got_row, r1, r2 in zip((f + g).matrix, f.matrix, g.matrix):
+        _same(field, got_row, tuple(x + y for x, y in zip(r1, r2)))
+    for got_row, row in zip(scale(a, f).matrix, f.matrix):
+        _same(field, got_row, tuple(a * x for x in row))
+
+
+def test_zero_dimensional_spaces():
+    for field in KERNEL_FIELDS:
+        V0, V2 = VectorSpace.make(field, 0), VectorSpace.make(field, 2)
+        into, out_of = zero_map(V0, V2), zero_map(V2, V0)
+        assert compose(into, out_of).matrix == zero_map(V2, V2).matrix
+        assert compose(out_of, into).matrix == ()
+        assert tensor(into, identity(V2)).matrix == \
+            ref_tensor(into, identity(V2)).matrix
+        assert tensor(out_of, identity(V2)).matrix == ()
+        assert into(()) == (field.zero, field.zero)
+        assert _rref(field, into.matrix) == ([], [])
+
+
+# ---------------------------------------------------------------------------
+# Exactness at the input boundary
+
+
+class TestCoercion:
+    def test_floats_rejected(self):
+        with pytest.raises(ValueError):
+            F3(0.5)
+        with pytest.raises(ValueError):
+            F3(2.7)
+        with pytest.raises(ValueError):
+            QQ(0.5)
+
+    def test_fraction_with_vanishing_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            F3("1/3")
+        with pytest.raises(ValueError):
+            F3(Fraction(2, 3))
+        with pytest.raises(ValueError):
+            QQ("1/0")
+
+    def test_invertible_denominator(self):
+        assert F5("1/3") == F5(2)
+        assert F5("1/3") is F5(2)
+        assert QQ("1/3").value == Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Cached hashes and field checks
+
+
+def test_separately_built_modules_equal_and_hash_equal():
+    def build():
+        return Module.regular(Algebra.group_algebra(Field(3), 2))
+
+    M, N = build(), build()
+    assert M is not N and M.action[1] is not N.action[1]
+    h = hash(M)  # M caches its hash, N has not computed one yet
+    assert M == N and hash(N) == h
+    assert {M: "cached"}[N] == "cached"
+    assert hash(M) == h
+    f = ModuleMap(M, M, identity(M.space))
+    g = ModuleMap(N, N, identity(N.space))
+    assert hash(f) == hash(g) and f == g
+    other = Module(M.name, M.algebra, M.space, "left", M.action)
+    assert other != M
+
+
+def test_mixed_fields_raise():
+    V3, V5 = VectorSpace.make(F3, 2), VectorSpace.make(F5, 2)
+    f3, f5 = identity(V3), identity(V5)
+    with pytest.raises(ValueError):
+        compose(f3, f5)
+    with pytest.raises(ValueError):
+        tensor(f3, f5)
+    with pytest.raises(ValueError):
+        f3 + f5
+    with pytest.raises(ValueError):
+        scale(F5(2), f3)
+    with pytest.raises(ValueError):
+        f3((F5(1), F5(0)))
+    with pytest.raises(ValueError):
+        F3(1) + F5(1)
