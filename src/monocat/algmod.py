@@ -9,7 +9,7 @@ the ambient Kronecker product, and a section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, cached_hash,

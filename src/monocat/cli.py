@@ -14,9 +14,8 @@ import random
 import sys
 from typing import List, Optional
 
-from .fixtures import (FixtureError, WattsFixture, all_bundled_fixtures,
-                       bundled_fixture_files, load_fixture_file,
-                       resolve_fixture)
+from .fixtures import (FixtureError, WattsFixture, bundled_fixture_files,
+                       fixtures_dir, load_fixture_file, resolve_fixture)
 from .fusion import (DivisibilityError, ExprError, FusionData,
                      InternalMismatch, ObjectExpr, UnknownSimple, ZeroObject,
                      check_embedding_homomorphism, check_theorem4,
@@ -218,11 +217,10 @@ def _fusion_report(fd: FusionData, rng: random.Random,
 
 def cmd_report(args) -> int:
     files = bundled_fixture_files()
-    if files:
-        fixtures = {name: load_fixture_file(path)
-                    for name, path in sorted(files.items())}
-    else:
-        fixtures = dict(sorted(all_bundled_fixtures().items()))
+    if not files:
+        raise FixtureError(f"no fixture files in {fixtures_dir()}")
+    fixtures = {name: load_fixture_file(path)
+                for name, path in sorted(files.items())}
     rng = random.Random(args.seed)
     sections = {}
     texts = []

@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
                      algebra_from_json, algebra_to_json, module_from_json,
@@ -22,7 +22,7 @@ from .fusion import FusionData, fusion_from_json, fusion_to_json
 from .linalg import Field, VectorSpace, identity, make_map
 from .rings import bundled_rings
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
-                    is_three_cocycle, sign_cocycle, trivial_cocycle)
+                    sign_cocycle, trivial_cocycle)
 
 
 class FixtureError(Exception):

@@ -10,10 +10,9 @@ transposes.
 
 from __future__ import annotations
 
-import itertools
 from operator import mul
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 
 class FusionError(Exception):

@@ -16,15 +16,15 @@ basis maps per pair, see ``_hom_samples``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      TensorCell, balanced_tensor, bimodule_tensor, descend,
                      descend_action, hom_basis, module_identity,
                      module_tensor_commutative)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     compose, compose_all, identity, kernel, map_from_columns,
-                     rank, scale, solve_iso, tensor, tensor_space, zero_map)
+                     compose, compose_all, identity, map_from_columns, rank,
+                     scale, solve_iso, tensor, tensor_space)
 
 
 class WattsError(Exception):
@@ -134,8 +134,8 @@ class ProductCell:
     """X⊙Y presented as a quotient of the scalar tensor product X⊗_K Y."""
 
     module: Module      # the product as a right R-module
-    smap: LinearMap     # structure surjection  X⊗_K Y -> X⊙Y
-    section: LinearMap  # a section of smap
+    proj: LinearMap     # structure surjection  X⊗_K Y -> X⊙Y
+    section: LinearMap  # a section of proj
 
 
 class CustomTensor:
@@ -181,13 +181,13 @@ class CustomTensor:
     def _mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
         src = self.product(f.source, g.source)
         tgt = self.product(f.target, g.target)
-        pushed = compose(tgt.smap, self._ambient_map(f, g))
-        induced = compose(pushed, src.section)
-        if compose(induced, src.smap).matrix != pushed.matrix:
+        try:
+            induced = descend(src, self._ambient_map(f, g), tgt.proj)
+        except LinAlgError as exc:
             raise MalformedTensor(
                 f"{self.name}: ⊙ of maps does not descend for "
                 f"({f.source.name} -> {f.target.name}, "
-                f"{g.source.name} -> {g.target.name})")
+                f"{g.source.name} -> {g.target.name})") from exc
         out = ModuleMap(src.module, tgt.module, induced)
         if not out.is_equivariant():
             raise MalformedTensor(
@@ -210,22 +210,46 @@ class CustomTensor:
         pXY, pYZ = self.product(X, Y), self.product(Y, Z)
         pL = self.product(pXY.module, Z)
         pR = self.product(X, pYZ.module)
-        qL = compose(pL.smap, tensor(pXY.smap, identity(Z.space)))
-        qR = compose(pR.smap, tensor(identity(X.space), pYZ.smap))
-        bridge = LinearMap(qL.source, qR.source, identity(qL.source).matrix)
-        sec = compose(tensor(pXY.section, identity(Z.space)), pL.section)
-        a = compose(qR, compose(bridge, sec))
-        if compose(a, qL).matrix != compose(qR, bridge).matrix:
+        a = _rebracket(pXY, pL, pYZ, pR, X.space, Z.space)
+        if a is None:
             raise MalformedTensor(
                 f"{self.name}: rebracketing is not well defined on "
                 f"({X.name},{Y.name},{Z.name})")
         return ModuleMap(pL.module, pR.module, a)
 
 
-def _descend_cell(cell: ProductCell, ambient_map: LinearMap,
-                  proj_tgt: LinearMap) -> LinearMap:
-    return descend(TensorCell(cell.module.space, cell.smap, cell.section),
-                   ambient_map, proj_tgt)
+def _rebracket(cell_xy, cell_l, cell_yz, cell_r, Xspace: VectorSpace,
+               Zspace: VectorSpace) -> Optional[LinearMap]:
+    """(X·Y)·Z -> X·(Y·Z) through the total projections from X⊗Y⊗Z, or
+    None when not well defined; cell_l is a quotient of cell_xy ⊗ Z and
+    cell_r of X ⊗ cell_yz, each cell with a ``proj`` and a ``section``."""
+    qL = compose(cell_l.proj, tensor(cell_xy.proj, identity(Zspace)))
+    qR = compose(cell_r.proj, tensor(identity(Xspace), cell_yz.proj))
+    bridge = LinearMap(qL.source, qR.source, identity(qL.source).matrix)
+    sec = compose(tensor(cell_xy.section, identity(Zspace)), cell_l.section)
+    a = compose(qR, compose(bridge, sec))
+    if compose(a, qL).matrix != compose(qR, bridge).matrix:
+        return None
+    return a
+
+
+def _orbit(actions: Sequence[LinearMap], b: int,
+           space: VectorSpace) -> LinearMap:
+    """The column map space -> X, r ↦ x_b·r, where actions[i] is the
+    action of the i-th algebra basis element on X."""
+    return map_from_columns(space, actions[0].target,
+                            [a.column(b) for a in actions])
+
+
+def _collapse(cell, blocks: Sequence[LinearMap],
+              space: VectorSpace) -> LinearMap:
+    """Descend through `cell` the ambient map into `space` whose k-th
+    block of columns is blocks[k]; raises LinAlgError when it is not
+    well defined."""
+    rows = tuple(tuple(a for blk in blocks for a in blk.matrix[r])
+                 for r in range(space.dim))
+    amb = LinearMap(cell.proj.source, space, rows)
+    return descend(cell, amb, identity(space))
 
 
 class StrictTensor(CustomTensor):
@@ -246,25 +270,13 @@ class StrictTensor(CustomTensor):
 
     def left_unit(self, X):
         cell = self.product(self.unit, X)
-        d = self.algebra.dim
-        cols = [None] * (d * X.dim)
-        for i in range(d):
-            for b in range(X.dim):
-                cols[i * X.dim + b] = X.action[i].column(b)
-        amb = map_from_columns(cell.smap.source, X.space, cols)
-        lam = _descend_cell(cell, amb, identity(X.space))
-        return ModuleMap(cell.module, X, lam)
+        return ModuleMap(cell.module, X, _collapse(cell, X.action, X.space))
 
     def right_unit(self, X):
         cell = self.product(X, self.unit)
-        d = self.algebra.dim
-        cols = [None] * (X.dim * d)
-        for b in range(X.dim):
-            for i in range(d):
-                cols[b * d + i] = X.action[i].column(b)
-        amb = map_from_columns(cell.smap.source, X.space, cols)
-        rho = _descend_cell(cell, amb, identity(X.space))
-        return ModuleMap(cell.module, X, rho)
+        orbits = [_orbit(X.action, b, self.algebra.space)
+                  for b in range(X.dim)]
+        return ModuleMap(cell.module, X, _collapse(cell, orbits, X.space))
 
 
 def trivial_cocycle() -> dict:
@@ -324,20 +336,19 @@ class GradedTensor(CustomTensor):
                      action)
         return ProductCell(mod, identity(space), identity(space))
 
-    def _parity(self, X: Module, d: int) -> LinearMap:
+    def _parity(self, X: Module) -> tuple:
+        """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2)."""
         half = self.field(2).inverse()
-        g = X.action[1]
-        if d == 0:
-            return scale(half, identity(X.space) + g)
-        return scale(half, identity(X.space) - g)
+        one, g = identity(X.space), X.action[1]
+        return scale(half, one + g), scale(half, one - g)
 
     def associator(self, X, Y, Z):
         pL = self.product(self.product(X, Y).module, Z)
         pR = self.product(X, self.product(Y, Z).module)
+        pX, pY, pZ = self._parity(X), self._parity(Y), self._parity(Z)
         acc = None
         for (a, b, c), w in sorted(self.cocycle.items()):
-            term = tensor(tensor(self._parity(X, a), self._parity(Y, b)),
-                          self._parity(Z, c))
+            term = tensor(tensor(pX[a], pY[b]), pZ[c])
             term = scale(self.field(w), term)
             acc = term if acc is None else acc + term
         lin = LinearMap(pL.module.space, pR.module.space, acc.matrix)
@@ -658,24 +669,18 @@ class WattsContext:
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
-        cols = [X.action[i].column(a) for i in range(self.algebra.dim)]
-        return ModuleMap(self.R, X, map_from_columns(self.R.space, X.space,
-                                                     cols))
+        return ModuleMap(self.R, X, _orbit(X.action, a, self.R.space))
 
     def nu(self, X: Module) -> LinearMap:
         """X⊗₂T -> R⊙X, x⊗t ↦ (id_R ⊙ x̂)(t)."""
         if X not in self._nu:
             cell = self.cell2(X)
             target = self.omega(X)
-            cols = []
-            for a in range(X.dim):
-                n_a = self.ct.mor(module_identity(self.R), self._xhat(X, a)).lin
-                for j in range(self.T.dim):
-                    cols.append(tuple(n_a.matrix[r][j]
-                                      for r in range(target.dim)))
-            amb = map_from_columns(cell.proj.source, target.space, cols)
+            idR = module_identity(self.R)
+            blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
+                      for a in range(X.dim)]
             try:
-                self._nu[X] = descend(cell, amb, identity(target.space))
+                self._nu[X] = _collapse(cell, blocks, target.space)
             except LinAlgError as exc:
                 raise MalformedTensor(
                     f"ν[{X.name}] is not balanced") from exc
@@ -703,15 +708,10 @@ class WattsContext:
             cell = self.wcell(Y, X)
             target = self.ct.product(Y, X).module
             idX = module_identity(X)
-            cols = []
-            for b in range(Y.dim):
-                n_b = self.ct.mor(self._xhat(Y, b), idX).lin
-                for j in range(self.omega(X).dim):
-                    cols.append(tuple(n_b.matrix[r][j]
-                                      for r in range(target.dim)))
-            amb = map_from_columns(cell.proj.source, target.space, cols)
+            blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
+                      for b in range(Y.dim)]
             try:
-                th = descend(cell, amb, identity(target.space))
+                th = _collapse(cell, blocks, target.space)
             except LinAlgError as exc:
                 raise MalformedTensor(
                     f"θ[{X.name}]({Y.name}) is not balanced") from exc
@@ -725,38 +725,22 @@ class WattsContext:
         key = (X, Y)
         if key not in self._dcell:
             inner = self.cell2(Y)
-            idY = identity(Y.space)
-            left1_res = tuple(descend_action(inner, tensor(idY, a))
-                              for a in self.T.left1)
-            outer = balanced_tensor(X.space, X.action, inner.space, left1_res,
+            obY = self.ombar(Y)
+            outer = balanced_tensor(X.space, X.action, inner.space, obY.left,
                                     prefix="d")
             idX = identity(X.space)
             proj = compose(outer.proj, tensor(idX, inner.proj))
             section = compose(tensor(idX, inner.section), outer.section)
-            right = []
-            for a in self.T.right:
-                inner_act = descend_action(inner, tensor(idY, a))
-                right.append(descend_action(outer, tensor(idX, inner_act)))
+            right = tuple(descend_action(outer, tensor(idX, a))
+                          for a in obY.right)
             mod = Module(f"D({X.name},{Y.name})", self.algebra, outer.space,
-                         "right", tuple(right))
+                         "right", right)
             mod.check()
             self._dcell[key] = DCell(mod, inner, outer, proj, section)
         return self._dcell[key]
 
     def dmodule(self, X: Module, Y: Module) -> Module:
         return self.dcell(X, Y).module
-
-    def dmor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
-        """D(f,g), descending f ⊗ g ⊗ id_T through the nested cells."""
-        src = self.dcell(f.source, g.source)
-        tgt = self.dcell(f.target, g.target)
-        amb = tensor(f.lin, tensor(g.lin, identity(self.T.space)))
-        induced = compose(compose(tgt.proj, amb), src.section)
-        if compose(induced, src.proj).matrix != compose(tgt.proj, amb).matrix:
-            raise MalformedTensor(
-                f"D of maps does not descend for ({f.source.name},"
-                f"{g.source.name})")
-        return ModuleMap(src.module, tgt.module, induced)
 
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
@@ -792,12 +776,14 @@ class WattsContext:
         c_xy = self.c_module_map(X, Y)
         c_yz_inv = ModuleMap(YZ, self.dmodule(Y, Z),
                              solve_iso(self.c_iso(Y, Z)))
+        # built per call, never stored: tt.wc points back at this context
+        tt = TransportedTensor(self)
         return compose_all(
-            self.dmor(c_xy, module_identity(Z)).lin,
+            tt.mor(c_xy, module_identity(Z)).lin,
             self.c_iso(XY, Z),
             ct.associator(X, Y, Z).lin,
             solve_iso(self.c_iso(X, YZ)),
-            self.dmor(module_identity(X), c_yz_inv).lin)
+            tt.mor(module_identity(X), c_yz_inv).lin)
 
     def lambda_prime(self, X: Module) -> LinearMap:
         return compose(self.ct.left_unit(X).lin, self.c_iso(self.ct.unit, X))
@@ -898,12 +884,7 @@ def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
 def _collapse_regular(P: Bimodule) -> LinearMap:
     """The canonical iso R⊗_R P -> P, r⊗p ↦ r·p."""
     cell = tensor_with_bimodule(Module.regular(P.algebra), P)
-    cols = []
-    for i in range(P.algebra.dim):
-        for a in range(P.dim):
-            cols.append(P.left[i].column(a))
-    amb = map_from_columns(cell.proj.source, P.space, cols)
-    return descend(cell, amb, identity(P.space))
+    return _collapse(cell, P.left, P.space)
 
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
@@ -963,16 +944,6 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # ---------------------------------------------------------------------------
 # The monoidal embedding ω with structure ξ
 
-def _flatten_left(wc: WattsContext, A: Bimodule, B: Bimodule, C: Bimodule):
-    """(A⊗B)⊗C with its cells and the total projection from A⊗B⊗C."""
-    AB, cell_ab = bimodule_tensor(A, B)
-    L, cell_l = bimodule_tensor(AB, C)
-    proj = compose(cell_l.proj, tensor(cell_ab.proj, identity(C.space)))
-    section = compose(tensor(cell_ab.section, identity(C.space)),
-                      cell_l.section)
-    return AB, cell_ab, L, cell_l, proj, section
-
-
 class OmegaFunctor:
     """ω together with ξ and η; thin cache on top of a WattsContext."""
 
@@ -986,16 +957,8 @@ class OmegaFunctor:
         if X not in self._u:
             wc = self.wc
             dc = wc.dcell(wc.R, X)
-            inner = wc.cell2(X)
-            left1_res = tuple(
-                descend_action(inner, tensor(identity(X.space), a))
-                for a in wc.T.left1)
-            cols = []
-            for i in range(wc.algebra.dim):
-                for a in range(inner.space.dim):
-                    cols.append(left1_res[i].column(a))
-            amb = map_from_columns(dc.outer.proj.source, inner.space, cols)
-            self._u[X] = descend(dc.outer, amb, identity(inner.space))
+            obX = wc.ombar(X)
+            self._u[X] = _collapse(dc.outer, obX.left, obX.space)
         return self._u[X]
 
     def eta(self) -> LinearMap:
@@ -1062,17 +1025,13 @@ def verify_monoidal_functor(wc: WattsContext,
             for Z in sample:
                 ctx = {"objects": [X.name, Y.name, Z.name]}
                 oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
-                AB, cell_ab, L, cell_l, projL, secL = _flatten_left(
-                    wc, oX, oY, oZ)
+                AB, cell_ab = bimodule_tensor(oX, oY)
+                _, cell_l = bimodule_tensor(AB, oZ)
                 BC, cell_bc = bimodule_tensor(oY, oZ)
-                Rn, cell_r = bimodule_tensor(oX, BC)
-                projR = compose(cell_r.proj,
-                                tensor(identity(oX.space), cell_bc.proj))
-                bridge = LinearMap(projL.source, projR.source,
-                                   identity(projL.source).matrix)
-                assoc = compose(projR, compose(bridge, secL))
-                if compose(assoc, projL).matrix != \
-                        compose(projR, bridge).matrix:
+                _, cell_r = bimodule_tensor(oX, BC)
+                assoc = _rebracket(cell_ab, cell_l, cell_bc, cell_r,
+                                   oX.space, oZ.space)
+                if assoc is None:
                     rec.add(f"functor-pentagon[{X.name},{Y.name},{Z.name}]",
                             False, {"reason": "flattening failed", **ctx})
                     continue
@@ -1098,14 +1057,7 @@ def verify_monoidal_functor(wc: WattsContext,
         oX = wc.omega(X)
         # left unit square
         _, cell_rx = bimodule_tensor(Rbim, oX)
-        cols = []
-        for i in range(wc.algebra.dim):
-            for a in range(oX.dim):
-                cols.append(oX.left[i].column(a))
-        lam_str = descend(cell_rx,
-                          map_from_columns(cell_rx.proj.source, oX.space,
-                                           cols),
-                          identity(oX.space))
+        lam_str = _collapse(cell_rx, oX.left, oX.space)
         _, cell_ix = bimodule_tensor(wc.omega(I), oX)
         m = descend(cell_rx, tensor(eta, identity(oX.space)), cell_ix.proj)
         lam_p = ModuleMap(wc.dmodule(I, X), X, wc.lambda_prime(X))
@@ -1113,14 +1065,8 @@ def verify_monoidal_functor(wc: WattsContext,
         rec.equal(f"functor-unit-left[{X.name}]", lhs, lam_str, ctx)
         # right unit square
         _, cell_xr = bimodule_tensor(oX, Rbim)
-        cols = []
-        for a in range(oX.dim):
-            for i in range(wc.algebra.dim):
-                cols.append(oX.right[i].column(a))
-        rho_str = descend(cell_xr,
-                          map_from_columns(cell_xr.proj.source, oX.space,
-                                           cols),
-                          identity(oX.space))
+        orbits = [_orbit(oX.right, a, wc.algebra.space) for a in range(oX.dim)]
+        rho_str = _collapse(cell_xr, orbits, oX.space)
         _, cell_xi2 = bimodule_tensor(oX, wc.omega(I))
         m = descend(cell_xr, tensor(identity(oX.space), eta), cell_xi2.proj)
         rho_p = ModuleMap(wc.dmodule(X, I), X, wc.rho_prime(X))
@@ -1263,7 +1209,7 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
 
     if I.dim == 1:
         cell = ct.product(Xdual, X)
-        pairing = compose(ev.lin, cell.smap)
+        pairing = compose(ev.lin, cell.proj)
         mat = tuple(
             tuple(pairing.matrix[0][a * X.dim + b] for b in range(X.dim))
             for a in range(Xdual.dim))

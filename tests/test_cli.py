@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from monocat.cli import main
+from monocat.fixtures import all_bundled_fixtures, fixture_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "monocat" / "fixtures"
@@ -127,3 +128,21 @@ class TestFixtureDirOverride:
         # bundled names are hidden once the override is in force
         code, _, _ = run(capsys, ["embed", "fusion-ising", "sigma"])
         assert code == 2
+
+    def test_report_refuses_empty_override(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))
+        code, out, err = run(capsys, ["--format", "json", "report"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+
+
+class TestFixtureFiles:
+    def test_files_are_the_builders_output(self):
+        built = all_bundled_fixtures()
+        assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(built)
+        for name, fx in built.items():
+            expected = json.dumps(fixture_to_json(fx), indent=2,
+                                  sort_keys=True, ensure_ascii=False) + "\n"
+            assert (FIXTURES / f"{name}.json").read_text(
+                encoding="utf-8") == expected, name

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -132,6 +134,21 @@ class TestTransport:
         tt = TransportedTensor(wc_strict)
         sample = [fx_strict.module("R"), fx_strict.module("Sm")]
         assert check_monoidal_axioms(tt, sample).ok
+
+    def test_context_freed_by_refcount(self, fx_strict, fx_sign):
+        # a reference cycle through the context would keep it and all of
+        # its caches alive until the cyclic collector runs
+        gc.disable()
+        try:
+            for fx in (fx_strict, fx_sign):
+                wc = WattsContext(fx.ct)
+                assert check_T_coherence(wc).ok
+                assert verify_monoidal_functor(wc, fx.sample).ok
+                ref = weakref.ref(wc)
+                del wc
+                assert ref() is None, fx.name
+        finally:
+            gc.enable()
 
 
 class TestFunctor:
