@@ -5,14 +5,18 @@
 
 For each seed, and for each of the three benchmark workloads within it,
 ``perfbench/run.py --seconds 30 --trace 0`` runs once in each checkout:
-the parent first on even pairs, the change first on odd ones.  The
-output file records, per workload, side and end-to-end metric, the
-median, the quartiles and every run's value; per metric, the pairs the
-change won (ties count for neither); per run whether the gate passed;
-and the host.  It is rewritten after every pair, so an interrupted
-comparison keeps the pairs it finished.  Last, each side gets one
-``--trace 1`` run of ``report`` on seed 7, whose per-layer metrics are
-recorded as they are.
+the parent first on even pairs, the change first on odd ones.  Before
+the first pair, every ``__pycache__`` under ``src/monocat`` and
+``perfbench`` is deleted in both checkouts and both are byte-compiled
+afresh with ``compileall``, so the two sides start from the same
+bytecode state whatever ``PYTHONDONTWRITEBYTECODE`` says; the output
+file records this under ``bytecode``.  It also records, per workload,
+side and end-to-end metric, the median, the quartiles and every run's
+value; per metric, the pairs the change won (ties count for neither);
+per run whether the gate passed; and the host.  It is rewritten after
+every pair, so an interrupted comparison keeps the pairs it finished.
+Last, each side gets one ``--trace 1`` run of ``report`` on seed 7,
+whose per-layer metrics are recorded as they are.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +39,7 @@ SECONDS = 30  # BENCHMARK.json run_seconds
 TRACE_SEED = 7
 LOWER_IS_BETTER = {"wall_s", "setup_s", "peak_rss_mb"}
 SIDES = ("parent", "change")
+PACKAGES = ("src/monocat", "perfbench")  # byte-compiled afresh per side
 
 
 def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -52,6 +58,18 @@ def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def fresh_bytecode(root: Path) -> dict:
+    """Delete the packages' bytecode caches, then compile them anew."""
+    removed = 0
+    for package in PACKAGES:
+        for cache in sorted((root / package).rglob("__pycache__")):
+            shutil.rmtree(cache)
+            removed += 1
+    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                    *PACKAGES], cwd=root, check=True)
+    return {"caches_removed": removed, "compiled": list(PACKAGES)}
 
 
 def summarize(pairs) -> dict:
@@ -97,6 +115,8 @@ def main(argv=None) -> int:
                        "machine": platform.machine(),
                        "cpus": os.cpu_count()},
               "seeds": parse_seeds(args.seeds),
+              "bytecode": {side: fresh_bytecode(roots[side])
+                           for side in SIDES},
               "runs": {w: [] for w in WORKLOADS},
               "workloads": {}, "trace": {}}
 

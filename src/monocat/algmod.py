@@ -47,18 +47,6 @@ class Algebra:
     def mul_basis(self, i: int, j: int) -> tuple:
         return self.mult[i][j]
 
-    def mul(self, a: Sequence[FieldScalar], b: Sequence[FieldScalar]) -> tuple:
-        out = [self.field.zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                for k, c in enumerate(self.mult[i][j]):
-                    out[k] = out[k] + ai * bj * c
-        return tuple(out)
-
     def left_mult_matrix(self, i: int) -> LinearMap:
         """x ↦ e_i · x on the algebra itself."""
         cols = [self.mul_basis(i, j) for j in range(self.dim)]
@@ -74,20 +62,15 @@ class Algebra:
                    for i in range(self.dim) for j in range(self.dim))
 
     def check(self):
-        """Associativity and unit laws on all basis triples/pairs."""
+        """Associativity and both unit laws: R is an R-R-bimodule."""
         d = self.dim
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = self.mul(self.mul_basis(i, j), self.space.basis_vector(k))
-                    rhs = self.mul(self.space.basis_vector(i), self.mul_basis(j, k))
-                    if lhs != rhs:
-                        raise StructureError(
-                            f"{self.name}: associativity fails at ({i},{j},{k})")
-        for i in range(d):
-            e = self.space.basis_vector(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise StructureError(f"{self.name}: unit law fails at basis {i}")
+        if len(self.unit) != d or len(self.mult) != d or any(
+                len(row) != d or any(len(v) != d for v in row)
+                for row in self.mult):
+            raise StructureError(
+                f"{self.name}: unit and structure constants must have "
+                f"length {d}")
+        Bimodule.regular(self).check()
 
     # -- constructors ------------------------------------------------------
 
@@ -141,21 +124,12 @@ class Module:
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def families(self) -> tuple:
+        return ((self.side, self.action),)
+
     def check(self):
-        alg = self.algebra
-        unit_mat = _action_of(self, alg.unit)
-        if unit_mat.matrix != identity(self.space).matrix:
-            raise StructureError(f"{self.name}: unit does not act as identity")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                prod = _action_of(self, alg.mul_basis(i, j))
-                if self.side == "right":
-                    seq = compose(self.action[j], self.action[i])
-                else:
-                    seq = compose(self.action[i], self.action[j])
-                if prod.matrix != seq.matrix:
-                    raise StructureError(
-                        f"{self.name}: action incompatible with product at ({i},{j})")
+        check_actions(self.name, self.algebra, self.space, self.families)
 
     @staticmethod
     def regular(algebra: Algebra, side: str = "right",
@@ -167,12 +141,49 @@ class Module:
         return Module(name or algebra.name, algebra, algebra.space, side, action)
 
 
-def _action_of(mod: "Module", r: Sequence[FieldScalar]) -> LinearMap:
-    acc = zero_map(mod.space, mod.space)
+def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
+               r: Sequence[FieldScalar]) -> LinearMap:
+    acc = zero_map(space, space)
     for i, ri in enumerate(r):
         if ri:
-            acc = acc + scale(ri, mod.action[i])
+            acc = acc + scale(ri, mats[i])
     return acc
+
+
+def check_actions(name: str, algebra: Algebra, space: VectorSpace,
+                  families) -> None:
+    """Each (side, matrices) family is an action of the algebra on space,
+    and every two families commute; StructureError names the first failure.
+    """
+    d = algebra.dim
+    for side, mats in families:
+        if side not in ("left", "right"):
+            raise StructureError(f"{name}: unknown side {side!r}")
+        if len(mats) != d:
+            raise StructureError(
+                f"{name}: {len(mats)} action matrices for an algebra of "
+                f"dimension {d}")
+        if _action_of(space, mats, algebra.unit).matrix != \
+                identity(space).matrix:
+            raise StructureError(f"{name}: unit does not act as identity")
+        for i in range(d):
+            for j in range(d):
+                prod = _action_of(space, mats, algebra.mul_basis(i, j))
+                if side == "right":
+                    seq = compose(mats[j], mats[i])
+                else:
+                    seq = compose(mats[i], mats[j])
+                if prod.matrix != seq.matrix:
+                    raise StructureError(
+                        f"{name}: action incompatible with product at ({i},{j})")
+    for a, (side_a, first) in enumerate(families):
+        for side_b, second in families[a + 1:]:
+            for i, L in enumerate(first):
+                for j, R in enumerate(second):
+                    if compose(L, R).matrix != compose(R, L).matrix:
+                        raise StructureError(
+                            f"{name}: {side_a}/{side_b} actions do not "
+                            f"commute at ({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -195,26 +206,31 @@ class Bimodule:
     def dim(self) -> int:
         return self.space.dim
 
-    def left_module(self) -> Module:
-        return Module(self.name, self.algebra, self.space, "left", self.left)
-
-    def right_module(self) -> Module:
-        return Module(self.name, self.algebra, self.space, "right", self.right)
+    @property
+    def families(self) -> tuple:
+        return (("left", self.left), ("right", self.right))
 
     def check(self):
-        self.left_module().check()
-        self.right_module().check()
-        for i, L in enumerate(self.left):
-            for j, R in enumerate(self.right):
-                if compose(L, R).matrix != compose(R, L).matrix:
-                    raise StructureError(
-                        f"{self.name}: left/right actions do not commute at ({i},{j})")
+        check_actions(self.name, self.algebra, self.space, self.families)
 
     @staticmethod
     def regular(algebra: Algebra, name: Optional[str] = None) -> "Bimodule":
         left = tuple(algebra.left_mult_matrix(i) for i in range(algebra.dim))
         right = tuple(algebra.right_mult_matrix(j) for j in range(algebra.dim))
         return Bimodule(name or algebra.name, algebra, algebra.space, left, right)
+
+
+def _intertwined(X, Y):
+    """The (action on X, action on Y) pairs a map X -> Y must intertwine,
+    or None when X and Y carry actions on different sides."""
+    if [side for side, _ in X.families] != [side for side, _ in Y.families]:
+        return None
+    return [pair for (_, xs), (_, ys) in zip(X.families, Y.families)
+            for pair in zip(xs, ys)]
+
+
+def _transpose(f: LinearMap) -> LinearMap:
+    return LinearMap(f.target, f.source, tuple(zip(*f.matrix)))
 
 
 @dataclass(frozen=True)
@@ -228,16 +244,10 @@ class ModuleMap:
     __hash__ = cached_hash
 
     def is_equivariant(self) -> bool:
-        pairs = []
-        if isinstance(self.source, Bimodule):
-            pairs += list(zip(self.source.left, self.target.left))
-            pairs += list(zip(self.source.right, self.target.right))
-        else:
-            if self.source.side != self.target.side:
-                return False
-            pairs += list(zip(self.source.action, self.target.action))
-        return all(compose(self.lin, a).matrix == compose(b, self.lin).matrix
-                   for a, b in pairs)
+        pairs = _intertwined(self.source, self.target)
+        return pairs is not None and all(
+            compose(self.lin, a).matrix == compose(b, self.lin).matrix
+            for a, b in pairs)
 
     def check(self):
         if not self.is_equivariant():
@@ -265,37 +275,22 @@ def hom_basis(X, Y):
         raise StructureError("hom between different kinds of modules")
     if X.algebra.name != Y.algebra.name:
         raise StructureError("hom between modules over different algebras")
-    constraints = []  # pairs (A on source, B on target)
-    if isinstance(X, Bimodule):
-        constraints += list(zip(X.left, Y.left)) + list(zip(X.right, Y.right))
-    else:
-        if X.side != Y.side:
-            raise StructureError("hom between modules of different sides")
-        constraints += list(zip(X.action, Y.action))
+    pairs = _intertwined(X, Y)
+    if pairs is None:
+        raise StructureError("hom between modules of different sides")
     m, n = Y.dim, X.dim
-    field = X.field
-    # unknowns: F[r][c], flattened row-major
-    rows = []
-    for A, B in constraints:
-        # F·A − B·F = 0, entry (r, c)
-        for r in range(m):
-            for c in range(n):
-                coeff = [field.zero] * (m * n)
-                for k in range(n):
-                    coeff[r * n + k] = coeff[r * n + k] + A.matrix[k][c]
-                for k in range(m):
-                    coeff[k * n + c] = coeff[k * n + c] - B.matrix[r][k]
-                rows.append(tuple(coeff))
-    unknowns = VectorSpace.make(field, m * n, "f")
-    if not rows:
-        rows = [unknowns.zero_vector()]
-    sys_map = LinearMap(unknowns, VectorSpace.make(field, len(rows), "r"),
+    # unknowns: F[r][c], flattened row-major; F·A − B·F = 0 entrywise
+    idX, idY = identity(X.space), identity(Y.space)
+    rows = [row for A, B in pairs
+            for row in (tensor(idY, _transpose(A)) - tensor(B, idX)).matrix]
+    unknowns = tensor_space(Y.space, X.space)
+    sys_map = LinearMap(unknowns, VectorSpace.make(X.field, len(rows), "r"),
                         tuple(rows))
     ker, incl = kernel(sys_map)
     basis = []
     for b in range(ker.dim):
-        flat = [incl.matrix[i][b] for i in range(m * n)]
-        mat = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(m))
+        flat = incl.column(b)
+        mat = tuple(flat[r * n:(r + 1) * n] for r in range(m))
         basis.append(LinearMap(X.space, Y.space, mat))
     return basis
 
@@ -387,12 +382,8 @@ def module_tensor_commutative(X: Module, Y: Module, name: Optional[str] = None):
 # ---------------------------------------------------------------------------
 # JSON serialization (bit-exact round trip)
 
-def _matrix_json(m: LinearMap):
+def matrix_to_json(m: LinearMap) -> list:
     return [[a.serialize() for a in row] for row in m.matrix]
-
-
-def _matrix_from_json(field, source, target, rows) -> LinearMap:
-    return make_map(source, target, rows)
 
 
 def algebra_to_json(A: Algebra) -> dict:
@@ -410,9 +401,8 @@ def algebra_to_json(A: Algebra) -> dict:
 def algebra_from_json(data: dict) -> Algebra:
     field = Field(data["char"])
     space = VectorSpace(field, tuple(data["basis"]))
-    mult = tuple(tuple(tuple(field(c) for c in data["mult"][i][j])
-                       for j in range(data["dim"]))
-                 for i in range(data["dim"]))
+    mult = tuple(tuple(tuple(field(c) for c in v) for v in row)
+                 for row in data["mult"])
     unit = tuple(field(c) for c in data["unit"])
     alg = Algebra(data["name"], space, mult, unit)
     alg.check()
@@ -425,14 +415,13 @@ def module_to_json(M: Module) -> dict:
         "dim": M.dim,
         "basis": list(M.space.labels),
         "side": M.side,
-        "action": [_matrix_json(a) for a in M.action],
+        "action": [matrix_to_json(a) for a in M.action],
     }
 
 
 def module_from_json(algebra: Algebra, data: dict) -> Module:
     space = VectorSpace(algebra.field, tuple(data["basis"]))
-    action = tuple(_matrix_from_json(algebra.field, space, space, rows)
-                   for rows in data["action"])
+    action = tuple(make_map(space, space, rows) for rows in data["action"])
     mod = Module(data["name"], algebra, space, data["side"], action)
     mod.check()
     return mod
@@ -443,17 +432,15 @@ def bimodule_to_json(M: Bimodule) -> dict:
         "name": M.name,
         "dim": M.dim,
         "basis": list(M.space.labels),
-        "left": [_matrix_json(a) for a in M.left],
-        "right": [_matrix_json(a) for a in M.right],
+        "left": [matrix_to_json(a) for a in M.left],
+        "right": [matrix_to_json(a) for a in M.right],
     }
 
 
 def bimodule_from_json(algebra: Algebra, data: dict) -> Bimodule:
     space = VectorSpace(algebra.field, tuple(data["basis"]))
-    left = tuple(_matrix_from_json(algebra.field, space, space, rows)
-                 for rows in data["left"])
-    right = tuple(_matrix_from_json(algebra.field, space, space, rows)
-                  for rows in data["right"])
+    left = tuple(make_map(space, space, rows) for rows in data["left"])
+    right = tuple(make_map(space, space, rows) for rows in data["right"])
     mod = Bimodule(data["name"], algebra, space, left, right)
     mod.check()
     return mod

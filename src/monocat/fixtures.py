@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Dict, Tuple, Union
 
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
-                     algebra_from_json, algebra_to_json, module_from_json,
-                     module_to_json)
+                     algebra_from_json, algebra_to_json, matrix_to_json,
+                     module_from_json, module_to_json)
 from .fusion import FusionData, fusion_from_json, fusion_to_json
 from .linalg import Field, VectorSpace, identity, make_map
 from .rings import bundled_rings
@@ -151,10 +151,6 @@ def bundled_watts_fixtures() -> Dict[str, WattsFixture]:
 # JSON serialization
 
 
-def _map_json(f: ModuleMap) -> list:
-    return [[a.serialize() for a in row] for row in f.lin.matrix]
-
-
 def watts_fixture_to_json(fx: WattsFixture) -> dict:
     if isinstance(fx.ct, StrictTensor):
         tensor: dict = {"kind": "strict"}
@@ -176,14 +172,14 @@ def watts_fixture_to_json(fx: WattsFixture) -> dict:
             "name": s.name,
             "exactness": s.kind,
             "spaces": [s.f.source.name, s.f.target.name, s.g.target.name],
-            "f": _map_json(s.f),
-            "g": _map_json(s.g),
+            "f": matrix_to_json(s.f.lin),
+            "g": matrix_to_json(s.g.lin),
         } for s in fx.sequences],
         "rigidity": [{
             "object": r.obj.name,
             "dual": r.dual.name,
-            "ev": _map_json(r.ev),
-            "db": _map_json(r.db),
+            "ev": matrix_to_json(r.ev.lin),
+            "db": matrix_to_json(r.db.lin),
         } for r in fx.rigidity],
     }
 

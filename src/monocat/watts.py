@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, balanced_tensor, bimodule_tensor, descend,
-                     descend_action, hom_basis, module_identity,
+                     TensorCell, balanced_tensor, bimodule_tensor,
+                     check_actions, descend, descend_action, hom_basis,
+                     matrix_to_json, module_identity,
                      module_tensor_commutative)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      compose, compose_all, identity, map_from_columns, rank,
@@ -50,10 +51,6 @@ class NotBalanced(WattsError):
 
 # ---------------------------------------------------------------------------
 # Reports
-
-def _ser(m: LinearMap) -> list:
-    return [[a.serialize() for a in row] for row in m.matrix]
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -121,8 +118,8 @@ class _Recorder:
         witness = None
         if not ok:
             witness = dict(context)
-            witness["lhs"] = _ser(lhs)
-            witness["rhs"] = _ser(rhs)
+            witness["lhs"] = matrix_to_json(lhs)
+            witness["rhs"] = matrix_to_json(rhs)
         self.add(name, ok, witness)
 
 
@@ -399,10 +396,11 @@ def check_monoidal_axioms(ct: CustomTensor,
     names = tuple(m.name for m in sample)
 
     # component sanity: isomorphisms and equivariance
+    lams, rhos = {}, {}  # X -> (component, its inverse)
     for X in sample:
         lam, rho = ct.left_unit(X), ct.right_unit(X)
-        _iso_inverse(lam.lin, f"λ[{X.name}]")
-        _iso_inverse(rho.lin, f"ρ[{X.name}]")
+        lams[X] = lam.lin, _iso_inverse(lam.lin, f"λ[{X.name}]")
+        rhos[X] = rho.lin, _iso_inverse(rho.lin, f"ρ[{X.name}]")
         rec.add(f"unit-components-equivariant[{X.name}]",
                 lam.is_equivariant() and rho.is_equivariant(),
                 {"object": X.name})
@@ -468,33 +466,32 @@ def check_monoidal_axioms(ct: CustomTensor,
                       {"basis": [i, j]})
 
     # End(I) actions on Hom(X,Y): unit acts trivially, actions associate
+    def via_lam(f: ModuleMap, g: LinearMap) -> LinearMap:
+        """λ_t ∘ g ∘ λ_s⁻¹ for f: s -> t."""
+        return compose_all(lams[f.source][1], g, lams[f.target][0])
+
+    def via_rho(f: ModuleMap, g: LinearMap) -> LinearMap:
+        """ρ_t ∘ g ∘ ρ_s⁻¹ for f: s -> t."""
+        return compose_all(rhos[f.source][1], g, rhos[f.target][0])
+
     morphisms = _hom_samples(sample)
+    one = module_identity(I)
     for k, f in enumerate(morphisms):
-        lam_s = ct.left_unit(f.source)
-        lam_t = ct.left_unit(f.target)
-        rho_s = ct.right_unit(f.source)
-        rho_t = ct.right_unit(f.target)
-        one = module_identity(I)
-        left = compose_all(_iso_inverse(lam_s.lin, "λ"),
-                           ct.mor(one, f).lin, lam_t.lin)
-        right = compose_all(_iso_inverse(rho_s.lin, "ρ"),
-                            ct.mor(f, one).lin, rho_t.lin)
         ctx = {"morphism": k,
                "pair": [f.source.name, f.target.name]}
-        rec.equal(f"endI-unit-acts-trivially-left[{k}]", left, f.lin, ctx)
-        rec.equal(f"endI-unit-acts-trivially-right[{k}]", right, f.lin, ctx)
+        rec.equal(f"endI-unit-acts-trivially-left[{k}]",
+                  via_lam(f, ct.mor(one, f).lin), f.lin, ctx)
+        rec.equal(f"endI-unit-acts-trivially-right[{k}]",
+                  via_rho(f, ct.mor(f, one).lin), f.lin, ctx)
         for i, r in enumerate(endI):
             for j, s in enumerate(endI):
-                rf = ModuleMap(f.source, f.target, compose_all(
-                    _iso_inverse(lam_s.lin, "λ"), ct.mor(r, f).lin, lam_t.lin))
-                fs = ModuleMap(f.source, f.target, compose_all(
-                    _iso_inverse(rho_s.lin, "ρ"), ct.mor(f, s).lin, rho_t.lin))
-                lhs = compose_all(_iso_inverse(rho_s.lin, "ρ"),
-                                  ct.mor(rf, s).lin, rho_t.lin)
-                rhs = compose_all(_iso_inverse(lam_s.lin, "λ"),
-                                  ct.mor(r, fs).lin, lam_t.lin)
-                rec.equal(f"endI-actions-associate[{k},{i},{j}]", lhs, rhs,
-                          ctx)
+                rf = ModuleMap(f.source, f.target,
+                               via_lam(f, ct.mor(r, f).lin))
+                fs = ModuleMap(f.source, f.target,
+                               via_rho(f, ct.mor(f, s).lin))
+                rec.equal(f"endI-actions-associate[{k},{i},{j}]",
+                          via_rho(f, ct.mor(rf, s).lin),
+                          via_lam(f, ct.mor(r, fs).lin), ctx)
 
     # bifunctor interchange on sampled morphism pairs
     for k, f in enumerate(morphisms):
@@ -553,25 +550,16 @@ class TripleModule:
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def families(self) -> tuple:
+        return (("left", self.left1), ("left", self.left2),
+                ("right", self.right))
+
     def check(self):
-        for label, side, mats in (("left1", "left", self.left1),
-                                  ("left2", "left", self.left2),
-                                  ("right", "right", self.right)):
-            try:
-                Module(f"T.{label}", self.algebra, self.space, side,
-                       mats).check()
-            except StructureError as exc:
-                raise ActionClash(f"T: {label} is not an action") from exc
-        families = {"left1": self.left1, "left2": self.left2,
-                    "right": self.right}
-        keys = sorted(families)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                for f in families[keys[a]]:
-                    for g in families[keys[b]]:
-                        if compose(f, g).matrix != compose(g, f).matrix:
-                            raise ActionClash(
-                                f"T: {keys[a]} and {keys[b]} do not commute")
+        try:
+            check_actions("T", self.algebra, self.space, self.families)
+        except StructureError as exc:
+            raise ActionClash(str(exc)) from exc
 
 
 def _left_mult_map(algebra: Algebra, i: int) -> ModuleMap:
@@ -603,8 +591,7 @@ class DCell:
     """Transported product D(X,Y) = X⊗₁(Y⊗₂T) as a nested cokernel."""
 
     module: Module       # right module structure on the quotient
-    inner: TensorCell    # Y⊗₂T
-    outer: TensorCell    # X⊗₁(inner)
+    outer: TensorCell    # X⊗₁(Y⊗₂T)
     proj: LinearMap      # total projection from X⊗(Y⊗T)
     section: LinearMap   # total section
 
@@ -628,17 +615,15 @@ class WattsContext:
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
-    def watts_left(self, X: Module) -> tuple:
-        """Left action on R⊙X: r acts through ℓ_r ⊙ id_X."""
-        idX = module_identity(X)
-        return tuple(self.ct.mor(_left_mult_map(self.algebra, i), idX).lin
-                     for i in range(self.algebra.dim))
-
     def omega(self, X: Module) -> Bimodule:
+        """R⊙X; r acts on the left through ℓ_r ⊙ id_X."""
         if X not in self._omega:
             cell = self.ct.product(self.R, X)
+            idX = module_identity(X)
+            left = tuple(self.ct.mor(_left_mult_map(self.algebra, i), idX).lin
+                         for i in range(self.algebra.dim))
             bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
-                           self.watts_left(X), tuple(cell.module.action))
+                           left, tuple(cell.module.action))
             bim.check()
             self._omega[X] = bim
         return self._omega[X]
@@ -697,7 +682,7 @@ class WattsContext:
         key = (Y, X)
         if key not in self._wcell:
             self._wcell[key] = balanced_tensor(
-                Y.space, Y.action, self.omega(X).space, self.watts_left(X),
+                Y.space, Y.action, self.omega(X).space, self.omega(X).left,
                 prefix="w")
         return self._wcell[key]
 
@@ -736,7 +721,7 @@ class WattsContext:
             mod = Module(f"D({X.name},{Y.name})", self.algebra, outer.space,
                          "right", right)
             mod.check()
-            self._dcell[key] = DCell(mod, inner, outer, proj, section)
+            self._dcell[key] = DCell(mod, outer, proj, section)
         return self._dcell[key]
 
     def dmodule(self, X: Module, Y: Module) -> Module:

@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, algebra_from_json, algebra_to_json,
@@ -10,9 +12,11 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             module_tensor_commutative, module_to_json)
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
                             make_map, rank, solve_iso, zero_map)
+from monocat.linalg import LinearMap, kernel
 
 F2 = Field(2)
 F3 = Field(3)
+F5 = Field(5)
 
 
 @pytest.fixture
@@ -162,3 +166,145 @@ class TestSerialization:
                       space.basis_vector(0))
         data = algebra_to_json(alg)
         assert algebra_from_json(data).unit == alg.unit
+
+
+# ---------------------------------------------------------------------------
+# One action-law checker, one intertwiner list
+
+def reference_hom_basis(X, Y):
+    """The entry-by-entry construction of the Hom system, kept as a
+    reference for the Kronecker-block one in ``hom_basis``."""
+    m, n = Y.dim, X.dim
+    field = X.field
+    rows = []
+    for A, B in zip(X.action, Y.action):
+        # F·A − B·F = 0, entry (r, c)
+        for r in range(m):
+            for c in range(n):
+                coeff = [field.zero] * (m * n)
+                for k in range(n):
+                    coeff[r * n + k] = coeff[r * n + k] + A.matrix[k][c]
+                for k in range(m):
+                    coeff[k * n + c] = coeff[k * n + c] - B.matrix[r][k]
+                rows.append(tuple(coeff))
+    unknowns = VectorSpace.make(field, m * n, "f")
+    if not rows:
+        rows = [unknowns.zero_vector()]
+    sys_map = LinearMap(unknowns, VectorSpace.make(field, len(rows), "r"),
+                        tuple(rows))
+    ker, incl = kernel(sys_map)
+    basis = []
+    for b in range(ker.dim):
+        flat = [incl.matrix[i][b] for i in range(m * n)]
+        mat = tuple(tuple(flat[r * n + c] for c in range(n)) for r in range(m))
+        basis.append(LinearMap(X.space, Y.space, mat))
+    return basis
+
+
+def _block_diagonal(blocks):
+    dim = sum(len(b) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([0] * offset + list(row)
+                        + [0] * (dim - offset - len(row)))
+        offset += len(b)
+    return rows
+
+
+def _conjugated_sum(alg, summands, seed):
+    """A seeded conjugate of a direct sum of R and the sign line S."""
+    field, n = alg.field, alg.dim
+    R = Module.regular(alg)
+    blocks_per_g = []
+    for g in range(n):
+        blocks = []
+        for s in summands:
+            if s == "R":
+                blocks.append([[x.value for x in row]
+                               for row in R.action[g].matrix])
+            else:
+                blocks.append([[(-1) ** g]])
+        blocks_per_g.append(_block_diagonal(blocks))
+    dim = len(blocks_per_g[0])
+    space = VectorSpace.make(field, dim, "v")
+    rng = random.Random(seed)
+    while True:
+        P = make_map(space, space, [[rng.randrange(field.char)
+                                     for _ in range(dim)]
+                                    for _ in range(dim)])
+        if rank(P) == dim:
+            break
+    P_inv = solve_iso(P)
+    action = tuple(compose(P_inv, compose(make_map(space, space, b), P))
+                   for b in blocks_per_g)
+    mod = Module("+".join(summands), alg, space, "right", action)
+    mod.check()
+    return mod
+
+
+@st.composite
+def _module_pairs(draw):
+    field = draw(st.sampled_from([F3, F5]))
+    n = draw(st.sampled_from([2, 4]))
+    alg = Algebra.group_algebra(field, n)
+
+    def summands():
+        out = draw(st.lists(st.sampled_from(["R", "S"]), min_size=1,
+                            max_size=4))
+        while sum(n if s == "R" else 1 for s in out) > 4:
+            out.pop()
+        return out or ["S"]
+
+    X = _conjugated_sum(alg, summands(), draw(st.integers(0, 10**6)))
+    Y = _conjugated_sum(alg, summands(), draw(st.integers(0, 10**6)))
+    return X, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(_module_pairs())
+def test_hom_basis_matches_reference_and_is_equivariant(pair):
+    X, Y = pair
+    basis = hom_basis(X, Y)
+    assert [f.matrix for f in basis] == [
+        f.matrix for f in reference_hom_basis(X, Y)]
+    assert all(ModuleMap(X, Y, f).is_equivariant() for f in basis)
+
+
+class TestActionLaws:
+    def test_noncommuting_bimodule_rejected(self, z2_group_algebra):
+        space = VectorSpace(F3, ("a", "b"))
+        swap = make_map(space, space, [[0, 1], [1, 0]])
+        sign = make_map(space, space, [[1, 0], [0, -1]])
+        # each family alone is a K[Z/2]-action; they do not commute
+        B = Bimodule("B", z2_group_algebra, space,
+                     (identity(space), swap), (identity(space), sign))
+        with pytest.raises(StructureError, match="do not commute at"):
+            B.check()
+
+    def test_nonassociative_algebra_rejected(self):
+        space = VectorSpace(F3, ("1", "x", "y"))
+        e = space.basis_vector
+        z = space.zero_vector()
+        # (x·x)·x = y·x = 0 but x·(x·x) = x·y = x; 1 is a two-sided unit
+        mult = ((e(0), e(1), e(2)),
+                (e(1), e(2), e(1)),
+                (e(2), z, z))
+        bad = Algebra("nonassoc", space, mult, e(0))
+        with pytest.raises(StructureError):
+            bad.check()
+
+    def test_side_and_count_checked(self, z2_group_algebra):
+        R = Module.regular(z2_group_algebra)
+        with pytest.raises(StructureError, match="unknown side"):
+            Module("up", z2_group_algebra, R.space, "up", R.action).check()
+        with pytest.raises(StructureError, match="1 action matrices"):
+            Module("short", z2_group_algebra, R.space, "right",
+                   R.action[:1]).check()
+
+    def test_different_sides_not_equivariant(self, z2_group_algebra):
+        R = Module.regular(z2_group_algebra)
+        L = Module.regular(z2_group_algebra, side="left")
+        assert not ModuleMap(R, L, identity(R.space)).is_equivariant()
+        with pytest.raises(StructureError):
+            hom_basis(R, L)

@@ -86,6 +86,30 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert "1/3" in err
 
+    @pytest.mark.parametrize("case", [
+        "mult-too-long", "mult-too-short", "unit-too-short",
+        "extra-action", "missing-action", "side-up"])
+    def test_malformed_shape_is_usage_error(self, capsys, tmp_path, case):
+        data = json.loads((FIXTURES / "strict-f3-z2.json").read_text())
+        algebra, module = data["algebra"], data["modules"][1]
+        if case == "mult-too-long":
+            algebra["mult"][0][1].append(0)
+        elif case == "mult-too-short":
+            algebra["mult"][1][1].pop()
+        elif case == "unit-too-short":
+            algebra["unit"].pop()
+        elif case == "extra-action":
+            module["action"].append([[1]])
+        elif case == "missing-action":
+            module["action"].pop()
+        else:
+            module["side"] = "up"
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["watts", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])
         assert code == 1

@@ -22,6 +22,7 @@ from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            nat_to_bimodule_hom, sign_cocycle,
                            tensor_with_bimodule, trivial_cocycle,
                            verify_embedding, verify_monoidal_functor)
+from monocat.watts import ActionClash, TripleModule
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +285,15 @@ class TestFixtureSerialization:
         fx = watts_fixture_from_json(j)  # must not raise
         assert not is_three_cocycle(fx.ct.cocycle)
         assert not check_monoidal_axioms(fx.ct, fx.sample).ok
+
+
+def test_clashing_triple_module_raises_action_clash():
+    A = Algebra.group_algebra(Field(3), 2)
+    space = VectorSpace(Field(3), ("a", "b"))
+    one = identity(space)
+    swap = make_map(space, space, [[0, 1], [1, 0]])
+    sign = make_map(space, space, [[1, 0], [0, -1]])
+    # three K[Z/2]-actions; the two left ones do not commute
+    T = TripleModule(A, space, (one, swap), (one, sign), (one, one))
+    with pytest.raises(ActionClash, match=r"do not commute at \(1,1\)"):
+        T.check()
