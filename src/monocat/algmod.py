@@ -221,10 +221,13 @@ class Bimodule:
 
 
 def _intertwined(X, Y):
-    """The (action on X, action on Y) pairs a map X -> Y must intertwine,
-    or None when X and Y carry actions on different sides."""
+    """The (action on X, action on Y) pairs a map X -> Y must intertwine;
+    StructureError when X and Y are over different algebras or carry
+    actions on different sides."""
+    if X.algebra != Y.algebra:
+        raise StructureError("hom between modules over different algebras")
     if [side for side, _ in X.families] != [side for side, _ in Y.families]:
-        return None
+        raise StructureError("hom between modules of different sides")
     return [pair for (_, xs), (_, ys) in zip(X.families, Y.families)
             for pair in zip(xs, ys)]
 
@@ -244,10 +247,12 @@ class ModuleMap:
     __hash__ = cached_hash
 
     def is_equivariant(self) -> bool:
-        pairs = _intertwined(self.source, self.target)
-        return pairs is not None and all(
-            compose(self.lin, a).matrix == compose(b, self.lin).matrix
-            for a, b in pairs)
+        try:
+            pairs = _intertwined(self.source, self.target)
+        except StructureError:
+            return False
+        return all(compose(self.lin, a).matrix == compose(b, self.lin).matrix
+                   for a, b in pairs)
 
     def check(self):
         if not self.is_equivariant():
@@ -273,11 +278,7 @@ def hom_basis(X, Y):
     """
     if type(X) is not type(Y):
         raise StructureError("hom between different kinds of modules")
-    if X.algebra.name != Y.algebra.name:
-        raise StructureError("hom between modules over different algebras")
     pairs = _intertwined(X, Y)
-    if pairs is None:
-        raise StructureError("hom between modules of different sides")
     m, n = Y.dim, X.dim
     # unknowns: F[r][c], flattened row-major; F·A − B·F = 0 entrywise
     idX, idY = identity(X.space), identity(Y.space)
@@ -349,34 +350,44 @@ def descend_action(cell: TensorCell, ambient_action: LinearMap) -> LinearMap:
     return descend(cell, ambient_action, cell.proj)
 
 
-def bimodule_tensor(M: Bimodule, N: Bimodule, name: Optional[str] = None):
-    """M ⊗_R N with the outer actions; returns (Bimodule, TensorCell)."""
-    if M.algebra.name != N.algebra.name:
-        raise StructureError("bimodule tensor over different algebras")
-    cell = balanced_tensor(M.space, M.right, N.space, N.left)
-    d = M.algebra.dim
-    left = tuple(descend_action(cell, tensor(M.left[i], identity(N.space)))
-                 for i in range(d))
-    right = tuple(descend_action(cell, tensor(identity(M.space), N.right[j]))
-                  for j in range(d))
-    result = Bimodule(name or f"({M.name}⊗{N.name})", M.algebra, cell.space,
-                      left, right)
+def tensor_over(X, i: int, Y, j: int, name: str, prefix: str = "t"):
+    """X ⊗_R Y balancing X.families[i], read as a right action, against
+    Y.families[j], read as a left one, with every other family of X (as
+    a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
+    residual family gives a Module, a left and a right one (in that order)
+    a Bimodule; it is checked and returned with its TensorCell."""
+    if X.algebra != Y.algebra:
+        raise StructureError(f"{name}: tensor over different algebras")
+    cell = balanced_tensor(X.space, X.families[i][1], Y.space,
+                           Y.families[j][1], prefix)
+    idX, idY = identity(X.space), identity(Y.space)
+    families = [
+        (side, tuple(descend_action(cell, tensor(a, idY)) for a in mats))
+        for k, (side, mats) in enumerate(X.families) if k != i] + [
+        (side, tuple(descend_action(cell, tensor(idX, b)) for b in mats))
+        for k, (side, mats) in enumerate(Y.families) if k != j]
+    if len(families) == 1:
+        (side, action), = families
+        result = Module(name, X.algebra, cell.space, side, action)
+    else:
+        (_, left), (_, right) = families
+        result = Bimodule(name, X.algebra, cell.space, left, right)
     result.check()
     return result, cell
+
+
+def bimodule_tensor(M: Bimodule, N: Bimodule, name: Optional[str] = None):
+    """M ⊗_R N with the outer actions; returns (Bimodule, TensorCell)."""
+    return tensor_over(M, 1, N, 0, name or f"({M.name}⊗{N.name})")
 
 
 def module_tensor_commutative(X: Module, Y: Module, name: Optional[str] = None):
-    """X ⊗_R Y of right modules over a commutative algebra, as a right module."""
+    """X ⊗_R Y of right modules over a commutative algebra, as a right
+    module: Y is the symmetric bimodule it is over a commutative R."""
     if not X.algebra.is_commutative():
         raise StructureError("module tensor requires a commutative algebra")
-    cell = balanced_tensor(X.space, X.action, Y.space, Y.action)
-    d = X.algebra.dim
-    action = tuple(descend_action(cell, tensor(identity(X.space), Y.action[j]))
-                   for j in range(d))
-    result = Module(name or f"({X.name}⊗{Y.name})", X.algebra, cell.space,
-                    "right", action)
-    result.check()
-    return result, cell
+    Ysym = Bimodule(Y.name, Y.algebra, Y.space, Y.action, Y.action)
+    return tensor_over(X, 0, Ysym, 0, name or f"({X.name}⊗{Y.name})")
 
 
 # ---------------------------------------------------------------------------

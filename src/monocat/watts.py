@@ -15,14 +15,14 @@ basis maps per pair, see ``_hom_samples``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      TensorCell, balanced_tensor, bimodule_tensor,
-                     check_actions, descend, descend_action, hom_basis,
-                     matrix_to_json, module_identity,
-                     module_tensor_commutative)
+                     check_actions, descend, hom_basis, matrix_to_json,
+                     module_identity, module_tensor_commutative, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      compose, compose_all, identity, map_from_columns, rank,
                      scale, solve_iso, tensor, tensor_space)
@@ -126,6 +126,22 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # Custom tensor structures
 
+def _memo(attr: str):
+    """Cache a method's results, never None, in the per-instance dict
+    ``self.<attr>`` keyed by its positional arguments; the cache lives and
+    dies with the instance."""
+    def decorate(method):
+        @functools.wraps(method)
+        def cached(self, *args):
+            memo = getattr(self, attr)
+            out = memo.get(args)
+            if out is None:
+                out = memo[args] = method(self, *args)
+            return out
+        return cached
+    return decorate
+
+
 @dataclass(frozen=True)
 class ProductCell:
     """X⊙Y presented as a quotient of the scalar tensor product X⊗_K Y."""
@@ -154,11 +170,9 @@ class CustomTensor:
     def field(self) -> Field:
         return self.algebra.field
 
+    @_memo("_products")
     def product(self, X: Module, Y: Module) -> ProductCell:
-        key = (X, Y)
-        if key not in self._products:
-            self._products[key] = self._product(X, Y)
-        return self._products[key]
+        return self._product(X, Y)
 
     def _product(self, X: Module, Y: Module) -> ProductCell:
         raise NotImplementedError
@@ -166,16 +180,8 @@ class CustomTensor:
     def _ambient_map(self, f: ModuleMap, g: ModuleMap) -> LinearMap:
         return tensor(f.lin, g.lin)
 
+    @_memo("_mors")
     def mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
-        key = (f, g)
-        cached = self._mors.get(key)
-        if cached is not None:
-            return cached
-        out = self._mor(f, g)
-        self._mors[key] = out
-        return out
-
-    def _mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
         src = self.product(f.source, g.source)
         tgt = self.product(f.target, g.target)
         try:
@@ -396,11 +402,11 @@ def check_monoidal_axioms(ct: CustomTensor,
     names = tuple(m.name for m in sample)
 
     # component sanity: isomorphisms and equivariance
-    lams, rhos = {}, {}  # X -> (component, its inverse)
+    lams, rhos = {}, {}  # X -> (component, the inverse of its matrix)
     for X in sample:
         lam, rho = ct.left_unit(X), ct.right_unit(X)
-        lams[X] = lam.lin, _iso_inverse(lam.lin, f"λ[{X.name}]")
-        rhos[X] = rho.lin, _iso_inverse(rho.lin, f"ρ[{X.name}]")
+        lams[X] = lam, _iso_inverse(lam.lin, f"λ[{X.name}]")
+        rhos[X] = rho, _iso_inverse(rho.lin, f"ρ[{X.name}]")
         rec.add(f"unit-components-equivariant[{X.name}]",
                 lam.is_equivariant() and rho.is_equivariant(),
                 {"object": X.name})
@@ -437,17 +443,17 @@ def check_monoidal_axioms(ct: CustomTensor,
     for X in sample:
         for Y in sample:
             ctx = {"objects": [X.name, Y.name]}
-            lhs = compose(ct.mor(module_identity(X), ct.left_unit(Y)).lin,
+            lhs = compose(ct.mor(module_identity(X), lams[Y][0]).lin,
                           ct.associator(X, I, Y).lin)
-            rhs = ct.mor(ct.right_unit(X), module_identity(Y)).lin
+            rhs = ct.mor(rhos[X][0], module_identity(Y)).lin
             rec.equal(f"triangle[{X.name},{Y.name}]", lhs, rhs, ctx)
 
             XY = ct.product(X, Y).module
             lhs = compose(ct.left_unit(XY).lin, ct.associator(I, X, Y).lin)
-            rhs = ct.mor(ct.left_unit(X), module_identity(Y)).lin
+            rhs = ct.mor(lams[X][0], module_identity(Y)).lin
             rec.equal(f"unit-left-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
 
-            lhs = compose(ct.mor(module_identity(X), ct.right_unit(Y)).lin,
+            lhs = compose(ct.mor(module_identity(X), rhos[Y][0]).lin,
                           ct.associator(X, Y, I).lin)
             rhs = ct.right_unit(XY).lin
             rec.equal(f"unit-right-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
@@ -468,11 +474,11 @@ def check_monoidal_axioms(ct: CustomTensor,
     # End(I) actions on Hom(X,Y): unit acts trivially, actions associate
     def via_lam(f: ModuleMap, g: LinearMap) -> LinearMap:
         """λ_t ∘ g ∘ λ_s⁻¹ for f: s -> t."""
-        return compose_all(lams[f.source][1], g, lams[f.target][0])
+        return compose_all(lams[f.source][1], g, lams[f.target][0].lin)
 
     def via_rho(f: ModuleMap, g: LinearMap) -> LinearMap:
         """ρ_t ∘ g ∘ ρ_s⁻¹ for f: s -> t."""
-        return compose_all(rhos[f.source][1], g, rhos[f.target][0])
+        return compose_all(rhos[f.source][1], g, rhos[f.target][0].lin)
 
     morphisms = _hom_samples(sample)
     one = module_identity(I)
@@ -509,13 +515,13 @@ def check_monoidal_axioms(ct: CustomTensor,
     for k, f in enumerate(morphisms):
         ctx = {"morphism": k, "pair": [f.source.name, f.target.name]}
         rec.equal(f"lambda-natural[{k}]",
-                  compose(ct.left_unit(f.target).lin,
+                  compose(lams[f.target][0].lin,
                           ct.mor(module_identity(I), f).lin),
-                  compose(f.lin, ct.left_unit(f.source).lin), ctx)
+                  compose(f.lin, lams[f.source][0].lin), ctx)
         rec.equal(f"rho-natural[{k}]",
-                  compose(ct.right_unit(f.target).lin,
+                  compose(rhos[f.target][0].lin,
                           ct.mor(f, module_identity(I)).lin),
-                  compose(f.lin, ct.right_unit(f.source).lin), ctx)
+                  compose(f.lin, rhos[f.source][0].lin), ctx)
     for k, f in enumerate(morphisms[:6]):
         for Y in sample[:2]:
             for Z in sample[:2]:
@@ -597,79 +603,68 @@ class DCell:
 
 
 class WattsContext:
-    """Carrier for T and every construction derived from a CustomTensor."""
+    """T and every construction derived from a CustomTensor, each built
+    once per context; the caches are freed with the context."""
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
         self.algebra = ct.algebra
         self.R = Module.regular(ct.algebra)
         self.T = build_T(ct)
-        self._omega: Dict[Module, Bimodule] = {}
-        self._cell2: Dict[Module, TensorCell] = {}
-        self._nu: Dict[Module, LinearMap] = {}
-        self._wcell: Dict[tuple, TensorCell] = {}
-        self._theta: Dict[tuple, LinearMap] = {}
+        self._omega: Dict[tuple, Bimodule] = {}
+        self._ombar: Dict[tuple, tuple] = {}
+        self._nu: Dict[tuple, LinearMap] = {}
         self._dcell: Dict[tuple, DCell] = {}
         self._c: Dict[tuple, LinearMap] = {}
         self._alpha: Dict[tuple, LinearMap] = {}
+        self._bimodule_tensors: Dict[tuple, tuple] = {}
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
+    @_memo("_omega")
     def omega(self, X: Module) -> Bimodule:
         """R⊙X; r acts on the left through ℓ_r ⊙ id_X."""
-        if X not in self._omega:
-            cell = self.ct.product(self.R, X)
-            idX = module_identity(X)
-            left = tuple(self.ct.mor(_left_mult_map(self.algebra, i), idX).lin
-                         for i in range(self.algebra.dim))
-            bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
-                           left, tuple(cell.module.action))
-            bim.check()
-            self._omega[X] = bim
-        return self._omega[X]
+        cell = self.ct.product(self.R, X)
+        idX = module_identity(X)
+        left = tuple(self.ct.mor(_left_mult_map(self.algebra, i), idX).lin
+                     for i in range(self.algebra.dim))
+        bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
+                       left, tuple(cell.module.action))
+        bim.check()
+        return bim
 
     def omega_map(self, f: ModuleMap) -> LinearMap:
         """ω(f) = id_R ⊙ f on the underlying spaces."""
         return self.ct.mor(module_identity(self.R), f).lin
 
+    @_memo("_bimodule_tensors")
+    def bimodule_tensor(self, M: Bimodule, N: Bimodule) -> tuple:
+        """M ⊗_R N and its cell, as ``algmod.bimodule_tensor``."""
+        return bimodule_tensor(M, N)
+
     # -- μ and ν -----------------------------------------------------------
 
-    def cell2(self, X: Module) -> TensorCell:
-        """X⊗₂T: balance the module against the second left action."""
-        if X not in self._cell2:
-            self._cell2[X] = balanced_tensor(X.space, X.action, self.T.space,
-                                             self.T.left2, prefix="m")
-        return self._cell2[X]
-
-    def ombar(self, X: Module) -> Bimodule:
-        """X⊗₂T with the residual first-left and right actions."""
-        cell = self.cell2(X)
-        idX = identity(X.space)
-        left = tuple(descend_action(cell, tensor(idX, a))
-                     for a in self.T.left1)
-        right = tuple(descend_action(cell, tensor(idX, a))
-                      for a in self.T.right)
-        return Bimodule(f"({X.name}⊗₂T)", self.algebra, cell.space, left,
-                        right)
+    @_memo("_ombar")
+    def ombar(self, X: Module) -> tuple:
+        """X⊗₂T, X balanced against the second left action, with the
+        residual first-left and right actions: (Bimodule, TensorCell)."""
+        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)", prefix="m")
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
         return ModuleMap(self.R, X, _orbit(X.action, a, self.R.space))
 
+    @_memo("_nu")
     def nu(self, X: Module) -> LinearMap:
         """X⊗₂T -> R⊙X, x⊗t ↦ (id_R ⊙ x̂)(t)."""
-        if X not in self._nu:
-            cell = self.cell2(X)
-            target = self.omega(X)
-            idR = module_identity(self.R)
-            blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
-                      for a in range(X.dim)]
-            try:
-                self._nu[X] = _collapse(cell, blocks, target.space)
-            except LinAlgError as exc:
-                raise MalformedTensor(
-                    f"ν[{X.name}] is not balanced") from exc
-        return self._nu[X]
+        _, cell = self.ombar(X)
+        idR = module_identity(self.R)
+        blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
+                  for a in range(X.dim)]
+        try:
+            return _collapse(cell, blocks, self.omega(X).space)
+        except LinAlgError as exc:
+            raise MalformedTensor(f"ν[{X.name}] is not balanced") from exc
 
     def mu(self, X: Module) -> LinearMap:
         """R⊙X -> X⊗₂T, the Watts equivalence for R⊙−."""
@@ -677,84 +672,55 @@ class WattsContext:
 
     # -- θ ------------------------------------------------------------------
 
-    def wcell(self, Y: Module, X: Module) -> TensorCell:
-        """Y⊗(R⊙X): balance Y against the Watts left action on R⊙X."""
-        key = (Y, X)
-        if key not in self._wcell:
-            self._wcell[key] = balanced_tensor(
-                Y.space, Y.action, self.omega(X).space, self.omega(X).left,
-                prefix="w")
-        return self._wcell[key]
-
-    def theta(self, X: Module, Y: Module) -> LinearMap:
-        """θ_X(Y): Y⊗(R⊙X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t)."""
-        key = (X, Y)
-        if key not in self._theta:
-            cell = self.wcell(Y, X)
-            target = self.ct.product(Y, X).module
-            idX = module_identity(X)
-            blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
-                      for b in range(Y.dim)]
-            try:
-                th = _collapse(cell, blocks, target.space)
-            except LinAlgError as exc:
-                raise MalformedTensor(
-                    f"θ[{X.name}]({Y.name}) is not balanced") from exc
-            solve_iso(th)  # NotInvertible signals a colimit failure
-            self._theta[key] = th
-        return self._theta[key]
+    def theta(self, X: Module, Y: Module) -> tuple:
+        """θ_X(Y): Y⊗_R ω(X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t), with the cell
+        of Y⊗_R ω(X) it is defined on."""
+        cell = tensor_with_bimodule(Y, self.omega(X))
+        target = self.ct.product(Y, X).module
+        idX = module_identity(X)
+        blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
+                  for b in range(Y.dim)]
+        try:
+            th = _collapse(cell, blocks, target.space)
+        except LinAlgError as exc:
+            raise MalformedTensor(
+                f"θ[{X.name}]({Y.name}) is not balanced") from exc
+        solve_iso(th)  # NotInvertible signals a colimit failure
+        return th, cell
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
 
+    @_memo("_dcell")
     def dcell(self, X: Module, Y: Module) -> DCell:
-        key = (X, Y)
-        if key not in self._dcell:
-            inner = self.cell2(Y)
-            obY = self.ombar(Y)
-            outer = balanced_tensor(X.space, X.action, inner.space, obY.left,
-                                    prefix="d")
-            idX = identity(X.space)
-            proj = compose(outer.proj, tensor(idX, inner.proj))
-            section = compose(tensor(idX, inner.section), outer.section)
-            right = tuple(descend_action(outer, tensor(idX, a))
-                          for a in obY.right)
-            mod = Module(f"D({X.name},{Y.name})", self.algebra, outer.space,
-                         "right", right)
-            mod.check()
-            self._dcell[key] = DCell(mod, outer, proj, section)
-        return self._dcell[key]
+        obY, inner = self.ombar(Y)
+        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})",
+                                 prefix="d")
+        idX = identity(X.space)
+        proj = compose(outer.proj, tensor(idX, inner.proj))
+        section = compose(tensor(idX, inner.section), outer.section)
+        return DCell(mod, outer, proj, section)
 
     def dmodule(self, X: Module, Y: Module) -> Module:
         return self.dcell(X, Y).module
 
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
+    @_memo("_c")
     def c_iso(self, X: Module, Y: Module) -> LinearMap:
         """c_{X,Y} = θ_Y(X) ∘ (id_X ⊗ ν_Y): D(X,Y) -> X⊙Y."""
-        key = (X, Y)
-        if key not in self._c:
-            dc = self.dcell(X, Y)
-            wc = self.wcell(X, Y)
-            step = descend(dc.outer, tensor(identity(X.space), self.nu(Y)),
-                           wc.proj)
-            self._c[key] = compose(self.theta(Y, X), step)
-        return self._c[key]
+        dc = self.dcell(X, Y)
+        theta, cell = self.theta(Y, X)
+        step = descend(dc.outer, tensor(identity(X.space), self.nu(Y)),
+                       cell.proj)
+        return compose(theta, step)
 
     def c_module_map(self, X: Module, Y: Module) -> ModuleMap:
         return ModuleMap(self.dmodule(X, Y), self.ct.product(X, Y).module,
                          self.c_iso(X, Y))
 
+    @_memo("_alpha")
     def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
         """D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α."""
-        key = (X, Y, Z)
-        cached = self._alpha.get(key)
-        if cached is not None:
-            return cached
-        out = self._alpha_prime(X, Y, Z)
-        self._alpha[key] = out
-        return out
-
-    def _alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
         ct = self.ct
         XY = ct.product(X, Y).module
         YZ = ct.product(Y, Z).module
@@ -930,37 +896,33 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # The monoidal embedding ω with structure ξ
 
 class OmegaFunctor:
-    """ω together with ξ and η; thin cache on top of a WattsContext."""
+    """ω together with ξ and η over a WattsContext; ξ and the collapses
+    u_X are built once per functor and freed with it."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
         self._xi: Dict[tuple, LinearMap] = {}
-        self._u: Dict[Module, LinearMap] = {}
+        self._u: Dict[tuple, LinearMap] = {}
 
+    @_memo("_u")
     def _collapse(self, X: Module) -> LinearMap:
         """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
-        if X not in self._u:
-            wc = self.wc
-            dc = wc.dcell(wc.R, X)
-            obX = wc.ombar(X)
-            self._u[X] = _collapse(dc.outer, obX.left, obX.space)
-        return self._u[X]
+        obX, _ = self.wc.ombar(X)
+        return _collapse(self.wc.dcell(self.wc.R, X).outer, obX.left,
+                         obX.space)
 
     def eta(self) -> LinearMap:
         """η: R -> ω(I), the inverse of the right unit at R."""
         return solve_iso(self.wc.ct.right_unit(self.wc.R).lin)
 
+    @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
         """ξ_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)) built from α′_{R,X,Y}."""
-        key = (X, Y)
-        if key in self._xi:
-            return self._xi[key]
         wc = self.wc
-        oX, oY = wc.omega(X), wc.omega(Y)
-        _, cell = bimodule_tensor(oX, oY)
+        _, cell = wc.bimodule_tensor(wc.omega(X), wc.omega(Y))
         # pass to the X⊗₂T model of ω on both factors
-        obX, obY = wc.ombar(X), wc.ombar(Y)
-        _, cell_bar = bimodule_tensor(obX, obY)
+        (obX, _), (obY, _) = wc.ombar(X), wc.ombar(Y)
+        _, cell_bar = wc.bimodule_tensor(obX, obY)
         m1 = descend(cell, tensor(wc.mu(X), wc.mu(Y)), cell_bar.proj)
         # identify with D(D(R,X),Y) through the collapse in the first slot
         ddc = wc.dcell(wc.dmodule(wc.R, X), Y)
@@ -971,9 +933,7 @@ class OmegaFunctor:
         alpha = wc.alpha_prime(wc.R, X, Y)
         DXY = wc.dmodule(X, Y)
         u_d = self._collapse(DXY)
-        xi = compose_all(m1, m2, alpha, u_d, wc.nu(DXY))
-        self._xi[key] = xi
-        return xi
+        return compose_all(m1, m2, alpha, u_d, wc.nu(DXY))
 
 
 def verify_monoidal_functor(wc: WattsContext,
@@ -1000,7 +960,7 @@ def verify_monoidal_functor(wc: WattsContext,
             except NotInvertible:
                 iso_ok = False
             rec.add(f"xi-iso[{X.name},{Y.name}]", iso_ok, ctx)
-            BXY, _ = bimodule_tensor(wc.omega(X), wc.omega(Y))
+            BXY, _ = wc.bimodule_tensor(wc.omega(X), wc.omega(Y))
             mm = ModuleMap(BXY, wc.omega(wc.dmodule(X, Y)), xi)
             rec.add(f"xi-equivariant[{X.name},{Y.name}]", mm.is_equivariant(),
                     ctx)
@@ -1010,10 +970,10 @@ def verify_monoidal_functor(wc: WattsContext,
             for Z in sample:
                 ctx = {"objects": [X.name, Y.name, Z.name]}
                 oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
-                AB, cell_ab = bimodule_tensor(oX, oY)
-                _, cell_l = bimodule_tensor(AB, oZ)
-                BC, cell_bc = bimodule_tensor(oY, oZ)
-                _, cell_r = bimodule_tensor(oX, BC)
+                AB, cell_ab = wc.bimodule_tensor(oX, oY)
+                _, cell_l = wc.bimodule_tensor(AB, oZ)
+                BC, cell_bc = wc.bimodule_tensor(oY, oZ)
+                _, cell_r = wc.bimodule_tensor(oX, BC)
                 assoc = _rebracket(cell_ab, cell_l, cell_bc, cell_r,
                                    oX.space, oZ.space)
                 if assoc is None:
@@ -1022,8 +982,8 @@ def verify_monoidal_functor(wc: WattsContext,
                     continue
                 DXY = wc.dmodule(X, Y)
                 DYZ = wc.dmodule(Y, Z)
-                _, cell_dz = bimodule_tensor(wc.omega(DXY), oZ)
-                _, cell_xd = bimodule_tensor(oX, wc.omega(DYZ))
+                _, cell_dz = wc.bimodule_tensor(wc.omega(DXY), oZ)
+                _, cell_xd = wc.bimodule_tensor(oX, wc.omega(DYZ))
                 m1 = descend(cell_l, tensor(om.xi(X, Y), identity(oZ.space)),
                              cell_dz.proj)
                 lhs = compose_all(
@@ -1041,18 +1001,18 @@ def verify_monoidal_functor(wc: WattsContext,
         ctx = {"object": X.name}
         oX = wc.omega(X)
         # left unit square
-        _, cell_rx = bimodule_tensor(Rbim, oX)
+        _, cell_rx = wc.bimodule_tensor(Rbim, oX)
         lam_str = _collapse(cell_rx, oX.left, oX.space)
-        _, cell_ix = bimodule_tensor(wc.omega(I), oX)
+        _, cell_ix = wc.bimodule_tensor(wc.omega(I), oX)
         m = descend(cell_rx, tensor(eta, identity(oX.space)), cell_ix.proj)
         lam_p = ModuleMap(wc.dmodule(I, X), X, wc.lambda_prime(X))
         lhs = compose_all(m, om.xi(I, X), wc.omega_map(lam_p))
         rec.equal(f"functor-unit-left[{X.name}]", lhs, lam_str, ctx)
         # right unit square
-        _, cell_xr = bimodule_tensor(oX, Rbim)
+        _, cell_xr = wc.bimodule_tensor(oX, Rbim)
         orbits = [_orbit(oX.right, a, wc.algebra.space) for a in range(oX.dim)]
         rho_str = _collapse(cell_xr, orbits, oX.space)
-        _, cell_xi2 = bimodule_tensor(oX, wc.omega(I))
+        _, cell_xi2 = wc.bimodule_tensor(oX, wc.omega(I))
         m = descend(cell_xr, tensor(identity(oX.space), eta), cell_xi2.proj)
         rho_p = ModuleMap(wc.dmodule(X, I), X, wc.rho_prime(X))
         lhs = compose_all(m, om.xi(X, I), wc.omega_map(rho_p))
@@ -1202,8 +1162,7 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
             else None
         ok = form is not None and rank(form) == X.dim
         rec.add("ev-nondegenerate", ok, {"object": X.name})
-        cell2 = ct.product(X, Xdual)
-        coform = compose(cell2.section, db.lin)
+        coform = compose(ct.product(X, Xdual).section, db.lin)
         rec.add("db-nonzero", not coform.is_zero(), {"object": X.name})
     return CoherenceReport(f"rigidity: {ct.name} at {X.name}",
                            (X.name, Xdual.name), tuple(rec.results))

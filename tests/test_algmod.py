@@ -10,9 +10,10 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             bimodule_tensor, bimodule_to_json, hom_basis,
                             is_zero, module_from_json, module_identity,
                             module_tensor_commutative, module_to_json)
+from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
-                            make_map, rank, solve_iso, zero_map)
-from monocat.linalg import LinearMap, kernel
+                            make_map, rank, solve_iso, tensor, zero_map)
+from monocat.linalg import LinAlgError, LinearMap, kernel
 
 F2 = Field(2)
 F3 = Field(3)
@@ -93,6 +94,20 @@ class TestTensorOverR:
                            (zero_map(space1, space1), identity(space1)))
         result, _ = module_tensor_commutative(left_col, right_row)
         assert is_zero(result)
+
+    def test_left_module_over_commutative_algebra(self, dual_numbers):
+        # over a commutative R a left action is a right one: a left-sided
+        # X gives the same tensor as its right-sided twin
+        R, C = Module.regular(dual_numbers), quotient_by_x(dual_numbers)
+        R_left = Module(R.name, R.algebra, R.space, "left", R.action)
+        assert module_tensor_commutative(R_left, C) == \
+            module_tensor_commutative(R, C)
+
+    def test_tensor_over_different_algebras(self, z2_group_algebra,
+                                            dual_numbers):
+        with pytest.raises(StructureError, match="different algebras"):
+            bimodule_tensor(Bimodule.regular(z2_group_algebra),
+                            Bimodule.regular(dual_numbers))
 
     def test_group_algebra_regular_square(self, z2_group_algebra):
         R = Bimodule.regular(z2_group_algebra)
@@ -308,3 +323,64 @@ class TestActionLaws:
         assert not ModuleMap(R, L, identity(R.space)).is_equivariant()
         with pytest.raises(StructureError):
             hom_basis(R, L)
+
+    def test_maps_across_algebras_not_equivariant(self):
+        space = VectorSpace(F3, ("u",))
+
+        def trivial_line(n):
+            alg = Algebra.group_algebra(F3, n)
+            return Module("1", alg, space, "right",
+                          (identity(space),) * n)
+
+        X, Y = trivial_line(2), trivial_line(3)
+        assert not ModuleMap(X, Y, identity(space)).is_equivariant()
+        with pytest.raises(StructureError, match="different algebras"):
+            hom_basis(X, Y)
+
+
+# ---------------------------------------------------------------------------
+# The universal property of the balanced tensor
+
+def _balancing_relations(X, Y):
+    """(x·r)⊗y − x⊗(r·y) as ambient maps, one per algebra basis element;
+    Y's right action is a left one, as the algebra is commutative."""
+    idX, idY = identity(X.space), identity(Y.space)
+    return [tensor(A, idY) - tensor(idX, L)
+            for A, L in zip(X.action, Y.action)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_module_pairs(), st.integers(1, 3), st.integers(0, 10**6))
+def test_balanced_tensor_universal_property(pair, k, seed):
+    X, Y = pair
+    field, rng = X.field, random.Random(seed)
+    cell = balanced_tensor(X.space, X.action, Y.space, Y.action)
+    ambient = cell.proj.source
+    V = VectorSpace.make(field, k, "v")
+    rels = _balancing_relations(X, Y)
+    # β is balanced iff β ∘ rel = 0, i.e. each row of β is in the kernel
+    # of the stacked transposed relations
+    stacked = LinearMap(
+        ambient, VectorSpace.make(field, len(rels) * ambient.dim, "r"),
+        tuple(row for rel in rels for row in zip(*rel.matrix)))
+    ker, incl = kernel(stacked)
+    rows = []
+    for _ in range(k):
+        row = [field.zero] * ambient.dim
+        for b in range(ker.dim):
+            c = field(rng.randrange(field.char))
+            row = [a + c * x for a, x in zip(row, incl.column(b))]
+        rows.append(tuple(row))
+    balanced = LinearMap(ambient, V, tuple(rows))
+    induced = descend(cell, balanced, identity(V))
+    assert compose(induced, cell.proj).matrix == balanced.matrix
+
+    other = make_map(ambient, V, [[rng.randrange(field.char)
+                                   for _ in range(ambient.dim)]
+                                  for _ in range(k)])
+    if all(compose(other, rel).is_zero() for rel in rels):
+        induced = descend(cell, other, identity(V))
+        assert compose(induced, cell.proj).matrix == other.matrix
+    else:
+        with pytest.raises(LinAlgError):
+            descend(cell, other, identity(V))

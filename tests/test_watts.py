@@ -5,14 +5,16 @@ import weakref
 import pytest
 
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
-                            StructureError, hom_basis)
+                            StructureError, balanced_tensor, bimodule_tensor,
+                            descend_action, hom_basis,
+                            module_tensor_commutative)
 from monocat.fixtures import (FixtureError, bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
                               graded_sign, graded_trivial, resolve_fixture,
                               strict_f3_z2, watts_fixture_from_json,
                               watts_fixture_to_json)
 from monocat.linalg import (Field, VectorSpace, compose, compose_all,
-                            identity, make_map, rank, solve_iso)
+                            identity, make_map, rank, solve_iso, tensor)
 from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            NotBalanced, NotNatural, StrictTensor,
                            TransportedTensor, WattsContext, _collapse_regular,
@@ -297,3 +299,64 @@ def test_clashing_triple_module_raises_action_clash():
     T = TripleModule(A, space, (one, swap), (one, sign), (one, one))
     with pytest.raises(ActionClash, match=r"do not commute at \(1,1\)"):
         T.check()
+
+
+# ---------------------------------------------------------------------------
+# Every balanced tensor against a cokernel built cell by cell
+
+def _reference_ombar(wc, X):
+    cell = balanced_tensor(X.space, X.action, wc.T.space, wc.T.left2,
+                           prefix="m")
+    idX = identity(X.space)
+    left = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.left1)
+    right = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.right)
+    return Bimodule(f"({X.name}⊗₂T)", wc.algebra, cell.space, left,
+                    right), cell
+
+
+def _reference_dcell(wc, X, Y):
+    obY, inner = _reference_ombar(wc, Y)
+    outer = balanced_tensor(X.space, X.action, inner.space, obY.left,
+                            prefix="d")
+    idX = identity(X.space)
+    right = tuple(descend_action(outer, tensor(idX, a)) for a in obY.right)
+    mod = Module(f"D({X.name},{Y.name})", wc.algebra, outer.space, "right",
+                 right)
+    return (mod, outer, compose(outer.proj, tensor(idX, inner.proj)),
+            compose(tensor(idX, inner.section), outer.section))
+
+
+def _reference_bimodule_tensor(M, N):
+    cell = balanced_tensor(M.space, M.right, N.space, N.left)
+    left = tuple(descend_action(cell, tensor(a, identity(N.space)))
+                 for a in M.left)
+    right = tuple(descend_action(cell, tensor(identity(M.space), b))
+                  for b in N.right)
+    return Bimodule(f"({M.name}⊗{N.name})", M.algebra, cell.space, left,
+                    right), cell
+
+
+def _reference_module_tensor(X, Y):
+    cell = balanced_tensor(X.space, X.action, Y.space, Y.action)
+    action = tuple(descend_action(cell, tensor(identity(X.space), b))
+                   for b in Y.action)
+    return Module(f"({X.name}⊗{Y.name})", X.algebra, cell.space, "right",
+                  action), cell
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_tensor_over_matches_reference_cokernels(name):
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+    for X in fx.sample:
+        assert wc.ombar(X) == _reference_ombar(wc, X)
+        for Y in fx.sample:
+            dc = wc.dcell(X, Y)
+            assert (dc.module, dc.outer, dc.proj, dc.section) == \
+                _reference_dcell(wc, X, Y)
+            oX, oY = wc.omega(X), wc.omega(Y)
+            expected = _reference_bimodule_tensor(oX, oY)
+            assert bimodule_tensor(oX, oY) == expected
+            assert wc.bimodule_tensor(oX, oY) == expected
+            assert module_tensor_commutative(X, Y) == \
+                _reference_module_tensor(X, Y)
