@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, cached_hash,
-                     compose, identity, kernel, LinAlgError, make_map,
-                     map_from_columns, quotient_by_rows, scale, tensor,
-                     tensor_space, zero_map)
+                     compose, identity, kernel, LinAlgError,
+                     linear_combination, make_map, quotient_by_raw_rows,
+                     serialize_raw, tensor, tensor_space, transpose)
 
 
 class StructureError(Exception):
@@ -50,12 +50,12 @@ class Algebra:
     def left_mult_matrix(self, i: int) -> LinearMap:
         """x ↦ e_i · x on the algebra itself."""
         cols = [self.mul_basis(i, j) for j in range(self.dim)]
-        return map_from_columns(self.space, self.space, cols)
+        return LinearMap(self.space, self.space, tuple(zip(*cols)))
 
     def right_mult_matrix(self, j: int) -> LinearMap:
         """x ↦ x · e_j on the algebra itself."""
         cols = [self.mul_basis(i, j) for i in range(self.dim)]
-        return map_from_columns(self.space, self.space, cols)
+        return LinearMap(self.space, self.space, tuple(zip(*cols)))
 
     def is_commutative(self) -> bool:
         return all(self.mul_basis(i, j) == self.mul_basis(j, i)
@@ -143,11 +143,8 @@ class Module:
 
 def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
                r: Sequence[FieldScalar]) -> LinearMap:
-    acc = zero_map(space, space)
-    for i, ri in enumerate(r):
-        if ri:
-            acc = acc + scale(ri, mats[i])
-    return acc
+    return linear_combination(space, space,
+                              [(ri.value, m) for ri, m in zip(r, mats)])
 
 
 def check_actions(name: str, algebra: Algebra, space: VectorSpace,
@@ -163,8 +160,8 @@ def check_actions(name: str, algebra: Algebra, space: VectorSpace,
             raise StructureError(
                 f"{name}: {len(mats)} action matrices for an algebra of "
                 f"dimension {d}")
-        if _action_of(space, mats, algebra.unit).matrix != \
-                identity(space).matrix:
+        if _action_of(space, mats, algebra.unit).rows != \
+                identity(space).rows:
             raise StructureError(f"{name}: unit does not act as identity")
         for i in range(d):
             for j in range(d):
@@ -173,14 +170,14 @@ def check_actions(name: str, algebra: Algebra, space: VectorSpace,
                     seq = compose(mats[j], mats[i])
                 else:
                     seq = compose(mats[i], mats[j])
-                if prod.matrix != seq.matrix:
+                if prod.rows != seq.rows:
                     raise StructureError(
                         f"{name}: action incompatible with product at ({i},{j})")
     for a, (side_a, first) in enumerate(families):
         for side_b, second in families[a + 1:]:
             for i, L in enumerate(first):
                 for j, R in enumerate(second):
-                    if compose(L, R).matrix != compose(R, L).matrix:
+                    if compose(L, R).rows != compose(R, L).rows:
                         raise StructureError(
                             f"{name}: {side_a}/{side_b} actions do not "
                             f"commute at ({i},{j})")
@@ -232,10 +229,6 @@ def _intertwined(X, Y):
             for pair in zip(xs, ys)]
 
 
-def _transpose(f: LinearMap) -> LinearMap:
-    return LinearMap(f.target, f.source, tuple(zip(*f.matrix)))
-
-
 @dataclass(frozen=True)
 class ModuleMap:
     """A linear map together with the module structures it must respect."""
@@ -251,7 +244,7 @@ class ModuleMap:
             pairs = _intertwined(self.source, self.target)
         except StructureError:
             return False
-        return all(compose(self.lin, a).matrix == compose(b, self.lin).matrix
+        return all(compose(self.lin, a).rows == compose(b, self.lin).rows
                    for a, b in pairs)
 
     def check(self):
@@ -282,17 +275,17 @@ def hom_basis(X, Y):
     m, n = Y.dim, X.dim
     # unknowns: F[r][c], flattened row-major; F·A − B·F = 0 entrywise
     idX, idY = identity(X.space), identity(Y.space)
-    rows = [row for A, B in pairs
-            for row in (tensor(idY, _transpose(A)) - tensor(B, idX)).matrix]
+    rows = tuple(row for A, B in pairs
+                 for row in (tensor(idY, transpose(A)) - tensor(B, idX)).rows)
     unknowns = tensor_space(Y.space, X.space)
-    sys_map = LinearMap(unknowns, VectorSpace.make(X.field, len(rows), "r"),
-                        tuple(rows))
+    sys_map = LinearMap.from_rows(
+        unknowns, VectorSpace.make(X.field, len(rows), "r"), rows)
     ker, incl = kernel(sys_map)
     basis = []
     for b in range(ker.dim):
-        flat = incl.column(b)
-        mat = tuple(flat[r * n:(r + 1) * n] for r in range(m))
-        basis.append(LinearMap(X.space, Y.space, mat))
+        flat = [row[b] for row in incl.rows]
+        mat = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(m))
+        basis.append(LinearMap.from_rows(X.space, Y.space, mat))
     return basis
 
 
@@ -312,26 +305,26 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
                     Yspace: VectorSpace, left_mats: Sequence[LinearMap],
                     prefix: str = "t") -> TensorCell:
     """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r."""
-    field = Xspace.field
+    p = Xspace.field.char
     ambient = tensor_space(Xspace, Yspace)
     n = Yspace.dim
-    box, zero_row = field.box, ambient.zero_vector()
     rows = []
     for A, L in zip(right_mats, left_mats):
-        y_cols = [[(j, y.value) for j, y in enumerate(L.column(b)) if y.value]
+        y_cols = [[(j, row[b]) for j, row in enumerate(L.rows) if row[b]]
                   for b in range(n)]
         for a in range(Xspace.dim):
-            xa = [(i, x.value) for i, x in enumerate(A.column(a)) if x.value]
+            xa = [(i, row[a]) for i, row in enumerate(A.rows) if row[a]]
             for b in range(n):
                 row = [0] * ambient.dim
                 for i, x in xa:
                     row[i * n + b] += x
                 for j, y in y_cols[b]:
                     row[a * n + j] -= y
-                row = box(row)
-                if row != zero_row:
+                if p:
+                    row = [v % p for v in row]
+                if any(row):
                     rows.append(row)
-    quot, proj, section = quotient_by_rows(ambient, rows, prefix)
+    quot, proj, section = quotient_by_raw_rows(ambient, rows, prefix)
     return TensorCell(quot, proj, section)
 
 
@@ -340,7 +333,7 @@ def descend(cell_src: TensorCell, ambient_map: LinearMap,
     """Induce a map on quotients from an ambient map; verifies well-definedness."""
     pushed = compose(proj_tgt, ambient_map)
     induced = compose(pushed, cell_src.section)
-    if compose(induced, cell_src.proj).matrix != pushed.matrix:
+    if compose(induced, cell_src.proj).rows != pushed.rows:
         raise LinAlgError("ambient map does not descend to the quotient")
     return induced
 
@@ -394,7 +387,7 @@ def module_tensor_commutative(X: Module, Y: Module, name: Optional[str] = None):
 # JSON serialization (bit-exact round trip)
 
 def matrix_to_json(m: LinearMap) -> list:
-    return [[a.serialize() for a in row] for row in m.matrix]
+    return [[serialize_raw(a) for a in row] for row in m.rows]
 
 
 def algebra_to_json(A: Algebra) -> dict:

@@ -6,20 +6,29 @@ residues (characteristic p, p prime, p <= 97).  All arithmetic is exact;
 closeness up to a tolerance.  Inexact input (a float) is rejected, and so
 is a fraction whose denominator is not invertible in the field.
 
-Scalars of F_p are interned: the field builds its p canonical
-``FieldScalar``s once, and every scalar this module returns in
-characteristic p is one of them.  Equal matrices over F_p hold the same
-objects, so comparing them stops at the identity test of each entry.
-Rationals are boxed fresh.
+A LinearMap stores its entries raw, in ``rows``: canonical residues (ints
+in [0, p)) over F_p, ints or Fractions over Q (an int and the equal
+Fraction compare and hash alike).  The field is held once, on the map's
+spaces, as FLINT's ``nmod_mat`` holds its modulus once per matrix.  The
+public constructor ``LinearMap(source, target, matrix)`` coerces every
+entry once through the field, so a scalar of another field, a float or a
+wrong shape is rejected there.
 
-The exact kernel (``compose``, ``tensor``, ``LinearMap.__call__``, map
-addition, ``scale`` and ``_rref``) computes on the raw ``.value``s, skips
-zero operand entries, reduces once per output entry and boxes the result
-through the field.
+The exact kernel (``compose``, ``tensor``, ``linear_combination``, which
+map addition and ``scale`` use, ``_rref``, ``kernel``, ``solve_iso`` and
+the quotients) computes on raw rows, skips zero operand entries, reduces each
+output entry once and builds its result with ``LinearMap.from_rows``,
+which checks nothing.  It never builds a ``FieldScalar``.
 
-Matrix convention: a LinearMap f has ``matrix[r][c]`` = coefficient of the
+``FieldScalar`` is the boxed view of one entry: ``LinearMap.matrix``
+boxes the rows on first read and keeps the result.  Scalars of F_p are
+interned: the field builds its p canonical ``FieldScalar``s once, and
+every boxed scalar in characteristic p is one of them.  Rationals are
+boxed fresh.
+
+Matrix convention: a LinearMap f has ``rows[r][c]`` = coefficient of the
 r-th target basis vector in the image of the c-th source basis vector, so
-``compose(f, g)`` multiplies ``f.matrix @ g.matrix``.
+``compose(f, g)`` multiplies ``f.rows @ g.rows``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 _SMALL_PRIMES = frozenset(
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -102,7 +111,7 @@ class Field:
 
     def _coerce(self, value):
         if isinstance(value, FieldScalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError("scalar from a different field")
             return value.value
         if isinstance(value, str):
@@ -171,11 +180,7 @@ class FieldScalar:
         return str(self.value)
 
     def serialize(self):
-        if isinstance(self.value, Fraction):
-            if self.value.denominator == 1:
-                return int(self.value)
-            return f"{self.value.numerator}/{self.value.denominator}"
-        return int(self.value)
+        return serialize_raw(self.value)
 
 
 QQ = Field(0)
@@ -210,7 +215,14 @@ class VectorSpace:
         return zeros[:i] + (self.field.one,) + zeros[i + 1:]
 
 
-Matrix = tuple  # tuple of tuples of FieldScalar
+Matrix = tuple  # tuple of row tuples
+
+
+def serialize_raw(v):
+    """A raw scalar as JSON: an int, or "a/b" for a non-integral rational."""
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return f"{v.numerator}/{v.denominator}"
+    return int(v)
 
 
 def _check_same_field(a: Field, b: Field):
@@ -218,21 +230,75 @@ def _check_same_field(a: Field, b: Field):
         raise ValueError("mixed-field arithmetic")
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    source: VectorSpace
-    target: VectorSpace
-    matrix: Matrix
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if len(self.matrix) != self.target.dim:
+
+class LinearMap:
+    """A linear map between spaces with chosen bases, immutable.
+
+    ``rows`` holds the raw entries; ``matrix`` is the same table boxed as
+    ``FieldScalar``s, built on first read.
+    """
+
+    __slots__ = ("source", "target", "rows", "_matrix", "_hash")
+
+    def __init__(self, source: VectorSpace, target: VectorSpace, matrix):
+        coerce = source.field._coerce
+        rows = tuple([tuple([coerce(a) for a in row]) for row in matrix])
+        if len(rows) != target.dim:
             raise ValueError("matrix row count != target dimension")
-        n = self.source.dim
-        for row in self.matrix:
+        n = source.dim
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix column count != source dimension")
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_rows(self, rows)
 
-    __hash__ = cached_hash
+    @classmethod
+    def from_rows(cls, source: VectorSpace, target: VectorSpace,
+                  rows: tuple) -> "LinearMap":
+        """The map whose raw entries are ``rows``, a tuple of row tuples,
+        taken as given: canonical entries and the right shape are the
+        caller's guarantee."""
+        self = object.__new__(cls)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_rows(self, rows)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearMap is immutable")
+
+    @property
+    def matrix(self) -> Matrix:
+        """The entries as FieldScalars, boxed on first read and kept."""
+        try:
+            return self._matrix
+        except AttributeError:
+            box = self.source.field.box
+            matrix = tuple([box(row) for row in self.rows])
+            _set(self, "_matrix", matrix)
+            return matrix
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return (self.rows == other.rows and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.target, self.rows))
+            _set(self, "_hash", h)
+            return h
+
+    def __repr__(self):
+        return f"LinearMap({self.source!r}, {self.target!r}, {self.rows!r})"
 
     @property
     def field(self) -> Field:
@@ -247,89 +313,108 @@ class LinearMap:
                 raise ValueError("mixed-field arithmetic")
             _check_same_field(v.field, field)
         nz = [(j, v.value) for j, v in enumerate(vec) if v.value]
-        return field.box(sum(row[j].value * v for j, v in nz)
-                         for row in self.matrix)
+        return field.box(sum(row[j] * v for j, v in nz) for row in self.rows)
 
     def column(self, c: int) -> tuple:
         """Image of the c-th source basis vector."""
-        return tuple([row[c] for row in self.matrix])
+        return self.field.box([row[c] for row in self.rows])
 
     def is_zero(self) -> bool:
-        return all(not a for row in self.matrix for a in row)
+        return not any(any(row) for row in self.rows)
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
+    def _check_shape(self, other: "LinearMap"):
         if other.source != self.source or other.target != self.target:
             raise ValueError("shape mismatch in map addition")
-        box = self.field.box
-        rows = tuple(box([a.value + b.value for a, b in zip(r1, r2)])
-                     for r1, r2 in zip(self.matrix, other.matrix))
-        return LinearMap(self.source, self.target, rows)
+
+    def __add__(self, other: "LinearMap") -> "LinearMap":
+        self._check_shape(other)
+        return linear_combination(self.source, self.target,
+                                  ((1, self), (1, other)))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + scale(self.field(-1), other)
+        self._check_shape(other)
+        return linear_combination(self.source, self.target,
+                                  ((1, self), (-1, other)))
 
 
-def matrix_from_rows(field: Field, rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(field(x) for x in row) for row in rows)
+# the slots' own setters: the fastest way past the immutable __setattr__
+_set_source = LinearMap.source.__set__
+_set_target = LinearMap.target.__set__
+_set_rows = LinearMap.rows.__set__
 
 
 def make_map(source: VectorSpace, target: VectorSpace, rows) -> LinearMap:
-    return LinearMap(source, target, matrix_from_rows(source.field, rows))
-
-
-def map_from_columns(source: VectorSpace, target: VectorSpace,
-                     columns: Sequence[Sequence[FieldScalar]]) -> LinearMap:
-    rows = tuple(tuple(columns[c][r] for c in range(source.dim))
-                 for r in range(target.dim))
     return LinearMap(source, target, rows)
 
 
 def identity(space: VectorSpace) -> LinearMap:
-    rows = tuple(space.basis_vector(i) for i in range(space.dim))
-    return LinearMap(space, space, rows)
+    zero = (0,) * space.dim
+    return LinearMap.from_rows(space, space, tuple(
+        [zero[:i] + (1,) + zero[i + 1:] for i in range(space.dim)]))
 
 
 def zero_map(source: VectorSpace, target: VectorSpace) -> LinearMap:
-    row = (source.field.zero,) * source.dim
-    return LinearMap(source, target, (row,) * target.dim)
+    return LinearMap.from_rows(source, target,
+                               ((0,) * source.dim,) * target.dim)
+
+
+def _columns_to_rows(columns, nrows: int) -> tuple:
+    return tuple(zip(*columns)) if columns else ((),) * nrows
+
+
+def transpose(f: LinearMap) -> LinearMap:
+    """The transposed table, as a map f.target -> f.source."""
+    return LinearMap.from_rows(f.target, f.source,
+                               _columns_to_rows(f.rows, f.source.dim))
+
+
+def linear_combination(source: VectorSpace, target: VectorSpace,
+                       terms) -> LinearMap:
+    """Σ c·f over the pairs (c, f) of ``terms``, c a raw scalar and f a map
+    source -> target, in one pass that reduces each entry once."""
+    rows = [(0,) * source.dim] * target.dim
+    for c, f in terms:
+        if c:
+            rows = [[x + c * a for x, a in zip(row, frow)]
+                    for row, frow in zip(rows, f.rows)]
+    p = source.field.char
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    return LinearMap.from_rows(source, target,
+                               tuple([tuple(row) for row in rows]))
 
 
 def scale(a: FieldScalar, f: LinearMap) -> LinearMap:
     _check_same_field(a.field, f.field)
-    av = a.value
-    if not av:
-        return zero_map(f.source, f.target)
-    if av == 1:
+    if a.value == 1:
         return f
-    box = f.field.box
-    rows = tuple(box([av * x.value for x in row]) for row in f.matrix)
-    return LinearMap(f.source, f.target, rows)
+    return linear_combination(f.source, f.target, ((a.value, f),))
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g."""
     if g.target is not f.source and g.target != f.source:
         raise ValueError("compose: inner dimensions do not match")
-    scalar = f.field.scalar
-    zero_row = (f.field.zero,) * g.source.dim
-    g_rows = [[(c, b.value) for c, b in enumerate(row) if b.value]
-              for row in g.matrix]
+    p = f.field.char
+    k = g.source.dim
+    zero_row = (0,) * k
+    g_rows = [[(c, b) for c, b in enumerate(row) if b] for row in g.rows]
     rows = []
-    for frow in f.matrix:
-        acc = {}  # column -> unreduced sum of products
+    for frow in f.rows:
+        row = None  # unreduced sums of products, once one is nonzero
         for j, a in enumerate(frow):
-            a = a.value
-            if a:
+            if a and g_rows[j]:
+                if row is None:
+                    row = [0] * k
                 for c, b in g_rows[j]:
-                    acc[c] = acc.get(c, 0) + a * b
-        if acc:
-            row = list(zero_row)
-            for c, v in acc.items():
-                row[c] = scalar(v)
-            rows.append(tuple(row))
-        else:
+                    row[c] += a * b
+        if row is None:
             rows.append(zero_row)
-    return LinearMap(g.source, f.target, tuple(rows))
+        elif p:
+            rows.append(tuple([v % p for v in row]))
+        else:
+            rows.append(tuple(row))
+    return LinearMap.from_rows(g.source, f.target, tuple(rows))
 
 
 def compose_all(*maps: LinearMap) -> LinearMap:
@@ -344,24 +429,22 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product on the chosen bases, row-major pair ordering."""
     field = f.field
     _check_same_field(g.field, field)
-    src = tensor_space(f.source, g.source)
-    tgt = tensor_space(f.target, g.target)
-    if not f.matrix or not g.matrix:
-        return zero_map(src, tgt)
-    zero_block = (field.zero,) * g.source.dim
+    p = field.char
+    zero_block = (0,) * g.source.dim
     # per row of g, a -> a·row, built once per distinct entry a of f
-    g_blocks = [{0: zero_block, 1: grow} for grow in g.matrix]
+    g_blocks = [{0: zero_block, 1: grow} for grow in g.rows]
     rows = []
-    for frow in f.matrix:
-        f_values = [a.value for a in frow]
-        distinct = set(f_values)
-        for grow, blocks in zip(g.matrix, g_blocks):
+    for frow in f.rows:
+        distinct = set(frow)
+        for grow, blocks in zip(g.rows, g_blocks):
             for a in distinct:
                 if a not in blocks:
-                    blocks[a] = field.box([a * b.value for b in grow])
+                    blocks[a] = (tuple([a * b % p for b in grow]) if p
+                                 else tuple([a * b for b in grow]))
             rows.append(tuple(chain.from_iterable(
-                map(blocks.__getitem__, f_values))))
-    return LinearMap(src, tgt, tuple(rows))
+                map(blocks.__getitem__, frow))))
+    return LinearMap.from_rows(tensor_space(f.source, g.source),
+                               tensor_space(f.target, g.target), tuple(rows))
 
 
 def tensor_space(V: VectorSpace, W: VectorSpace) -> VectorSpace:
@@ -373,9 +456,10 @@ def tensor_space(V: VectorSpace, W: VectorSpace) -> VectorSpace:
 # Gaussian elimination core
 
 def _rref(field: Field, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form of raw rows; returns (rows, pivot column
+    list), the rows raw tuples."""
     ch = field.char
-    rows = [[x.value for x in r] for r in rows]
+    rows = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -414,69 +498,82 @@ def _rref(field: Field, rows):
         r += 1
         if r == len(rows):
             break
-    return [field.box(row) for row in rows[:r]], pivots
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def _null_basis(field: Field, rref_rows, pivots, free) -> list:
+    """Per free column c of an RREF, the null vector with 1 at c and
+    −row[c] at each pivot column."""
+    p = field.char
+    n = len(pivots) + len(free)
+    out = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for prow, pc in zip(rref_rows, pivots):
+            v[pc] = -prow[fc] % p if p else -prow[fc]
+        out.append(tuple(v))
+    return out
 
 
 def rank(f: LinearMap) -> int:
-    _, pivots = _rref(f.field, f.matrix)
+    _, pivots = _rref(f.field, f.rows)
     return len(pivots)
 
 
 def kernel(f: LinearMap):
     """Kernel with its inclusion map; inclusion columns form a kernel basis."""
     field = f.field
-    rows, pivots = _rref(field, f.matrix)
+    rows, pivots = _rref(field, f.rows)
     free = [c for c in range(f.source.dim) if c not in pivots]
     ker = VectorSpace(field, tuple(f"k{i}" for i in range(len(free))))
-    columns = []
-    for fc in free:
-        col = [field.zero] * f.source.dim
-        col[fc] = field.one
-        for prow, pc in zip(rows, pivots):
-            col[pc] = -prow[fc]
-        columns.append(tuple(col))
-    return ker, map_from_columns(ker, f.source, columns)
+    columns = _null_basis(field, rows, pivots, free)
+    return ker, LinearMap.from_rows(ker, f.source,
+                                    _columns_to_rows(columns, f.source.dim))
 
 
 def solve_iso(f: LinearMap) -> LinearMap:
     """Two-sided inverse of f, or NotInvertible."""
     if f.source.dim != f.target.dim:
         raise NotInvertible("source and target dimensions differ")
-    field = f.field
     n = f.source.dim
-    ident = identity(f.target).matrix
-    aug = [list(f.matrix[i]) + list(ident[i]) for i in range(n)]
-    rows, pivots = _rref(field, aug) if n else ([], [])
-    if len(pivots) != n or pivots != list(range(n)):
+    unit = (0,) * n
+    aug = [row + unit[:i] + (1,) + unit[i + 1:]
+           for i, row in enumerate(f.rows)]
+    rows, pivots = _rref(f.field, aug) if n else ([], [])
+    if pivots != list(range(n)):
         raise NotInvertible("rank deficient")
-    inv = tuple(tuple(rows[i][n:]) for i in range(n))
-    return LinearMap(f.target, f.source, inv)
+    return LinearMap.from_rows(f.target, f.source,
+                               tuple([row[n:] for row in rows]))
 
 
-def quotient_by_rows(space: VectorSpace, rows, prefix: str = "q"):
-    """Quotient of `space` by the row span; returns (Q, projection, section).
+def quotient_by_raw_rows(space: VectorSpace, rows, prefix: str = "q"):
+    """Quotient of `space` by the span of raw rows; returns (Q, projection,
+    section).
 
     The section embeds Q back along the non-pivot coordinates, so
     projection ∘ section = id.
     """
     field = space.field
-    rref_rows, pivots = (_rref(field, rows) if rows else ([], []))
+    rref_rows, pivots = _rref(field, rows) if rows else ([], [])
     free = [c for c in range(space.dim) if c not in pivots]
     quot = VectorSpace(field, tuple(f"{prefix}{i}" for i in range(len(free))))
-    proj_rows = []
-    for fc in free:
-        row = [field.zero] * space.dim
-        row[fc] = field.one
-        for prow, pc in zip(rref_rows, pivots):
-            row[pc] = -prow[fc]
-        proj_rows.append(tuple(row))
-    proj = LinearMap(space, quot, tuple(proj_rows))
-    sec_cols = [space.basis_vector(fc) for fc in free]
-    section = map_from_columns(quot, space, sec_cols)
-    return quot, proj, section
+    proj = LinearMap.from_rows(
+        space, quot, tuple(_null_basis(field, rref_rows, pivots, free)))
+    section = [[0] * len(free) for _ in range(space.dim)]
+    for k, fc in enumerate(free):
+        section[fc][k] = 1
+    return quot, proj, LinearMap.from_rows(
+        quot, space, tuple([tuple(row) for row in section]))
+
+
+def quotient_by_rows(space: VectorSpace, rows, prefix: str = "q"):
+    """``quotient_by_raw_rows`` for rows of scalars, coerced once."""
+    coerce = space.field._coerce
+    return quotient_by_raw_rows(
+        space, [[coerce(a) for a in row] for row in rows], prefix)
 
 
 def cokernel(f: LinearMap):
     """Cokernel target/im(f) with the projection map."""
-    columns = list(zip(*f.matrix)) if f.target.dim and f.source.dim else []
-    return quotient_by_rows(f.target, [tuple(c) for c in columns])[:2]
+    return quotient_by_raw_rows(f.target, transpose(f).rows)[:2]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
@@ -24,8 +25,8 @@ from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      check_actions, descend, hom_basis, matrix_to_json,
                      module_identity, module_tensor_commutative, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     compose, compose_all, identity, map_from_columns, rank,
-                     scale, solve_iso, tensor, tensor_space)
+                     compose, compose_all, identity, linear_combination, rank,
+                     solve_iso, tensor, tensor_space)
 
 
 class WattsError(Exception):
@@ -114,7 +115,7 @@ class _Recorder:
         self.results.append(CheckResult(name, ok, None if ok else witness))
 
     def equal(self, name: str, lhs: LinearMap, rhs: LinearMap, context: dict):
-        ok = lhs.matrix == rhs.matrix
+        ok = lhs.rows == rhs.rows
         witness = None
         if not ok:
             witness = dict(context)
@@ -165,6 +166,7 @@ class CustomTensor:
         self.name = name
         self._products: Dict[tuple, ProductCell] = {}
         self._mors: Dict[tuple, ModuleMap] = {}
+        self._assocs: Dict[tuple, ModuleMap] = {}
 
     @property
     def field(self) -> Field:
@@ -197,7 +199,11 @@ class CustomTensor:
                 f"{self.name}: ⊙ of maps is not equivariant")
         return out
 
+    @_memo("_assocs")
     def associator(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
+        return self._associator(X, Y, Z)
+
+    def _associator(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
         raise NotImplementedError
 
     def left_unit(self, X: Module) -> ModuleMap:
@@ -228,10 +234,11 @@ def _rebracket(cell_xy, cell_l, cell_yz, cell_r, Xspace: VectorSpace,
     cell_r of X ⊗ cell_yz, each cell with a ``proj`` and a ``section``."""
     qL = compose(cell_l.proj, tensor(cell_xy.proj, identity(Zspace)))
     qR = compose(cell_r.proj, tensor(identity(Xspace), cell_yz.proj))
-    bridge = LinearMap(qL.source, qR.source, identity(qL.source).matrix)
+    bridge = LinearMap.from_rows(qL.source, qR.source,
+                                 identity(qL.source).rows)
     sec = compose(tensor(cell_xy.section, identity(Zspace)), cell_l.section)
     a = compose(qR, compose(bridge, sec))
-    if compose(a, qL).matrix != compose(qR, bridge).matrix:
+    if compose(a, qL).rows != compose(qR, bridge).rows:
         return None
     return a
 
@@ -240,8 +247,9 @@ def _orbit(actions: Sequence[LinearMap], b: int,
            space: VectorSpace) -> LinearMap:
     """The column map space -> X, r ↦ x_b·r, where actions[i] is the
     action of the i-th algebra basis element on X."""
-    return map_from_columns(space, actions[0].target,
-                            [a.column(b) for a in actions])
+    return LinearMap.from_rows(space, actions[0].target, tuple(
+        tuple([a.rows[r][b] for a in actions])
+        for r in range(actions[0].target.dim)))
 
 
 def _collapse(cell, blocks: Sequence[LinearMap],
@@ -249,9 +257,9 @@ def _collapse(cell, blocks: Sequence[LinearMap],
     """Descend through `cell` the ambient map into `space` whose k-th
     block of columns is blocks[k]; raises LinAlgError when it is not
     well defined."""
-    rows = tuple(tuple(a for blk in blocks for a in blk.matrix[r])
+    rows = tuple(tuple(chain.from_iterable(blk.rows[r] for blk in blocks))
                  for r in range(space.dim))
-    amb = LinearMap(cell.proj.source, space, rows)
+    amb = LinearMap.from_rows(cell.proj.source, space, rows)
     return descend(cell, amb, identity(space))
 
 
@@ -268,7 +276,7 @@ class StrictTensor(CustomTensor):
         mod, cell = module_tensor_commutative(X, Y)
         return ProductCell(mod, cell.proj, cell.section)
 
-    def associator(self, X, Y, Z):
+    def _associator(self, X, Y, Z):
         return self._rebracket(X, Y, Z)
 
     def left_unit(self, X):
@@ -327,7 +335,7 @@ class GradedTensor(CustomTensor):
             raise MalformedTensor("graded tensor needs characteristic ≠ 2")
         if algebra.dim != 2:
             raise MalformedTensor("graded tensor expects K[Z/2]")
-        if unit.dim != 1 or unit.action[1].matrix != identity(unit.space).matrix:
+        if unit.dim != 1 or unit.action[1].rows != identity(unit.space).rows:
             raise MalformedTensor("unit must be the trivial line")
         super().__init__(algebra, unit, name or "graded[Z/2]")
         self.cocycle = dict(cocycle)
@@ -341,31 +349,39 @@ class GradedTensor(CustomTensor):
 
     def _parity(self, X: Module) -> tuple:
         """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2)."""
-        half = self.field(2).inverse()
+        half = self.field(2).inverse().value
         one, g = identity(X.space), X.action[1]
-        return scale(half, one + g), scale(half, one - g)
+        return tuple(linear_combination(X.space, X.space,
+                                        ((half, one), (sign * half, g)))
+                     for sign in (1, -1))
 
-    def associator(self, X, Y, Z):
-        pL = self.product(self.product(X, Y).module, Z)
+    def _associator(self, X, Y, Z):
+        """Σ_c (Σ_{a,b} ω(a,b,c) P_a⊗P_b) ⊗ P_c over the parity projectors:
+        two full-size Kronecker products."""
+        XY = self.product(X, Y).module
+        pL = self.product(XY, Z)
         pR = self.product(X, self.product(Y, Z).module)
         pX, pY, pZ = self._parity(X), self._parity(Y), self._parity(Z)
-        acc = None
-        for (a, b, c), w in sorted(self.cocycle.items()):
-            term = tensor(tensor(pX[a], pY[b]), pZ[c])
-            term = scale(self.field(w), term)
-            acc = term if acc is None else acc + term
-        lin = LinearMap(pL.module.space, pR.module.space, acc.matrix)
+        xy = {(a, b): tensor(pX[a], pY[b]) for a in (0, 1) for b in (0, 1)}
+        terms = []
+        for c in (0, 1):
+            inner = linear_combination(
+                XY.space, XY.space,
+                [(self.cocycle[(a, b, c)], m) for (a, b), m in xy.items()])
+            terms.append((1, tensor(inner, pZ[c])))
+        lin = linear_combination(pL.module.space, pR.module.space, terms)
         return ModuleMap(pL.module, pR.module, lin)
 
-    def left_unit(self, X):
-        cell = self.product(self.unit, X)
-        lin = LinearMap(cell.module.space, X.space, identity(X.space).matrix)
+    def _unitor(self, cell, X):
+        lin = LinearMap.from_rows(cell.module.space, X.space,
+                                  identity(X.space).rows)
         return ModuleMap(cell.module, X, lin)
 
+    def left_unit(self, X):
+        return self._unitor(self.product(self.unit, X), X)
+
     def right_unit(self, X):
-        cell = self.product(X, self.unit)
-        lin = LinearMap(cell.module.space, X.space, identity(X.space).matrix)
-        return ModuleMap(cell.module, X, lin)
+        return self._unitor(self.product(X, self.unit), X)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +773,7 @@ class TransportedTensor(CustomTensor):
     def _ambient_map(self, f, g):
         return tensor(f.lin, tensor(g.lin, identity(self.wc.T.space)))
 
-    def associator(self, X, Y, Z):
+    def _associator(self, X, Y, Z):
         src = self.wc.dmodule(self.wc.dmodule(X, Y), Z)
         tgt = self.wc.dmodule(X, self.wc.dmodule(Y, Z))
         return ModuleMap(src, tgt, self.wc.alpha_prime(X, Y, Z))
@@ -872,22 +888,22 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
                              cells_p[N].proj)
                 fQ = descend(cells_q[M], tensor(lin, identity(Q.space)),
                              cells_q[N].proj)
-                if compose(components[N], fP).matrix != \
-                        compose(fQ, components[M]).matrix:
+                if compose(components[N], fP).rows != \
+                        compose(fQ, components[M]).rows:
                     raise NotNatural(
                         f"square fails for a map {M.name} -> {N.name}")
     uP = _collapse_regular(P)
     uQ = _collapse_regular(Q)
     phi = compose_all(solve_iso(uP), components[R], uQ)
     for i in range(P.algebra.dim):
-        if compose(phi, P.left[i]).matrix != compose(Q.left[i], phi).matrix:
+        if compose(phi, P.left[i]).rows != compose(Q.left[i], phi).rows:
             raise NotBalanced("extracted map is not left linear")
-        if compose(phi, P.right[i]).matrix != compose(Q.right[i], phi).matrix:
+        if compose(phi, P.right[i]).rows != compose(Q.right[i], phi).rows:
             raise NotBalanced("extracted map is not right linear")
     for M in modules:
         rebuilt = descend(cells_p[M], tensor(identity(M.space), phi),
                           cells_q[M].proj)
-        if rebuilt.matrix != components[M].matrix:
+        if rebuilt.rows != components[M].rows:
             raise NotNatural(f"component at {M.name} is not reproduced")
     return ModuleMap(P, Q, phi)
 
@@ -1077,13 +1093,14 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
             if not basis:
                 rec.add(f"hom-injective[{M.name},{N.name}]", True, None)
                 continue
+            # one flattened image per row: the rank of the image family
             rows = []
             for lin in basis:
                 img = wc.omega_map(ModuleMap(M, N, lin))
-                rows.append(tuple(a for row in img.matrix for a in row))
+                rows.append(tuple(chain.from_iterable(img.rows)))
             flat_space = VectorSpace.make(wc.algebra.field, len(rows[0]), "h")
             dom = VectorSpace.make(wc.algebra.field, len(rows), "c")
-            stacked = map_from_columns(dom, flat_space, rows)
+            stacked = LinearMap.from_rows(flat_space, dom, tuple(rows))
             rec.add(f"hom-injective[{M.name},{N.name}]",
                     rank(stacked) == len(basis),
                     {"pair": [M.name, N.name], "hom_dim": len(basis),
@@ -1156,10 +1173,10 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
         cell = ct.product(Xdual, X)
         pairing = compose(ev.lin, cell.proj)
         mat = tuple(
-            tuple(pairing.matrix[0][a * X.dim + b] for b in range(X.dim))
+            tuple(pairing.rows[0][a * X.dim + b] for b in range(X.dim))
             for a in range(Xdual.dim))
-        form = LinearMap(X.space, Xdual.space, mat) if Xdual.dim == X.dim \
-            else None
+        form = LinearMap.from_rows(X.space, Xdual.space, mat) \
+            if Xdual.dim == X.dim else None
         ok = form is not None and rank(form) == X.dim
         rec.add("ev-nondegenerate", ok, {"object": X.name})
         coform = compose(ct.product(X, Xdual).section, db.lin)

@@ -310,12 +310,12 @@ def test_apply_and_column_match_dense(drawn, data):
 @given(_maps(("mn",)))
 def test_rref_matches_dense(drawn):
     field, (f,) = drawn
-    got_rows, got_pivots = _rref(field, f.matrix)
+    got_rows, got_pivots = _rref(field, f.rows)
     want_rows, want_pivots = ref_rref(field, f.matrix)
     assert got_pivots == want_pivots
     assert len(got_rows) == len(want_rows)
     for got_row, want_row in zip(got_rows, want_rows):
-        _same(field, got_row, want_row)
+        _same(field, field.box(got_row), want_row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,3 +405,69 @@ def test_mixed_fields_raise():
         f3((F5(1), F5(0)))
     with pytest.raises(ValueError):
         F3(1) + F5(1)
+
+
+def test_entries_of_another_field_rejected():
+    V3, V5 = VectorSpace.make(F3, 2), VectorSpace.make(F5, 2)
+    with pytest.raises(ValueError):
+        identity(V3) + LinearMap(V3, V3, identity(V5).matrix)
+
+
+# ---------------------------------------------------------------------------
+# Raw rows and the boxed view
+
+
+def test_kernel_builds_no_field_scalar(monkeypatch):
+    cases = []
+    for field in KERNEL_FIELDS:
+        V = VectorSpace.make(field, 3)
+        f = make_map(V, V, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # det 1
+        g = make_map(V, V, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # rank 2
+        cases.append((field, f, g, field(2)))
+
+    def boxed(*args, **kwargs):
+        raise AssertionError("the exact kernel built a FieldScalar")
+
+    monkeypatch.setattr(Field, "scalar", boxed)
+    monkeypatch.setattr(Field, "box", boxed)
+    monkeypatch.setattr(FieldScalar, "__init__", boxed)
+    results = [(compose(f, solve_iso(f)), tensor(f, g), f + g, scale(a, g),
+                _rref(field, g.rows), kernel(g),
+                quotient_by_rows(f.source, [[1, 1, 0]]))
+               for field, f, g, a in cases]
+    monkeypatch.undo()
+
+    for (field, f, g, a), (one, fg, s, ag, (rows, pivots), (ker, incl),
+                           (quot, proj, section)) in zip(cases, results):
+        assert one == identity(f.source)
+        assert fg.matrix == ref_tensor(f, g).matrix
+        assert s.matrix == tuple(tuple(x + y for x, y in zip(r1, r2))
+                                 for r1, r2 in zip(f.matrix, g.matrix))
+        assert ag.matrix == tuple(tuple(a * x for x in row)
+                                  for row in g.matrix)
+        assert pivots == [0, 1] and ker.dim == 1
+        assert compose(g, incl).is_zero()
+        assert quot.dim == 2
+        assert compose(proj, section) == identity(quot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maps(("mn", "nk")))
+def test_boxed_view_round_trips(drawn):
+    field, (f, g) = drawn
+    for m in (f, compose(f, g)):
+        again = LinearMap(m.source, m.target, m.matrix)
+        assert again == m and hash(again) == hash(m)
+        assert m.matrix is m.matrix
+        for boxed_row, raw_row in zip(m.matrix, m.rows):
+            assert tuple(a.value for a in boxed_row) == raw_row
+            for a in boxed_row:
+                assert a.field == field
+                if field.char:
+                    assert a is field(a.value)
+        if not field.char:
+            # the integral entries as ints, not Fractions
+            ints = tuple(tuple(int(a) if a.denominator == 1 else a
+                               for a in row) for row in m.rows)
+            as_ints = LinearMap.from_rows(m.source, m.target, ints)
+            assert as_ints == m and hash(as_ints) == hash(m)

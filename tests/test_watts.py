@@ -14,7 +14,8 @@ from monocat.fixtures import (FixtureError, bundled_watts_fixtures,
                               strict_f3_z2, watts_fixture_from_json,
                               watts_fixture_to_json)
 from monocat.linalg import (Field, VectorSpace, compose, compose_all,
-                            identity, make_map, rank, solve_iso, tensor)
+                            identity, make_map, rank, scale, solve_iso,
+                            tensor)
 from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            NotBalanced, NotNatural, StrictTensor,
                            TransportedTensor, WattsContext, _collapse_regular,
@@ -360,3 +361,27 @@ def test_tensor_over_matches_reference_cokernels(name):
             assert wc.bimodule_tensor(oX, oY) == expected
             assert module_tensor_commutative(X, Y) == \
                 _reference_module_tensor(X, Y)
+
+
+@pytest.mark.parametrize("build", [graded_trivial, graded_sign])
+def test_graded_associator_matches_eight_term_sum(build):
+    fx = build()
+    ct, field = fx.ct, fx.ct.field
+    half = field(2).inverse()
+
+    def parity(X):
+        one, g = identity(X.space), X.action[1]
+        return scale(half, one + g), scale(half, one - g)
+
+    for X in fx.sample:
+        for Y in fx.sample:
+            for Z in fx.sample:
+                pX, pY, pZ = parity(X), parity(Y), parity(Z)
+                want = None
+                for (a, b, c), w in ct.cocycle.items():
+                    term = scale(field(w),
+                                 tensor(tensor(pX[a], pY[b]), pZ[c]))
+                    want = term if want is None else want + term
+                got = ct.associator(X, Y, Z)
+                assert got.lin.rows == want.rows
+                assert ct.associator(X, Y, Z) is got
