@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, cached_hash,
-                     compose, identity, kernel, LinAlgError,
+                     compose, compose_tensor, identity, kernel, LinAlgError,
                      linear_combination, make_map, quotient_by_raw_rows,
                      serialize_raw, tensor, tensor_space, transpose)
 
@@ -328,19 +328,14 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
     return TensorCell(quot, proj, section)
 
 
-def descend(cell_src: TensorCell, ambient_map: LinearMap,
-            proj_tgt: LinearMap) -> LinearMap:
-    """Induce a map on quotients from an ambient map; verifies well-definedness."""
-    pushed = compose(proj_tgt, ambient_map)
+def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
+    """The map on the quotient ``cell_src.space`` induced by ``pushed``, an
+    ambient map already pushed to its target; verifies it is well defined:
+    induced ∘ proj = pushed."""
     induced = compose(pushed, cell_src.section)
     if compose(induced, cell_src.proj).rows != pushed.rows:
         raise LinAlgError("ambient map does not descend to the quotient")
     return induced
-
-
-def descend_action(cell: TensorCell, ambient_action: LinearMap) -> LinearMap:
-    """Residual action on a balanced tensor, verified well-defined."""
-    return descend(cell, ambient_action, cell.proj)
 
 
 def tensor_over(X, i: int, Y, j: int, name: str, prefix: str = "t"):
@@ -355,9 +350,11 @@ def tensor_over(X, i: int, Y, j: int, name: str, prefix: str = "t"):
                            Y.families[j][1], prefix)
     idX, idY = identity(X.space), identity(Y.space)
     families = [
-        (side, tuple(descend_action(cell, tensor(a, idY)) for a in mats))
+        (side, tuple(descend(cell, compose_tensor(cell.proj, a, idY))
+                     for a in mats))
         for k, (side, mats) in enumerate(X.families) if k != i] + [
-        (side, tuple(descend_action(cell, tensor(idX, b)) for b in mats))
+        (side, tuple(descend(cell, compose_tensor(cell.proj, idX, b))
+                     for b in mats))
         for k, (side, mats) in enumerate(Y.families) if k != j]
     if len(families) == 1:
         (side, action), = families

@@ -14,11 +14,15 @@ public constructor ``LinearMap(source, target, matrix)`` coerces every
 entry once through the field, so a scalar of another field, a float or a
 wrong shape is rejected there.
 
-The exact kernel (``compose``, ``tensor``, ``linear_combination``, which
-map addition and ``scale`` use, ``_rref``, ``kernel``, ``solve_iso`` and
-the quotients) computes on raw rows, skips zero operand entries, reduces each
-output entry once and builds its result with ``LinearMap.from_rows``,
-which checks nothing.  It never builds a ``FieldScalar``.
+The exact kernel (``compose``, ``compose_tensor``, ``tensor``,
+``linear_combination``, which map addition and ``scale`` use, ``_rref``,
+``kernel``, ``solve_iso`` and the quotients) computes on raw rows, skips
+zero operand entries, reduces each output entry once and builds its result
+with ``LinearMap.from_rows``, which checks nothing.  It never builds a
+``FieldScalar``.  ``compose_tensor(P, f, g)`` is P∘(f⊗g) without the
+Kronecker product f⊗g: the nonzeros of each row of f⊗g come straight from
+those of f and g (Van Loan, *The ubiquitous Kronecker product*, 2000).
+``tensor_space(V, W)`` is built once per W and kept on V.
 
 ``FieldScalar`` is the boxed view of one entry: ``LinearMap.matrix``
 boxes the rows on first read and keeps the result.  Scalars of F_p are
@@ -371,12 +375,17 @@ def transpose(f: LinearMap) -> LinearMap:
 def linear_combination(source: VectorSpace, target: VectorSpace,
                        terms) -> LinearMap:
     """Σ c·f over the pairs (c, f) of ``terms``, c a raw scalar and f a map
-    source -> target, in one pass that reduces each entry once."""
+    source -> target, in one pass that reduces each entry once; a lone
+    term with coefficient 1 gives its rows as they are."""
+    terms = [(c, f) for c, f in terms if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return LinearMap.from_rows(source, target, terms[0][1].rows)
+    if not terms:
+        return zero_map(source, target)
     rows = [(0,) * source.dim] * target.dim
     for c, f in terms:
-        if c:
-            rows = [[x + c * a for x, a in zip(row, frow)]
-                    for row, frow in zip(rows, f.rows)]
+        rows = [[x + c * a for x, a in zip(row, frow)]
+                for row, frow in zip(rows, f.rows)]
     p = source.field.char
     if p:
         rows = [[x % p for x in row] for row in rows]
@@ -391,30 +400,54 @@ def scale(a: FieldScalar, f: LinearMap) -> LinearMap:
     return linear_combination(f.source, f.target, ((a.value, f),))
 
 
+def _mul_rows(rows, right_nz, k: int, p: int) -> tuple:
+    """Raw rows of A·B, where A has the raw ``rows`` and the k-column
+    matrix B is given by the nonzeros (c, b) of each of its rows; each
+    output entry is summed unreduced and reduced once."""
+    zero_row = (0,) * k
+    out = []
+    for arow in rows:
+        row = None  # unreduced sums of products, once one is nonzero
+        for j, a in enumerate(arow):
+            if a and right_nz[j]:
+                if row is None:
+                    row = [0] * k
+                for c, b in right_nz[j]:
+                    row[c] += a * b
+        if row is None:
+            out.append(zero_row)
+        elif p:
+            out.append(tuple([v % p for v in row]))
+        else:
+            out.append(tuple(row))
+    return tuple(out)
+
+
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f after g."""
     if g.target is not f.source and g.target != f.source:
         raise ValueError("compose: inner dimensions do not match")
-    p = f.field.char
+    g_nz = [[(c, b) for c, b in enumerate(row) if b] for row in g.rows]
+    return LinearMap.from_rows(g.source, f.target, _mul_rows(
+        f.rows, g_nz, g.source.dim, f.field.char))
+
+
+def compose_tensor(P: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
+    """P∘(f⊗g), never forming f⊗g: the nonzeros of row (b, d) of f⊗g are
+    the products of those of row b of f and row d of g."""
+    _check_same_field(g.field, f.field)
+    inner = tensor_space(f.target, g.target)
+    if P.source is not inner and P.source != inner:
+        raise ValueError("compose_tensor: P.source is not f.target ⊗ "
+                         "g.target")
     k = g.source.dim
-    zero_row = (0,) * k
-    g_rows = [[(c, b) for c, b in enumerate(row) if b] for row in g.rows]
-    rows = []
-    for frow in f.rows:
-        row = None  # unreduced sums of products, once one is nonzero
-        for j, a in enumerate(frow):
-            if a and g_rows[j]:
-                if row is None:
-                    row = [0] * k
-                for c, b in g_rows[j]:
-                    row[c] += a * b
-        if row is None:
-            rows.append(zero_row)
-        elif p:
-            rows.append(tuple([v % p for v in row]))
-        else:
-            rows.append(tuple(row))
-    return LinearMap.from_rows(g.source, f.target, tuple(rows))
+    f_nz = [[(a * k, x) for a, x in enumerate(row) if x] for row in f.rows]
+    g_nz = [[(c, y) for c, y in enumerate(row) if y] for row in g.rows]
+    fg_nz = [[(a + c, x * y) for a, x in frow for c, y in grow]
+             for frow in f_nz for grow in g_nz]
+    return LinearMap.from_rows(tensor_space(f.source, g.source), P.target,
+                               _mul_rows(P.rows, fg_nz, f.source.dim * k,
+                                         P.field.char))
 
 
 def compose_all(*maps: LinearMap) -> LinearMap:
@@ -448,8 +481,19 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def tensor_space(V: VectorSpace, W: VectorSpace) -> VectorSpace:
-    labels = tuple(f"{a}⊗{b}" for a in V.labels for b in W.labels)
-    return VectorSpace(V.field, labels)
+    """V ⊗ W on the pair labels "a⊗b", row-major.  Built once per labels
+    of W and kept in a dict on V, so it is freed with V and equal
+    arguments give the same object."""
+    try:
+        cache = V._tensors
+    except AttributeError:
+        cache = {}
+        _set(V, "_tensors", cache)
+    out = cache.get(W.labels)
+    if out is None:
+        out = cache[W.labels] = VectorSpace(
+            V.field, tuple([f"{a}⊗{b}" for a in V.labels for b in W.labels]))
+    return out
 
 
 # ---------------------------------------------------------------------------

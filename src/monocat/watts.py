@@ -25,8 +25,9 @@ from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      check_actions, descend, hom_basis, matrix_to_json,
                      module_identity, module_tensor_commutative, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     compose, compose_all, identity, linear_combination, rank,
-                     solve_iso, tensor, tensor_space)
+                     compose, compose_all, compose_tensor, identity,
+                     linear_combination, rank, solve_iso, tensor,
+                     tensor_space)
 
 
 class WattsError(Exception):
@@ -155,9 +156,9 @@ class ProductCell:
 class CustomTensor:
     """Base interface for a monoidal structure ⊙ on Mod_R.
 
-    Subclasses provide product cells; morphism tensoring descends the
-    Kronecker product through the cells and is verified well defined and
-    equivariant on every call.
+    Subclasses provide product cells; morphism tensoring pushes f⊗g
+    through the target cell's projection, descends it through the source
+    cell and is verified well defined and equivariant on every call.
     """
 
     def __init__(self, algebra: Algebra, unit: Module, name: str):
@@ -179,15 +180,17 @@ class CustomTensor:
     def _product(self, X: Module, Y: Module) -> ProductCell:
         raise NotImplementedError
 
-    def _ambient_map(self, f: ModuleMap, g: ModuleMap) -> LinearMap:
-        return tensor(f.lin, g.lin)
+    def _push(self, proj: LinearMap, f: ModuleMap,
+              g: ModuleMap) -> LinearMap:
+        """proj ∘ (f⊗g) on the ambient spaces."""
+        return compose_tensor(proj, f.lin, g.lin)
 
     @_memo("_mors")
     def mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
         src = self.product(f.source, g.source)
         tgt = self.product(f.target, g.target)
         try:
-            induced = descend(src, self._ambient_map(f, g), tgt.proj)
+            induced = descend(src, self._push(tgt.proj, f, g))
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"{self.name}: ⊙ of maps does not descend for "
@@ -232,8 +235,8 @@ def _rebracket(cell_xy, cell_l, cell_yz, cell_r, Xspace: VectorSpace,
     """(X·Y)·Z -> X·(Y·Z) through the total projections from X⊗Y⊗Z, or
     None when not well defined; cell_l is a quotient of cell_xy ⊗ Z and
     cell_r of X ⊗ cell_yz, each cell with a ``proj`` and a ``section``."""
-    qL = compose(cell_l.proj, tensor(cell_xy.proj, identity(Zspace)))
-    qR = compose(cell_r.proj, tensor(identity(Xspace), cell_yz.proj))
+    qL = compose_tensor(cell_l.proj, cell_xy.proj, identity(Zspace))
+    qR = compose_tensor(cell_r.proj, identity(Xspace), cell_yz.proj)
     bridge = LinearMap.from_rows(qL.source, qR.source,
                                  identity(qL.source).rows)
     sec = compose(tensor(cell_xy.section, identity(Zspace)), cell_l.section)
@@ -260,7 +263,7 @@ def _collapse(cell, blocks: Sequence[LinearMap],
     rows = tuple(tuple(chain.from_iterable(blk.rows[r] for blk in blocks))
                  for r in range(space.dim))
     amb = LinearMap.from_rows(cell.proj.source, space, rows)
-    return descend(cell, amb, identity(space))
+    return descend(cell, amb)
 
 
 class StrictTensor(CustomTensor):
@@ -630,8 +633,10 @@ class WattsContext:
         self._omega: Dict[tuple, Bimodule] = {}
         self._ombar: Dict[tuple, tuple] = {}
         self._nu: Dict[tuple, LinearMap] = {}
+        self._mu: Dict[tuple, LinearMap] = {}
         self._dcell: Dict[tuple, DCell] = {}
         self._c: Dict[tuple, LinearMap] = {}
+        self._c_inv: Dict[tuple, LinearMap] = {}
         self._alpha: Dict[tuple, LinearMap] = {}
         self._bimodule_tensors: Dict[tuple, tuple] = {}
 
@@ -682,6 +687,7 @@ class WattsContext:
         except LinAlgError as exc:
             raise MalformedTensor(f"ν[{X.name}] is not balanced") from exc
 
+    @_memo("_mu")
     def mu(self, X: Module) -> LinearMap:
         """R⊙X -> X⊗₂T, the Watts equivalence for R⊙−."""
         return solve_iso(self.nu(X))
@@ -712,7 +718,7 @@ class WattsContext:
         mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})",
                                  prefix="d")
         idX = identity(X.space)
-        proj = compose(outer.proj, tensor(idX, inner.proj))
+        proj = compose_tensor(outer.proj, idX, inner.proj)
         section = compose(tensor(idX, inner.section), outer.section)
         return DCell(mod, outer, proj, section)
 
@@ -726,9 +732,14 @@ class WattsContext:
         """c_{X,Y} = θ_Y(X) ∘ (id_X ⊗ ν_Y): D(X,Y) -> X⊙Y."""
         dc = self.dcell(X, Y)
         theta, cell = self.theta(Y, X)
-        step = descend(dc.outer, tensor(identity(X.space), self.nu(Y)),
-                       cell.proj)
+        step = descend(dc.outer, compose_tensor(
+            cell.proj, identity(X.space), self.nu(Y)))
         return compose(theta, step)
+
+    @_memo("_c_inv")
+    def c_inv(self, X: Module, Y: Module) -> LinearMap:
+        """c_{X,Y}⁻¹: X⊙Y -> D(X,Y)."""
+        return solve_iso(self.c_iso(X, Y))
 
     def c_module_map(self, X: Module, Y: Module) -> ModuleMap:
         return ModuleMap(self.dmodule(X, Y), self.ct.product(X, Y).module,
@@ -742,14 +753,14 @@ class WattsContext:
         YZ = ct.product(Y, Z).module
         c_xy = self.c_module_map(X, Y)
         c_yz_inv = ModuleMap(YZ, self.dmodule(Y, Z),
-                             solve_iso(self.c_iso(Y, Z)))
+                             self.c_inv(Y, Z))
         # built per call, never stored: tt.wc points back at this context
         tt = TransportedTensor(self)
         return compose_all(
             tt.mor(c_xy, module_identity(Z)).lin,
             self.c_iso(XY, Z),
             ct.associator(X, Y, Z).lin,
-            solve_iso(self.c_iso(X, YZ)),
+            self.c_inv(X, YZ),
             tt.mor(module_identity(X), c_yz_inv).lin)
 
     def lambda_prime(self, X: Module) -> LinearMap:
@@ -770,8 +781,9 @@ class TransportedTensor(CustomTensor):
         dc = self.wc.dcell(X, Y)
         return ProductCell(dc.module, dc.proj, dc.section)
 
-    def _ambient_map(self, f, g):
-        return tensor(f.lin, tensor(g.lin, identity(self.wc.T.space)))
+    def _push(self, proj, f, g):
+        return compose_tensor(proj, f.lin,
+                              tensor(g.lin, identity(self.wc.T.space)))
 
     def _associator(self, X, Y, Z):
         src = self.wc.dmodule(self.wc.dmodule(X, Y), Z)
@@ -861,7 +873,8 @@ def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
     for M in modules:
         src = tensor_with_bimodule(M, P)
         tgt = tensor_with_bimodule(M, Q)
-        out[M] = descend(src, tensor(identity(M.space), f.lin), tgt.proj)
+        out[M] = descend(src, compose_tensor(tgt.proj, identity(M.space),
+                                             f.lin))
     return out
 
 
@@ -884,10 +897,10 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     for M in modules:
         for N in modules:
             for lin in hom_basis(M, N):
-                fP = descend(cells_p[M], tensor(lin, identity(P.space)),
-                             cells_p[N].proj)
-                fQ = descend(cells_q[M], tensor(lin, identity(Q.space)),
-                             cells_q[N].proj)
+                fP = descend(cells_p[M], compose_tensor(
+                    cells_p[N].proj, lin, identity(P.space)))
+                fQ = descend(cells_q[M], compose_tensor(
+                    cells_q[N].proj, lin, identity(Q.space)))
                 if compose(components[N], fP).rows != \
                         compose(fQ, components[M]).rows:
                     raise NotNatural(
@@ -901,8 +914,8 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
         if compose(phi, P.right[i]).rows != compose(Q.right[i], phi).rows:
             raise NotBalanced("extracted map is not right linear")
     for M in modules:
-        rebuilt = descend(cells_p[M], tensor(identity(M.space), phi),
-                          cells_q[M].proj)
+        rebuilt = descend(cells_p[M], compose_tensor(
+            cells_q[M].proj, identity(M.space), phi))
         if rebuilt.rows != components[M].rows:
             raise NotNatural(f"component at {M.name} is not reproduced")
     return ModuleMap(P, Q, phi)
@@ -912,13 +925,14 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # The monoidal embedding ω with structure ξ
 
 class OmegaFunctor:
-    """ω together with ξ and η over a WattsContext; ξ and the collapses
-    u_X are built once per functor and freed with it."""
+    """ω together with ξ and η over a WattsContext; ξ, the collapses u_X
+    and their inverses are built once per functor and freed with it."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
         self._xi: Dict[tuple, LinearMap] = {}
         self._u: Dict[tuple, LinearMap] = {}
+        self._u_inv: Dict[tuple, LinearMap] = {}
 
     @_memo("_u")
     def _collapse(self, X: Module) -> LinearMap:
@@ -926,6 +940,11 @@ class OmegaFunctor:
         obX, _ = self.wc.ombar(X)
         return _collapse(self.wc.dcell(self.wc.R, X).outer, obX.left,
                          obX.space)
+
+    @_memo("_u_inv")
+    def _collapse_inv(self, X: Module) -> LinearMap:
+        """u_X⁻¹: X⊗₂T -> D(R,X)."""
+        return solve_iso(self._collapse(X))
 
     def eta(self) -> LinearMap:
         """η: R -> ω(I), the inverse of the right unit at R."""
@@ -939,12 +958,11 @@ class OmegaFunctor:
         # pass to the X⊗₂T model of ω on both factors
         (obX, _), (obY, _) = wc.ombar(X), wc.ombar(Y)
         _, cell_bar = wc.bimodule_tensor(obX, obY)
-        m1 = descend(cell, tensor(wc.mu(X), wc.mu(Y)), cell_bar.proj)
+        m1 = descend(cell, compose_tensor(cell_bar.proj, wc.mu(X), wc.mu(Y)))
         # identify with D(D(R,X),Y) through the collapse in the first slot
         ddc = wc.dcell(wc.dmodule(wc.R, X), Y)
-        u_inv = solve_iso(self._collapse(X))
-        m2 = descend(cell_bar, tensor(u_inv, identity(obY.space)),
-                     ddc.outer.proj)
+        m2 = descend(cell_bar, compose_tensor(
+            ddc.outer.proj, self._collapse_inv(X), identity(obY.space)))
         # transport and collapse on the other side
         alpha = wc.alpha_prime(wc.R, X, Y)
         DXY = wc.dmodule(X, Y)
@@ -1000,15 +1018,15 @@ def verify_monoidal_functor(wc: WattsContext,
                 DYZ = wc.dmodule(Y, Z)
                 _, cell_dz = wc.bimodule_tensor(wc.omega(DXY), oZ)
                 _, cell_xd = wc.bimodule_tensor(oX, wc.omega(DYZ))
-                m1 = descend(cell_l, tensor(om.xi(X, Y), identity(oZ.space)),
-                             cell_dz.proj)
+                m1 = descend(cell_l, compose_tensor(
+                    cell_dz.proj, om.xi(X, Y), identity(oZ.space)))
                 lhs = compose_all(
                     m1, om.xi(DXY, Z),
                     wc.omega_map(ModuleMap(wc.dmodule(DXY, Z),
                                            wc.dmodule(X, DYZ),
                                            wc.alpha_prime(X, Y, Z))))
-                m2 = descend(cell_r, tensor(identity(oX.space),
-                                            om.xi(Y, Z)), cell_xd.proj)
+                m2 = descend(cell_r, compose_tensor(
+                    cell_xd.proj, identity(oX.space), om.xi(Y, Z)))
                 rhs = compose_all(assoc, m2, om.xi(X, DYZ))
                 rec.equal(f"functor-pentagon[{X.name},{Y.name},{Z.name}]",
                           lhs, rhs, ctx)
@@ -1020,7 +1038,8 @@ def verify_monoidal_functor(wc: WattsContext,
         _, cell_rx = wc.bimodule_tensor(Rbim, oX)
         lam_str = _collapse(cell_rx, oX.left, oX.space)
         _, cell_ix = wc.bimodule_tensor(wc.omega(I), oX)
-        m = descend(cell_rx, tensor(eta, identity(oX.space)), cell_ix.proj)
+        m = descend(cell_rx, compose_tensor(cell_ix.proj, eta,
+                                            identity(oX.space)))
         lam_p = ModuleMap(wc.dmodule(I, X), X, wc.lambda_prime(X))
         lhs = compose_all(m, om.xi(I, X), wc.omega_map(lam_p))
         rec.equal(f"functor-unit-left[{X.name}]", lhs, lam_str, ctx)
@@ -1029,7 +1048,8 @@ def verify_monoidal_functor(wc: WattsContext,
         orbits = [_orbit(oX.right, a, wc.algebra.space) for a in range(oX.dim)]
         rho_str = _collapse(cell_xr, orbits, oX.space)
         _, cell_xi2 = wc.bimodule_tensor(oX, wc.omega(I))
-        m = descend(cell_xr, tensor(identity(oX.space), eta), cell_xi2.proj)
+        m = descend(cell_xr, compose_tensor(cell_xi2.proj,
+                                            identity(oX.space), eta))
         rho_p = ModuleMap(wc.dmodule(X, I), X, wc.rho_prime(X))
         lhs = compose_all(m, om.xi(X, I), wc.omega_map(rho_p))
         rec.equal(f"functor-unit-right[{X.name}]", lhs, rho_str, ctx)

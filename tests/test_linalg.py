@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from monocat.algmod import Algebra, Module, ModuleMap
 from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
-                            _rref, compose, identity, kernel, make_map,
-                            NotInvertible, quotient_by_rows, rank, scale,
-                            solve_iso, tensor, tensor_space, zero_map)
+                            _rref, compose, compose_tensor, identity, kernel,
+                            linear_combination, make_map, NotInvertible,
+                            quotient_by_rows, rank, scale, solve_iso, tensor,
+                            tensor_space, zero_map)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -433,14 +436,17 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
     monkeypatch.setattr(FieldScalar, "__init__", boxed)
     results = [(compose(f, solve_iso(f)), tensor(f, g), f + g, scale(a, g),
                 _rref(field, g.rows), kernel(g),
-                quotient_by_rows(f.source, [[1, 1, 0]]))
+                quotient_by_rows(f.source, [[1, 1, 0]]),
+                compose_tensor(tensor(g, f), f, g))
                for field, f, g, a in cases]
     monkeypatch.undo()
 
     for (field, f, g, a), (one, fg, s, ag, (rows, pivots), (ker, incl),
-                           (quot, proj, section)) in zip(cases, results):
+                           (quot, proj, section), pfg) in zip(cases, results):
         assert one == identity(f.source)
         assert fg.matrix == ref_tensor(f, g).matrix
+        assert pfg.matrix == ref_compose(ref_tensor(g, f),
+                                         ref_tensor(f, g)).matrix
         assert s.matrix == tuple(tuple(x + y for x, y in zip(r1, r2))
                                  for r1, r2 in zip(f.matrix, g.matrix))
         assert ag.matrix == tuple(tuple(a * x for x in row)
@@ -471,3 +477,72 @@ def test_boxed_view_round_trips(drawn):
                                for a in row) for row in m.rows)
             as_ints = LinearMap.from_rows(m.source, m.target, ints)
             assert as_ints == m and hash(as_ints) == hash(m)
+
+
+# ---------------------------------------------------------------------------
+# P∘(f⊗g) without the Kronecker product, and the tensor-space cache
+
+
+@st.composite
+def _compose_tensor_cases(draw):
+    """A field, f and g (each random, an identity or a zero map, 0..4 on
+    either side) and a random P out of f.target ⊗ g.target."""
+    field, (f, g) = draw(_maps(("mn", "kl")))
+    f, g = [draw(st.sampled_from((
+        m, identity(m.source), zero_map(m.source, m.target)))) for m in (f, g)]
+    inner = tensor_space(f.target, g.target)
+    out = VectorSpace.make(field, draw(st.integers(0, 4)), "p")
+    P = make_map(inner, out, draw(st.lists(
+        st.lists(_entry(field), min_size=inner.dim, max_size=inner.dim),
+        min_size=out.dim, max_size=out.dim)))
+    return field, P, f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compose_tensor_cases())
+def test_compose_tensor_matches_compose_of_tensor(drawn):
+    field, P, f, g = drawn
+    got, want = compose_tensor(P, f, g), compose(P, tensor(f, g))
+    assert got == want
+    assert got.source is tensor_space(f.source, g.source)
+    for got_row, want_row in zip(got.matrix, ref_compose(
+            P, ref_tensor(f, g)).matrix):
+        _same(field, got_row, want_row)
+
+
+def test_compose_tensor_checks_the_inner_space():
+    V2, V3 = VectorSpace.make(F3, 2), VectorSpace.make(F3, 3)
+    f, g = identity(V2), identity(V3)
+    with pytest.raises(ValueError, match="compose_tensor"):
+        compose_tensor(identity(tensor_space(V3, V2)), f, g)
+    with pytest.raises(ValueError, match="compose_tensor"):
+        compose_tensor(identity(VectorSpace.make(F3, 6)), f, g)
+    with pytest.raises(ValueError, match="mixed-field"):
+        compose_tensor(identity(tensor_space(V2, V3)), f,
+                       identity(VectorSpace.make(F2, 3)))
+
+
+def test_tensor_space_built_once_and_freed_with_its_left_factor():
+    V = VectorSpace(F3, ("a", "b"))
+    W = VectorSpace(F3, ("x", "y", "z"))
+    VW = tensor_space(V, W)
+    assert VW.labels == ("a⊗x", "a⊗y", "a⊗z", "b⊗x", "b⊗y", "b⊗z")
+    assert tensor_space(V, VectorSpace(F3, ("x", "y", "z"))) is VW
+    assert tensor_space(V, V) is not VW
+    ref = weakref.ref(V)
+    gc.disable()
+    try:
+        del V
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_linear_combination_lone_and_empty_terms():
+    V, W = VectorSpace.make(F5, 2), VectorSpace.make(F5, 3)
+    f = make_map(V, W, [[1, 2], [0, 3], [4, 0]])
+    assert linear_combination(V, W, [(1, f)]).rows is f.rows
+    assert linear_combination(V, W, [(0, f), (1, f), (0, f)]).rows is f.rows
+    assert linear_combination(V, W, [(0, f)]) == zero_map(V, W)
+    assert linear_combination(V, W, []) == zero_map(V, W)
+    assert linear_combination(V, W, [(2, f)]) == scale(F5(2), f)

@@ -6,8 +6,7 @@ import pytest
 
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, balanced_tensor, bimodule_tensor,
-                            descend_action, hom_basis,
-                            module_tensor_commutative)
+                            descend, hom_basis, module_tensor_commutative)
 from monocat.fixtures import (FixtureError, bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
                               graded_sign, graded_trivial, resolve_fixture,
@@ -304,6 +303,11 @@ def test_clashing_triple_module_raises_action_clash():
 
 # ---------------------------------------------------------------------------
 # Every balanced tensor against a cokernel built cell by cell
+
+def descend_action(cell, ambient_action):
+    """The residual action of a materialized Kronecker ambient action."""
+    return descend(cell, compose(cell.proj, ambient_action))
+
 
 def _reference_ombar(wc, X):
     cell = balanced_tensor(X.space, X.action, wc.T.space, wc.T.left2,
