@@ -331,8 +331,12 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
 def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
     """The map on the quotient ``cell_src.space`` induced by ``pushed``, an
     ambient map already pushed to its target; verifies it is well defined:
-    induced ∘ proj = pushed."""
-    induced = compose(pushed, cell_src.section)
+    induced ∘ proj = pushed.  For ``pushed`` the cell's own projection
+    it is the identity, as proj ∘ section = id by construction."""
+    if pushed is cell_src.proj:
+        induced = identity(pushed.target)
+    else:
+        induced = compose(pushed, cell_src.section)
     if compose(induced, cell_src.proj).rows != pushed.rows:
         raise LinAlgError("ambient map does not descend to the quotient")
     return induced

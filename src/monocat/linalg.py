@@ -24,6 +24,31 @@ Kronecker product f⊗g: the nonzeros of each row of f⊗g come straight from
 those of f and g (Van Loan, *The ubiquitous Kronecker product*, 2000).
 ``tensor_space(V, W)`` is built once per W and kept on V.
 
+A coordinate inclusion sends source basis vector c to target basis vector
+``cols[c]`` with coefficient 1, the ``cols`` all distinct.  A LinearMap
+known to be one keeps that tuple in its ``cols`` slot; any other map
+keeps None.  The flag is sound, not complete.  It is set by
+
+- ``identity(V)``, whose rows and cols are built once and kept on V,
+  like ``tensor_space``;
+- the public constructor, when the coerced table is injective 0/1
+  column-monomial (so a given action e0 = id is flagged);
+- ``quotient_by_raw_rows`` on its section, and on its projection when
+  there are no relations;
+- ``compose``, ``tensor`` and ``solve_iso`` of inclusions, and
+  ``linear_combination`` of one coefficient-1 term.
+
+It is read, never multiplied: ``compose`` with an identity returns the
+other operand, with an inclusion on the right gathers columns and with
+one on the left scatters rows; ``compose_tensor`` of two inclusions
+gathers columns of P, and is P for id⊗id; ``tensor`` of two inclusions
+is index arithmetic; ``solve_iso`` of one is the inverse permutation.
+A map is an identity only when its source is its target and ``cols`` is
+0…n−1: a permutation of V is an inclusion, not the identity.  Sparse
+codes apply a permutation as an index vector in the same way (Davis,
+*Direct Methods for Sparse Linear Systems*, 2006).  ``cols`` is not part
+of equality or hash.
+
 ``FieldScalar`` is the boxed view of one entry: ``LinearMap.matrix``
 boxes the rows on first read and keeps the result.  Scalars of F_p are
 interned: the field builds its p canonical ``FieldScalar``s once, and
@@ -126,7 +151,7 @@ class Field:
                 value = Fraction(num, den)
             else:
                 value = int(value)
-        if not isinstance(value, (int, Fraction)):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise ValueError(f"inexact or unsupported scalar {value!r}: "
                              "give an integer or a fraction 'a/b'")
         if self.char == 0:
@@ -241,10 +266,11 @@ class LinearMap:
     """A linear map between spaces with chosen bases, immutable.
 
     ``rows`` holds the raw entries; ``matrix`` is the same table boxed as
-    ``FieldScalar``s, built on first read.
+    ``FieldScalar``s, built on first read.  ``cols`` is the coordinate
+    inclusion the rows are, when known, else None.
     """
 
-    __slots__ = ("source", "target", "rows", "_matrix", "_hash")
+    __slots__ = ("source", "target", "rows", "cols", "_matrix", "_hash")
 
     def __init__(self, source: VectorSpace, target: VectorSpace, matrix):
         coerce = source.field._coerce
@@ -258,17 +284,20 @@ class LinearMap:
         _set_source(self, source)
         _set_target(self, target)
         _set_rows(self, rows)
+        _set_cols(self, _inclusion_cols(rows, n))
 
     @classmethod
     def from_rows(cls, source: VectorSpace, target: VectorSpace,
-                  rows: tuple) -> "LinearMap":
+                  rows: tuple, cols=None) -> "LinearMap":
         """The map whose raw entries are ``rows``, a tuple of row tuples,
-        taken as given: canonical entries and the right shape are the
+        taken as given: canonical entries, the right shape and, when
+        ``cols`` is given, that the rows are that inclusion are the
         caller's guarantee."""
         self = object.__new__(cls)
         _set_source(self, source)
         _set_target(self, target)
         _set_rows(self, rows)
+        _set_cols(self, cols)
         return self
 
     def __setattr__(self, name, value):
@@ -345,16 +374,73 @@ class LinearMap:
 _set_source = LinearMap.source.__set__
 _set_target = LinearMap.target.__set__
 _set_rows = LinearMap.rows.__set__
+_set_cols = LinearMap.cols.__set__
+
+
+def _inclusion_cols(rows, n: int):
+    """The cols of raw ``rows`` with n columns when they are an injective
+    0/1 column-monomial table, else None."""
+    cols = [None] * n
+    for r, row in enumerate(rows):
+        nz = [c for c, a in enumerate(row) if a]
+        if nz:
+            c = nz[0]
+            if len(nz) > 1 or row[c] != 1 or cols[c] is not None:
+                return None
+            cols[c] = r
+    if None in cols:
+        return None
+    return tuple(cols)
+
+
+def _inclusion_rows(cols, nrows: int) -> tuple:
+    """The raw rows of the inclusion ``cols`` into nrows coordinates."""
+    zero = (0,) * len(cols)
+    rows = [zero] * nrows
+    for c, r in enumerate(cols):
+        rows[r] = zero[:c] + (1,) + zero[c + 1:]
+    return tuple(rows)
+
+
+def _gathered(source: VectorSpace, f: LinearMap, idx) -> LinearMap:
+    """f after the inclusion ``idx`` of ``source``: the columns idx of f,
+    in that order; an inclusion when f is one."""
+    if f.cols is None:
+        return LinearMap.from_rows(source, f.target, tuple(
+            [tuple([row[c] for c in idx]) for row in f.rows]))
+    cols = tuple([f.cols[c] for c in idx])
+    return LinearMap.from_rows(source, f.target,
+                               _inclusion_rows(cols, f.target.dim), cols)
 
 
 def make_map(source: VectorSpace, target: VectorSpace, rows) -> LinearMap:
     return LinearMap(source, target, rows)
 
 
+def _identity_table(space: VectorSpace) -> tuple:
+    """(rows, cols) of the identity of ``space``, built once and kept on
+    it; neither refers back to the space."""
+    try:
+        return space._identity
+    except AttributeError:
+        cols = tuple(range(space.dim))
+        table = (_inclusion_rows(cols, space.dim), cols)
+        _set(space, "_identity", table)
+        return table
+
+
 def identity(space: VectorSpace) -> LinearMap:
-    zero = (0,) * space.dim
-    return LinearMap.from_rows(space, space, tuple(
-        [zero[:i] + (1,) + zero[i + 1:] for i in range(space.dim)]))
+    return LinearMap.from_rows(space, space, *_identity_table(space))
+
+
+def is_identity(f: LinearMap) -> bool:
+    """True when f is known to be an identity: its source is its target
+    and it is the inclusion 0…n−1 (a permutation is not)."""
+    cols = f.cols
+    if cols is None or f.source is not f.target:
+        return False
+    ident = _identity_table(f.source)[1]
+    return cols is ident or cols == ident
 
 
 def zero_map(source: VectorSpace, target: VectorSpace) -> LinearMap:
@@ -376,10 +462,14 @@ def linear_combination(source: VectorSpace, target: VectorSpace,
                        terms) -> LinearMap:
     """Σ c·f over the pairs (c, f) of ``terms``, c a raw scalar and f a map
     source -> target, in one pass that reduces each entry once; a lone
-    term with coefficient 1 gives its rows as they are."""
+    term with coefficient 1 is f itself when source and target are f's
+    own, else f's rows and cols as they are."""
     terms = [(c, f) for c, f in terms if c]
     if len(terms) == 1 and terms[0][0] == 1:
-        return LinearMap.from_rows(source, target, terms[0][1].rows)
+        f = terms[0][1]
+        if f.source is source and f.target is target:
+            return f
+        return LinearMap.from_rows(source, target, f.rows, f.cols)
     if not terms:
         return zero_map(source, target)
     rows = [(0,) * source.dim] * target.dim
@@ -424,9 +514,22 @@ def _mul_rows(rows, right_nz, k: int, p: int) -> tuple:
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f after g."""
+    """f after g.  An identity operand gives the other one back; an
+    inclusion g gathers columns of f, an inclusion f scatters rows of g."""
     if g.target is not f.source and g.target != f.source:
         raise ValueError("compose: inner dimensions do not match")
+    if is_identity(g):
+        return f
+    if is_identity(f):
+        return g
+    if g.cols is not None:
+        return _gathered(g.source, f, g.cols)
+    if f.cols is not None:
+        zero = (0,) * g.source.dim
+        rows = [zero] * f.target.dim
+        for j, r in enumerate(f.cols):
+            rows[r] = g.rows[j]
+        return LinearMap.from_rows(g.source, f.target, tuple(rows))
     g_nz = [[(c, b) for c, b in enumerate(row) if b] for row in g.rows]
     return LinearMap.from_rows(g.source, f.target, _mul_rows(
         f.rows, g_nz, g.source.dim, f.field.char))
@@ -434,12 +537,19 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
 
 def compose_tensor(P: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
     """P∘(f⊗g), never forming f⊗g: the nonzeros of row (b, d) of f⊗g are
-    the products of those of row b of f and row d of g."""
+    the products of those of row b of f and row d of g.  For two
+    inclusions it gathers columns of P, and for id⊗id it is P."""
     _check_same_field(g.field, f.field)
     inner = tensor_space(f.target, g.target)
     if P.source is not inner and P.source != inner:
         raise ValueError("compose_tensor: P.source is not f.target ⊗ "
                          "g.target")
+    if f.cols is not None and g.cols is not None:
+        if is_identity(f) and is_identity(g):
+            return P
+        n = g.target.dim
+        return _gathered(tensor_space(f.source, g.source), P,
+                         [a * n + b for a in f.cols for b in g.cols])
     k = g.source.dim
     f_nz = [[(a * k, x) for a, x in enumerate(row) if x] for row in f.rows]
     g_nz = [[(c, y) for c, y in enumerate(row) if y] for row in g.rows]
@@ -459,9 +569,17 @@ def compose_all(*maps: LinearMap) -> LinearMap:
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product on the chosen bases, row-major pair ordering."""
+    """Kronecker product on the chosen bases, row-major pair ordering;
+    for two inclusions, index arithmetic."""
     field = f.field
     _check_same_field(g.field, field)
+    source = tensor_space(f.source, g.source)
+    target = tensor_space(f.target, g.target)
+    if f.cols is not None and g.cols is not None:
+        n = g.target.dim
+        cols = tuple([a * n + b for a in f.cols for b in g.cols])
+        return LinearMap.from_rows(source, target,
+                                   _inclusion_rows(cols, target.dim), cols)
     p = field.char
     zero_block = (0,) * g.source.dim
     # per row of g, a -> a·row, built once per distinct entry a of f
@@ -476,8 +594,7 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
                                  else tuple([a * b for b in grow]))
             rows.append(tuple(chain.from_iterable(
                 map(blocks.__getitem__, frow))))
-    return LinearMap.from_rows(tensor_space(f.source, g.source),
-                               tensor_space(f.target, g.target), tuple(rows))
+    return LinearMap.from_rows(source, target, tuple(rows))
 
 
 def tensor_space(V: VectorSpace, W: VectorSpace) -> VectorSpace:
@@ -577,10 +694,18 @@ def kernel(f: LinearMap):
 
 
 def solve_iso(f: LinearMap) -> LinearMap:
-    """Two-sided inverse of f, or NotInvertible."""
+    """Two-sided inverse of f, or NotInvertible; a square inclusion's is
+    the inverse permutation."""
     if f.source.dim != f.target.dim:
         raise NotInvertible("source and target dimensions differ")
     n = f.source.dim
+    if f.cols is not None:
+        inverse = [0] * n
+        for c, r in enumerate(f.cols):
+            inverse[r] = c
+        inverse = tuple(inverse)
+        return LinearMap.from_rows(f.target, f.source,
+                                   _inclusion_rows(inverse, n), inverse)
     unit = (0,) * n
     aug = [row + unit[:i] + (1,) + unit[i + 1:]
            for i, row in enumerate(f.rows)]
@@ -602,13 +727,12 @@ def quotient_by_raw_rows(space: VectorSpace, rows, prefix: str = "q"):
     rref_rows, pivots = _rref(field, rows) if rows else ([], [])
     free = [c for c in range(space.dim) if c not in pivots]
     quot = VectorSpace(field, tuple(f"{prefix}{i}" for i in range(len(free))))
+    cols = tuple(free)
     proj = LinearMap.from_rows(
-        space, quot, tuple(_null_basis(field, rref_rows, pivots, free)))
-    section = [[0] * len(free) for _ in range(space.dim)]
-    for k, fc in enumerate(free):
-        section[fc][k] = 1
+        space, quot, tuple(_null_basis(field, rref_rows, pivots, free)),
+        None if pivots else cols)
     return quot, proj, LinearMap.from_rows(
-        quot, space, tuple([tuple(row) for row in section]))
+        quot, space, _inclusion_rows(cols, space.dim), cols)
 
 
 def quotient_by_rows(space: VectorSpace, rows, prefix: str = "q"):

@@ -237,8 +237,8 @@ def _rebracket(cell_xy, cell_l, cell_yz, cell_r, Xspace: VectorSpace,
     cell_r of X ⊗ cell_yz, each cell with a ``proj`` and a ``section``."""
     qL = compose_tensor(cell_l.proj, cell_xy.proj, identity(Zspace))
     qR = compose_tensor(cell_r.proj, identity(Xspace), cell_yz.proj)
-    bridge = LinearMap.from_rows(qL.source, qR.source,
-                                 identity(qL.source).rows)
+    same = identity(qL.source)
+    bridge = LinearMap.from_rows(qL.source, qR.source, same.rows, same.cols)
     sec = compose(tensor(cell_xy.section, identity(Zspace)), cell_l.section)
     a = compose(qR, compose(bridge, sec))
     if compose(a, qL).rows != compose(qR, bridge).rows:
@@ -376,8 +376,9 @@ class GradedTensor(CustomTensor):
         return ModuleMap(pL.module, pR.module, lin)
 
     def _unitor(self, cell, X):
-        lin = LinearMap.from_rows(cell.module.space, X.space,
-                                  identity(X.space).rows)
+        same = identity(X.space)
+        lin = LinearMap.from_rows(cell.module.space, X.space, same.rows,
+                                  same.cols)
         return ModuleMap(cell.module, X, lin)
 
     def left_unit(self, X):

@@ -12,7 +12,8 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             module_tensor_commutative, module_to_json)
 from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
-                            make_map, rank, solve_iso, tensor, zero_map)
+                            is_identity, make_map, rank, solve_iso, tensor,
+                            zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
 
 F2 = Field(2)
@@ -149,6 +150,21 @@ class TestRightExactness:
         induced = descend(src_cell, compose(
             tgt_cell.proj, ktensor(identity(C.space), surj)))
         assert rank(induced) == tgt.dim
+
+    def test_descend_of_the_projection_is_the_identity(self,
+                                                      z2_group_algebra):
+        R = Module.regular(z2_group_algebra)
+        _, cell = module_tensor_commutative(R, R)
+        assert cell.section.cols is not None
+        induced = descend(cell, cell.proj)
+        assert is_identity(induced) and induced.source is cell.space
+        # an equal projection that is another object takes the multiplying
+        # path and gets the same answer
+        copy = LinearMap(cell.proj.source, cell.space, cell.proj.matrix)
+        assert copy is not cell.proj and descend(cell, copy) == induced
+        # the ambient identity does not factor through the quotient
+        with pytest.raises(LinAlgError):
+            descend(cell, identity(cell.proj.source))
 
     def test_is_zero_cokernel_of_identity(self, dual_numbers):
         from monocat.linalg import cokernel

@@ -153,6 +153,18 @@ class TestFixtureDirOverride:
         code, _, _ = run(capsys, ["embed", "fusion-ising", "sigma"])
         assert code == 2
 
+    def test_report_rejects_a_boolean_scalar(self, capsys, tmp_path,
+                                             monkeypatch):
+        data = json.loads((FIXTURES / "strict-f3-z2.json").read_text())
+        data["modules"][0]["action"][0][0][0] = True
+        (tmp_path / "boolean.json").write_text(json.dumps(data),
+                                               encoding="utf-8")
+        monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))
+        code, out, err = run(capsys, ["--format", "json", "report"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "True" in err
+
     def test_report_refuses_empty_override(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from monocat.algmod import Algebra, Module, ModuleMap
 from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
-                            _rref, compose, compose_tensor, identity, kernel,
-                            linear_combination, make_map, NotInvertible,
-                            quotient_by_rows, rank, scale, solve_iso, tensor,
-                            tensor_space, zero_map)
+                            _rref, compose, compose_tensor, identity,
+                            is_identity, kernel, linear_combination, make_map,
+                            NotInvertible, quotient_by_rows, rank, scale,
+                            solve_iso, tensor, tensor_space, zero_map)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -431,6 +431,13 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
     def boxed(*args, **kwargs):
         raise AssertionError("the exact kernel built a FieldScalar")
 
+    # a 3-cycle and an inclusion of a plane: the inclusion paths
+    perms = [make_map(f.source, f.source, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+             for _, f, _, _ in cases]
+    incls = [make_map(VectorSpace.make(field, 2, "w"), f.source,
+                      [[0, 0], [0, 1], [1, 0]])
+             for field, f, _, _ in cases]
+
     monkeypatch.setattr(Field, "scalar", boxed)
     monkeypatch.setattr(Field, "box", boxed)
     monkeypatch.setattr(FieldScalar, "__init__", boxed)
@@ -439,7 +446,22 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
                 quotient_by_rows(f.source, [[1, 1, 0]]),
                 compose_tensor(tensor(g, f), f, g))
                for field, f, g, a in cases]
+    inclusion_results = [
+        (compose(f, perm), compose(perm, g), compose(perm, incl),
+         compose(identity(f.source), f), solve_iso(perm), tensor(perm, incl),
+         compose_tensor(tensor(g, f), perm, incl),
+         linear_combination(f.source, f.source, [(1, perm)]))
+        for (_, f, g, _), perm, incl in zip(cases, perms, incls)]
     monkeypatch.undo()
+
+    for (_, f, g, _), perm, incl, got in zip(cases, perms, incls,
+                                             inclusion_results):
+        assert got[5].cols is not None
+        assert got == (ref_compose(f, perm), ref_compose(perm, g),
+                       ref_compose(perm, incl), f, ref_compose(perm, perm),
+                       ref_tensor(perm, incl),
+                       ref_compose(tensor(g, f), ref_tensor(perm, incl)),
+                       perm)
 
     for (field, f, g, a), (one, fg, s, ag, (rows, pivots), (ker, incl),
                            (quot, proj, section), pfg) in zip(cases, results):
@@ -546,3 +568,170 @@ def test_linear_combination_lone_and_empty_terms():
     assert linear_combination(V, W, [(0, f)]) == zero_map(V, W)
     assert linear_combination(V, W, []) == zero_map(V, W)
     assert linear_combination(V, W, [(2, f)]) == scale(F5(2), f)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate inclusions: identities, permutations and sections
+
+
+def _assert_cols_agree(m):
+    """Where ``cols`` is set, column c of the rows is the unit vector at
+    cols[c] and the cols are distinct."""
+    if m.cols is None:
+        return
+    assert len(m.cols) == m.source.dim == len(set(m.cols))
+    for c, r in enumerate(m.cols):
+        assert [row[c] for row in m.rows] == \
+            [int(i == r) for i in range(m.target.dim)]
+
+
+@st.composite
+def _flagged_map(draw, field, source, target):
+    """An identity (when source is target), a random inclusion (a
+    permutation when the dimensions agree) or a dense random map."""
+    kinds = ["dense"]
+    if source is target:
+        kinds.append("identity")
+    if source.dim <= target.dim:
+        kinds.append("inclusion")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return identity(source)
+    if kind == "inclusion":
+        cols = draw(st.permutations(range(target.dim)))[:source.dim]
+        m = make_map(source, target, [[int(cols[c] == r)
+                                       for c in range(source.dim)]
+                                      for r in range(target.dim)])
+        assert m.cols == tuple(cols)
+        return m
+    return make_map(source, target, draw(st.lists(
+        st.lists(_entry(field), min_size=source.dim, max_size=source.dim),
+        min_size=target.dim, max_size=target.dim)))
+
+
+@st.composite
+def _mixed_maps(draw, patterns):
+    """A field and maps of one of the shape patterns (letters name spaces,
+    the same letter the same space object, each 0..4), each drawn by
+    ``_flagged_map``."""
+    shapes = draw(st.sampled_from(patterns))
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    spaces = {}
+    for letter in "".join(shapes):
+        if letter not in spaces:
+            spaces[letter] = VectorSpace.make(
+                field, draw(st.integers(min_value=0, max_value=4)), letter)
+    return field, [draw(_flagged_map(field, spaces[c], spaces[r]))
+                   for r, c in shapes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_maps([("mn", "nk"), ("nn", "nn"), ("nn", "nk"),
+                    ("mn", "nn"), ("mn", "nm")]))
+def test_inclusions_compose_like_dense_maps(drawn):
+    field, (f, g) = drawn
+    got = compose(f, g)
+    assert got == ref_compose(f, g)
+    _assert_cols_agree(got)
+    for got_row, want_row in zip(got.matrix, ref_compose(f, g).matrix):
+        _same(field, got_row, want_row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_maps([("mn", "kl"), ("nn", "kk"), ("nn", "kl"), ("mn", "nn")]),
+       st.data())
+def test_inclusions_tensor_like_dense_maps(drawn, data):
+    field, (f, g) = drawn
+    got = tensor(f, g)
+    assert got == ref_tensor(f, g)
+    _assert_cols_agree(got)
+    inner = tensor_space(f.target, g.target)
+    out = data.draw(st.sampled_from(
+        (inner, VectorSpace.make(field, data.draw(st.integers(0, 4)), "p"))))
+    P = data.draw(_flagged_map(field, inner, out))
+    got = compose_tensor(P, f, g)
+    assert got == ref_compose(P, ref_tensor(f, g))
+    _assert_cols_agree(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_maps([("nn",), ("mn",)]))
+def test_inclusions_invert_like_dense_maps(drawn):
+    field, (f,) = drawn
+    dense = LinearMap.from_rows(f.source, f.target, f.rows)
+    try:
+        want = solve_iso(dense)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            solve_iso(f)
+        return
+    got = solve_iso(f)
+    assert got == want
+    assert ref_compose(f, got) == identity(f.target)
+    assert ref_compose(got, f) == identity(f.source)
+    _assert_cols_agree(got)
+    if f.cols is not None:
+        assert got.cols is not None
+
+
+def _ref_inclusion_cols(rows, n):
+    """The cols of an injective 0/1 column-monomial table, else None."""
+    cols = []
+    for c in range(n):
+        nonzeros = [(r, row[c]) for r, row in enumerate(rows) if row[c]]
+        if len(nonzeros) != 1 or nonzeros[0][1] != 1:
+            return None
+        cols.append(nonzeros[0][0])
+    return tuple(cols) if len(set(cols)) == n else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
+    entry = st.sampled_from([0, 0, 1, 1, "2", "1/1", field.one])
+    table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+    f = make_map(VectorSpace.make(field, n), VectorSpace.make(field, m),
+                 table)
+    assert f.cols == _ref_inclusion_cols(f.rows, n)
+    _assert_cols_agree(f)
+
+
+def test_permutation_is_not_the_identity():
+    for field in KERNEL_FIELDS:
+        V = VectorSpace.make(field, 3)
+        swap = make_map(V, V, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        f = make_map(V, V, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+        assert swap.cols == (1, 0, 2) and not is_identity(swap)
+        assert compose(f, swap) == ref_compose(f, swap) != f
+        assert compose(swap, f) == ref_compose(swap, f) != f
+        P = make_map(tensor_space(V, V), V,
+                     [[(r + c) % 2 for c in range(9)] for r in range(3)])
+        idV = identity(V)
+        assert compose_tensor(P, swap, idV) == \
+            ref_compose(P, ref_tensor(swap, idV)) != P
+        assert compose_tensor(P, idV, idV) is P
+        # the identity table between two distinct, equal spaces is an
+        # inclusion, not an identity
+        W = VectorSpace.make(field, 3)
+        relabel = LinearMap.from_rows(V, W, idV.rows, idV.cols)
+        assert W == V and not is_identity(relabel)
+        assert compose(relabel, f) == LinearMap.from_rows(V, W, f.rows)
+        # the public constructor flags a given identity table, as e0 = id
+        given = make_map(V, V, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert is_identity(given)
+        assert compose(f, given) is f and compose(given, f) is f
+
+
+def test_identity_keeps_no_reference_to_its_space():
+    V = VectorSpace(F3, ("a", "b"))
+    ref = weakref.ref(V)
+    gc.disable()
+    try:
+        assert identity(V).cols == (0, 1)
+        assert compose(identity(V), identity(V)) == identity(V)
+        del V
+        assert ref() is None
+    finally:
+        gc.enable()
