@@ -1,10 +1,12 @@
 """Finite-dimensional algebras, their modules and bimodules.
 
-An Algebra is given by structure constants over the base field; modules and
-bimodules carry explicit action matrices per algebra basis element.  Tensor
-products over the algebra are computed as explicit cokernels of the balancing
-relations, so every quotient comes with a canonical basis, a projection from
-the ambient Kronecker product, and a section.
+An Algebra is given by raw structure constants over the base field, as a
+LinearMap's ``rows`` are; modules and bimodules carry explicit action
+matrices per algebra basis element.  Tensor products over the algebra are
+computed as explicit cokernels of the balancing relations, so every quotient
+comes with a canonical basis, a projection from the ambient Kronecker
+product, and a section.  The same relations give the equivariant maps:
+Hom(X, Y) is a balancing quotient (``hom_basis``).
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Field, FieldScalar, LinearMap, VectorSpace, cached_hash,
-                     compose, compose_tensor, identity, kernel, LinAlgError,
-                     linear_combination, make_map, quotient_by_raw_rows,
-                     serialize_raw, tensor, tensor_space, transpose)
+from .linalg import (Field, LinearMap, VectorSpace, cached_hash, compose,
+                     compose_tensor, identity, LinAlgError, linear_combination,
+                     make_map, quotient_by_raw_rows, serialize_raw,
+                     tensor_space, transpose)
 
 
 class StructureError(Exception):
@@ -26,7 +28,8 @@ class StructureError(Exception):
 class Algebra:
     """Associative unital algebra via structure constants.
 
-    mult[i][j] is the coordinate vector of e_i * e_j.
+    mult[i][j] is the coordinate vector of e_i * e_j and unit that of 1,
+    both tuples of raw entries.
     """
 
     name: str
@@ -44,21 +47,18 @@ class Algebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def mul_basis(self, i: int, j: int) -> tuple:
-        return self.mult[i][j]
-
     def left_mult_matrix(self, i: int) -> LinearMap:
         """x ↦ e_i · x on the algebra itself."""
-        cols = [self.mul_basis(i, j) for j in range(self.dim)]
+        cols = [self.mult[i][j] for j in range(self.dim)]
         return LinearMap(self.space, self.space, tuple(zip(*cols)))
 
     def right_mult_matrix(self, j: int) -> LinearMap:
         """x ↦ x · e_j on the algebra itself."""
-        cols = [self.mul_basis(i, j) for i in range(self.dim)]
+        cols = [self.mult[i][j] for i in range(self.dim)]
         return LinearMap(self.space, self.space, tuple(zip(*cols)))
 
     def is_commutative(self) -> bool:
-        return all(self.mul_basis(i, j) == self.mul_basis(j, i)
+        return all(self.mult[i][j] == self.mult[j][i]
                    for i in range(self.dim) for j in range(self.dim))
 
     def check(self):
@@ -78,27 +78,23 @@ class Algebra:
     def group_algebra(field: Field, n: int, name: Optional[str] = None) -> "Algebra":
         """Group algebra K[Z/n], basis = group elements."""
         space = VectorSpace(field, tuple(f"g{i}" for i in range(n)))
-        mult = tuple(tuple(space.basis_vector((i + j) % n) for j in range(n))
-                     for i in range(n))
-        return Algebra(name or f"K[Z/{n}]", space, mult, space.basis_vector(0))
+        e = [tuple([int(k == i) for k in range(n)]) for i in range(n)]
+        mult = tuple(tuple(e[(i + j) % n] for j in range(n)) for i in range(n))
+        return Algebra(name or f"K[Z/{n}]", space, mult, e[0])
 
     @staticmethod
     def truncated_polynomial(field: Field, name: Optional[str] = None) -> "Algebra":
         """K[x]/(x^2), basis (1, x)."""
         space = VectorSpace(field, ("1", "x"))
-        z = space.zero_vector()
-        mult = ((space.basis_vector(0), space.basis_vector(1)),
-                (space.basis_vector(1), z))
-        return Algebra(name or "K[x]/(x²)", space, mult, space.basis_vector(0))
+        mult = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
+        return Algebra(name or "K[x]/(x²)", space, mult, (1, 0))
 
     @staticmethod
     def split_pair(field: Field, name: Optional[str] = None) -> "Algebra":
         """K × K with the idempotent basis."""
         space = VectorSpace(field, ("p0", "p1"))
-        z = space.zero_vector()
-        mult = ((space.basis_vector(0), z), (z, space.basis_vector(1)))
-        unit = tuple(field.one for _ in range(2))
-        return Algebra(name or "K×K", space, mult, unit)
+        mult = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+        return Algebra(name or "K×K", space, mult, (1, 1))
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,9 @@ class Module:
 
 
 def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
-               r: Sequence[FieldScalar]) -> LinearMap:
-    return linear_combination(space, space,
-                              [(ri.value, m) for ri, m in zip(r, mats)])
+               r: Sequence) -> LinearMap:
+    """The action of the algebra element with raw coordinates r."""
+    return linear_combination(space, space, zip(r, mats))
 
 
 def check_actions(name: str, algebra: Algebra, space: VectorSpace,
@@ -165,7 +161,7 @@ def check_actions(name: str, algebra: Algebra, space: VectorSpace,
             raise StructureError(f"{name}: unit does not act as identity")
         for i in range(d):
             for j in range(d):
-                prod = _action_of(space, mats, algebra.mul_basis(i, j))
+                prod = _action_of(space, mats, algebra.mult[i][j])
                 if side == "right":
                     seq = compose(mats[j], mats[i])
                 else:
@@ -256,37 +252,27 @@ def module_identity(M) -> ModuleMap:
     return ModuleMap(M, M, identity(M.space))
 
 
-def is_zero(M) -> bool:
-    """True iff the underlying space of a module/bimodule is zero."""
-    return M.dim == 0
-
-
 # ---------------------------------------------------------------------------
 # Hom computation
 
 def hom_basis(X, Y):
     """Basis of equivariant linear maps X -> Y as a list of LinearMaps.
 
-    Works for one-sided modules with matching side and for bimodules.
+    Works for one-sided modules with matching side and for bimodules.  The
+    unknowns F[r][c] are the coordinates of Y ⊗ X, and F·A = B·F over each
+    intertwined pair (A, B) is the balancing of Y, acted on by Bᵀ, against
+    X, acted on by A.  The rows of that quotient's projection are the RREF
+    null basis of the relations, one map each.
     """
     if type(X) is not type(Y):
         raise StructureError("hom between different kinds of modules")
     pairs = _intertwined(X, Y)
     m, n = Y.dim, X.dim
-    # unknowns: F[r][c], flattened row-major; F·A − B·F = 0 entrywise
-    idX, idY = identity(X.space), identity(Y.space)
-    rows = tuple(row for A, B in pairs
-                 for row in (tensor(idY, transpose(A)) - tensor(B, idX)).rows)
-    unknowns = tensor_space(Y.space, X.space)
-    sys_map = LinearMap.from_rows(
-        unknowns, VectorSpace.make(X.field, len(rows), "r"), rows)
-    ker, incl = kernel(sys_map)
-    basis = []
-    for b in range(ker.dim):
-        flat = [row[b] for row in incl.rows]
-        mat = tuple(tuple(flat[r * n:(r + 1) * n]) for r in range(m))
-        basis.append(LinearMap.from_rows(X.space, Y.space, mat))
-    return basis
+    cell = balanced_tensor(Y.space, [transpose(B) for _, B in pairs],
+                           X.space, [A for A, _ in pairs])
+    return [LinearMap.from_rows(X.space, Y.space, tuple(
+        [flat[r * n:(r + 1) * n] for r in range(m)]))
+        for flat in cell.proj.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +383,19 @@ def algebra_to_json(A: Algebra) -> dict:
         "char": A.field.char,
         "dim": A.dim,
         "basis": list(A.space.labels),
-        "mult": [[[c.serialize() for c in A.mult[i][j]]
-                  for j in range(A.dim)] for i in range(A.dim)],
-        "unit": [c.serialize() for c in A.unit],
+        "mult": [[[serialize_raw(c) for c in v] for v in row]
+                 for row in A.mult],
+        "unit": [serialize_raw(c) for c in A.unit],
     }
 
 
 def algebra_from_json(data: dict) -> Algebra:
     field = Field(data["char"])
     space = VectorSpace(field, tuple(data["basis"]))
-    mult = tuple(tuple(tuple(field(c) for c in v) for v in row)
+    coerce = field._coerce
+    mult = tuple(tuple(tuple(coerce(c) for c in v) for v in row)
                  for row in data["mult"])
-    unit = tuple(field(c) for c in data["unit"])
+    unit = tuple(coerce(c) for c in data["unit"])
     alg = Algebra(data["name"], space, mult, unit)
     alg.check()
     return alg

@@ -486,15 +486,22 @@ def fusion_to_json(fd: FusionData) -> dict:
     }
 
 
+def _count(value) -> int:
+    """An int as given; a float or a bool is malformed, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def fusion_from_json(data: dict) -> FusionData:
     simples = tuple(data["simples"])
     mult = {}
     for i, k, j, c in data.get("fusion", []):
-        mult[(i, k, j)] = int(c)
+        mult[(i, k, j)] = _count(c)
     dual = dict(data.get("dual") or {s: s for s in simples})
     for s in simples:
         dual.setdefault(s, s)
-    endo = {s: int(v) for s, v in (data.get("endo_dim") or {}).items()}
+    endo = {s: _count(v) for s, v in (data.get("endo_dim") or {}).items()}
     for s in simples:
         endo.setdefault(s, 1)
     return FusionData(simples, data["unit"], mult, dual, endo,

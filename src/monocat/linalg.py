@@ -14,9 +14,10 @@ public constructor ``LinearMap(source, target, matrix)`` coerces every
 entry once through the field, so a scalar of another field, a float or a
 wrong shape is rejected there.
 
-The exact kernel (``compose``, ``compose_tensor``, ``tensor``,
-``linear_combination``, which map addition and ``scale`` use, ``_rref``,
-``kernel``, ``solve_iso`` and the quotients) computes on raw rows, skips
+Raw entries are the only scalars the library computes with.  The exact
+kernel (``compose``, ``compose_tensor``, ``tensor``,
+``linear_combination``, which map addition uses, ``_rref``, ``kernel``,
+``solve_iso`` and ``quotient_by_raw_rows``) computes on raw rows, skips
 zero operand entries, reduces each output entry once and builds its result
 with ``LinearMap.from_rows``, which checks nothing.  It never builds a
 ``FieldScalar``.  ``compose_tensor(P, f, g)`` is P∘(f⊗g) without the
@@ -49,10 +50,11 @@ codes apply a permutation as an index vector in the same way (Davis,
 *Direct Methods for Sparse Linear Systems*, 2006).  ``cols`` is not part
 of equality or hash.
 
-``FieldScalar`` is the boxed view of one entry: ``LinearMap.matrix``
-boxes the rows on first read and keeps the result.  Scalars of F_p are
-interned: the field builds its p canonical ``FieldScalar``s once, and
-every boxed scalar in characteristic p is one of them.  Rationals are
+``FieldScalar`` is the boxed view of one entry, with no arithmetic of
+its own: ``LinearMap.matrix`` boxes the rows on first read and keeps the
+result, and calling a field coerces one value and boxes it.  Scalars of
+F_p are interned: the field builds its p canonical ``FieldScalar``s once,
+and every boxed scalar in characteristic p is one of them.  Rationals are
 boxed fresh.
 
 Matrix convention: a LinearMap f has ``rows[r][c]`` = coefficient of the
@@ -100,7 +102,7 @@ def cached_hash(self) -> int:
 class Field:
     """Base field: Q (char 0) or F_p for a prime p <= 97.
 
-    ``zero`` and ``one`` are the field's scalars 0 and 1.
+    Calling the field coerces a value (see ``_coerce``) and boxes it.
     """
 
     char: int = 0
@@ -114,22 +116,10 @@ class Field:
             if table is None:
                 table = tuple(FieldScalar(self, v) for v in range(self.char))
                 _INTERNED[self.char] = table
-            zero, one = table[0], table[1]
-        else:
-            zero = FieldScalar(self, Fraction(0))
-            one = FieldScalar(self, Fraction(1))
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "zero", zero)
-        object.__setattr__(self, "one", one)
 
     def __call__(self, value) -> "FieldScalar":
-        return self.scalar(self._coerce(value))
-
-    def scalar(self, v) -> "FieldScalar":
-        """The scalar of a raw value (an int, or over Q a Fraction)."""
-        if self.char:
-            return self._table[v % self.char]
-        return FieldScalar(self, Fraction(v))
+        return self.box((self._coerce(value),))[0]
 
     def box(self, values) -> tuple:
         """Scalars of raw values, each reduced once."""
@@ -139,6 +129,8 @@ class Field:
         return tuple([FieldScalar(self, Fraction(v)) for v in values])
 
     def _coerce(self, value):
+        """The raw entry of ``value``: an int, a Fraction, a string "a"
+        or "a/b", or a FieldScalar of this field."""
         if isinstance(value, FieldScalar):
             if value.field is not self and value.field != self:
                 raise ValueError("scalar from a different field")
@@ -167,40 +159,11 @@ class Field:
 
 @dataclass(frozen=True)
 class FieldScalar:
-    """An exact field element; arithmetic never leaves the field."""
+    """One entry boxed with its field: the view ``LinearMap.matrix`` gives.
+    It carries no arithmetic; the kernel computes on raw entries."""
 
     field: Field
     value: Union[Fraction, int]
-
-    def _check(self, other: "FieldScalar"):
-        if not isinstance(other, FieldScalar) or other.field != self.field:
-            raise ValueError("mixed-field arithmetic")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.field.scalar(self.value + other.value)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self.field.scalar(self.value - other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return self.field.scalar(self.value * other.value)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __neg__(self):
-        return self.field.scalar(-self.value)
-
-    def inverse(self) -> "FieldScalar":
-        if not self:
-            raise ZeroDivisionError("division by zero in exact field")
-        if self.field.char == 0:
-            return self.field.scalar(1 / self.value)
-        return self.field.scalar(pow(self.value, -1, self.field.char))
 
     def __bool__(self):
         return self.value != 0
@@ -235,13 +198,6 @@ class VectorSpace:
     @staticmethod
     def make(field: Field, dim: int, prefix: str = "e") -> "VectorSpace":
         return VectorSpace(field, tuple(f"{prefix}{i}" for i in range(dim)))
-
-    def zero_vector(self) -> tuple:
-        return (self.field.zero,) * self.dim
-
-    def basis_vector(self, i: int) -> tuple:
-        zeros = self.zero_vector()
-        return zeros[:i] + (self.field.one,) + zeros[i + 1:]
 
 
 Matrix = tuple  # tuple of row tuples
@@ -347,10 +303,6 @@ class LinearMap:
             _check_same_field(v.field, field)
         nz = [(j, v.value) for j, v in enumerate(vec) if v.value]
         return field.box(sum(row[j] * v for j, v in nz) for row in self.rows)
-
-    def column(self, c: int) -> tuple:
-        """Image of the c-th source basis vector."""
-        return self.field.box([row[c] for row in self.rows])
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.rows)
@@ -481,13 +433,6 @@ def linear_combination(source: VectorSpace, target: VectorSpace,
         rows = [[x % p for x in row] for row in rows]
     return LinearMap.from_rows(source, target,
                                tuple([tuple(row) for row in rows]))
-
-
-def scale(a: FieldScalar, f: LinearMap) -> LinearMap:
-    _check_same_field(a.field, f.field)
-    if a.value == 1:
-        return f
-    return linear_combination(f.source, f.target, ((a.value, f),))
 
 
 def _mul_rows(rows, right_nz, k: int, p: int) -> tuple:
@@ -733,15 +678,3 @@ def quotient_by_raw_rows(space: VectorSpace, rows, prefix: str = "q"):
         None if pivots else cols)
     return quot, proj, LinearMap.from_rows(
         quot, space, _inclusion_rows(cols, space.dim), cols)
-
-
-def quotient_by_rows(space: VectorSpace, rows, prefix: str = "q"):
-    """``quotient_by_raw_rows`` for rows of scalars, coerced once."""
-    coerce = space.field._coerce
-    return quotient_by_raw_rows(
-        space, [[coerce(a) for a in row] for row in rows], prefix)
-
-
-def cokernel(f: LinearMap):
-    """Cokernel target/im(f) with the projection map."""
-    return quotient_by_raw_rows(f.target, transpose(f).rows)[:2]

@@ -352,7 +352,7 @@ class GradedTensor(CustomTensor):
 
     def _parity(self, X: Module) -> tuple:
         """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2)."""
-        half = self.field(2).inverse().value
+        half = self.field._coerce("1/2")
         one, g = identity(X.space), X.action[1]
         return tuple(linear_combination(X.space, X.space,
                                         ((half, one), (sign * half, g)))

@@ -13,7 +13,7 @@ from monocat.fusion import (FusionData, ObjectExpr, check_theorem4,
                             tensor_images)
 from monocat.rings import bundled_rings
 from monocat.algmod import Bimodule, Module, ModuleMap, hom_basis
-from monocat.linalg import Field, identity, scale, zero_map
+from monocat.linalg import Field, identity, linear_combination
 from monocat.algmod import Algebra
 from monocat.watts import (WattsContext, GradedTensor, check_monoidal_axioms,
                            check_rigidity, check_T_coherence, flip_cocycle,
@@ -155,10 +155,8 @@ def test_criterion_06_natural_family_roundtrip_50_homs():
     while done < 50:
         A = algebras[done % len(algebras)]
         P = Bimodule.regular(A)
-        basis = hom_basis(P, P)
-        lin = zero_map(P.space, P.space)
-        for b in basis:
-            lin = lin + scale(A.field(rng.randrange(A.field.char)), b)
+        lin = linear_combination(P.space, P.space, [
+            (rng.randrange(A.field.char), b) for b in hom_basis(P, P)])
         f = ModuleMap(P, P, lin)
         fam = induce_natural_family(f, [Module.regular(A)])
         back = nat_to_bimodule_hom(P, P, fam)  # verifies reconstruction
@@ -195,7 +193,9 @@ def test_criterion_08_rigidity_snakes():
     assert {r.obj.name for r in fx.rigidity} == {"I", "L"}
     odd = [r for r in fx.rigidity if r.obj.name == "L"][0]
     bad_db = ModuleMap(odd.db.source, odd.db.target,
-                       scale(fx.algebra.field(-1), odd.db.lin))
+                       linear_combination(odd.db.lin.source,
+                                          odd.db.lin.target,
+                                          [(-1, odd.db.lin)]))
     assert not check_rigidity(fx.ct, odd.obj, odd.dual, odd.ev, bad_db).ok
 
 

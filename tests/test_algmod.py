@@ -8,7 +8,7 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, algebra_from_json, algebra_to_json,
                             balanced_tensor, bimodule_from_json,
                             bimodule_tensor, bimodule_to_json, hom_basis,
-                            is_zero, module_from_json, module_identity,
+                            module_from_json, module_identity,
                             module_tensor_commutative, module_to_json)
 from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
@@ -48,7 +48,7 @@ class TestAlgebra:
 
     def test_broken_unit_detected(self):
         space = VectorSpace(QQ, ("a",))
-        bad = Algebra("bad", space, ((space.zero_vector(),),), space.basis_vector(0))
+        bad = Algebra("bad", space, (((0,),),), (1,))
         with pytest.raises(StructureError):
             bad.check()
 
@@ -94,7 +94,7 @@ class TestTensorOverR:
         right_row = Module("row1", alg, space1, "right",
                            (zero_map(space1, space1), identity(space1)))
         result, _ = module_tensor_commutative(left_col, right_row)
-        assert is_zero(result)
+        assert result.dim == 0
 
     def test_left_module_over_commutative_algebra(self, dual_numbers):
         # over a commutative R a left action is a right one: a left-sided
@@ -166,12 +166,6 @@ class TestRightExactness:
         with pytest.raises(LinAlgError):
             descend(cell, identity(cell.proj.source))
 
-    def test_is_zero_cokernel_of_identity(self, dual_numbers):
-        from monocat.linalg import cokernel
-        R = Module.regular(dual_numbers)
-        quot, _ = cokernel(identity(R.space))
-        assert quot.dim == 0
-
 
 class TestSerialization:
     def test_algebra_roundtrip(self, z2_group_algebra):
@@ -193,8 +187,7 @@ class TestSerialization:
 
     def test_rational_scalars_roundtrip(self):
         space = VectorSpace(QQ, ("a",))
-        alg = Algebra("Q", space, ((space.basis_vector(0),),),
-                      space.basis_vector(0))
+        alg = Algebra("Q", space, (((1,),),), (1,))
         data = algebra_to_json(alg)
         assert algebra_from_json(data).unit == alg.unit
 
@@ -204,7 +197,7 @@ class TestSerialization:
 
 def reference_hom_basis(X, Y):
     """The entry-by-entry construction of the Hom system, kept as a
-    reference for the Kronecker-block one in ``hom_basis``."""
+    reference for the balancing quotient in ``hom_basis``."""
     m, n = Y.dim, X.dim
     field = X.field
     rows = []
@@ -212,15 +205,15 @@ def reference_hom_basis(X, Y):
         # F·A − B·F = 0, entry (r, c)
         for r in range(m):
             for c in range(n):
-                coeff = [field.zero] * (m * n)
+                coeff = [0] * (m * n)
                 for k in range(n):
-                    coeff[r * n + k] = coeff[r * n + k] + A.matrix[k][c]
+                    coeff[r * n + k] += A.matrix[k][c].value
                 for k in range(m):
-                    coeff[k * n + c] = coeff[k * n + c] - B.matrix[r][k]
-                rows.append(tuple(coeff))
+                    coeff[k * n + c] -= B.matrix[r][k].value
+                rows.append(field.box(coeff))
     unknowns = VectorSpace.make(field, m * n, "f")
     if not rows:
-        rows = [unknowns.zero_vector()]
+        rows = [field.box([0] * (m * n))]
     sys_map = LinearMap(unknowns, VectorSpace.make(field, len(rows), "r"),
                         tuple(rows))
     ker, incl = kernel(sys_map)
@@ -315,13 +308,12 @@ class TestActionLaws:
 
     def test_nonassociative_algebra_rejected(self):
         space = VectorSpace(F3, ("1", "x", "y"))
-        e = space.basis_vector
-        z = space.zero_vector()
+        e0, e1, e2, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
         # (x·x)·x = y·x = 0 but x·(x·x) = x·y = x; 1 is a two-sided unit
-        mult = ((e(0), e(1), e(2)),
-                (e(1), e(2), e(1)),
-                (e(2), z, z))
-        bad = Algebra("nonassoc", space, mult, e(0))
+        mult = ((e0, e1, e2),
+                (e1, e2, e1),
+                (e2, z, z))
+        bad = Algebra("nonassoc", space, mult, e0)
         with pytest.raises(StructureError):
             bad.check()
 
@@ -382,11 +374,11 @@ def test_balanced_tensor_universal_property(pair, k, seed):
     ker, incl = kernel(stacked)
     rows = []
     for _ in range(k):
-        row = [field.zero] * ambient.dim
+        row = [0] * ambient.dim
         for b in range(ker.dim):
-            c = field(rng.randrange(field.char))
-            row = [a + c * x for a, x in zip(row, incl.column(b))]
-        rows.append(tuple(row))
+            c = rng.randrange(field.char)
+            row = [a + c * r[b] for a, r in zip(row, incl.rows)]
+        rows.append(field.box(row))
     balanced = LinearMap(ambient, V, tuple(rows))
     induced = descend(cell, balanced)
     assert compose(induced, cell.proj).matrix == balanced.matrix

@@ -165,6 +165,19 @@ class TestFixtureDirOverride:
         assert err.startswith("error:") and "Traceback" not in err
         assert "True" in err
 
+    @pytest.mark.parametrize("value", [1.9, True])
+    def test_report_rejects_a_non_integer_multiplicity(
+            self, capsys, tmp_path, monkeypatch, value):
+        data = json.loads((FIXTURES / "fusion-fibonacci.json").read_text())
+        data["fusion"][0][3] = value
+        (tmp_path / "fusion.json").write_text(json.dumps(data),
+                                              encoding="utf-8")
+        monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))
+        code, out, err = run(capsys, ["--format", "json", "report"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert repr(value) in err
+
     def test_report_refuses_empty_override(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))

@@ -9,7 +9,7 @@ from monocat.algmod import Algebra, Module, ModuleMap
 from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
                             _rref, compose, compose_tensor, identity,
                             is_identity, kernel, linear_combination, make_map,
-                            NotInvertible, quotient_by_rows, rank, scale,
+                            NotInvertible, quotient_by_raw_rows, rank,
                             solve_iso, tensor, tensor_space, zero_map)
 
 F2 = Field(2)
@@ -142,12 +142,12 @@ def test_rank_nullity(a):
 
 def test_quotient_projection_section():
     V = _space(QQ, 4)
-    rows = [tuple(QQ(x) for x in r) for r in [(1, 1, 0, 0), (0, 0, 1, -1)]]
-    quot, proj, section = quotient_by_rows(V, rows)
+    rows = [(1, 1, 0, 0), (0, 0, 1, -1)]
+    quot, proj, section = quotient_by_raw_rows(V, rows)
     assert quot.dim == 2
     assert compose(proj, section).matrix == identity(quot).matrix
     for row in rows:
-        assert all(not x for x in proj(row))
+        assert all(not x for x in proj(QQ.box(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +187,8 @@ def ref_tensor(f, g):
 
 
 def ref_apply(f, vec):
-    out = []
-    for row in f.matrix:
-        acc = f.field.zero
-        for a, v in zip(row, vec):
-            acc = acc + a * v
-        out.append(acc)
-    return tuple(out)
+    return f.field.box([sum(a.value * v.value for a, v in zip(row, vec))
+                        for row in f.matrix])
 
 
 def ref_rref(field, rows):
@@ -301,12 +296,10 @@ def test_tensor_matches_dense(drawn):
 
 @settings(max_examples=150, deadline=None)
 @given(_maps(("mn",)), st.data())
-def test_apply_and_column_match_dense(drawn, data):
+def test_apply_matches_dense(drawn, data):
     field, (f,) = drawn
     vec = tuple(field(data.draw(_entry(field))) for _ in range(f.source.dim))
     _same(field, f(vec), ref_apply(f, vec))
-    for c in range(f.source.dim):
-        _same(field, f.column(c), ref_apply(f, f.source.basis_vector(c)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,11 +318,13 @@ def test_rref_matches_dense(drawn):
 @given(_maps(("mn", "mn")), st.data())
 def test_add_and_scale_match_dense(drawn, data):
     field, (f, g) = drawn
-    a = field(data.draw(_entry(field)))
+    a = field._coerce(data.draw(_entry(field)))
     for got_row, r1, r2 in zip((f + g).matrix, f.matrix, g.matrix):
-        _same(field, got_row, tuple(x + y for x, y in zip(r1, r2)))
-    for got_row, row in zip(scale(a, f).matrix, f.matrix):
-        _same(field, got_row, tuple(a * x for x in row))
+        _same(field, got_row,
+              field.box([x.value + y.value for x, y in zip(r1, r2)]))
+    scaled = linear_combination(f.source, f.target, [(a, f)])
+    for got_row, row in zip(scaled.matrix, f.matrix):
+        _same(field, got_row, field.box([a * x.value for x in row]))
 
 
 def test_zero_dimensional_spaces():
@@ -341,7 +336,7 @@ def test_zero_dimensional_spaces():
         assert tensor(into, identity(V2)).matrix == \
             ref_tensor(into, identity(V2)).matrix
         assert tensor(out_of, identity(V2)).matrix == ()
-        assert into(()) == (field.zero, field.zero)
+        assert into(()) == field.box((0, 0))
         assert _rref(field, into.matrix) == ([], [])
 
 
@@ -403,11 +398,9 @@ def test_mixed_fields_raise():
     with pytest.raises(ValueError):
         f3 + f5
     with pytest.raises(ValueError):
-        scale(F5(2), f3)
+        f3 - f5
     with pytest.raises(ValueError):
         f3((F5(1), F5(0)))
-    with pytest.raises(ValueError):
-        F3(1) + F5(1)
 
 
 def test_entries_of_another_field_rejected():
@@ -426,7 +419,7 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
         V = VectorSpace.make(field, 3)
         f = make_map(V, V, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # det 1
         g = make_map(V, V, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # rank 2
-        cases.append((field, f, g, field(2)))
+        cases.append((field, f, g, 2))
 
     def boxed(*args, **kwargs):
         raise AssertionError("the exact kernel built a FieldScalar")
@@ -438,12 +431,12 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
                       [[0, 0], [0, 1], [1, 0]])
              for field, f, _, _ in cases]
 
-    monkeypatch.setattr(Field, "scalar", boxed)
     monkeypatch.setattr(Field, "box", boxed)
     monkeypatch.setattr(FieldScalar, "__init__", boxed)
-    results = [(compose(f, solve_iso(f)), tensor(f, g), f + g, scale(a, g),
+    results = [(compose(f, solve_iso(f)), tensor(f, g), f + g,
+                linear_combination(g.source, g.target, [(a, g)]),
                 _rref(field, g.rows), kernel(g),
-                quotient_by_rows(f.source, [[1, 1, 0]]),
+                quotient_by_raw_rows(f.source, [[1, 1, 0]]),
                 compose_tensor(tensor(g, f), f, g))
                for field, f, g, a in cases]
     inclusion_results = [
@@ -469,9 +462,10 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
         assert fg.matrix == ref_tensor(f, g).matrix
         assert pfg.matrix == ref_compose(ref_tensor(g, f),
                                          ref_tensor(f, g)).matrix
-        assert s.matrix == tuple(tuple(x + y for x, y in zip(r1, r2))
-                                 for r1, r2 in zip(f.matrix, g.matrix))
-        assert ag.matrix == tuple(tuple(a * x for x in row)
+        assert s.matrix == tuple(
+            field.box([x.value + y.value for x, y in zip(r1, r2)])
+            for r1, r2 in zip(f.matrix, g.matrix))
+        assert ag.matrix == tuple(field.box([a * x.value for x in row])
                                   for row in g.matrix)
         assert pivots == [0, 1] and ker.dim == 1
         assert compose(g, incl).is_zero()
@@ -567,7 +561,8 @@ def test_linear_combination_lone_and_empty_terms():
     assert linear_combination(V, W, [(0, f), (1, f), (0, f)]).rows is f.rows
     assert linear_combination(V, W, [(0, f)]) == zero_map(V, W)
     assert linear_combination(V, W, []) == zero_map(V, W)
-    assert linear_combination(V, W, [(2, f)]) == scale(F5(2), f)
+    assert linear_combination(V, W, [(2, f)]) == \
+        make_map(V, W, [[2, 4], [0, 6], [8, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +684,7 @@ def _ref_inclusion_cols(rows, n):
 @given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4),
        st.data())
 def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
-    entry = st.sampled_from([0, 0, 1, 1, "2", "1/1", field.one])
+    entry = st.sampled_from([0, 0, 1, 1, "2", "1/1", field(1)])
     table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                min_size=m, max_size=m))
     f = make_map(VectorSpace.make(field, n), VectorSpace.make(field, m),

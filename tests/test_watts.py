@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import weakref
 
@@ -7,13 +8,14 @@ import pytest
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, balanced_tensor, bimodule_tensor,
                             descend, hom_basis, module_tensor_commutative)
-from monocat.fixtures import (FixtureError, bundled_watts_fixtures,
+from monocat.fixtures import (FixtureError, bundled_fixture_files,
+                              bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
                               graded_sign, graded_trivial, resolve_fixture,
                               strict_f3_z2, watts_fixture_from_json,
                               watts_fixture_to_json)
-from monocat.linalg import (Field, VectorSpace, compose, compose_all,
-                            identity, make_map, rank, scale, solve_iso,
+from monocat.linalg import (Field, FieldScalar, VectorSpace, compose,
+                            compose_all, identity, make_map, rank, solve_iso,
                             tensor)
 from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            NotBalanced, NotNatural, StrictTensor,
@@ -103,6 +105,21 @@ class TestMonoidalAxioms:
         pent = [r for r in rep.failures if r.name.startswith("pentagon")]
         assert pent
         assert {"lhs", "rhs"} <= set(pent[0].witness)
+
+    def test_pentagon_fails_exactly_off_the_cocycles(self, fx_sign):
+        # all 2^8 sign functions ω on (Z/2)³, checked on the lines I and L
+        sample = [fx_sign.module("I"), fx_sign.module("L")]
+        triples = sorted(sign_cocycle())
+        cocycles = 0
+        for signs in itertools.product((1, -1), repeat=len(triples)):
+            omega = dict(zip(triples, signs))
+            ct = GradedTensor(fx_sign.algebra, sample[0], omega)
+            pent = [r for r in check_monoidal_axioms(ct, sample).results
+                    if r.name.startswith("pentagon[")]
+            assert len(pent) == 16
+            assert all(r.ok for r in pent) == is_three_cocycle(omega), omega
+            cocycles += is_three_cocycle(omega)
+        assert cocycles == 8
 
 
 class TestTransport:
@@ -206,13 +223,11 @@ class TestRigidity:
 def upper_triangular(field):
     """Upper-triangular 2x2 matrices: the smallest noncommutative algebra."""
     sp = VectorSpace(field, ("e11", "e12", "e22"))
-    z = sp.zero_vector()
-    e = sp.basis_vector
-    mult = ((e(0), e(1), z),
-            (z, z, e(1)),
-            (z, z, e(2)))
-    one = tuple((field.one if i in (0, 2) else field.zero) for i in range(3))
-    alg = Algebra("UT2", sp, mult, one)
+    e11, e12, e22, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    mult = ((e11, e12, z),
+            (z, z, e12),
+            (z, z, e22))
+    alg = Algebra("UT2", sp, mult, (1, 0, 1))
     alg.check()
     return alg
 
@@ -270,6 +285,29 @@ class TestFixtureSerialization:
             j = watts_fixture_to_json(fx)
             back = watts_fixture_from_json(json.loads(json.dumps(j)))
             assert watts_fixture_to_json(back) == j, name
+
+    def test_loading_builds_no_field_scalar(self, monkeypatch):
+        monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+        files = [json.loads(path.read_text(encoding="utf-8"))
+                 for path in bundled_fixture_files().values()]
+        files = [data for data in files if data["kind"] == "watts"]
+        assert len(files) == len(bundled_watts_fixtures())
+        for data in files:
+            Field(data["algebra"]["char"])  # F_p boxes its table once
+
+        def boxed(*args, **kwargs):
+            raise AssertionError("loading built a FieldScalar")
+
+        monkeypatch.setattr(Field, "box", boxed)
+        monkeypatch.setattr(Field, "__call__", boxed)
+        monkeypatch.setattr(FieldScalar, "__init__", boxed)
+        loaded = [fixture_from_json(data) for data in files]
+        dims = {(fx.name, X.name, Y.name): len(hom_basis(X, Y))
+                for fx in loaded for X in fx.sample for Y in fx.sample}
+        monkeypatch.undo()
+        # the identity lies in every End(X)
+        assert all(dims[fx.name, X.name, X.name] >= 1
+                   for fx in loaded for X in fx.sample)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FixtureError):
@@ -371,21 +409,27 @@ def test_tensor_over_matches_reference_cokernels(name):
 def test_graded_associator_matches_eight_term_sum(build):
     fx = build()
     ct, field = fx.ct, fx.ct.field
-    half = field(2).inverse()
+    half = field("1/2").value
+
+    def combination(terms):
+        """Σ c·f over (raw c, map f) pairs, entry by entry."""
+        f = terms[0][1]
+        return make_map(f.source, f.target, [
+            [sum(c * g.rows[r][k] for c, g in terms)
+             for k in range(f.source.dim)] for r in range(f.target.dim)])
 
     def parity(X):
         one, g = identity(X.space), X.action[1]
-        return scale(half, one + g), scale(half, one - g)
+        return (combination([(half, one), (half, g)]),
+                combination([(half, one), (-half, g)]))
 
     for X in fx.sample:
         for Y in fx.sample:
             for Z in fx.sample:
                 pX, pY, pZ = parity(X), parity(Y), parity(Z)
-                want = None
-                for (a, b, c), w in ct.cocycle.items():
-                    term = scale(field(w),
-                                 tensor(tensor(pX[a], pY[b]), pZ[c]))
-                    want = term if want is None else want + term
+                want = combination([
+                    (w, tensor(tensor(pX[a], pY[b]), pZ[c]))
+                    for (a, b, c), w in ct.cocycle.items()])
                 got = ct.associator(X, Y, Z)
                 assert got.lin.rows == want.rows
                 assert ct.associator(X, Y, Z) is got
