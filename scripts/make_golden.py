@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI outputs under tests/golden/."""
+"""Regenerate the golden CLI outputs under tests/golden/, always from the
+bundled fixtures: MONOCAT_FIXTURES is ignored."""
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 from monocat.cli import main
@@ -23,6 +25,8 @@ CASES = {
         ["--format", "json", "watts", "dual-numbers-f2"],
     "watts-strict-axioms.json":
         ["--format", "json", "watts", "strict-f3-z2", "--checks", "axioms"],
+    "report-seed7.json":
+        ["--format", "json", "report", "--seed", "7"],
 }
 
 
@@ -36,6 +40,7 @@ def run(argv):
 
 
 def main_():
+    os.environ.pop("MONOCAT_FIXTURES", None)
     OUT.mkdir(parents=True, exist_ok=True)
     for name, argv in sorted(CASES.items()):
         path = OUT / name

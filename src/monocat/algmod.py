@@ -7,6 +7,10 @@ computed as explicit cokernels of the balancing relations, so every quotient
 comes with a canonical basis, a projection from the ambient Kronecker
 product, and a section.  The same relations give the equivariant maps:
 Hom(X, Y) is a balancing quotient (``hom_basis``).
+
+Names take part in equality: module content depends on the chosen basis,
+so caches keyed by content alone would make the cost of a check depend on
+whether two bases happen to line up.
 """
 
 from __future__ import annotations
@@ -88,13 +92,6 @@ class Algebra:
         space = VectorSpace(field, ("1", "x"))
         mult = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
         return Algebra(name or "K[x]/(x²)", space, mult, (1, 0))
-
-    @staticmethod
-    def split_pair(field: Field, name: Optional[str] = None) -> "Algebra":
-        """K × K with the idempotent basis."""
-        space = VectorSpace(field, ("p0", "p1"))
-        mult = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
-        return Algebra(name or "K×K", space, mult, (1, 1))
 
 
 @dataclass(frozen=True)
@@ -288,8 +285,8 @@ class TensorCell:
 
 
 def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
-                    Yspace: VectorSpace, left_mats: Sequence[LinearMap],
-                    prefix: str = "t") -> TensorCell:
+                    Yspace: VectorSpace,
+                    left_mats: Sequence[LinearMap]) -> TensorCell:
     """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r."""
     p = Xspace.field.char
     ambient = tensor_space(Xspace, Yspace)
@@ -310,8 +307,7 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
                     row = [v % p for v in row]
                 if any(row):
                     rows.append(row)
-    quot, proj, section = quotient_by_raw_rows(ambient, rows, prefix)
-    return TensorCell(quot, proj, section)
+    return TensorCell(*quotient_by_raw_rows(ambient, rows))
 
 
 def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
@@ -328,7 +324,7 @@ def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
     return induced
 
 
-def tensor_over(X, i: int, Y, j: int, name: str, prefix: str = "t"):
+def tensor_over(X, i: int, Y, j: int, name: str):
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
@@ -337,7 +333,7 @@ def tensor_over(X, i: int, Y, j: int, name: str, prefix: str = "t"):
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
     cell = balanced_tensor(X.space, X.families[i][1], Y.space,
-                           Y.families[j][1], prefix)
+                           Y.families[j][1])
     idX, idY = identity(X.space), identity(Y.space)
     families = [
         (side, tuple(descend(cell, compose_tensor(cell.proj, a, idY))
@@ -415,24 +411,5 @@ def module_from_json(algebra: Algebra, data: dict) -> Module:
     space = VectorSpace(algebra.field, tuple(data["basis"]))
     action = tuple(make_map(space, space, rows) for rows in data["action"])
     mod = Module(data["name"], algebra, space, data["side"], action)
-    mod.check()
-    return mod
-
-
-def bimodule_to_json(M: Bimodule) -> dict:
-    return {
-        "name": M.name,
-        "dim": M.dim,
-        "basis": list(M.space.labels),
-        "left": [matrix_to_json(a) for a in M.left],
-        "right": [matrix_to_json(a) for a in M.right],
-    }
-
-
-def bimodule_from_json(algebra: Algebra, data: dict) -> Bimodule:
-    space = VectorSpace(algebra.field, tuple(data["basis"]))
-    left = tuple(make_map(space, space, rows) for rows in data["left"])
-    right = tuple(make_map(space, space, rows) for rows in data["right"])
-    mod = Bimodule(data["name"], algebra, space, left, right)
     mod.check()
     return mod

@@ -18,7 +18,7 @@ from typing import Dict, Tuple, Union
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
                      algebra_from_json, algebra_to_json, matrix_to_json,
                      module_from_json, module_to_json)
-from .fusion import FusionData, fusion_from_json, fusion_to_json
+from .fusion import FusionData, _count, fusion_from_json, fusion_to_json
 from .linalg import Field, VectorSpace, identity, make_map
 from .rings import bundled_rings
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
@@ -200,7 +200,7 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
             # deliberately no cocycle-condition rejection here: a twisted
             # non-cocycle must still load so the pentagon checks can
             # produce concrete witnesses for it
-            cocycle = {(a, b, c): int(s)
+            cocycle = {(a, b, c): _count(s)
                        for a, b, c, s in tensor["cocycle"]}
             ct = GradedTensor(algebra, unit, cocycle, name=name)
         else:

@@ -23,7 +23,15 @@ with ``LinearMap.from_rows``, which checks nothing.  It never builds a
 ``FieldScalar``.  ``compose_tensor(P, f, g)`` is P∘(f⊗g) without the
 Kronecker product f⊗g: the nonzeros of each row of f⊗g come straight from
 those of f and g (Van Loan, *The ubiquitous Kronecker product*, 2000).
-``tensor_space(V, W)`` is built once per W and kept on V.
+
+A space is its shape: two VectorSpaces are equal, and hash alike, when
+their field and ``shape`` are, the flat tuple of factor dimensions of a
+tensor space and (dim,) of any other.  So (V⊗W)⊗Z equals V⊗(W⊗Z), and
+V₃⊗V₂ is neither V₂⊗V₃ nor a plain 6-dimensional space.  Basis labels
+are kept only where they are given, and are never compared;
+``tensor_space``, ``kernel`` and ``quotient_by_raw_rows`` build spaces
+without them.  ``tensor_space(V, W)`` is built once per shape of W and
+kept on V.
 
 A coordinate inclusion sends source basis vector c to target basis vector
 ``cols[c]`` with coefficient 1, the ``cols`` all distinct.  A LinearMap
@@ -64,10 +72,12 @@ r-th target basis vector in the image of the c-th source basis vector, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
+from math import prod
+from typing import Optional, Sequence, Union
 
 _SMALL_PRIMES = frozenset(
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -84,17 +94,22 @@ class NotInvertible(LinAlgError):
     """Raised by solve_iso when no two-sided inverse exists."""
 
 
+_set = object.__setattr__
+
+
 def cached_hash(self) -> int:
-    """Hash of a frozen dataclass's fields, computed once per instance.
+    """Hash of a frozen dataclass's compared fields, computed once per
+    instance.
 
     Assigned as ``__hash__`` in the class body; equality stays the
-    dataclass's structural ``__eq__``.
+    dataclass's structural ``__eq__``, which skips the same fields.
     """
     try:
         return self._hash
     except AttributeError:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", h)
+        h = hash(tuple([getattr(self, f.name)
+                        for f in dataclasses.fields(self) if f.compare]))
+        _set(self, "_hash", h)
         return h
 
 
@@ -180,20 +195,27 @@ QQ = Field(0)
 
 @dataclass(frozen=True)
 class VectorSpace:
-    """Finite-dimensional space with a fixed ordered basis of opaque labels."""
+    """Finite-dimensional space with a fixed ordered basis.
+
+    Equal to another, and hashed alike, when field and ``shape`` are: the
+    flat tuple of factor dimensions of a ``tensor_space`` (which is keyed
+    by shape), (dim,) of any other space.  ``labels``, the distinct basis
+    names of a space given by them, are never compared; a space built
+    from its shape alone has None.
+    """
 
     field: Field
-    labels: tuple
+    labels: Optional[tuple] = dataclasses.field(default=None, compare=False)
+    shape: tuple = None
 
     def __post_init__(self):
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be distinct")
+        if self.shape is None:
+            if len(set(self.labels)) != len(self.labels):
+                raise ValueError("basis labels must be distinct")
+            _set(self, "shape", (len(self.labels),))
+        _set(self, "dim", prod(self.shape))
 
     __hash__ = cached_hash
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
 
     @staticmethod
     def make(field: Field, dim: int, prefix: str = "e") -> "VectorSpace":
@@ -213,9 +235,6 @@ def serialize_raw(v):
 def _check_same_field(a: Field, b: Field):
     if a is not b and a != b:
         raise ValueError("mixed-field arithmetic")
-
-
-_set = object.__setattr__
 
 
 class LinearMap:
@@ -543,18 +562,17 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def tensor_space(V: VectorSpace, W: VectorSpace) -> VectorSpace:
-    """V ⊗ W on the pair labels "a⊗b", row-major.  Built once per labels
-    of W and kept in a dict on V, so it is freed with V and equal
-    arguments give the same object."""
+    """V ⊗ W, row-major, of shape V.shape + W.shape.  Built once per shape
+    of W and kept in a dict on V, so it is freed with V, and V with any W
+    of one shape gives the same object."""
     try:
         cache = V._tensors
     except AttributeError:
         cache = {}
         _set(V, "_tensors", cache)
-    out = cache.get(W.labels)
+    out = cache.get(W.shape)
     if out is None:
-        out = cache[W.labels] = VectorSpace(
-            V.field, tuple([f"{a}⊗{b}" for a in V.labels for b in W.labels]))
+        out = cache[W.shape] = VectorSpace(V.field, shape=V.shape + W.shape)
     return out
 
 
@@ -632,7 +650,7 @@ def kernel(f: LinearMap):
     field = f.field
     rows, pivots = _rref(field, f.rows)
     free = [c for c in range(f.source.dim) if c not in pivots]
-    ker = VectorSpace(field, tuple(f"k{i}" for i in range(len(free))))
+    ker = VectorSpace(field, shape=(len(free),))
     columns = _null_basis(field, rows, pivots, free)
     return ker, LinearMap.from_rows(ker, f.source,
                                     _columns_to_rows(columns, f.source.dim))
@@ -661,7 +679,7 @@ def solve_iso(f: LinearMap) -> LinearMap:
                                tuple([row[n:] for row in rows]))
 
 
-def quotient_by_raw_rows(space: VectorSpace, rows, prefix: str = "q"):
+def quotient_by_raw_rows(space: VectorSpace, rows):
     """Quotient of `space` by the span of raw rows; returns (Q, projection,
     section).
 
@@ -671,7 +689,7 @@ def quotient_by_raw_rows(space: VectorSpace, rows, prefix: str = "q"):
     field = space.field
     rref_rows, pivots = _rref(field, rows) if rows else ([], [])
     free = [c for c in range(space.dim) if c not in pivots]
-    quot = VectorSpace(field, tuple(f"{prefix}{i}" for i in range(len(free))))
+    quot = VectorSpace(field, shape=(len(free),))
     cols = tuple(free)
     proj = LinearMap.from_rows(
         space, quot, tuple(_null_basis(field, rref_rows, pivots, free)),

@@ -670,7 +670,7 @@ class WattsContext:
     def ombar(self, X: Module) -> tuple:
         """X⊗₂T, X balanced against the second left action, with the
         residual first-left and right actions: (Bimodule, TensorCell)."""
-        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)", prefix="m")
+        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)")
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
@@ -716,8 +716,7 @@ class WattsContext:
     @_memo("_dcell")
     def dcell(self, X: Module, Y: Module) -> DCell:
         obY, inner = self.ombar(Y)
-        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})",
-                                 prefix="d")
+        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})")
         idX = identity(X.space)
         proj = compose_tensor(outer.proj, idX, inner.proj)
         section = compose(tensor(idX, inner.section), outer.section)
@@ -858,7 +857,7 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 
 def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
     """M ⊗_R P balancing the right action of M against the left of P."""
-    return balanced_tensor(M.space, M.action, P.space, P.left, prefix="b")
+    return balanced_tensor(M.space, M.action, P.space, P.left)
 
 
 def _collapse_regular(P: Bimodule) -> LinearMap:
@@ -890,8 +889,10 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     reproduced from the extraction.
     """
     modules = list(components)
-    R = Module.regular(P.algebra)
-    if R not in components:
+    reg = Module.regular(P.algebra)   # matched by content, not by name
+    R = next((M for M in modules if (M.algebra, M.side, M.action) ==
+              (reg.algebra, reg.side, reg.action)), None)
+    if R is None:
         raise NotNatural("the sample must contain the regular module")
     cells_p = {M: tensor_with_bimodule(M, P) for M in modules}
     cells_q = {M: tensor_with_bimodule(M, Q) for M in modules}

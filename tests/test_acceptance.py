@@ -13,7 +13,8 @@ from monocat.fusion import (FusionData, ObjectExpr, check_theorem4,
                             tensor_images)
 from monocat.rings import bundled_rings
 from monocat.algmod import Bimodule, Module, ModuleMap, hom_basis
-from monocat.linalg import Field, identity, linear_combination
+from monocat.linalg import (Field, VectorSpace, identity,
+                            linear_combination)
 from monocat.algmod import Algebra
 from monocat.watts import (WattsContext, GradedTensor, check_monoidal_axioms,
                            check_rigidity, check_T_coherence, flip_cocycle,
@@ -149,7 +150,8 @@ def test_criterion_06_natural_family_roundtrip_50_homs():
     algebras = [Algebra.group_algebra(Field(2), 2),
                 Algebra.group_algebra(Field(3), 3),
                 Algebra.truncated_polynomial(Field(2)),
-                Algebra.split_pair(Field(3)),
+                Algebra("K×K", VectorSpace(Field(3), ("p0", "p1")),
+                        (((1, 0), (0, 0)), ((0, 0), (0, 1))), (1, 1)),
                 Algebra.group_algebra(Field(2), 4)]
     done = 0
     while done < 50:

@@ -24,6 +24,8 @@ GOLDEN_CASES = {
         ["--format", "json", "watts", "dual-numbers-f2"],
     "watts-strict-axioms.json":
         ["--format", "json", "watts", "strict-f3-z2", "--checks", "axioms"],
+    "report-seed7.json":
+        ["--format", "json", "report", "--seed", "7"],
 }
 
 
@@ -35,7 +37,8 @@ def run(capsys, argv):
 
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_matches_golden(self, capsys, name):
+    def test_matches_golden(self, capsys, monkeypatch, name):
+        monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
         code, out, _ = run(capsys, GOLDEN_CASES[name])
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
@@ -109,6 +112,21 @@ class TestExitCodes:
         code, out, err = run(capsys, ["watts", str(path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [-1.5, True])
+    def test_non_integer_cocycle_value_is_usage_error(self, capsys, tmp_path,
+                                                      value):
+        data = json.loads((FIXTURES / "graded-sign.json").read_text())
+        for row in data["tensor"]["cocycle"]:
+            if row[:3] == [1, 1, 1]:
+                row[3] = value
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["--format", "json", "watts", str(path),
+                                      "--checks", "axioms"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert repr(value) in err
 
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])

@@ -542,8 +542,12 @@ def test_tensor_space_built_once_and_freed_with_its_left_factor():
     V = VectorSpace(F3, ("a", "b"))
     W = VectorSpace(F3, ("x", "y", "z"))
     VW = tensor_space(V, W)
-    assert VW.labels == ("a⊗x", "a⊗y", "a⊗z", "b⊗x", "b⊗y", "b⊗z")
-    assert tensor_space(V, VectorSpace(F3, ("x", "y", "z"))) is VW
+    assert VW.shape == (2, 3) and VW.dim == 6 and VW.labels is None
+    # a space is its shape: other labels give an equal W and the same V⊗W
+    W2 = VectorSpace(F3, ("p", "q", "r"))
+    assert W2 == W and hash(W2) == hash(W)
+    assert tensor_space(V, W2) is VW
+    assert tensor_space(W, V) != VW and VectorSpace.make(F3, 6) != VW
     assert tensor_space(V, V) is not VW
     ref = weakref.ref(V)
     gc.disable()

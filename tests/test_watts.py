@@ -244,6 +244,17 @@ class TestNaturalFamilies:
             back = nat_to_bimodule_hom(P, Q, fam)
             assert back.lin.matrix == f.lin.matrix
 
+    @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+    def test_bundled_sample_roundtrip(self, name):
+        # the sample's "R" is the regular module nat_to_bimodule_hom needs
+        fx = bundled_watts_fixtures()[name]
+        P = Bimodule.regular(fx.algebra)
+        for lin in hom_basis(P, P):
+            f = ModuleMap(P, P, lin)
+            back = nat_to_bimodule_hom(
+                P, P, induce_natural_family(f, fx.sample))
+            assert back.lin.rows == f.lin.rows
+
     def test_corrupted_component_not_natural(self, fx_strict):
         A = fx_strict.algebra
         P = Bimodule.regular(A)
@@ -348,8 +359,7 @@ def descend_action(cell, ambient_action):
 
 
 def _reference_ombar(wc, X):
-    cell = balanced_tensor(X.space, X.action, wc.T.space, wc.T.left2,
-                           prefix="m")
+    cell = balanced_tensor(X.space, X.action, wc.T.space, wc.T.left2)
     idX = identity(X.space)
     left = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.left1)
     right = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.right)
@@ -359,8 +369,7 @@ def _reference_ombar(wc, X):
 
 def _reference_dcell(wc, X, Y):
     obY, inner = _reference_ombar(wc, Y)
-    outer = balanced_tensor(X.space, X.action, inner.space, obY.left,
-                            prefix="d")
+    outer = balanced_tensor(X.space, X.action, inner.space, obY.left)
     idX = identity(X.space)
     right = tuple(descend_action(outer, tensor(idX, a)) for a in obY.right)
     mod = Module(f"D({X.name},{Y.name})", wc.algebra, outer.space, "right",
