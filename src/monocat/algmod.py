@@ -10,7 +10,9 @@ Hom(X, Y) is a balancing quotient (``hom_basis``).
 
 Names take part in equality: module content depends on the chosen basis,
 so caches keyed by content alone would make the cost of a check depend on
-whether two bases happen to line up.
+whether two bases happen to line up.  ``Module.regular`` always names the
+regular module ``R``, the name every bundled sample gives it, so the
+regular module built from an algebra and a sample's R are one cache key.
 """
 
 from __future__ import annotations
@@ -125,13 +127,14 @@ class Module:
         check_actions(self.name, self.algebra, self.space, self.families)
 
     @staticmethod
-    def regular(algebra: Algebra, side: str = "right",
-                name: Optional[str] = None) -> "Module":
+    def regular(algebra: Algebra, side: str = "right") -> "Module":
+        """The algebra acting on itself by multiplication on ``side``,
+        named ``R``."""
         if side == "right":
             action = tuple(algebra.right_mult_matrix(j) for j in range(algebra.dim))
         else:
             action = tuple(algebra.left_mult_matrix(i) for i in range(algebra.dim))
-        return Module(name or algebra.name, algebra, algebra.space, side, action)
+        return Module("R", algebra, algebra.space, side, action)
 
 
 def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
@@ -385,9 +388,20 @@ def algebra_to_json(A: Algebra) -> dict:
     }
 
 
+def _basis_space(field: Field, data: dict) -> VectorSpace:
+    """The space on the ``basis`` labels; StructureError when the declared
+    ``dim`` is not an int equal to their number."""
+    space = VectorSpace(field, tuple(data["basis"]))
+    dim = data["dim"]
+    if type(dim) is not int or dim != space.dim:
+        raise StructureError(
+            f"{data.get('name')}: dim {dim!r} but {space.dim} basis labels")
+    return space
+
+
 def algebra_from_json(data: dict) -> Algebra:
     field = Field(data["char"])
-    space = VectorSpace(field, tuple(data["basis"]))
+    space = _basis_space(field, data)
     coerce = field._coerce
     mult = tuple(tuple(tuple(coerce(c) for c in v) for v in row)
                  for row in data["mult"])
@@ -408,7 +422,7 @@ def module_to_json(M: Module) -> dict:
 
 
 def module_from_json(algebra: Algebra, data: dict) -> Module:
-    space = VectorSpace(algebra.field, tuple(data["basis"]))
+    space = _basis_space(algebra.field, data)
     action = tuple(make_map(space, space, rows) for rows in data["action"])
     mod = Module(data["name"], algebra, space, data["side"], action)
     mod.check()

@@ -22,7 +22,7 @@ from .fusion import FusionData, _count, fusion_from_json, fusion_to_json
 from .linalg import Field, VectorSpace, identity, make_map
 from .rings import bundled_rings
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
-                    sign_cocycle, trivial_cocycle)
+                    WattsError, sign_cocycle, trivial_cocycle)
 
 
 class FixtureError(Exception):
@@ -75,7 +75,7 @@ def strict_f3_z2() -> WattsFixture:
     """Ordinary tensor over the semisimple group algebra F3[Z/2]."""
     A = Algebra.group_algebra(Field(3), 2)
     ct = StrictTensor(A)
-    R = Module.regular(A, name="R")
+    R = Module.regular(A)
     Sp = _line(A, "Sp", 1)
     Sm = _line(A, "Sm", -1)
     # augmentation-style resolution of the trivial line Sp
@@ -94,7 +94,7 @@ def dual_numbers_f2() -> WattsFixture:
     """Ordinary tensor over F2[x]/(x^2); the residue line is not flat."""
     A = Algebra.truncated_polynomial(Field(2))
     ct = StrictTensor(A)
-    R = Module.regular(A, name="R")
+    R = Module.regular(A)
     csp = VectorSpace(A.field, ("c0",))
     C = Module("C", A, csp, "right",
                (identity(csp), make_map(csp, csp, [[0]])))
@@ -114,7 +114,7 @@ def _graded(name: str, cocycle: dict, odd_db_sign: int) -> WattsFixture:
     I = _line(A, "I", 1)
     L = _line(A, "L", -1)
     ct = GradedTensor(A, I, cocycle, name=name)
-    R = Module.regular(A, name="R")
+    R = Module.regular(A)
     seq = ExactSequence(
         "L-R-I", "short-exact",
         ModuleMap(L, R, make_map(L.space, R.space, [[1], [-1]])),
@@ -191,6 +191,15 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
         sample = tuple(module_from_json(algebra, m)
                        for m in data.get("modules", ()))
         byname = {m.name: m for m in sample}
+        names = [m.name for m in sample]
+        if len(byname) != len(names):
+            twice = sorted({n for n in names if names.count(n) > 1})
+            raise FixtureError(f"{name}: sample module names repeat: {twice}")
+        # "R" names the regular module in every report
+        regular = Module.regular(algebra)
+        if byname.get("R", regular) != regular:
+            raise FixtureError(
+                f"{name}: the sample module R is not the regular module")
         tensor = data["tensor"]
         kind = tensor["kind"]
         if kind == "strict":
@@ -231,7 +240,8 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
                             tuple(rigidity))
     except FixtureError:
         raise
-    except (KeyError, TypeError, ValueError, StructureError) as exc:
+    except (KeyError, TypeError, ValueError, StructureError,
+            WattsError) as exc:
         raise FixtureError(f"malformed watts fixture: {exc}") from exc
 
 

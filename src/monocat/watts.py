@@ -10,7 +10,10 @@ checked by exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (at most four
-basis maps per pair, see ``_hom_samples``).
+basis maps per pair, see ``_hom_samples``).  The regular module R, also
+the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
+as in every bundled sample, so a context's R and the sample's R are one
+cache key.
 """
 
 from __future__ import annotations
@@ -267,7 +270,8 @@ def _collapse(cell, blocks: Sequence[LinearMap],
 
 
 class StrictTensor(CustomTensor):
-    """⊙ = ⊗_R over a commutative algebra; the unit object is R itself."""
+    """⊙ = ⊗_R over a commutative algebra; the unit object is R itself,
+    the regular module named ``R``."""
 
     def __init__(self, algebra: Algebra, name: Optional[str] = None):
         if not algebra.is_commutative():
@@ -342,6 +346,7 @@ class GradedTensor(CustomTensor):
             raise MalformedTensor("unit must be the trivial line")
         super().__init__(algebra, unit, name or "graded[Z/2]")
         self.cocycle = dict(cocycle)
+        self._parities: Dict[tuple, tuple] = {}
 
     def _product(self, X: Module, Y: Module) -> ProductCell:
         space = tensor_space(X.space, Y.space)
@@ -350,6 +355,7 @@ class GradedTensor(CustomTensor):
                      action)
         return ProductCell(mod, identity(space), identity(space))
 
+    @_memo("_parities")
     def _parity(self, X: Module) -> tuple:
         """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2)."""
         half = self.field._coerce("1/2")
@@ -588,21 +594,14 @@ class TripleModule:
             raise ActionClash(str(exc)) from exc
 
 
-def _left_mult_map(algebra: Algebra, i: int) -> ModuleMap:
-    R = Module.regular(algebra)
-    return ModuleMap(R, R, algebra.left_mult_matrix(i))
-
-
-def build_T(ct: CustomTensor) -> TripleModule:
-    """T = R⊙R; left1 from −⊙R on left multiplications, left2 from R⊙−."""
-    R = Module.regular(ct.algebra)
+def build_T(ct: CustomTensor, R: Module,
+            lmult: Sequence[ModuleMap]) -> TripleModule:
+    """T = R⊙R; left1 from −⊙R on the left multiplications ``lmult`` of
+    R, left2 from R⊙−."""
     cell = ct.product(R, R)
-    d = ct.algebra.dim
     idR = module_identity(R)
-    left1 = tuple(ct.mor(_left_mult_map(ct.algebra, i), idR).lin
-                  for i in range(d))
-    left2 = tuple(ct.mor(idR, _left_mult_map(ct.algebra, i)).lin
-                  for i in range(d))
+    left1 = tuple(ct.mor(lm, idR).lin for lm in lmult)
+    left2 = tuple(ct.mor(idR, lm).lin for lm in lmult)
     T = TripleModule(ct.algebra, cell.module.space, left1, left2,
                      tuple(cell.module.action))
     T.check()
@@ -624,13 +623,17 @@ class DCell:
 
 class WattsContext:
     """T and every construction derived from a CustomTensor, each built
-    once per context; the caches are freed with the context."""
+    once per context; the caches are freed with the context.  ``R`` is
+    the regular module, named ``R``, and ``lmult[i]`` the left
+    multiplication by e_i on it, a map of right modules."""
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
         self.algebra = ct.algebra
-        self.R = Module.regular(ct.algebra)
-        self.T = build_T(ct)
+        R = self.R = Module.regular(ct.algebra)
+        self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
+                           for i in range(self.algebra.dim))
+        self.T = build_T(ct, R, self.lmult)
         self._omega: Dict[tuple, Bimodule] = {}
         self._ombar: Dict[tuple, tuple] = {}
         self._nu: Dict[tuple, LinearMap] = {}
@@ -648,8 +651,7 @@ class WattsContext:
         """R⊙X; r acts on the left through ℓ_r ⊙ id_X."""
         cell = self.ct.product(self.R, X)
         idX = module_identity(X)
-        left = tuple(self.ct.mor(_left_mult_map(self.algebra, i), idX).lin
-                     for i in range(self.algebra.dim))
+        left = tuple(self.ct.mor(lm, idX).lin for lm in self.lmult)
         bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
                        left, tuple(cell.module.action))
         bim.check()
@@ -831,8 +833,7 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
     alpha = wc.alpha_prime(R, R, R)
     idR = module_identity(R)
     idRR = module_identity(RR)
-    for i in range(wc.algebra.dim):
-        lm = _left_mult_map(wc.algebra, i)
+    for i, lm in enumerate(wc.lmult):
         src_slots = (tt.mor(tt.mor(lm, idR), idR).lin,
                      tt.mor(tt.mor(idR, lm), idR).lin,
                      tt.mor(idRR, lm).lin)
@@ -883,7 +884,8 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     """Extract the bimodule homomorphism P -> Q behind a natural family.
 
     `components` maps sample modules M to maps M⊗P -> M⊗Q on the
-    canonical cokernel bases; the sample must contain the regular module.
+    canonical cokernel bases; the sample must contain the regular module,
+    under any name.
     Naturality is verified on full hom bases between sample members, the
     extracted map is verified two-sided linear, and every component is
     reproduced from the extraction.

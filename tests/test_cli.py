@@ -128,6 +128,46 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert repr(value) in err
 
+    @pytest.mark.parametrize("case, fragment", [
+        ("graded-unit-not-a-line", "unit must be the trivial line"),
+        ("graded-char-2", "needs characteristic ≠ 2"),
+        ("duplicate-name", "sample module names repeat: ['Sp']"),
+        ("R-not-regular", "the sample module R is not the regular module"),
+        ("module-dim", "Sp: dim 5 but 1 basis labels"),
+        ("algebra-dim", ": dim 3 but 2 basis labels"),
+        ("boolean-dim", "Sp: dim True but 1 basis labels")])
+    def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
+                                                       case, fragment):
+        source = "graded-sign" if case.startswith("graded") else \
+            "strict-f3-z2"
+        data = json.loads((FIXTURES / f"{source}.json").read_text())
+        algebra, modules = data["algebra"], data["modules"]
+        byname = {m["name"]: m for m in modules}
+        if case == "graded-unit-not-a-line":
+            data["tensor"]["unit"] = "R"
+        elif case == "graded-char-2":
+            algebra["char"] = 2
+            byname["L"]["action"][1] = [[1]]  # a module over F2[Z/2]
+        elif case == "duplicate-name":
+            modules.append(byname["Sp"])
+        elif case == "R-not-regular":
+            # a valid module whose only fault is its name
+            byname["R"]["action"][1] = [[1, 0], [0, 1]]
+            data["sequences"] = []
+        elif case == "module-dim":
+            modules[1]["dim"] = 5
+        elif case == "algebra-dim":
+            algebra["dim"] = 3
+        else:
+            modules[1]["dim"] = True
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["--format", "json", "watts", str(path),
+                                      "--checks", "axioms"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert fragment in err
+
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])
         assert code == 1

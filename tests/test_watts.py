@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -171,6 +172,27 @@ class TestTransport:
             gc.enable()
 
 
+class TestSharedRegularModule:
+    @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+    def test_context_R_is_the_sample_R(self, name):
+        for fx in (bundled_watts_fixtures()[name], resolve_fixture(name)):
+            wc = WattsContext(fx.ct)
+            R = fx.module("R")
+            assert wc.R == R
+            assert wc.omega(wc.R) is wc.omega(R)
+            assert len(wc._omega) == 1
+
+    @pytest.mark.parametrize("name", ["strict-f3-z2", "dual-numbers-f2"])
+    def test_strict_unit_is_the_sample_R(self, name):
+        for fx in (bundled_watts_fixtures()[name], resolve_fixture(name)):
+            assert fx.ct.unit == fx.module("R")
+
+    def test_parity_projectors_built_once(self, fx_sign):
+        for X in fx_sign.sample:
+            first = fx_sign.ct._parity(X)
+            assert fx_sign.ct._parity(X) is first
+
+
 class TestFunctor:
     def test_strict_functor_coherence(self, wc_strict, fx_strict):
         rep = verify_monoidal_functor(wc_strict, fx_strict.sample)
@@ -254,6 +276,23 @@ class TestNaturalFamilies:
             back = nat_to_bimodule_hom(
                 P, P, induce_natural_family(f, fx.sample))
             assert back.lin.rows == f.lin.rows
+
+    def test_regular_module_found_under_any_name(self, tmp_path):
+        # a sample may name its regular module otherwise: built in code
+        # or loaded from a file whose regular module is "Reg"
+        path = bundled_fixture_files()["strict-f3-z2"]
+        data = json.loads(path.read_text().replace('"R"', '"Reg"'))
+        fx = watts_fixture_from_json(data)
+        Reg = fx.module("Reg")
+        A = fx.algebra
+        assert Reg == replace(Module.regular(A), name="Reg")
+        P = Bimodule.regular(A)
+        for modules in ([Reg], fx.sample):
+            for lin in hom_basis(P, P):
+                f = ModuleMap(P, P, lin)
+                back = nat_to_bimodule_hom(
+                    P, P, induce_natural_family(f, modules))
+                assert back.lin.rows == f.lin.rows
 
     def test_corrupted_component_not_natural(self, fx_strict):
         A = fx_strict.algebra
