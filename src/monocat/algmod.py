@@ -13,6 +13,10 @@ so caches keyed by content alone would make the cost of a check depend on
 whether two bases happen to line up.  ``Module.regular`` always names the
 regular module ``R``, the name every bundled sample gives it, so the
 regular module built from an algebra and a sample's R are one cache key.
+The one exception is the cokernel cell: ``tensor_over`` depends only on
+the spaces and action families, so a strict tensor and a Watts context
+(``watts``) each share its results by content, renaming the module on a
+hit, while every cache above the cell stays keyed by name.
 """
 
 from __future__ import annotations

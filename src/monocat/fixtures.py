@@ -190,6 +190,8 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
         algebra = algebra_from_json(data["algebra"])
         sample = tuple(module_from_json(algebra, m)
                        for m in data.get("modules", ()))
+        if not sample:
+            raise FixtureError(f"{name}: the sample lists no modules")
         byname = {m.name: m for m in sample}
         names = [m.name for m in sample]
         if len(byname) != len(names):

@@ -102,13 +102,19 @@ def cached_hash(self) -> int:
     instance.
 
     Assigned as ``__hash__`` in the class body; equality stays the
-    dataclass's structural ``__eq__``, which skips the same fields.
+    dataclass's structural ``__eq__``, which skips the same fields.  The
+    names of those fields are read once per class and kept on it.
     """
     try:
         return self._hash
     except AttributeError:
-        h = hash(tuple([getattr(self, f.name)
-                        for f in dataclasses.fields(self) if f.compare]))
+        cls = type(self)
+        names = cls.__dict__.get("_hashed_fields")
+        if names is None:
+            names = tuple(f.name for f in dataclasses.fields(cls)
+                          if f.compare)
+            cls._hashed_fields = names
+        h = hash(tuple([getattr(self, n) for n in names]))
         _set(self, "_hash", h)
         return h
 

@@ -13,20 +13,21 @@ with morphisms drawn from hom bases between sample members (at most four
 basis maps per pair, see ``_hom_samples``).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
 as in every bundled sample, so a context's R and the sample's R are one
-cache key.
+cache key.  Every cache is keyed by module, name included, except the
+balanced tensors: a strict tensor and a Watts context each share theirs
+by content (``_shared_tensor``), and rename the module on a hit.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, balanced_tensor, bimodule_tensor,
-                     check_actions, descend, hom_basis, matrix_to_json,
-                     module_identity, module_tensor_commutative, tensor_over)
+                     TensorCell, balanced_tensor, check_actions, descend,
+                     hom_basis, matrix_to_json, module_identity, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      compose, compose_all, compose_tensor, identity,
                      linear_combination, rank, solve_iso, tensor,
@@ -145,6 +146,23 @@ def _memo(attr: str):
             return out
         return cached
     return decorate
+
+
+def _shared_tensor(cells: dict, X, i: int, Y, j: int, name: str) -> tuple:
+    """``tensor_over(X, i, Y, j, name)`` through ``cells``, a per-instance
+    dict keyed by content: the algebras, spaces and action families, never
+    the names.  A cokernel depends on nothing else, so a hit skips the
+    RREF, the descent of each family and the action check, all done on
+    that content already, and returns the stored cell with the stored
+    module renamed to ``name``."""
+    key = (X.algebra, X.space, X.families, i,
+           Y.algebra, Y.space, Y.families, j)
+    out = cells.get(key)
+    if out is None:
+        out = cells[key] = tensor_over(X, i, Y, j, name)
+    elif out[0].name != name:
+        out = replace(out[0], name=name), out[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,16 +289,22 @@ def _collapse(cell, blocks: Sequence[LinearMap],
 
 class StrictTensor(CustomTensor):
     """⊙ = ⊗_R over a commutative algebra; the unit object is R itself,
-    the regular module named ``R``."""
+    the regular module named ``R``.  Products are keyed by module, name
+    included; their balanced tensors are shared by content in ``_cells``
+    (``_shared_tensor``)."""
 
     def __init__(self, algebra: Algebra, name: Optional[str] = None):
         if not algebra.is_commutative():
             raise StructureError("strict tensor needs a commutative algebra")
         unit = Module.regular(algebra)
         super().__init__(algebra, unit, name or f"strict[{algebra.name}]")
+        self._cells: Dict[tuple, tuple] = {}
 
     def _product(self, X: Module, Y: Module) -> ProductCell:
-        mod, cell = module_tensor_commutative(X, Y)
+        # Y is the symmetric bimodule it is over a commutative R
+        Ysym = Bimodule(Y.name, Y.algebra, Y.space, Y.action, Y.action)
+        mod, cell = _shared_tensor(self._cells, X, 0, Ysym, 0,
+                                   f"({X.name}⊗{Y.name})")
         return ProductCell(mod, cell.proj, cell.section)
 
     def _associator(self, X, Y, Z):
@@ -625,7 +649,9 @@ class WattsContext:
     """T and every construction derived from a CustomTensor, each built
     once per context; the caches are freed with the context.  ``R`` is
     the regular module, named ``R``, and ``lmult[i]`` the left
-    multiplication by e_i on it, a map of right modules."""
+    multiplication by e_i on it, a map of right modules.  ``_cells`` holds
+    the context's balanced tensors by content (``_shared_tensor``); it is
+    shared with no other context, nor with the tensor's."""
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
@@ -643,6 +669,7 @@ class WattsContext:
         self._c_inv: Dict[tuple, LinearMap] = {}
         self._alpha: Dict[tuple, LinearMap] = {}
         self._bimodule_tensors: Dict[tuple, tuple] = {}
+        self._cells: Dict[tuple, tuple] = {}
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
@@ -664,7 +691,8 @@ class WattsContext:
     @_memo("_bimodule_tensors")
     def bimodule_tensor(self, M: Bimodule, N: Bimodule) -> tuple:
         """M ⊗_R N and its cell, as ``algmod.bimodule_tensor``."""
-        return bimodule_tensor(M, N)
+        return _shared_tensor(self._cells, M, 1, N, 0,
+                              f"({M.name}⊗{N.name})")
 
     # -- μ and ν -----------------------------------------------------------
 
@@ -672,7 +700,8 @@ class WattsContext:
     def ombar(self, X: Module) -> tuple:
         """X⊗₂T, X balanced against the second left action, with the
         residual first-left and right actions: (Bimodule, TensorCell)."""
-        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)")
+        return _shared_tensor(self._cells, X, 0, self.T, 1,
+                              f"({X.name}⊗₂T)")
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
@@ -699,8 +728,12 @@ class WattsContext:
 
     def theta(self, X: Module, Y: Module) -> tuple:
         """θ_X(Y): Y⊗_R ω(X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t), with the cell
-        of Y⊗_R ω(X) it is defined on."""
-        cell = tensor_with_bimodule(Y, self.omega(X))
+        of Y⊗_R ω(X) it is defined on, shared by content in ``_cells``."""
+        P = self.omega(X)
+        key = (Y.space, Y.action, P.space, P.left)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = tensor_with_bimodule(Y, P)
         target = self.ct.product(Y, X).module
         idX = module_identity(X)
         blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
@@ -718,7 +751,8 @@ class WattsContext:
     @_memo("_dcell")
     def dcell(self, X: Module, Y: Module) -> DCell:
         obY, inner = self.ombar(Y)
-        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})")
+        mod, outer = _shared_tensor(self._cells, X, 0, obY, 0,
+                                    f"D({X.name},{Y.name})")
         idX = identity(X.space)
         proj = compose_tensor(outer.proj, idX, inner.proj)
         section = compose(tensor(idX, inner.section), outer.section)

@@ -135,7 +135,8 @@ class TestExitCodes:
         ("R-not-regular", "the sample module R is not the regular module"),
         ("module-dim", "Sp: dim 5 but 1 basis labels"),
         ("algebra-dim", ": dim 3 but 2 basis labels"),
-        ("boolean-dim", "Sp: dim True but 1 basis labels")])
+        ("boolean-dim", "Sp: dim True but 1 basis labels"),
+        ("empty-sample", "strict-f3-z2: the sample lists no modules")])
     def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
                                                        case, fragment):
         source = "graded-sign" if case.startswith("graded") else \
@@ -158,6 +159,8 @@ class TestExitCodes:
             modules[1]["dim"] = 5
         elif case == "algebra-dim":
             algebra["dim"] = 3
+        elif case == "empty-sample":
+            data.update(modules=[], sequences=[], rigidity=[])
         else:
             modules[1]["dim"] = True
         path = tmp_path / f"{case}.json"

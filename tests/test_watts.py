@@ -193,6 +193,47 @@ class TestSharedRegularModule:
             assert fx_sign.ct._parity(X) is first
 
 
+class TestSharedCells:
+    """Balanced tensors are shared by content inside one tensor or one
+    context, while every module keeps the caller's name."""
+
+    def test_renamed_module_shares_the_dcell(self, fx_strict):
+        wc = WattsContext(fx_strict.ct)
+        X = fx_strict.module("Sp")
+        X2 = replace(X, name="X2")
+        first, second = wc.dcell(X, wc.R), wc.dcell(X2, wc.R)
+        assert second.outer is first.outer
+        assert second.module != first.module
+        assert first.module.name == f"D({X.name},R)"
+        assert second.module.name == "D(X2,R)"
+        assert wc.theta(X2, wc.R)[1] is wc.theta(X, wc.R)[1]
+
+    def test_renamed_module_shares_the_product(self):
+        fx = strict_f3_z2()
+        X, Y = fx.module("Sp"), fx.module("Sm")
+        X2 = replace(X, name="X2")
+        first, second = fx.ct.product(X, Y), fx.ct.product(X2, Y)
+        assert second.proj is first.proj
+        assert second.module != first.module
+        assert second.module.name == "(X2⊗Sm)"
+
+    def test_cells_keep_the_algebra(self):
+        fx = strict_f3_z2()
+        X, Y = fx.module("Sp"), fx.module("Sm")
+        fx.ct.product(X, Y)
+        other = replace(Y, algebra=replace(Y.algebra, name="other"))
+        with pytest.raises(StructureError, match="different algebras"):
+            fx.ct.product(X, other)
+
+    def test_each_context_starts_with_its_own_cells(self, fx_strict):
+        first = WattsContext(fx_strict.ct)
+        first.dcell(fx_strict.module("Sp"), first.R)
+        assert first._cells
+        second = WattsContext(fx_strict.ct)
+        assert second._cells == {}
+        assert second._cells is not fx_strict.ct._cells
+
+
 class TestFunctor:
     def test_strict_functor_coherence(self, wc_strict, fx_strict):
         rep = verify_monoidal_functor(wc_strict, fx_strict.sample)
