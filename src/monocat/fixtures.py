@@ -211,8 +211,14 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
             # deliberately no cocycle-condition rejection here: a twisted
             # non-cocycle must still load so the pentagon checks can
             # produce concrete witnesses for it
-            cocycle = {(a, b, c): _count(s)
-                       for a, b, c, s in tensor["cocycle"]}
+            cocycle = {}
+            for a, b, c, s in tensor["cocycle"]:
+                triple, value = (_count(a), _count(b), _count(c)), _count(s)
+                if triple in cocycle:
+                    raise FixtureError(
+                        f"{name}: the cocycle lists the triple {triple} "
+                        "twice")
+                cocycle[triple] = value
             ct = GradedTensor(algebra, unit, cocycle, name=name)
         else:
             raise FixtureError(f"{name}: unknown tensor kind {kind!r}")

@@ -356,8 +356,11 @@ class GradedTensor(CustomTensor):
 
     The product of modules is the scalar tensor product with the group
     element acting diagonally; the associator is twisted by a 3-cocycle
-    ω: (Z/2)³ -> {±1} acting through the parity projectors, so modules
-    need not be presented in a homogeneous basis.
+    ω: (Z/2)³ -> {±1}, given on all eight triples, acting through the
+    parity projectors, so modules need not be presented in a homogeneous
+    basis.  Since P₀ + P₁ = id on every factor, the associator is the
+    identity plus the defect of ω: for the trivial cocycle it is the
+    identity inclusion itself.
     """
 
     def __init__(self, algebra: Algebra, unit: Module, cocycle: dict,
@@ -368,6 +371,19 @@ class GradedTensor(CustomTensor):
             raise MalformedTensor("graded tensor expects K[Z/2]")
         if unit.dim != 1 or unit.action[1].rows != identity(unit.space).rows:
             raise MalformedTensor("unit must be the trivial line")
+        triples = set(trivial_cocycle())
+        outside = sorted(set(cocycle) - triples, key=repr)
+        if outside:
+            raise MalformedTensor(
+                f"cocycle triples outside {{0,1}}³: {outside}")
+        missing = sorted(triples - set(cocycle))
+        if missing:
+            raise MalformedTensor(f"cocycle misses the triples {missing}")
+        for triple, value in cocycle.items():
+            if isinstance(value, bool) or value not in (1, -1):
+                raise MalformedTensor(
+                    f"cocycle value at {triple} must be 1 or -1, "
+                    f"got {value!r}")
         super().__init__(algebra, unit, name or "graded[Z/2]")
         self.cocycle = dict(cocycle)
         self._parities: Dict[tuple, tuple] = {}
@@ -389,19 +405,25 @@ class GradedTensor(CustomTensor):
                      for sign in (1, -1))
 
     def _associator(self, X, Y, Z):
-        """Σ_c (Σ_{a,b} ω(a,b,c) P_a⊗P_b) ⊗ P_c over the parity projectors:
-        two full-size Kronecker products."""
+        """Σ ω(a,b,c)·P_a⊗P_b⊗P_c over the parity projectors.  The eight
+        P_a⊗P_b⊗P_c sum to id, so this is id − 2·Σ_c S_c⊗P_c with S_c the
+        sum of the P_a⊗P_b where ω(a,b,c) = −1: the identity inclusion
+        for the trivial cocycle, one full-size Kronecker product for the
+        sign cocycle."""
         XY = self.product(X, Y).module
         pL = self.product(XY, Z)
         pR = self.product(X, self.product(Y, Z).module)
-        pX, pY, pZ = self._parity(X), self._parity(Y), self._parity(Z)
-        xy = {(a, b): tensor(pX[a], pY[b]) for a in (0, 1) for b in (0, 1)}
-        terms = []
+        same = identity(pL.module.space)
+        terms = [(1, LinearMap.from_rows(pL.module.space, pR.module.space,
+                                         same.rows, same.cols))]
         for c in (0, 1):
-            inner = linear_combination(
-                XY.space, XY.space,
-                [(self.cocycle[(a, b, c)], m) for (a, b), m in xy.items()])
-            terms.append((1, tensor(inner, pZ[c])))
+            odd = [(a, b) for a in (0, 1) for b in (0, 1)
+                   if self.cocycle[(a, b, c)] == -1]
+            if odd:
+                pX, pY = self._parity(X), self._parity(Y)
+                inner = linear_combination(XY.space, XY.space, [
+                    (1, tensor(pX[a], pY[b])) for a, b in odd])
+                terms.append((-2, tensor(inner, self._parity(Z)[c])))
         lin = linear_combination(pL.module.space, pR.module.space, terms)
         return ModuleMap(pL.module, pR.module, lin)
 

@@ -136,7 +136,14 @@ class TestExitCodes:
         ("module-dim", "Sp: dim 5 but 1 basis labels"),
         ("algebra-dim", ": dim 3 but 2 basis labels"),
         ("boolean-dim", "Sp: dim True but 1 basis labels"),
-        ("empty-sample", "strict-f3-z2: the sample lists no modules")])
+        ("empty-sample", "strict-f3-z2: the sample lists no modules"),
+        ("graded-missing-triple", "cocycle misses the triples [(1, 1, 1)]"),
+        ("graded-outside-triple",
+         "cocycle triples outside {0,1}³: [(2, 0, 0)]"),
+        ("graded-repeated-triple",
+         "graded-sign: the cocycle lists the triple (1, 1, 1) twice"),
+        ("graded-zero-value",
+         "cocycle value at (0, 0, 1) must be 1 or -1, got 0")])
     def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
                                                        case, fragment):
         source = "graded-sign" if case.startswith("graded") else \
@@ -161,6 +168,15 @@ class TestExitCodes:
             algebra["dim"] = 3
         elif case == "empty-sample":
             data.update(modules=[], sequences=[], rigidity=[])
+        elif case == "graded-missing-triple":
+            data["tensor"]["cocycle"].remove([1, 1, 1, -1])
+        elif case == "graded-outside-triple":
+            data["tensor"]["cocycle"].append([2, 0, 0, 1])
+        elif case == "graded-repeated-triple":
+            data["tensor"]["cocycle"].append([1, 1, 1, 1])
+        elif case == "graded-zero-value":
+            data["tensor"]["cocycle"].remove([0, 0, 1, 1])
+            data["tensor"]["cocycle"].append([0, 0, 1, 0])
         else:
             modules[1]["dim"] = True
         path = tmp_path / f"{case}.json"

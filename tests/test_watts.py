@@ -494,7 +494,36 @@ def test_tensor_over_matches_reference_cokernels(name):
                 _reference_module_tensor(X, Y)
 
 
-@pytest.mark.parametrize("build", [graded_trivial, graded_sign])
+def graded_flipped():
+    """graded-sign with ω(0,1,1) flipped: not a cocycle."""
+    fx = graded_sign()
+    return replace(fx, ct=GradedTensor(
+        fx.algebra, fx.ct.unit, flip_cocycle(sign_cocycle(), (0, 1, 1)),
+        name="graded-flipped"))
+
+
+def _widened(fx):
+    """The sample plus R in the basis (1, 1 + g), which is not
+    homogeneous."""
+    R = fx.module("R")
+    P = make_map(R.space, R.space, [[1, 1], [0, 1]])
+    action = tuple(compose(solve_iso(P), compose(a, P)) for a in R.action)
+    Rb = Module("Rb", R.algebra, R.space, "right", action)
+    assert Rb.action != R.action
+    return replace(fx, sample=fx.sample + (Rb,))
+
+
+def graded_trivial_widened():
+    return _widened(graded_trivial())
+
+
+def graded_sign_widened():
+    return _widened(graded_sign())
+
+
+@pytest.mark.parametrize("build", [graded_trivial, graded_sign,
+                                   graded_flipped, graded_trivial_widened,
+                                   graded_sign_widened])
 def test_graded_associator_matches_eight_term_sum(build):
     fx = build()
     ct, field = fx.ct, fx.ct.field
@@ -522,3 +551,6 @@ def test_graded_associator_matches_eight_term_sum(build):
                 got = ct.associator(X, Y, Z)
                 assert got.lin.rows == want.rows
                 assert ct.associator(X, Y, Z) is got
+                if ct.cocycle == trivial_cocycle():
+                    # the identity inclusion keeps the compose fast paths
+                    assert got.lin.cols is not None
