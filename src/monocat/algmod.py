@@ -374,22 +374,10 @@ def module_tensor_commutative(X: Module, Y: Module, name: Optional[str] = None):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (bit-exact round trip)
+# JSON: matrices out, for witnesses; fixture data in, exactly as written
 
 def matrix_to_json(m: LinearMap) -> list:
     return [[serialize_raw(a) for a in row] for row in m.rows]
-
-
-def algebra_to_json(A: Algebra) -> dict:
-    return {
-        "name": A.name,
-        "char": A.field.char,
-        "dim": A.dim,
-        "basis": list(A.space.labels),
-        "mult": [[[serialize_raw(c) for c in v] for v in row]
-                 for row in A.mult],
-        "unit": [serialize_raw(c) for c in A.unit],
-    }
 
 
 def _basis_space(field: Field, data: dict) -> VectorSpace:
@@ -413,16 +401,6 @@ def algebra_from_json(data: dict) -> Algebra:
     alg = Algebra(data["name"], space, mult, unit)
     alg.check()
     return alg
-
-
-def module_to_json(M: Module) -> dict:
-    return {
-        "name": M.name,
-        "dim": M.dim,
-        "basis": list(M.space.labels),
-        "side": M.side,
-        "action": [matrix_to_json(a) for a in M.action],
-    }
 
 
 def module_from_json(algebra: Algebra, data: dict) -> Module:

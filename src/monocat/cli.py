@@ -165,10 +165,11 @@ def _parse_checks(raw: str) -> set:
         return set(CHECK_GROUPS)
     groups = {g.strip() for g in raw.split(",") if g.strip()}
     bad = groups - set(CHECK_GROUPS)
-    if bad:
+    if bad or not groups:
+        what = (f"unknown check group(s) {sorted(bad)}" if bad
+                else f"no check group in {raw!r}")
         raise FixtureError(
-            f"unknown check group(s) {sorted(bad)}; "
-            f"choose from {', '.join(('all',) + CHECK_GROUPS)}")
+            f"{what}; choose from {', '.join(('all',) + CHECK_GROUPS)}")
     return groups
 
 
@@ -226,7 +227,7 @@ def cmd_report(args) -> int:
     texts = []
     for name, fx in fixtures.items():
         if isinstance(fx, FusionData):
-            rep = _fusion_report(fx, rng, max(args.n_max, 1))
+            rep = _fusion_report(fx, rng, args.n_max)
         else:
             rep = merge_reports(f"watts: {fx.name}",
                                 _watts_reports(fx, set(CHECK_GROUPS)))
@@ -244,13 +245,24 @@ def cmd_report(args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="monocat",
         description="exact verification of tensor structures on module "
                     "categories and fusion-ring embeddings")
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--n-max", type=int, default=5,
+    parser.add_argument("--n-max", type=_positive_int, default=5,
                         help="iteration depth / sample count where relevant")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling (echoed in reports)")
@@ -259,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--n-max", type=_positive_int,
+                        default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,10 +1,11 @@
-"""Bundled verification fixtures and their JSON serialization.
+"""Fixture data and its one loader.
 
 A watts fixture packages a tensor structure with the finite data the
 verification pipeline runs on: sample modules, exact sequences for the
 exactness/flatness probes, and duality data for the snake checks.  Fusion
 fixtures are plain fusion-ring data files; both kinds share one loader
-keyed on the top-level "kind" field.
+keyed on the top-level "kind" field.  The bundled fixtures are the JSON
+files under ``fixtures/``; a new fixture is a new file there.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from pathlib import Path
 from typing import Dict, Tuple, Union
 
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
-                     algebra_from_json, algebra_to_json, matrix_to_json,
-                     module_from_json, module_to_json)
-from .fusion import FusionData, _count, fusion_from_json, fusion_to_json
-from .linalg import Field, VectorSpace, identity, make_map
-from .rings import bundled_rings
+                     algebra_from_json, module_from_json)
+from .fusion import FusionData, _count, fusion_from_json
+from .linalg import make_map
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
-                    WattsError, sign_cocycle, trivial_cocycle)
+                    WattsError)
+
+BUNDLED = Path(__file__).parent / "fixtures"
 
 
 class FixtureError(Exception):
@@ -60,130 +61,6 @@ class WattsFixture:
         raise FixtureError(f"{self.name}: no sample module named {name!r}")
 
 
-# ---------------------------------------------------------------------------
-# builders
-
-
-def _line(algebra: Algebra, name: str, sign: int) -> Module:
-    """One-dimensional module over K[Z/2] with the generator acting by sign."""
-    sp = VectorSpace(algebra.field, (name.lower() + "0",))
-    action = (identity(sp), make_map(sp, sp, [[sign]]))
-    return Module(name, algebra, sp, "right", action)
-
-
-def strict_f3_z2() -> WattsFixture:
-    """Ordinary tensor over the semisimple group algebra F3[Z/2]."""
-    A = Algebra.group_algebra(Field(3), 2)
-    ct = StrictTensor(A)
-    R = Module.regular(A)
-    Sp = _line(A, "Sp", 1)
-    Sm = _line(A, "Sm", -1)
-    # augmentation-style resolution of the trivial line Sp
-    seq1 = ExactSequence(
-        "R-(1-g)-R-Sp", "right-exact",
-        ModuleMap(R, R, make_map(R.space, R.space, [[1, -1], [-1, 1]])),
-        ModuleMap(R, Sp, make_map(R.space, Sp.space, [[1, 1]])))
-    seq2 = ExactSequence(
-        "Sm-R-Sp", "short-exact",
-        ModuleMap(Sm, R, make_map(Sm.space, R.space, [[1], [-1]])),
-        ModuleMap(R, Sp, make_map(R.space, Sp.space, [[1, 1]])))
-    return WattsFixture("strict-f3-z2", ct, (R, Sp, Sm), (seq1, seq2))
-
-
-def dual_numbers_f2() -> WattsFixture:
-    """Ordinary tensor over F2[x]/(x^2); the residue line is not flat."""
-    A = Algebra.truncated_polynomial(Field(2))
-    ct = StrictTensor(A)
-    R = Module.regular(A)
-    csp = VectorSpace(A.field, ("c0",))
-    C = Module("C", A, csp, "right",
-               (identity(csp), make_map(csp, csp, [[0]])))
-    seq1 = ExactSequence(
-        "R-x-R-C", "right-exact",
-        ModuleMap(R, R, make_map(R.space, R.space, [[0, 0], [1, 0]])),
-        ModuleMap(R, C, make_map(R.space, C.space, [[1, 0]])))
-    seq2 = ExactSequence(
-        "C-R-C", "short-exact",
-        ModuleMap(C, R, make_map(C.space, R.space, [[0], [1]])),
-        ModuleMap(R, C, make_map(R.space, C.space, [[1, 0]])))
-    return WattsFixture("dual-numbers-f2", ct, (R, C), (seq1, seq2))
-
-
-def _graded(name: str, cocycle: dict, odd_db_sign: int) -> WattsFixture:
-    A = Algebra.group_algebra(Field(3), 2)
-    I = _line(A, "I", 1)
-    L = _line(A, "L", -1)
-    ct = GradedTensor(A, I, cocycle, name=name)
-    R = Module.regular(A)
-    seq = ExactSequence(
-        "L-R-I", "short-exact",
-        ModuleMap(L, R, make_map(L.space, R.space, [[1], [-1]])),
-        ModuleMap(R, I, make_map(R.space, I.space, [[1, 1]])))
-
-    def rig(X: Module, db_sign: int) -> RigidityDatum:
-        pair = ct.product(X, X).module
-        ev = ModuleMap(pair, I, make_map(pair.space, I.space, [[1]]))
-        db = ModuleMap(I, pair, make_map(I.space, pair.space, [[db_sign]]))
-        return RigidityDatum(X, X, ev, db)
-
-    return WattsFixture(name, ct, (I, L, R), (seq,),
-                        (rig(I, 1), rig(L, odd_db_sign)))
-
-
-def graded_trivial() -> WattsFixture:
-    """Z/2-graded lines over F3, untwisted associator."""
-    return _graded("graded-trivial", trivial_cocycle(), 1)
-
-
-def graded_sign() -> WattsFixture:
-    """Z/2-graded lines over F3 with the sign 3-cocycle; the odd line's
-    coevaluation picks up the compensating sign."""
-    return _graded("graded-sign", sign_cocycle(), -1)
-
-
-def bundled_watts_fixtures() -> Dict[str, WattsFixture]:
-    fixtures = (strict_f3_z2(), dual_numbers_f2(), graded_trivial(),
-                graded_sign())
-    return {fx.name: fx for fx in fixtures}
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def watts_fixture_to_json(fx: WattsFixture) -> dict:
-    if isinstance(fx.ct, StrictTensor):
-        tensor: dict = {"kind": "strict"}
-    elif isinstance(fx.ct, GradedTensor):
-        tensor = {"kind": "graded-z2",
-                  "unit": fx.ct.unit.name,
-                  "cocycle": sorted([a, b, c, s] for (a, b, c), s
-                                    in fx.ct.cocycle.items())}
-    else:
-        raise FixtureError(
-            f"cannot serialize tensor structure {type(fx.ct).__name__}")
-    return {
-        "kind": "watts",
-        "name": fx.name,
-        "algebra": algebra_to_json(fx.algebra),
-        "tensor": tensor,
-        "modules": [module_to_json(m) for m in fx.sample],
-        "sequences": [{
-            "name": s.name,
-            "exactness": s.kind,
-            "spaces": [s.f.source.name, s.f.target.name, s.g.target.name],
-            "f": matrix_to_json(s.f.lin),
-            "g": matrix_to_json(s.g.lin),
-        } for s in fx.sequences],
-        "rigidity": [{
-            "object": r.obj.name,
-            "dual": r.dual.name,
-            "ev": matrix_to_json(r.ev.lin),
-            "db": matrix_to_json(r.db.lin),
-        } for r in fx.rigidity],
-    }
-
-
 def watts_fixture_from_json(data: dict) -> WattsFixture:
     try:
         name = data["name"]
@@ -197,11 +74,15 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
         if len(byname) != len(names):
             twice = sorted({n for n in names if names.count(n) > 1})
             raise FixtureError(f"{name}: sample module names repeat: {twice}")
-        # "R" names the regular module in every report
+        # "R" names the regular module in every report; the sample holds
+        # Module.regular itself, whose space is the algebra's
         regular = Module.regular(algebra)
         if byname.get("R", regular) != regular:
             raise FixtureError(
                 f"{name}: the sample module R is not the regular module")
+        if "R" in byname:
+            byname["R"] = regular
+            sample = tuple(regular if m.name == "R" else m for m in sample)
         tensor = data["tensor"]
         kind = tensor["kind"]
         if kind == "strict":
@@ -274,14 +155,6 @@ def fixture_from_json(data: dict) -> Fixture:
     raise FixtureError(f"unknown fixture kind {kind!r}")
 
 
-def fixture_to_json(fx: Fixture) -> dict:
-    if isinstance(fx, WattsFixture):
-        return watts_fixture_to_json(fx)
-    out = {"kind": "fusion"}
-    out.update(fusion_to_json(fx))
-    return out
-
-
 def load_fixture_file(path: Union[str, Path]) -> Fixture:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -296,9 +169,7 @@ def load_fixture_file(path: Union[str, Path]) -> Fixture:
 def fixtures_dir() -> Path:
     """Directory of bundled fixture files; MONOCAT_FIXTURES overrides."""
     override = os.environ.get("MONOCAT_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
+    return Path(override) if override else BUNDLED
 
 
 def resolve_fixture(ref: str) -> Fixture:
@@ -319,10 +190,39 @@ def bundled_fixture_files() -> Dict[str, Path]:
     return {p.stem: p for p in sorted(d.glob("*.json"))}
 
 
-def all_bundled_fixtures() -> Dict[str, Fixture]:
-    """Watts fixtures from code plus fusion rings, as one registry."""
-    out: Dict[str, Fixture] = {}
-    out.update(bundled_watts_fixtures())
-    for name, fd in bundled_rings().items():
-        out[f"fusion-{name}"] = fd
-    return out
+# ---------------------------------------------------------------------------
+# the bundled files, read from the package whatever MONOCAT_FIXTURES says
+
+
+def bundled_watts_fixtures() -> Dict[str, WattsFixture]:
+    return {p.stem: load_fixture_file(p)
+            for p in sorted(BUNDLED.glob("*.json"))
+            if not p.stem.startswith("fusion-")}
+
+
+def bundled_rings() -> Dict[str, FusionData]:
+    """Trivial, pointed Z/2..Z/6, Fibonacci, Ising and Rep(S3), keyed by
+    the file stem after ``fusion-``."""
+    return {p.stem[len("fusion-"):]: load_fixture_file(p)
+            for p in sorted(BUNDLED.glob("fusion-*.json"))}
+
+
+def strict_f3_z2() -> WattsFixture:
+    """Ordinary tensor over the semisimple group algebra F3[Z/2]."""
+    return load_fixture_file(BUNDLED / "strict-f3-z2.json")
+
+
+def dual_numbers_f2() -> WattsFixture:
+    """Ordinary tensor over F2[x]/(x^2); the residue line is not flat."""
+    return load_fixture_file(BUNDLED / "dual-numbers-f2.json")
+
+
+def graded_trivial() -> WattsFixture:
+    """Z/2-graded lines over F3, untwisted associator."""
+    return load_fixture_file(BUNDLED / "graded-trivial.json")
+
+
+def graded_sign() -> WattsFixture:
+    """Z/2-graded lines over F3 with the sign 3-cocycle; the odd line's
+    coevaluation picks up the compensating sign."""
+    return load_fixture_file(BUNDLED / "graded-sign.json")

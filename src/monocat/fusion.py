@@ -474,18 +474,6 @@ def parse_object(fd: FusionData, text: str) -> ObjectExpr:
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def fusion_to_json(fd: FusionData) -> dict:
-    return {
-        "name": fd.name,
-        "simples": list(fd.simples),
-        "unit": fd.unit,
-        "dual": dict(fd.dual),
-        "endo_dim": {k: v for k, v in fd.endo_dim.items()},
-        "fusion": sorted([i, k, j, c] for (i, k, j), c in fd.mult.items()
-                         if c),
-    }
-
-
 def _count(value) -> int:
     """An int as given; a float or a bool is malformed, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -9,8 +9,8 @@ R-R-bimodules with its monoidal structure ξ.  Every claimed identity is
 checked by exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
-with morphisms drawn from hom bases between sample members (at most four
-basis maps per pair, see ``_hom_samples``).  The regular module R, also
+with morphisms drawn from hom bases between sample members (every basis
+map of every pair, see ``_hom_samples``).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
 as in every bundled sample, so a context's R and the sample's R are one
 cache key.  Every cache is keyed by module, name included, except the
@@ -450,14 +450,10 @@ def _iso_inverse(m: LinearMap, what: str) -> LinearMap:
         raise MalformedTensor(f"{what} is not invertible") from exc
 
 
-def _hom_samples(sample: Sequence[Module], cap: int = 4):
-    """Morphism sample: hom bases between sample modules, capped per pair."""
-    out = []
-    for X in sample:
-        for Y in sample:
-            for lin in hom_basis(X, Y)[:cap]:
-                out.append(ModuleMap(X, Y, lin))
-    return out
+def _hom_samples(sample: Sequence[Module]):
+    """Morphism sample: every hom-basis map between sample modules."""
+    return [ModuleMap(X, Y, lin) for X in sample for Y in sample
+            for lin in hom_basis(X, Y)]
 
 
 def check_monoidal_axioms(ct: CustomTensor,

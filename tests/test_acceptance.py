@@ -6,12 +6,11 @@ import random
 import time
 
 from monocat.cli import main as cli_main
-from monocat.fixtures import (bundled_fixture_files, dual_numbers_f2,
-                              graded_sign, strict_f3_z2)
+from monocat.fixtures import (bundled_fixture_files, bundled_rings,
+                              dual_numbers_f2, graded_sign, strict_f3_z2)
 from monocat.fusion import (FusionData, ObjectExpr, check_theorem4,
                             dual_image, dual_object, embed_object, fuse,
                             tensor_images)
-from monocat.rings import bundled_rings
 from monocat.algmod import Bimodule, Module, ModuleMap, hom_basis
 from monocat.linalg import (Field, VectorSpace, identity,
                             linear_combination)

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from monocat.cli import main
-from monocat.fixtures import all_bundled_fixtures, fixture_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "monocat" / "fixtures"
@@ -77,6 +76,25 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["watts", "strict-f3-z2",
                                   "--checks", "nonsense"])
         assert code == 2
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list_is_usage_error(self, capsys, checks):
+        code, out, err = run(capsys, ["watts", "strict-f3-z2",
+                                      "--checks", checks])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "no check group" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "fusion-fibonacci", "tau", "--n-max", "0"],
+        ["--n-max", "0", "bound", "fusion-fibonacci", "tau"],
+        ["--format", "json", "report", "--n-max", "-1"],
+    ])
+    def test_n_max_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "positive integer" in out.err
 
     def test_fraction_undefined_in_characteristic_is_usage_error(
             self, capsys, tmp_path):
@@ -261,14 +279,3 @@ class TestFixtureDirOverride:
         code, out, err = run(capsys, ["--format", "json", "report"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(tmp_path) in err
-
-
-class TestFixtureFiles:
-    def test_files_are_the_builders_output(self):
-        built = all_bundled_fixtures()
-        assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(built)
-        for name, fx in built.items():
-            expected = json.dumps(fixture_to_json(fx), indent=2,
-                                  sort_keys=True, ensure_ascii=False) + "\n"
-            assert (FIXTURES / f"{name}.json").read_text(
-                encoding="utf-8") == expected, name

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,15 +8,13 @@ from monocat.fusion import (BlockMatrix, DivisibilityError, ExprError,
                             UnknownSimple, ZeroObject, check_embedding_homomorphism,
                             check_theorem4, dual_image, dual_object,
                             embed_object, end_dimension, fuse, fuse_power,
-                            fusion_from_json, fusion_to_json, growth_bound,
-                            parse_object, tensor_images)
-from monocat.rings import (bundled_rings, fibonacci_ring, ising_ring,
-                           pointed_ring, rep_s3_ring, trivial_ring)
+                            growth_bound, parse_object, tensor_images)
+from monocat.fixtures import BUNDLED, bundled_rings
 
 
 @pytest.fixture(scope="module")
 def fib():
-    return fibonacci_ring()
+    return bundled_rings()["fibonacci"]
 
 
 class TestValidate:
@@ -67,7 +66,7 @@ class TestEmbed:
         assert V.to_lists() == [[1, 0], [0, 1]]
 
     def test_pointed_transposition(self):
-        z2 = pointed_ring(2)
+        z2 = bundled_rings()["z2"]
         V = embed_object(z2, ObjectExpr.simple("g1"))
         assert V.to_lists() == [[0, 1], [1, 0]]
 
@@ -94,7 +93,7 @@ class TestTensorImages:
         assert sq == embed_object(fib, fuse(fib, tau, tau))
 
     def test_pointed_square_is_unit(self):
-        z2 = pointed_ring(2)
+        z2 = bundled_rings()["z2"]
         V = embed_object(z2, ObjectExpr.simple("g1"))
         assert tensor_images(z2, V, V) == embed_object(
             z2, ObjectExpr.simple("g0"))
@@ -111,7 +110,7 @@ class TestDual:
             fd, dual_object(fd, ObjectExpr.simple(label)))
 
     def test_z3_nontrivial_dual(self):
-        z3 = pointed_ring(3)
+        z3 = bundled_rings()["z3"]
         X = ObjectExpr.simple("g1")
         assert dual_image(z3, embed_object(z3, X)) == embed_object(
             z3, dual_object(z3, X))
@@ -146,7 +145,7 @@ class TestGrowthBound:
         assert growth_bound(fib, ObjectExpr.simple("tau")) == 2
 
     def test_pointed_bound_one(self):
-        z2 = pointed_ring(2)
+        z2 = bundled_rings()["z2"]
         assert growth_bound(z2, ObjectExpr.simple("g1")) == 1
 
     def test_zero_object(self, fib):
@@ -171,13 +170,13 @@ class TestTheorem4:
             assert r["bound"] == 4 ** r["n"]
 
     def test_ising_sequence(self):
-        ising = ising_ring()
+        ising = bundled_rings()["ising"]
         report = check_theorem4(ising, ObjectExpr.simple("sigma"), 4)
         assert [r["dim_end"] for r in report["rows"]] == [1, 2, 4, 8]
         assert report["ok"]
 
     def test_invertible_all_ones(self):
-        z6 = pointed_ring(6)
+        z6 = bundled_rings()["z6"]
         report = check_theorem4(z6, ObjectExpr.simple("g1"), 6)
         assert [r["dim_end"] for r in report["rows"]] == [1] * 6
 
@@ -273,7 +272,13 @@ class TestParser:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        for name, fd in bundled_rings().items():
-            back = fusion_from_json(fusion_to_json(fd))
-            assert fusion_to_json(back) == fusion_to_json(fd)
+    @pytest.mark.parametrize("name", sorted(bundled_rings()))
+    def test_loaded_values_are_the_file(self, name):
+        data = json.loads((BUNDLED / f"fusion-{name}.json").read_text(
+            encoding="utf-8"))
+        fd = bundled_rings()[name]
+        assert (fd.name, fd.simples, fd.unit) == \
+            (data["name"], tuple(data["simples"]), data["unit"])
+        assert fd.mult == {(i, k, j): c for i, k, j, c in data["fusion"]}
+        assert fd.dual == data["dual"]
+        assert fd.endo_dim == data["endo_dim"]

@@ -8,16 +8,16 @@ import pytest
 
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, balanced_tensor, bimodule_tensor,
-                            descend, hom_basis, module_tensor_commutative)
-from monocat.fixtures import (FixtureError, bundled_fixture_files,
+                            descend, hom_basis, matrix_to_json,
+                            module_tensor_commutative)
+from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
                               graded_sign, graded_trivial, resolve_fixture,
-                              strict_f3_z2, watts_fixture_from_json,
-                              watts_fixture_to_json)
+                              strict_f3_z2, watts_fixture_from_json)
 from monocat.linalg import (Field, FieldScalar, VectorSpace, compose,
-                            compose_all, identity, make_map, rank, solve_iso,
-                            tensor)
+                            compose_all, identity, make_map, rank,
+                            serialize_raw, solve_iso, tensor)
 from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            NotBalanced, NotNatural, StrictTensor,
                            TransportedTensor, WattsContext, _collapse_regular,
@@ -181,6 +181,18 @@ class TestSharedRegularModule:
             assert wc.R == R
             assert wc.omega(wc.R) is wc.omega(R)
             assert len(wc._omega) == 1
+
+    @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+    def test_loaded_R_is_the_regular_module(self, name):
+        # one object: its space is the algebra's, and every sequence end
+        # named R is it
+        fx = resolve_fixture(name)
+        R = fx.module("R")
+        assert R == Module.regular(fx.algebra)
+        assert R.space is fx.algebra.space
+        ends = [M for s in fx.sequences
+                for M in (s.f.source, s.f.target, s.g.target)]
+        assert all(M is R for M in ends if M.name == "R")
 
     @pytest.mark.parametrize("name", ["strict-f3-z2", "dual-numbers-f2"])
     def test_strict_unit_is_the_sample_R(self, name):
@@ -370,12 +382,29 @@ class TestNaturalFamilies:
             nat_to_bimodule_hom(P, P, {R: comp})
 
 
+def _read(name):
+    return json.loads((BUNDLED / f"{name}.json").read_text(encoding="utf-8"))
+
+
 class TestFixtureSerialization:
-    def test_roundtrip_all_bundled(self):
-        for name, fx in bundled_watts_fixtures().items():
-            j = watts_fixture_to_json(fx)
-            back = watts_fixture_from_json(json.loads(json.dumps(j)))
-            assert watts_fixture_to_json(back) == j, name
+    @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+    def test_loaded_values_are_the_files(self, name):
+        # no fixture value is rounded, zeroed or reordered on loading
+        data = _read(name)
+        fx = watts_fixture_from_json(data)
+        A = fx.algebra
+        assert [[[serialize_raw(c) for c in v] for v in row]
+                for row in A.mult] == data["algebra"]["mult"]
+        assert [serialize_raw(c) for c in A.unit] == data["algebra"]["unit"]
+        assert [(X.name, X.side, [matrix_to_json(a) for a in X.action])
+                for X in fx.sample] == \
+            [(m["name"], m["side"], m["action"]) for m in data["modules"]]
+        assert [(matrix_to_json(s.f.lin), matrix_to_json(s.g.lin))
+                for s in fx.sequences] == \
+            [(s["f"], s["g"]) for s in data["sequences"]]
+        assert [(matrix_to_json(r.ev.lin), matrix_to_json(r.db.lin))
+                for r in fx.rigidity] == \
+            [(r["ev"], r["db"]) for r in data["rigidity"]]
 
     def test_loading_builds_no_field_scalar(self, monkeypatch):
         monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
@@ -409,7 +438,7 @@ class TestFixtureSerialization:
             resolve_fixture("no-such-fixture")
 
     def test_bad_cocycle_loads_but_fails_checks(self):
-        j = watts_fixture_to_json(graded_sign())
+        j = _read("graded-sign")
         for row in j["tensor"]["cocycle"]:
             if row[:3] == [0, 1, 0]:
                 row[3] = -row[3]
