@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs under tests/golden/, always from the
-bundled fixtures: MONOCAT_FIXTURES is ignored."""
+bundled fixtures: MONOCAT_FIXTURES is ignored.  One golden pins a failing
+run (exit 1) on a fixture derived from a bundled one in a temporary
+directory: graded-sign with ω(0,1,1) negated and module L repeated as L2."""
 
 import contextlib
 import io
+import json
 import os
+import tempfile
 from pathlib import Path
 
 from monocat.cli import main
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "tests" / "golden"
+FIXTURES = ROOT / "src" / "monocat" / "fixtures"
 
 CASES = {
     "validate-fibonacci.json":
@@ -30,13 +36,34 @@ CASES = {
 }
 
 
-def run(argv):
+def run(argv, expected=0):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    if code != 0:
+    if code != expected:
         raise SystemExit(f"golden command {argv} exited {code}")
     return buf.getvalue()
+
+
+def flipped_dup() -> str:
+    """``watts`` on graded-sign with ω(0,1,1) negated and L repeated as
+    L2, read by its relative path from a temporary directory."""
+    data = json.loads((FIXTURES / "graded-sign.json").read_text())
+    for triple in data["tensor"]["cocycle"]:
+        if triple[:3] == [0, 1, 1]:
+            triple[3] = -triple[3]
+    L = next(m for m in data["modules"] if m["name"] == "L")
+    data["modules"].append(dict(L, name="L2"))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "graded-flipped-dup.json").write_text(
+            json.dumps(data), encoding="utf-8")
+        os.chdir(tmp)
+        try:
+            return run(["--format", "json", "watts",
+                        "graded-flipped-dup.json"], expected=1)
+        finally:
+            os.chdir(cwd)
 
 
 def main_():
@@ -46,6 +73,9 @@ def main_():
         path = OUT / name
         path.write_text(run(argv), encoding="utf-8")
         print(f"wrote {path}")
+    path = OUT / "watts-graded-flipped-dup.json"
+    path.write_text(flipped_dup(), encoding="utf-8")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

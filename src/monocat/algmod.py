@@ -8,19 +8,17 @@ comes with a canonical basis, a projection from the ambient Kronecker
 product, and a section.  The same relations give the equivariant maps:
 Hom(X, Y) is a balancing quotient (``hom_basis``).
 
-Names take part in equality: module content depends on the chosen basis,
-so caches keyed by content alone would make the cost of a check depend on
-whether two bases happen to line up.  ``Module.regular`` always names the
-regular module ``R``, the name every bundled sample gives it, so the
-regular module built from an algebra and a sample's R are one cache key.
-The one exception is the cokernel cell: ``tensor_over`` depends only on
-the spaces and action families, so a strict tensor and a Watts context
-(``watts``) each share its results by content, renaming the module on a
-hit, while every cache above the cell stays keyed by name.
+A module or bimodule is its content: equality and hash read the algebra,
+the space and the actions, never the name, which is only a label for
+reports and messages.  Every cache keyed by modules therefore builds a
+product, cell or map once per content, and a hit returns the object
+built under the first name seen.  ``Module.regular`` names the regular
+module ``R``, the name every bundled sample gives it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -82,32 +80,16 @@ class Algebra:
                 f"length {d}")
         Bimodule.regular(self).check()
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def group_algebra(field: Field, n: int, name: Optional[str] = None) -> "Algebra":
-        """Group algebra K[Z/n], basis = group elements."""
-        space = VectorSpace(field, tuple(f"g{i}" for i in range(n)))
-        e = [tuple([int(k == i) for k in range(n)]) for i in range(n)]
-        mult = tuple(tuple(e[(i + j) % n] for j in range(n)) for i in range(n))
-        return Algebra(name or f"K[Z/{n}]", space, mult, e[0])
-
-    @staticmethod
-    def truncated_polynomial(field: Field, name: Optional[str] = None) -> "Algebra":
-        """K[x]/(x^2), basis (1, x)."""
-        space = VectorSpace(field, ("1", "x"))
-        mult = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
-        return Algebra(name or "K[x]/(x²)", space, mult, (1, 0))
-
 
 @dataclass(frozen=True)
 class Module:
     """One-sided module with explicit action matrices.
 
     action[i] is the matrix of x ↦ x·e_i (right) or x ↦ e_i·x (left).
+    The name takes no part in equality.
     """
 
-    name: str
+    name: str = dataclasses.field(compare=False)
     algebra: Algebra
     space: VectorSpace
     side: str  # "left" | "right"
@@ -185,9 +167,10 @@ def check_actions(name: str, algebra: Algebra, space: VectorSpace,
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Two-sided module: commuting left and right actions of one algebra."""
+    """Two-sided module: commuting left and right actions of one algebra.
+    The name takes no part in equality."""
 
-    name: str
+    name: str = dataclasses.field(compare=False)
     algebra: Algebra
     space: VectorSpace
     left: tuple   # tuple[LinearMap, ...]

@@ -12,22 +12,30 @@ All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
 map of every pair, see ``_hom_samples``).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
-as in every bundled sample, so a context's R and the sample's R are one
-cache key.  Every cache is keyed by module, name included, except the
-balanced tensors: a strict tensor and a Watts context each share theirs
-by content (``_shared_tensor``), and rename the module on a hit.
+as in every bundled sample.  A module is its content (``algmod``), so
+every cache, keyed by modules, builds each product, cell and map once per
+content, and a hit returns the object built under the first name seen:
+``dcell(X2, R).module.name`` reads ``D(X,R)`` when X2 is X renamed and
+D(X,R) was built first.  Check names and witnesses are formed from the
+sample and the loop variables, never from cached objects, so reports
+name the caller's modules; an exception raised inside a cached
+construction can still carry the first name.  The work of a run follows
+the content of its sample: two modules of one content cost one, so the
+benchmark's seeded widening of R moves the work with the seed (README,
+Library layout).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, balanced_tensor, check_actions, descend,
-                     hom_basis, matrix_to_json, module_identity, tensor_over)
+                     TensorCell, balanced_tensor, bimodule_tensor,
+                     check_actions, descend, hom_basis, matrix_to_json,
+                     module_identity, module_tensor_commutative, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      compose, compose_all, compose_tensor, identity,
                      linear_combination, rank, solve_iso, tensor,
@@ -146,23 +154,6 @@ def _memo(attr: str):
             return out
         return cached
     return decorate
-
-
-def _shared_tensor(cells: dict, X, i: int, Y, j: int, name: str) -> tuple:
-    """``tensor_over(X, i, Y, j, name)`` through ``cells``, a per-instance
-    dict keyed by content: the algebras, spaces and action families, never
-    the names.  A cokernel depends on nothing else, so a hit skips the
-    RREF, the descent of each family and the action check, all done on
-    that content already, and returns the stored cell with the stored
-    module renamed to ``name``."""
-    key = (X.algebra, X.space, X.families, i,
-           Y.algebra, Y.space, Y.families, j)
-    out = cells.get(key)
-    if out is None:
-        out = cells[key] = tensor_over(X, i, Y, j, name)
-    elif out[0].name != name:
-        out = replace(out[0], name=name), out[1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,22 +280,17 @@ def _collapse(cell, blocks: Sequence[LinearMap],
 
 class StrictTensor(CustomTensor):
     """⊙ = ⊗_R over a commutative algebra; the unit object is R itself,
-    the regular module named ``R``.  Products are keyed by module, name
-    included; their balanced tensors are shared by content in ``_cells``
-    (``_shared_tensor``)."""
+    the regular module named ``R``.  Products are keyed by content: a hit
+    returns the product named after the first pair seen."""
 
     def __init__(self, algebra: Algebra, name: Optional[str] = None):
         if not algebra.is_commutative():
             raise StructureError("strict tensor needs a commutative algebra")
         unit = Module.regular(algebra)
         super().__init__(algebra, unit, name or f"strict[{algebra.name}]")
-        self._cells: Dict[tuple, tuple] = {}
 
     def _product(self, X: Module, Y: Module) -> ProductCell:
-        # Y is the symmetric bimodule it is over a commutative R
-        Ysym = Bimodule(Y.name, Y.algebra, Y.space, Y.action, Y.action)
-        mod, cell = _shared_tensor(self._cells, X, 0, Ysym, 0,
-                                   f"({X.name}⊗{Y.name})")
+        mod, cell = module_tensor_commutative(X, Y)
         return ProductCell(mod, cell.proj, cell.section)
 
     def _associator(self, X, Y, Z):
@@ -667,9 +653,9 @@ class WattsContext:
     """T and every construction derived from a CustomTensor, each built
     once per context; the caches are freed with the context.  ``R`` is
     the regular module, named ``R``, and ``lmult[i]`` the left
-    multiplication by e_i on it, a map of right modules.  ``_cells`` holds
-    the context's balanced tensors by content (``_shared_tensor``); it is
-    shared with no other context, nor with the tensor's."""
+    multiplication by e_i on it, a map of right modules.  Every cache is
+    keyed by content, so a hit returns the object named after the first
+    modules seen; no cache is shared with another context."""
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
@@ -687,7 +673,6 @@ class WattsContext:
         self._c_inv: Dict[tuple, LinearMap] = {}
         self._alpha: Dict[tuple, LinearMap] = {}
         self._bimodule_tensors: Dict[tuple, tuple] = {}
-        self._cells: Dict[tuple, tuple] = {}
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
@@ -708,9 +693,8 @@ class WattsContext:
 
     @_memo("_bimodule_tensors")
     def bimodule_tensor(self, M: Bimodule, N: Bimodule) -> tuple:
-        """M ⊗_R N and its cell, as ``algmod.bimodule_tensor``."""
-        return _shared_tensor(self._cells, M, 1, N, 0,
-                              f"({M.name}⊗{N.name})")
+        """M ⊗_R N and its cell, by ``algmod.bimodule_tensor``."""
+        return bimodule_tensor(M, N)
 
     # -- μ and ν -----------------------------------------------------------
 
@@ -718,8 +702,7 @@ class WattsContext:
     def ombar(self, X: Module) -> tuple:
         """X⊗₂T, X balanced against the second left action, with the
         residual first-left and right actions: (Bimodule, TensorCell)."""
-        return _shared_tensor(self._cells, X, 0, self.T, 1,
-                              f"({X.name}⊗₂T)")
+        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)")
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
@@ -746,12 +729,8 @@ class WattsContext:
 
     def theta(self, X: Module, Y: Module) -> tuple:
         """θ_X(Y): Y⊗_R ω(X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t), with the cell
-        of Y⊗_R ω(X) it is defined on, shared by content in ``_cells``."""
-        P = self.omega(X)
-        key = (Y.space, Y.action, P.space, P.left)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = tensor_with_bimodule(Y, P)
+        of Y⊗_R ω(X) it is defined on."""
+        cell = tensor_with_bimodule(Y, self.omega(X))
         target = self.ct.product(Y, X).module
         idX = module_identity(X)
         blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
@@ -769,8 +748,7 @@ class WattsContext:
     @_memo("_dcell")
     def dcell(self, X: Module, Y: Module) -> DCell:
         obY, inner = self.ombar(Y)
-        mod, outer = _shared_tensor(self._cells, X, 0, obY, 0,
-                                    f"D({X.name},{Y.name})")
+        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})")
         idX = identity(X.space)
         proj = compose_tensor(outer.proj, idX, inner.proj)
         section = compose(tensor(idX, inner.section), outer.section)
@@ -943,10 +921,8 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     reproduced from the extraction.
     """
     modules = list(components)
-    reg = Module.regular(P.algebra)   # matched by content, not by name
-    R = next((M for M in modules if (M.algebra, M.side, M.action) ==
-              (reg.algebra, reg.side, reg.action)), None)
-    if R is None:
+    R = Module.regular(P.algebra)   # equal to the sample's, whatever its name
+    if R not in components:
         raise NotNatural("the sample must contain the regular module")
     cells_p = {M: tensor_with_bimodule(M, P) for M in modules}
     cells_q = {M: tensor_with_bimodule(M, Q) for M in modules}

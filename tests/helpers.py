@@ -1,0 +1,20 @@
+"""Small algebras the tests build by hand; the library reads algebras
+only from fixture JSON."""
+
+from monocat.algmod import Algebra
+from monocat.linalg import Field, VectorSpace
+
+
+def group_algebra(field: Field, n: int) -> Algebra:
+    """Group algebra K[Z/n], basis = group elements."""
+    space = VectorSpace(field, tuple(f"g{i}" for i in range(n)))
+    e = [tuple([int(k == i) for k in range(n)]) for i in range(n)]
+    mult = tuple(tuple(e[(i + j) % n] for j in range(n)) for i in range(n))
+    return Algebra(f"K[Z/{n}]", space, mult, e[0])
+
+
+def truncated_polynomial(field: Field) -> Algebra:
+    """K[x]/(x^2), basis (1, x)."""
+    space = VectorSpace(field, ("1", "x"))
+    mult = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
+    return Algebra("K[x]/(x²)", space, mult, (1, 0))

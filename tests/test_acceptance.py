@@ -21,6 +21,8 @@ from monocat.watts import (WattsContext, GradedTensor, check_monoidal_axioms,
                            sign_cocycle, verify_embedding,
                            verify_monoidal_functor)
 
+from helpers import group_algebra, truncated_polynomial
+
 
 def test_criterion_01_fusion_validation_and_mutations():
     t0 = time.perf_counter()
@@ -140,18 +142,18 @@ def test_criterion_05_twisted_graded_fixture():
         pent = [r for r in rep.failures if r.name.startswith("pentagon")]
         assert pent, triple
         assert pent[0].witness and "lhs" in pent[0].witness
-    assert time.perf_counter() - t0 < 30.0
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_criterion_06_natural_family_roundtrip_50_homs():
     t0 = time.perf_counter()
     rng = random.Random(615)
-    algebras = [Algebra.group_algebra(Field(2), 2),
-                Algebra.group_algebra(Field(3), 3),
-                Algebra.truncated_polynomial(Field(2)),
+    algebras = [group_algebra(Field(2), 2),
+                group_algebra(Field(3), 3),
+                truncated_polynomial(Field(2)),
                 Algebra("K×K", VectorSpace(Field(3), ("p0", "p1")),
                         (((1, 0), (0, 0)), ((0, 0), (0, 1))), (1, 1)),
-                Algebra.group_algebra(Field(2), 4)]
+                group_algebra(Field(2), 4)]
     done = 0
     while done < 50:
         A = algebras[done % len(algebras)]

@@ -15,6 +15,8 @@ from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
                             solve_iso, tensor, zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
 
+from helpers import group_algebra, truncated_polynomial
+
 F2 = Field(2)
 F3 = Field(3)
 F5 = Field(5)
@@ -22,12 +24,12 @@ F5 = Field(5)
 
 @pytest.fixture
 def dual_numbers():
-    return Algebra.truncated_polynomial(F2)
+    return truncated_polynomial(F2)
 
 
 @pytest.fixture
 def z2_group_algebra():
-    return Algebra.group_algebra(F3, 2)
+    return group_algebra(F3, 2)
 
 
 @pytest.fixture
@@ -264,7 +266,7 @@ def _conjugated_sum(alg, summands, seed):
 def _module_pairs(draw):
     field = draw(st.sampled_from([F3, F5]))
     n = draw(st.sampled_from([2, 4]))
-    alg = Algebra.group_algebra(field, n)
+    alg = group_algebra(field, n)
 
     def summands():
         out = draw(st.lists(st.sampled_from(["R", "S"]), min_size=1,
@@ -329,7 +331,7 @@ class TestActionLaws:
         space = VectorSpace(F3, ("u",))
 
         def trivial_line(n):
-            alg = Algebra.group_algebra(F3, n)
+            alg = group_algebra(F3, n)
             return Module("1", alg, space, "right",
                           (identity(space),) * n)
 

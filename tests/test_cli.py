@@ -42,6 +42,25 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
+    def test_failing_run_with_a_duplicate_module(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # graded-sign with ω(0,1,1) negated and L repeated as L2: the
+        # failure witnesses of a sample holding two modules of one content
+        data = json.loads((FIXTURES / "graded-sign.json").read_text())
+        for triple in data["tensor"]["cocycle"]:
+            if triple[:3] == [0, 1, 1]:
+                triple[3] = -triple[3]
+        L = next(m for m in data["modules"] if m["name"] == "L")
+        data["modules"].append(dict(L, name="L2"))
+        (tmp_path / "graded-flipped-dup.json").write_text(
+            json.dumps(data), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["--format", "json", "watts",
+                                    "graded-flipped-dup.json"])
+        assert code == 1
+        golden = GOLDEN / "watts-graded-flipped-dup.json"
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_repeat_runs_byte_identical(self, capsys):
         argv = GOLDEN_CASES["watts-strict-axioms.json"]
         _, first, _ = run(capsys, argv)

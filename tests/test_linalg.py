@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocat.algmod import Algebra, Module, ModuleMap
+from monocat.algmod import Module, ModuleMap
 from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
                             _rref, compose, compose_tensor, identity,
                             is_identity, kernel, linear_combination, make_map,
                             NotInvertible, quotient_by_raw_rows, rank,
                             solve_iso, tensor, tensor_space, zero_map)
+
+from helpers import group_algebra
 
 F2 = Field(2)
 F3 = Field(3)
@@ -373,7 +375,7 @@ class TestCoercion:
 
 def test_separately_built_modules_equal_and_hash_equal():
     def build():
-        return Module.regular(Algebra.group_algebra(Field(3), 2))
+        return Module.regular(group_algebra(Field(3), 2))
 
     M, N = build(), build()
     assert M is not N and M.action[1] is not N.action[1]

@@ -29,6 +29,8 @@ from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            verify_embedding, verify_monoidal_functor)
 from monocat.watts import ActionClash, TripleModule
 
+from helpers import group_algebra
+
 
 @pytest.fixture(scope="module")
 def fx_strict():
@@ -64,12 +66,12 @@ class TestCocycles:
 
 class TestGuards:
     def test_graded_rejects_char_two(self):
-        A = Algebra.group_algebra(Field(2), 2)
+        A = group_algebra(Field(2), 2)
         with pytest.raises(MalformedTensor):
             GradedTensor(A, Module.regular(A), trivial_cocycle())
 
     def test_graded_rejects_wrong_dimension(self):
-        A = Algebra.group_algebra(Field(3), 3)
+        A = group_algebra(Field(3), 3)
         with pytest.raises(MalformedTensor):
             GradedTensor(A, Module.regular(A), trivial_cocycle())
 
@@ -206,28 +208,34 @@ class TestSharedRegularModule:
 
 
 class TestSharedCells:
-    """Balanced tensors are shared by content inside one tensor or one
-    context, while every module keeps the caller's name."""
+    """A module is its content: a renamed copy is equal, hashes alike and
+    shares every cache entry, which keeps the first name seen, while the
+    checks name the caller's modules."""
+
+    def test_renamed_module_is_equal_and_hashes_alike(self, fx_strict):
+        X = fx_strict.module("Sp")
+        X2 = replace(X, name="X2")
+        assert X2 == X and hash(X2) == hash(X)
+        B = Bimodule.regular(fx_strict.algebra)
+        B2 = replace(B, name="B2")
+        assert B2 == B and hash(B2) == hash(B)
+        assert replace(X, side="left") != X
 
     def test_renamed_module_shares_the_dcell(self, fx_strict):
         wc = WattsContext(fx_strict.ct)
         X = fx_strict.module("Sp")
         X2 = replace(X, name="X2")
-        first, second = wc.dcell(X, wc.R), wc.dcell(X2, wc.R)
-        assert second.outer is first.outer
-        assert second.module != first.module
-        assert first.module.name == f"D({X.name},R)"
-        assert second.module.name == "D(X2,R)"
-        assert wc.theta(X2, wc.R)[1] is wc.theta(X, wc.R)[1]
+        first = wc.dcell(X, wc.R)
+        assert wc.dcell(X2, wc.R) is first
+        assert first.module.name == "D(Sp,R)"
 
     def test_renamed_module_shares_the_product(self):
         fx = strict_f3_z2()
         X, Y = fx.module("Sp"), fx.module("Sm")
         X2 = replace(X, name="X2")
-        first, second = fx.ct.product(X, Y), fx.ct.product(X2, Y)
-        assert second.proj is first.proj
-        assert second.module != first.module
-        assert second.module.name == "(X2⊗Sm)"
+        first = fx.ct.product(X, Y)
+        assert fx.ct.product(X2, Y) is first
+        assert first.module.name == "(Sp⊗Sm)"
 
     def test_cells_keep_the_algebra(self):
         fx = strict_f3_z2()
@@ -240,10 +248,22 @@ class TestSharedCells:
     def test_each_context_starts_with_its_own_cells(self, fx_strict):
         first = WattsContext(fx_strict.ct)
         first.dcell(fx_strict.module("Sp"), first.R)
-        assert first._cells
+        assert first._dcell and first._ombar
         second = WattsContext(fx_strict.ct)
-        assert second._cells == {}
-        assert second._cells is not fx_strict.ct._cells
+        assert second._dcell == {} and second._ombar == {}
+
+    def test_checks_name_the_renamed_module(self):
+        fx = strict_f3_z2()
+        X2 = replace(fx.module("Sp"), name="X2")
+        sample = list(fx.sample) + [X2]
+        rep = check_monoidal_axioms(fx.ct, sample)
+        assert rep.ok and "X2" in rep.sample
+        names = [r.name for r in rep.results]
+        n = len(sample)
+        assert sum(x.startswith("pentagon[") for x in names) == n ** 4
+        assert sum(x.startswith("triangle[") for x in names) == n ** 2
+        assert "pentagon[X2,Sp,X2,R]" in names
+        assert "triangle[Sp,X2]" in names
 
 
 class TestFunctor:
@@ -448,7 +468,7 @@ class TestFixtureSerialization:
 
 
 def test_clashing_triple_module_raises_action_clash():
-    A = Algebra.group_algebra(Field(3), 2)
+    A = group_algebra(Field(3), 2)
     space = VectorSpace(Field(3), ("a", "b"))
     one = identity(space)
     swap = make_map(space, space, [[0, 1], [1, 0]])
