@@ -137,26 +137,36 @@ def cmd_bound(args) -> int:
 
 
 def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
+    """The reports of the check groups on one fixture; when a construction
+    itself breaks down, one failed ``pipeline-construction`` check in their
+    place, not a usage error."""
     reports: List[CoherenceReport] = []
-    if isinstance(fx.ct, GradedTensor) and "axioms" in groups:
-        reports.append(CoherenceReport(
-            f"cocycle: {fx.ct.name}", (),
-            (CheckResult("cocycle-condition",
-                         is_three_cocycle(fx.ct.cocycle)),)))
-    if "axioms" in groups:
-        reports.append(check_monoidal_axioms(fx.ct, fx.sample))
-    wc: Optional[WattsContext] = None
-    if groups & {"T", "functor", "embedding"}:
-        wc = WattsContext(fx.ct)
-    if "T" in groups:
-        reports.append(check_T_coherence(wc))
-    if "functor" in groups:
-        reports.append(verify_monoidal_functor(wc, fx.sample))
-    if "embedding" in groups:
-        reports.append(verify_embedding(wc, fx.sample, fx.sequences))
-    if "rigidity" in groups:
-        for r in fx.rigidity:
-            reports.append(check_rigidity(fx.ct, r.obj, r.dual, r.ev, r.db))
+    try:
+        if isinstance(fx.ct, GradedTensor) and "axioms" in groups:
+            reports.append(CoherenceReport(
+                f"cocycle: {fx.ct.name}", (),
+                (CheckResult("cocycle-condition",
+                             is_three_cocycle(fx.ct.cocycle)),)))
+        if "axioms" in groups:
+            reports.append(check_monoidal_axioms(fx.ct, fx.sample))
+        wc: Optional[WattsContext] = None
+        if groups & {"T", "functor", "embedding"}:
+            wc = WattsContext(fx.ct)
+        if "T" in groups:
+            reports.append(check_T_coherence(wc))
+        if "functor" in groups:
+            reports.append(verify_monoidal_functor(wc, fx.sample))
+        if "embedding" in groups:
+            reports.append(verify_embedding(wc, fx.sample, fx.sequences))
+        if "rigidity" in groups:
+            for r in fx.rigidity:
+                reports.append(
+                    check_rigidity(fx.ct, r.obj, r.dual, r.ev, r.db))
+    except WattsError as exc:
+        return [CoherenceReport(
+            f"watts: {fx.name}", (),
+            (CheckResult("pipeline-construction", False,
+                         {"error": type(exc).__name__, "detail": str(exc)}),))]
     return reports
 
 
@@ -176,16 +186,7 @@ def _parse_checks(raw: str) -> set:
 def cmd_watts(args) -> int:
     fx = _need_watts(resolve_fixture(args.fixture), args.fixture)
     groups = _parse_checks(args.checks)
-    try:
-        reports = _watts_reports(fx, groups)
-    except WattsError as exc:
-        # construction itself broke down on this fixture: report the stage
-        # as a failed check rather than a usage error
-        reports = [CoherenceReport(
-            f"watts: {fx.name}", (),
-            (CheckResult("pipeline-construction", False,
-                         {"error": type(exc).__name__, "detail": str(exc)}),))]
-    merged = merge_reports(f"watts: {fx.name}", reports)
+    merged = merge_reports(f"watts: {fx.name}", _watts_reports(fx, groups))
     payload = {"command": "watts", "fixture": args.fixture,
                "checks": sorted(groups), "seed": args.seed,
                "report": merged.to_json()}

@@ -4,9 +4,10 @@ A CustomTensor packages a tensor product ⊙ on right R-modules: product
 cells (quotients of the scalar Kronecker product), morphism tensoring,
 and the associator/unit components.  From such a structure we build the
 triple-action bimodule T = R⊙R, the natural isomorphisms θ, μ, c, the
-transported components α′, λ′, ρ′, and the embedding functor ω into
-R-R-bimodules with its monoidal structure ξ.  Every claimed identity is
-checked by exact matrix equality and reported with witnesses.
+transported structure (D, α′, λ′, ρ′), itself a CustomTensor (a
+``WattsContext``), and the embedding functor ω into R-R-bimodules with
+its monoidal structure ξ.  Every claimed identity is checked by exact
+matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
@@ -353,8 +354,11 @@ class GradedTensor(CustomTensor):
                  name: Optional[str] = None):
         if algebra.field.char == 2:
             raise MalformedTensor("graded tensor needs characteristic ≠ 2")
-        if algebra.dim != 2:
-            raise MalformedTensor("graded tensor expects K[Z/2]")
+        # basis (1, g) with g² = 1: element 0 is the unit, element 1 is g
+        if algebra.dim != 2 or algebra.unit != (1, 0) \
+                or algebra.mult[1][1] != (1, 0):
+            raise MalformedTensor(
+                "graded tensor expects K[Z/2] on the basis (1, g), g² = 1")
         if unit.dim != 1 or unit.action[1].rows != identity(unit.space).rows:
             raise MalformedTensor("unit must be the trivial line")
         triples = set(trivial_cocycle())
@@ -442,6 +446,31 @@ def _hom_samples(sample: Sequence[Module]):
             for lin in hom_basis(X, Y)]
 
 
+def _pentagon(ct: CustomTensor, W: Module, X: Module, Y: Module,
+              Z: Module) -> tuple:
+    """The two paths ((W⊙X)⊙Y)⊙Z -> W⊙(X⊙(Y⊙Z)) of the pentagon: through
+    three associators, and through two."""
+    WX = ct.product(W, X).module
+    XY = ct.product(X, Y).module
+    YZ = ct.product(Y, Z).module
+    path_a = compose_all(
+        ct.mor(ct.associator(W, X, Y), module_identity(Z)).lin,
+        ct.associator(W, XY, Z).lin,
+        ct.mor(module_identity(W), ct.associator(X, Y, Z)).lin)
+    path_b = compose_all(ct.associator(WX, Y, Z).lin,
+                         ct.associator(W, X, YZ).lin)
+    return path_a, path_b
+
+
+def _triangle(ct: CustomTensor, X: Module, Y: Module, rho_x: ModuleMap,
+              lam_y: ModuleMap) -> tuple:
+    """The two sides (X⊙I)⊙Y -> X⊙Y of the triangle, (id ⊙ λ_Y) ∘ α and
+    ρ_X ⊙ id, for the unit components ``rho_x`` and ``lam_y``."""
+    lhs = compose(ct.mor(module_identity(X), lam_y).lin,
+                  ct.associator(X, ct.unit, Y).lin)
+    return lhs, ct.mor(rho_x, module_identity(Y)).lin
+
+
 def check_monoidal_axioms(ct: CustomTensor,
                           sample: Sequence[Module]) -> CoherenceReport:
     """Pentagon, triangle, derived unit diagrams, End(I) structure.
@@ -478,29 +507,17 @@ def check_monoidal_axioms(ct: CustomTensor,
         for X in sample:
             for Y in sample:
                 for Z in sample:
-                    WX = ct.product(W, X).module
-                    XY = ct.product(X, Y).module
-                    YZ = ct.product(Y, Z).module
-                    path_a = compose_all(
-                        ct.mor(ct.associator(W, X, Y), module_identity(Z)).lin,
-                        ct.associator(W, XY, Z).lin,
-                        ct.mor(module_identity(W), ct.associator(X, Y, Z)).lin)
-                    path_b = compose_all(
-                        ct.associator(WX, Y, Z).lin,
-                        ct.associator(W, X, YZ).lin)
                     rec.equal(
                         f"pentagon[{W.name},{X.name},{Y.name},{Z.name}]",
-                        path_a, path_b,
+                        *_pentagon(ct, W, X, Y, Z),
                         {"objects": [W.name, X.name, Y.name, Z.name]})
 
     # triangle and the derived unit diagrams on all pairs
     for X in sample:
         for Y in sample:
             ctx = {"objects": [X.name, Y.name]}
-            lhs = compose(ct.mor(module_identity(X), lams[Y][0]).lin,
-                          ct.associator(X, I, Y).lin)
-            rhs = ct.mor(rhos[X][0], module_identity(Y)).lin
-            rec.equal(f"triangle[{X.name},{Y.name}]", lhs, rhs, ctx)
+            rec.equal(f"triangle[{X.name},{Y.name}]",
+                      *_triangle(ct, X, Y, rhos[X][0], lams[Y][0]), ctx)
 
             XY = ct.product(X, Y).module
             lhs = compose(ct.left_unit(XY).lin, ct.associator(I, X, Y).lin)
@@ -649,17 +666,19 @@ class DCell:
     section: LinearMap   # total section
 
 
-class WattsContext:
-    """T and every construction derived from a CustomTensor, each built
-    once per context; the caches are freed with the context.  ``R`` is
-    the regular module, named ``R``, and ``lmult[i]`` the left
+class WattsContext(CustomTensor):
+    """The monoidal structure (D, α′, λ′, ρ′) that T transports ⊙ to on
+    Mod_R: a CustomTensor whose product X⊙′Y is the cell D(X,Y), with T
+    and every construction derived from the source tensor ``ct``, each
+    built once per context; the caches are freed with the context.  ``R``
+    is the regular module, named ``R``, and ``lmult[i]`` the left
     multiplication by e_i on it, a map of right modules.  Every cache is
     keyed by content, so a hit returns the object named after the first
     modules seen; no cache is shared with another context."""
 
     def __init__(self, ct: CustomTensor):
+        super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]")
         self.ct = ct
-        self.algebra = ct.algebra
         R = self.R = Module.regular(ct.algebra)
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
@@ -757,6 +776,14 @@ class WattsContext:
     def dmodule(self, X: Module, Y: Module) -> Module:
         return self.dcell(X, Y).module
 
+    def _product(self, X, Y):
+        return self.dcell(X, Y)
+
+    def _push(self, proj, f, g):
+        """proj ∘ (f⊗(g⊗id_T)): D(X,Y) is a quotient of X⊗(Y⊗T)."""
+        return compose_tensor(proj, f.lin,
+                              tensor(g.lin, identity(self.T.space)))
+
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
     @_memo("_c")
@@ -773,62 +800,35 @@ class WattsContext:
         """c_{X,Y}⁻¹: X⊙Y -> D(X,Y)."""
         return solve_iso(self.c_iso(X, Y))
 
-    def c_module_map(self, X: Module, Y: Module) -> ModuleMap:
-        return ModuleMap(self.dmodule(X, Y), self.ct.product(X, Y).module,
-                         self.c_iso(X, Y))
-
     @_memo("_alpha")
     def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
         """D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α."""
         ct = self.ct
         XY = ct.product(X, Y).module
         YZ = ct.product(Y, Z).module
-        c_xy = self.c_module_map(X, Y)
-        c_yz_inv = ModuleMap(YZ, self.dmodule(Y, Z),
-                             self.c_inv(Y, Z))
-        # built per call, never stored: tt.wc points back at this context
-        tt = TransportedTensor(self)
+        c_xy = ModuleMap(self.dmodule(X, Y), XY, self.c_iso(X, Y))
+        c_yz_inv = ModuleMap(YZ, self.dmodule(Y, Z), self.c_inv(Y, Z))
         return compose_all(
-            tt.mor(c_xy, module_identity(Z)).lin,
+            self.mor(c_xy, module_identity(Z)).lin,
             self.c_iso(XY, Z),
             ct.associator(X, Y, Z).lin,
             self.c_inv(X, YZ),
-            tt.mor(module_identity(X), c_yz_inv).lin)
-
-    def lambda_prime(self, X: Module) -> LinearMap:
-        return compose(self.ct.left_unit(X).lin, self.c_iso(self.ct.unit, X))
-
-    def rho_prime(self, X: Module) -> LinearMap:
-        return compose(self.ct.right_unit(X).lin, self.c_iso(X, self.ct.unit))
-
-
-class TransportedTensor(CustomTensor):
-    """The monoidal structure (D, α′, λ′, ρ′) induced on Mod_R by T."""
-
-    def __init__(self, wc: WattsContext):
-        super().__init__(wc.algebra, wc.ct.unit, f"transported[{wc.ct.name}]")
-        self.wc = wc
-
-    def _product(self, X, Y):
-        dc = self.wc.dcell(X, Y)
-        return ProductCell(dc.module, dc.proj, dc.section)
-
-    def _push(self, proj, f, g):
-        return compose_tensor(proj, f.lin,
-                              tensor(g.lin, identity(self.wc.T.space)))
+            self.mor(module_identity(X), c_yz_inv).lin)
 
     def _associator(self, X, Y, Z):
-        src = self.wc.dmodule(self.wc.dmodule(X, Y), Z)
-        tgt = self.wc.dmodule(X, self.wc.dmodule(Y, Z))
-        return ModuleMap(src, tgt, self.wc.alpha_prime(X, Y, Z))
+        return ModuleMap(self.dmodule(self.dmodule(X, Y), Z),
+                         self.dmodule(X, self.dmodule(Y, Z)),
+                         self.alpha_prime(X, Y, Z))
 
     def left_unit(self, X):
-        return ModuleMap(self.wc.dmodule(self.unit, X), X,
-                         self.wc.lambda_prime(X))
+        """λ′_X = λ_X ∘ c_{I,X}: D(I,X) -> X."""
+        return ModuleMap(self.dmodule(self.unit, X), X, compose(
+            self.ct.left_unit(X).lin, self.c_iso(self.unit, X)))
 
     def right_unit(self, X):
-        return ModuleMap(self.wc.dmodule(X, self.unit), X,
-                         self.wc.rho_prime(X))
+        """ρ′_X = ρ_X ∘ c_{X,I}: D(X,I) -> X."""
+        return ModuleMap(self.dmodule(X, self.unit), X, compose(
+            self.ct.right_unit(X).lin, self.c_iso(X, self.unit)))
 
 
 def check_T_coherence(wc: WattsContext) -> CoherenceReport:
@@ -838,38 +838,28 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
     dimensionally inconsistent; we check the standard unit-coherence
     triangle transported through c instead, and label it accordingly.
     """
-    tt = TransportedTensor(wc)
-    R, I = wc.R, wc.ct.unit
+    R, I = wc.R, wc.unit
     rec = _Recorder()
 
-    # pentagon for α′ at (R,R,R,R)
-    RR = wc.dmodule(R, R)
-    path_a = compose_all(
-        tt.mor(tt.associator(R, R, R), module_identity(R)).lin,
-        tt.associator(R, RR, R).lin,
-        tt.mor(module_identity(R), tt.associator(R, R, R)).lin)
-    path_b = compose_all(tt.associator(RR, R, R).lin,
-                         tt.associator(R, R, RR).lin)
-    rec.equal("T-pentagon[R,R,R,R]", path_a, path_b, {"objects": ["R"] * 4})
-
-    # transported unit triangle at (R,R), the interpreted unit condition
-    lhs = compose(tt.mor(module_identity(R), tt.left_unit(R)).lin,
-                  tt.associator(R, I, R).lin)
-    rhs = tt.mor(tt.right_unit(R), module_identity(R)).lin
-    rec.equal("T-triangle[R,R] (interpreted)", lhs, rhs,
+    rec.equal("T-pentagon[R,R,R,R]", *_pentagon(wc, R, R, R, R),
+              {"objects": ["R"] * 4})
+    # the transported unit triangle at (R,R), the interpreted unit condition
+    rec.equal("T-triangle[R,R] (interpreted)",
+              *_triangle(wc, R, R, wc.right_unit(R), wc.left_unit(R)),
               {"objects": [R.name, R.name]})
 
     # α′_{R,R,R} is equivariant for the three slot actions and the right one
     alpha = wc.alpha_prime(R, R, R)
+    RR = wc.dmodule(R, R)
     idR = module_identity(R)
     idRR = module_identity(RR)
     for i, lm in enumerate(wc.lmult):
-        src_slots = (tt.mor(tt.mor(lm, idR), idR).lin,
-                     tt.mor(tt.mor(idR, lm), idR).lin,
-                     tt.mor(idRR, lm).lin)
-        tgt_slots = (tt.mor(lm, idRR).lin,
-                     tt.mor(idR, tt.mor(lm, idR)).lin,
-                     tt.mor(idR, tt.mor(idR, lm)).lin)
+        src_slots = (wc.mor(wc.mor(lm, idR), idR).lin,
+                     wc.mor(wc.mor(idR, lm), idR).lin,
+                     wc.mor(idRR, lm).lin)
+        tgt_slots = (wc.mor(lm, idRR).lin,
+                     wc.mor(idR, wc.mor(lm, idR)).lin,
+                     wc.mor(idR, wc.mor(idR, lm)).lin)
         for s, (a_src, a_tgt) in enumerate(zip(src_slots, tgt_slots), 1):
             rec.equal(f"T-alpha-slot-equivariant[slot{s},e{i}]",
                       compose(alpha, a_src), compose(a_tgt, alpha),
@@ -1012,7 +1002,7 @@ def verify_monoidal_functor(wc: WattsContext,
     ct = wc.ct
     om = OmegaFunctor(wc)
     rec = _Recorder()
-    R, I = wc.R, ct.unit
+    I = ct.unit
     Rbim = Bimodule.regular(wc.algebra)
     eta = om.eta()
 
@@ -1052,11 +1042,8 @@ def verify_monoidal_functor(wc: WattsContext,
                 _, cell_xd = wc.bimodule_tensor(oX, wc.omega(DYZ))
                 m1 = descend(cell_l, compose_tensor(
                     cell_dz.proj, om.xi(X, Y), identity(oZ.space)))
-                lhs = compose_all(
-                    m1, om.xi(DXY, Z),
-                    wc.omega_map(ModuleMap(wc.dmodule(DXY, Z),
-                                           wc.dmodule(X, DYZ),
-                                           wc.alpha_prime(X, Y, Z))))
+                lhs = compose_all(m1, om.xi(DXY, Z),
+                                  wc.omega_map(wc.associator(X, Y, Z)))
                 m2 = descend(cell_r, compose_tensor(
                     cell_xd.proj, identity(oX.space), om.xi(Y, Z)))
                 rhs = compose_all(assoc, m2, om.xi(X, DYZ))
@@ -1072,8 +1059,7 @@ def verify_monoidal_functor(wc: WattsContext,
         _, cell_ix = wc.bimodule_tensor(wc.omega(I), oX)
         m = descend(cell_rx, compose_tensor(cell_ix.proj, eta,
                                             identity(oX.space)))
-        lam_p = ModuleMap(wc.dmodule(I, X), X, wc.lambda_prime(X))
-        lhs = compose_all(m, om.xi(I, X), wc.omega_map(lam_p))
+        lhs = compose_all(m, om.xi(I, X), wc.omega_map(wc.left_unit(X)))
         rec.equal(f"functor-unit-left[{X.name}]", lhs, lam_str, ctx)
         # right unit square
         _, cell_xr = wc.bimodule_tensor(oX, Rbim)
@@ -1082,8 +1068,7 @@ def verify_monoidal_functor(wc: WattsContext,
         _, cell_xi2 = wc.bimodule_tensor(oX, wc.omega(I))
         m = descend(cell_xr, compose_tensor(cell_xi2.proj,
                                             identity(oX.space), eta))
-        rho_p = ModuleMap(wc.dmodule(X, I), X, wc.rho_prime(X))
-        lhs = compose_all(m, om.xi(X, I), wc.omega_map(rho_p))
+        lhs = compose_all(m, om.xi(X, I), wc.omega_map(wc.right_unit(X)))
         rec.equal(f"functor-unit-right[{X.name}]", lhs, rho_str, ctx)
 
     return CoherenceReport(f"monoidal functor: {ct.name}",

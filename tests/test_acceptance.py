@@ -115,7 +115,7 @@ def test_criterion_04_strict_fixture_full_pipeline():
     assert [m.matrix for m in wc.T.left1] == [m.matrix for m in wc.T.left2]
     for rep in reports:
         assert rep.ok, rep.failures
-    assert time.perf_counter() - t0 < 10.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_05_twisted_graded_fixture():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from monocat.cli import main
+from monocat.watts import MalformedTensor
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "monocat" / "fixtures"
@@ -168,6 +169,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, fragment", [
         ("graded-unit-not-a-line", "unit must be the trivial line"),
         ("graded-char-2", "needs characteristic ≠ 2"),
+        ("graded-idempotent", "graded tensor expects K[Z/2]"),
         ("duplicate-name", "sample module names repeat: ['Sp']"),
         ("R-not-regular", "the sample module R is not the regular module"),
         ("module-dim", "Sp: dim 5 but 1 basis labels"),
@@ -193,6 +195,12 @@ class TestExitCodes:
         elif case == "graded-char-2":
             algebra["char"] = 2
             byname["L"]["action"][1] = [[1]]  # a module over F2[Z/2]
+        elif case == "graded-idempotent":
+            # basis (1, e) with e·e = e, and valid modules over it
+            algebra["mult"] = [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]
+            byname["L"]["action"][1] = [[0]]
+            byname["R"]["action"][1] = [[0, 0], [1, 1]]
+            data.update(sequences=[], rigidity=[])
         elif case == "duplicate-name":
             modules.append(byname["Sp"])
         elif case == "R-not-regular":
@@ -223,6 +231,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert fragment in err
+
+    @pytest.mark.parametrize("command", ["watts", "report"])
+    def test_construction_failure_is_a_failed_check(
+            self, capsys, tmp_path, monkeypatch, command):
+        def broken(wc):
+            raise MalformedTensor("α′ is not invertible")
+
+        monkeypatch.setattr("monocat.cli.check_T_coherence", broken)
+        shutil.copy(FIXTURES / "strict-f3-z2.json", tmp_path)
+        monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))
+        argv = ["--format", "json", command] + \
+            (["strict-f3-z2"] if command == "watts" else [])
+        code, out, err = run(capsys, argv)
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        report = payload["report"] if command == "watts" else \
+            payload["fixtures"]["strict-f3-z2"]
+        assert report["checks"] == [{
+            "name": "pipeline-construction", "ok": False,
+            "witness": {"error": "MalformedTensor",
+                        "detail": "α′ is not invertible"}}]
 
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])

@@ -20,7 +20,7 @@ from monocat.linalg import (Field, FieldScalar, VectorSpace, compose,
                             serialize_raw, solve_iso, tensor)
 from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
                            NotBalanced, NotNatural, StrictTensor,
-                           TransportedTensor, WattsContext, _collapse_regular,
+                           WattsContext, _collapse_regular,
                            check_monoidal_axioms, check_rigidity,
                            check_T_coherence, flip_cocycle,
                            induce_natural_family, is_three_cocycle,
@@ -74,6 +74,19 @@ class TestGuards:
         A = group_algebra(Field(3), 3)
         with pytest.raises(MalformedTensor):
             GradedTensor(A, Module.regular(A), trivial_cocycle())
+
+    def test_graded_rejects_an_algebra_other_than_the_group_algebra(self):
+        # basis (1, e) with e·e = e: dimension 2 and characteristic 3, but
+        # element 1 is no g with g² = 1
+        F = Field(3)
+        A = Algebra("idempotent", VectorSpace(F, ("1", "e")),
+                    (((1, 0), (0, 1)), ((0, 1), (0, 1))), (1, 0))
+        A.check()
+        line = VectorSpace(F, ("i0",))
+        I = Module("I", A, line, "right", (identity(line), identity(line)))
+        I.check()
+        with pytest.raises(MalformedTensor, match=r"K\[Z/2\]"):
+            GradedTensor(A, I, trivial_cocycle())
 
     def test_strict_rejects_noncommutative(self):
         with pytest.raises(StructureError):
@@ -154,9 +167,40 @@ class TestTransport:
                 assert rank(c) == c.source.dim == c.target.dim
 
     def test_transported_structure_is_monoidal(self, wc_strict, fx_strict):
-        tt = TransportedTensor(wc_strict)
         sample = [fx_strict.module("R"), fx_strict.module("Sm")]
-        assert check_monoidal_axioms(tt, sample).ok
+        assert check_monoidal_axioms(wc_strict, sample).ok
+
+    def test_context_is_the_transported_tensor(self, wc_sign, fx_sign):
+        # the product is D, the associator α′ and the unitors λ′, ρ′, each
+        # read from the context's own caches
+        ct, R, I = wc_sign.ct, wc_sign.R, wc_sign.unit
+        assert wc_sign.name == f"transported[{ct.name}]"
+        assert I == ct.unit
+        for X in fx_sign.sample:
+            assert wc_sign.product(X, R) is wc_sign.dcell(X, R)
+            assert wc_sign.left_unit(X).lin.rows == compose(
+                ct.left_unit(X).lin, wc_sign.c_iso(I, X)).rows
+            assert wc_sign.right_unit(X).lin.rows == compose(
+                ct.right_unit(X).lin, wc_sign.c_iso(X, I)).rows
+        assert wc_sign.associator(R, R, R).lin is \
+            wc_sign.alpha_prime(R, R, R)
+
+    @pytest.mark.parametrize("flip", [None, (0, 1, 1)])
+    def test_transported_axioms_at_R(self, fx_sign, flip):
+        # negative control: with ω(0,1,1) negated the transported pentagon
+        # and the derived left unit diagram fail at R, with witnesses
+        coc = sign_cocycle() if flip is None else \
+            flip_cocycle(sign_cocycle(), flip)
+        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"), coc)
+        R = fx_sign.module("R")
+        rep = check_monoidal_axioms(WattsContext(ct), [R])
+        assert len(rep.results) == 27
+        failed = sorted(r.name for r in rep.failures)
+        assert failed == ([] if flip is None else
+                          ["pentagon[R,R,R,R]", "unit-left-derived[R,R]"])
+        for r in rep.failures:
+            assert {"lhs", "rhs"} <= set(r.witness)
+            assert r.witness["lhs"] != r.witness["rhs"]
 
     def test_context_freed_by_refcount(self, fx_strict, fx_sign):
         # a reference cycle through the context would keep it and all of
