@@ -4,9 +4,11 @@ An Algebra is given by raw structure constants over the base field, as a
 LinearMap's ``rows`` are; modules and bimodules carry explicit action
 matrices per algebra basis element.  Tensor products over the algebra are
 computed as explicit cokernels of the balancing relations, so every quotient
-comes with a canonical basis, a projection from the ambient Kronecker
-product, and a section.  The same relations give the equivariant maps:
-Hom(X, Y) is a balancing quotient (``hom_basis``).
+is one ``TensorCell``: a canonical basis, a projection from the ambient
+Kronecker product, a section, and the module or bimodule the quotient
+carries.  Every f⊗g between two cells is ``tensor_maps``, the one path that
+descends an ambient map through a cokernel.  The same relations give the
+equivariant maps: Hom(X, Y) is a balancing quotient (``hom_basis``).
 
 A module or bimodule is its content: equality and hash read the algebra,
 the space and the actions, never the name, which is only a label for
@@ -267,11 +269,13 @@ def hom_basis(X, Y):
 
 @dataclass(frozen=True)
 class TensorCell:
-    """A balanced tensor product presented as an explicit quotient."""
+    """A balanced tensor product presented as an explicit quotient, with
+    the module or bimodule it carries (None for a bare ``balanced_tensor``)."""
 
     space: VectorSpace
     proj: LinearMap     # ambient X ⊗_K Y -> space
     section: LinearMap  # space -> ambient, proj ∘ section = id
+    module: object = None  # Module | Bimodule | None
 
 
 def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
@@ -314,23 +318,27 @@ def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
     return induced
 
 
-def tensor_over(X, i: int, Y, j: int, name: str):
+def tensor_maps(src, tgt, f: LinearMap, g: LinearMap) -> LinearMap:
+    """f⊗g from the quotient ``src`` to the quotient ``tgt``: the ambient
+    f⊗g pushed through ``tgt.proj`` and descended through ``src``."""
+    return descend(src, compose_tensor(tgt.proj, f, g))
+
+
+def tensor_over(X, i: int, Y, j: int, name: str) -> TensorCell:
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
-    a Bimodule; it is checked and returned with its TensorCell."""
+    a Bimodule; it is checked and returned as the cell's ``module``."""
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
     cell = balanced_tensor(X.space, X.families[i][1], Y.space,
                            Y.families[j][1])
     idX, idY = identity(X.space), identity(Y.space)
     families = [
-        (side, tuple(descend(cell, compose_tensor(cell.proj, a, idY))
-                     for a in mats))
+        (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))
         for k, (side, mats) in enumerate(X.families) if k != i] + [
-        (side, tuple(descend(cell, compose_tensor(cell.proj, idX, b))
-                     for b in mats))
+        (side, tuple(tensor_maps(cell, cell, idX, b) for b in mats))
         for k, (side, mats) in enumerate(Y.families) if k != j]
     if len(families) == 1:
         (side, action), = families
@@ -339,15 +347,17 @@ def tensor_over(X, i: int, Y, j: int, name: str):
         (_, left), (_, right) = families
         result = Bimodule(name, X.algebra, cell.space, left, right)
     result.check()
-    return result, cell
+    return TensorCell(cell.space, cell.proj, cell.section, result)
 
 
-def bimodule_tensor(M: Bimodule, N: Bimodule, name: Optional[str] = None):
-    """M ⊗_R N with the outer actions; returns (Bimodule, TensorCell)."""
+def bimodule_tensor(M: Bimodule, N: Bimodule,
+                    name: Optional[str] = None) -> TensorCell:
+    """M ⊗_R N with the outer actions."""
     return tensor_over(M, 1, N, 0, name or f"({M.name}⊗{N.name})")
 
 
-def module_tensor_commutative(X: Module, Y: Module, name: Optional[str] = None):
+def module_tensor_commutative(X: Module, Y: Module,
+                              name: Optional[str] = None) -> TensorCell:
     """X ⊗_R Y of right modules over a commutative algebra, as a right
     module: Y is the symmetric bimodule it is over a commutative R."""
     if not X.algebra.is_commutative():

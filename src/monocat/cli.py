@@ -138,8 +138,8 @@ def cmd_bound(args) -> int:
 
 def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
     """The reports of the check groups on one fixture; when a construction
-    itself breaks down, one failed ``pipeline-construction`` check in their
-    place, not a usage error."""
+    itself breaks down, the reports of the groups that already ran and one
+    failed ``pipeline-construction`` check after them, not a usage error."""
     reports: List[CoherenceReport] = []
     try:
         if isinstance(fx.ct, GradedTensor) and "axioms" in groups:
@@ -163,10 +163,10 @@ def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
                 reports.append(
                     check_rigidity(fx.ct, r.obj, r.dual, r.ev, r.db))
     except WattsError as exc:
-        return [CoherenceReport(
+        reports.append(CoherenceReport(
             f"watts: {fx.name}", (),
             (CheckResult("pipeline-construction", False,
-                         {"error": type(exc).__name__, "detail": str(exc)}),))]
+                         {"error": type(exc).__name__, "detail": str(exc)}),)))
     return reports
 
 

@@ -6,8 +6,10 @@ and the associator/unit components.  From such a structure we build the
 triple-action bimodule T = R⊙R, the natural isomorphisms θ, μ, c, the
 transported structure (D, α′, λ′, ρ′), itself a CustomTensor (a
 ``WattsContext``), and the embedding functor ω into R-R-bimodules with
-its monoidal structure ξ.  Every claimed identity is checked by exact
-matrix equality and reported with witnesses.
+its monoidal structure ξ.  The target of ω is a CustomTensor too:
+``BimoduleTensor``, ⊗_R on bimodules, which shares its associator and
+unitors with the strict tensor.  Every claimed identity is checked by
+exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
@@ -16,11 +18,11 @@ the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
 as in every bundled sample.  A module is its content (``algmod``), so
 every cache, keyed by modules, builds each product, cell and map once per
 content, and a hit returns the object built under the first name seen:
-``dcell(X2, R).module.name`` reads ``D(X,R)`` when X2 is X renamed and
-D(X,R) was built first.  Check names and witnesses are formed from the
-sample and the loop variables, never from cached objects, so reports
-name the caller's modules; an exception raised inside a cached
-construction can still carry the first name.  The work of a run follows
+``product(X2, R).module.name`` reads ``D(X,R)`` on a WattsContext when
+X2 is X renamed and D(X,R) was built first.  Check names and witnesses
+are formed from the sample and the loop variables, never from cached
+objects, so reports name the caller's modules; an exception raised
+inside a cached construction can still carry the first name.  The work of a run follows
 the content of its sample: two modules of one content cost one, so the
 benchmark's seeded widening of R moves the work with the seed (README,
 Library layout).
@@ -36,7 +38,8 @@ from typing import Dict, Optional, Sequence
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      TensorCell, balanced_tensor, bimodule_tensor,
                      check_actions, descend, hom_basis, matrix_to_json,
-                     module_identity, module_tensor_commutative, tensor_over)
+                     module_identity, module_tensor_commutative, tensor_maps,
+                     tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      compose, compose_all, compose_tensor, identity,
                      linear_combination, rank, solve_iso, tensor,
@@ -157,19 +160,13 @@ def _memo(attr: str):
     return decorate
 
 
-@dataclass(frozen=True)
-class ProductCell:
-    """X⊙Y presented as a quotient of the scalar tensor product X⊗_K Y."""
-
-    module: Module      # the product as a right R-module
-    proj: LinearMap     # structure surjection  X⊗_K Y -> X⊙Y
-    section: LinearMap  # a section of proj
-
-
 class CustomTensor:
-    """Base interface for a monoidal structure ⊙ on Mod_R.
+    """Base interface for a monoidal structure ⊙ on Mod_R, or on R-R
+    bimodules.
 
-    Subclasses provide product cells; morphism tensoring pushes f⊗g
+    Subclasses provide product cells: X⊙Y as a quotient of the scalar
+    tensor product X⊗_K Y, with its ``module``, its structure surjection
+    ``proj`` and a ``section`` of it.  Morphism tensoring pushes f⊗g
     through the target cell's projection, descends it through the source
     cell and is verified well defined and equivariant on every call.
     """
@@ -178,7 +175,7 @@ class CustomTensor:
         self.algebra = algebra
         self.unit = unit
         self.name = name
-        self._products: Dict[tuple, ProductCell] = {}
+        self._products: Dict[tuple, TensorCell] = {}
         self._mors: Dict[tuple, ModuleMap] = {}
         self._assocs: Dict[tuple, ModuleMap] = {}
 
@@ -187,10 +184,10 @@ class CustomTensor:
         return self.algebra.field
 
     @_memo("_products")
-    def product(self, X: Module, Y: Module) -> ProductCell:
+    def product(self, X: Module, Y: Module) -> TensorCell:
         return self._product(X, Y)
 
-    def _product(self, X: Module, Y: Module) -> ProductCell:
+    def _product(self, X: Module, Y: Module) -> TensorCell:
         raise NotImplementedError
 
     def _push(self, proj: LinearMap, f: ModuleMap,
@@ -231,32 +228,23 @@ class CustomTensor:
     # -- shared helpers ----------------------------------------------------
 
     def _rebracket(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
-        """Canonical (X⊙Y)⊙Z -> X⊙(Y⊙Z) through total projections."""
+        """Canonical (X⊙Y)⊙Z -> X⊙(Y⊙Z) through the total projections
+        from X⊗Y⊗Z."""
         pXY, pYZ = self.product(X, Y), self.product(Y, Z)
         pL = self.product(pXY.module, Z)
         pR = self.product(X, pYZ.module)
-        a = _rebracket(pXY, pL, pYZ, pR, X.space, Z.space)
-        if a is None:
+        qL = compose_tensor(pL.proj, pXY.proj, identity(Z.space))
+        qR = compose_tensor(pR.proj, identity(X.space), pYZ.proj)
+        same = identity(qL.source)
+        bridge = LinearMap.from_rows(qL.source, qR.source, same.rows,
+                                     same.cols)
+        sec = compose(tensor(pXY.section, identity(Z.space)), pL.section)
+        a = compose(qR, compose(bridge, sec))
+        if compose(a, qL).rows != compose(qR, bridge).rows:
             raise MalformedTensor(
                 f"{self.name}: rebracketing is not well defined on "
                 f"({X.name},{Y.name},{Z.name})")
         return ModuleMap(pL.module, pR.module, a)
-
-
-def _rebracket(cell_xy, cell_l, cell_yz, cell_r, Xspace: VectorSpace,
-               Zspace: VectorSpace) -> Optional[LinearMap]:
-    """(X·Y)·Z -> X·(Y·Z) through the total projections from X⊗Y⊗Z, or
-    None when not well defined; cell_l is a quotient of cell_xy ⊗ Z and
-    cell_r of X ⊗ cell_yz, each cell with a ``proj`` and a ``section``."""
-    qL = compose_tensor(cell_l.proj, cell_xy.proj, identity(Zspace))
-    qR = compose_tensor(cell_r.proj, identity(Xspace), cell_yz.proj)
-    same = identity(qL.source)
-    bridge = LinearMap.from_rows(qL.source, qR.source, same.rows, same.cols)
-    sec = compose(tensor(cell_xy.section, identity(Zspace)), cell_l.section)
-    a = compose(qR, compose(bridge, sec))
-    if compose(a, qL).rows != compose(qR, bridge).rows:
-        return None
-    return a
 
 
 def _orbit(actions: Sequence[LinearMap], b: int,
@@ -279,6 +267,21 @@ def _collapse(cell, blocks: Sequence[LinearMap],
     return descend(cell, amb)
 
 
+def _collapse_left(ct: CustomTensor, X) -> ModuleMap:
+    """λ_X: R⊗_R X -> X, r⊗x ↦ r·x, by the first action family of X."""
+    cell = ct.product(ct.unit, X)
+    return ModuleMap(cell.module, X,
+                     _collapse(cell, X.families[0][1], X.space))
+
+
+def _collapse_right(ct: CustomTensor, X) -> ModuleMap:
+    """ρ_X: X⊗_R R -> X, x⊗r ↦ x·r, by the last action family of X."""
+    cell = ct.product(X, ct.unit)
+    orbits = [_orbit(X.families[-1][1], b, ct.algebra.space)
+              for b in range(X.dim)]
+    return ModuleMap(cell.module, X, _collapse(cell, orbits, X.space))
+
+
 class StrictTensor(CustomTensor):
     """⊙ = ⊗_R over a commutative algebra; the unit object is R itself,
     the regular module named ``R``.  Products are keyed by content: a hit
@@ -290,22 +293,29 @@ class StrictTensor(CustomTensor):
         unit = Module.regular(algebra)
         super().__init__(algebra, unit, name or f"strict[{algebra.name}]")
 
-    def _product(self, X: Module, Y: Module) -> ProductCell:
-        mod, cell = module_tensor_commutative(X, Y)
-        return ProductCell(mod, cell.proj, cell.section)
+    def _product(self, X: Module, Y: Module) -> TensorCell:
+        return module_tensor_commutative(X, Y)
 
-    def _associator(self, X, Y, Z):
-        return self._rebracket(X, Y, Z)
+    _associator = CustomTensor._rebracket
+    left_unit = _collapse_left
+    right_unit = _collapse_right
 
-    def left_unit(self, X):
-        cell = self.product(self.unit, X)
-        return ModuleMap(cell.module, X, _collapse(cell, X.action, X.space))
 
-    def right_unit(self, X):
-        cell = self.product(X, self.unit)
-        orbits = [_orbit(X.action, b, self.algebra.space)
-                  for b in range(X.dim)]
-        return ModuleMap(cell.module, X, _collapse(cell, orbits, X.space))
+class BimoduleTensor(CustomTensor):
+    """⊗_R on R-R-bimodules over any algebra, the target of ω: the unit is
+    the regular bimodule, the associator the canonical rebracketing, and
+    λ and ρ collapse R as the strict tensor's do."""
+
+    def __init__(self, algebra: Algebra):
+        super().__init__(algebra, Bimodule.regular(algebra),
+                         f"bimodules[{algebra.name}]")
+
+    def _product(self, M: Bimodule, N: Bimodule) -> TensorCell:
+        return bimodule_tensor(M, N)
+
+    _associator = CustomTensor._rebracket
+    left_unit = _collapse_left
+    right_unit = _collapse_right
 
 
 def trivial_cocycle() -> dict:
@@ -378,12 +388,12 @@ class GradedTensor(CustomTensor):
         self.cocycle = dict(cocycle)
         self._parities: Dict[tuple, tuple] = {}
 
-    def _product(self, X: Module, Y: Module) -> ProductCell:
+    def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
         action = (identity(space), tensor(X.action[1], Y.action[1]))
         mod = Module(f"({X.name}⊙{Y.name})", self.algebra, space, "right",
                      action)
-        return ProductCell(mod, identity(space), identity(space))
+        return TensorCell(space, identity(space), identity(space), mod)
 
     @_memo("_parities")
     def _parity(self, X: Module) -> tuple:
@@ -670,28 +680,29 @@ class WattsContext(CustomTensor):
     """The monoidal structure (D, α′, λ′, ρ′) that T transports ⊙ to on
     Mod_R: a CustomTensor whose product X⊙′Y is the cell D(X,Y), with T
     and every construction derived from the source tensor ``ct``, each
-    built once per context; the caches are freed with the context.  ``R``
-    is the regular module, named ``R``, and ``lmult[i]`` the left
-    multiplication by e_i on it, a map of right modules.  Every cache is
-    keyed by content, so a hit returns the object named after the first
-    modules seen; no cache is shared with another context."""
+    built once per context; the caches are freed with the context.  D(X,Y)
+    is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
+    ``alpha_prime`` build, every other caller reads the cache.  ``R`` is
+    the regular module, named ``R``, ``lmult[i]`` the left multiplication
+    by e_i on it, a map of right modules, and ``bimodules`` the target
+    tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
+    the object named after the first modules seen; no cache is shared
+    with another context."""
 
     def __init__(self, ct: CustomTensor):
         super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]")
         self.ct = ct
+        self.bimodules = BimoduleTensor(ct.algebra)
         R = self.R = Module.regular(ct.algebra)
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
         self.T = build_T(ct, R, self.lmult)
         self._omega: Dict[tuple, Bimodule] = {}
-        self._ombar: Dict[tuple, tuple] = {}
+        self._ombar: Dict[tuple, TensorCell] = {}
         self._nu: Dict[tuple, LinearMap] = {}
         self._mu: Dict[tuple, LinearMap] = {}
-        self._dcell: Dict[tuple, DCell] = {}
         self._c: Dict[tuple, LinearMap] = {}
         self._c_inv: Dict[tuple, LinearMap] = {}
-        self._alpha: Dict[tuple, LinearMap] = {}
-        self._bimodule_tensors: Dict[tuple, tuple] = {}
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
@@ -710,17 +721,12 @@ class WattsContext(CustomTensor):
         """ω(f) = id_R ⊙ f on the underlying spaces."""
         return self.ct.mor(module_identity(self.R), f).lin
 
-    @_memo("_bimodule_tensors")
-    def bimodule_tensor(self, M: Bimodule, N: Bimodule) -> tuple:
-        """M ⊗_R N and its cell, by ``algmod.bimodule_tensor``."""
-        return bimodule_tensor(M, N)
-
     # -- μ and ν -----------------------------------------------------------
 
     @_memo("_ombar")
-    def ombar(self, X: Module) -> tuple:
+    def ombar(self, X: Module) -> TensorCell:
         """X⊗₂T, X balanced against the second left action, with the
-        residual first-left and right actions: (Bimodule, TensorCell)."""
+        residual first-left and right actions as its bimodule."""
         return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)")
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
@@ -730,7 +736,7 @@ class WattsContext(CustomTensor):
     @_memo("_nu")
     def nu(self, X: Module) -> LinearMap:
         """X⊗₂T -> R⊙X, x⊗t ↦ (id_R ⊙ x̂)(t)."""
-        _, cell = self.ombar(X)
+        cell = self.ombar(X)
         idR = module_identity(self.R)
         blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
                   for a in range(X.dim)]
@@ -764,17 +770,14 @@ class WattsContext(CustomTensor):
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
 
-    @_memo("_dcell")
     def dcell(self, X: Module, Y: Module) -> DCell:
-        obY, inner = self.ombar(Y)
-        mod, outer = tensor_over(X, 0, obY, 0, f"D({X.name},{Y.name})")
+        """Build D(X,Y); ``product`` caches it."""
+        inner = self.ombar(Y)
+        outer = tensor_over(X, 0, inner.module, 0, f"D({X.name},{Y.name})")
         idX = identity(X.space)
         proj = compose_tensor(outer.proj, idX, inner.proj)
         section = compose(tensor(idX, inner.section), outer.section)
-        return DCell(mod, outer, proj, section)
-
-    def dmodule(self, X: Module, Y: Module) -> Module:
-        return self.dcell(X, Y).module
+        return DCell(outer.module, outer, proj, section)
 
     def _product(self, X, Y):
         return self.dcell(X, Y)
@@ -789,10 +792,9 @@ class WattsContext(CustomTensor):
     @_memo("_c")
     def c_iso(self, X: Module, Y: Module) -> LinearMap:
         """c_{X,Y} = θ_Y(X) ∘ (id_X ⊗ ν_Y): D(X,Y) -> X⊙Y."""
-        dc = self.dcell(X, Y)
         theta, cell = self.theta(Y, X)
-        step = descend(dc.outer, compose_tensor(
-            cell.proj, identity(X.space), self.nu(Y)))
+        step = tensor_maps(self.product(X, Y).outer, cell, identity(X.space),
+                           self.nu(Y))
         return compose(theta, step)
 
     @_memo("_c_inv")
@@ -800,14 +802,14 @@ class WattsContext(CustomTensor):
         """c_{X,Y}⁻¹: X⊙Y -> D(X,Y)."""
         return solve_iso(self.c_iso(X, Y))
 
-    @_memo("_alpha")
     def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
-        """D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α."""
+        """Build D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α;
+        ``associator`` caches it."""
         ct = self.ct
         XY = ct.product(X, Y).module
         YZ = ct.product(Y, Z).module
-        c_xy = ModuleMap(self.dmodule(X, Y), XY, self.c_iso(X, Y))
-        c_yz_inv = ModuleMap(YZ, self.dmodule(Y, Z), self.c_inv(Y, Z))
+        c_xy = ModuleMap(self.product(X, Y).module, XY, self.c_iso(X, Y))
+        c_yz_inv = ModuleMap(YZ, self.product(Y, Z).module, self.c_inv(Y, Z))
         return compose_all(
             self.mor(c_xy, module_identity(Z)).lin,
             self.c_iso(XY, Z),
@@ -816,18 +818,19 @@ class WattsContext(CustomTensor):
             self.mor(module_identity(X), c_yz_inv).lin)
 
     def _associator(self, X, Y, Z):
-        return ModuleMap(self.dmodule(self.dmodule(X, Y), Z),
-                         self.dmodule(X, self.dmodule(Y, Z)),
+        D = self.product
+        return ModuleMap(D(D(X, Y).module, Z).module,
+                         D(X, D(Y, Z).module).module,
                          self.alpha_prime(X, Y, Z))
 
     def left_unit(self, X):
         """λ′_X = λ_X ∘ c_{I,X}: D(I,X) -> X."""
-        return ModuleMap(self.dmodule(self.unit, X), X, compose(
+        return ModuleMap(self.product(self.unit, X).module, X, compose(
             self.ct.left_unit(X).lin, self.c_iso(self.unit, X)))
 
     def right_unit(self, X):
         """ρ′_X = ρ_X ∘ c_{X,I}: D(X,I) -> X."""
-        return ModuleMap(self.dmodule(X, self.unit), X, compose(
+        return ModuleMap(self.product(X, self.unit).module, X, compose(
             self.ct.right_unit(X).lin, self.c_iso(X, self.unit)))
 
 
@@ -849,8 +852,8 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
               {"objects": [R.name, R.name]})
 
     # α′_{R,R,R} is equivariant for the three slot actions and the right one
-    alpha = wc.alpha_prime(R, R, R)
-    RR = wc.dmodule(R, R)
+    alpha = wc.associator(R, R, R).lin
+    RR = wc.product(R, R).module
     idR = module_identity(R)
     idRR = module_identity(RR)
     for i, lm in enumerate(wc.lmult):
@@ -864,8 +867,8 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
             rec.equal(f"T-alpha-slot-equivariant[slot{s},e{i}]",
                       compose(alpha, a_src), compose(a_tgt, alpha),
                       {"slot": s, "basis": i})
-        a_src = wc.dmodule(RR, R).action[i]
-        a_tgt = wc.dmodule(R, RR).action[i]
+        a_src = wc.product(RR, R).module.action[i]
+        a_tgt = wc.product(R, RR).module.action[i]
         rec.equal(f"T-alpha-right-equivariant[e{i}]",
                   compose(alpha, a_src), compose(a_tgt, alpha), {"basis": i})
 
@@ -881,21 +884,14 @@ def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
     return balanced_tensor(M.space, M.action, P.space, P.left)
 
 
-def _collapse_regular(P: Bimodule) -> LinearMap:
-    """The canonical iso R⊗_R P -> P, r⊗p ↦ r·p."""
-    cell = tensor_with_bimodule(Module.regular(P.algebra), P)
-    return _collapse(cell, P.left, P.space)
-
-
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
     """The family M ↦ id_M ⊗ f induced by a bimodule homomorphism."""
     P, Q = f.source, f.target
     out = {}
     for M in modules:
-        src = tensor_with_bimodule(M, P)
-        tgt = tensor_with_bimodule(M, Q)
-        out[M] = descend(src, compose_tensor(tgt.proj, identity(M.space),
-                                             f.lin))
+        out[M] = tensor_maps(tensor_with_bimodule(M, P),
+                             tensor_with_bimodule(M, Q), identity(M.space),
+                             f.lin)
     return out
 
 
@@ -919,16 +915,16 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     for M in modules:
         for N in modules:
             for lin in hom_basis(M, N):
-                fP = descend(cells_p[M], compose_tensor(
-                    cells_p[N].proj, lin, identity(P.space)))
-                fQ = descend(cells_q[M], compose_tensor(
-                    cells_q[N].proj, lin, identity(Q.space)))
+                fP = tensor_maps(cells_p[M], cells_p[N], lin,
+                                 identity(P.space))
+                fQ = tensor_maps(cells_q[M], cells_q[N], lin,
+                                 identity(Q.space))
                 if compose(components[N], fP).rows != \
                         compose(fQ, components[M]).rows:
                     raise NotNatural(
                         f"square fails for a map {M.name} -> {N.name}")
-    uP = _collapse_regular(P)
-    uQ = _collapse_regular(Q)
+    bim = BimoduleTensor(P.algebra)
+    uP, uQ = bim.left_unit(P).lin, bim.left_unit(Q).lin
     phi = compose_all(solve_iso(uP), components[R], uQ)
     for i in range(P.algebra.dim):
         if compose(phi, P.left[i]).rows != compose(Q.left[i], phi).rows:
@@ -936,8 +932,7 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
         if compose(phi, P.right[i]).rows != compose(Q.right[i], phi).rows:
             raise NotBalanced("extracted map is not right linear")
     for M in modules:
-        rebuilt = descend(cells_p[M], compose_tensor(
-            cells_q[M].proj, identity(M.space), phi))
+        rebuilt = tensor_maps(cells_p[M], cells_q[M], identity(M.space), phi)
         if rebuilt.rows != components[M].rows:
             raise NotNatural(f"component at {M.name} is not reproduced")
     return ModuleMap(P, Q, phi)
@@ -959,8 +954,8 @@ class OmegaFunctor:
     @_memo("_u")
     def _collapse(self, X: Module) -> LinearMap:
         """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
-        obX, _ = self.wc.ombar(X)
-        return _collapse(self.wc.dcell(self.wc.R, X).outer, obX.left,
+        obX = self.wc.ombar(X).module
+        return _collapse(self.wc.product(self.wc.R, X).outer, obX.left,
                          obX.space)
 
     @_memo("_u_inv")
@@ -975,35 +970,35 @@ class OmegaFunctor:
     @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
         """ξ_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)) built from α′_{R,X,Y}."""
-        wc = self.wc
-        _, cell = wc.bimodule_tensor(wc.omega(X), wc.omega(Y))
+        wc, bim = self.wc, self.wc.bimodules
+        cell = bim.product(wc.omega(X), wc.omega(Y))
         # pass to the X⊗₂T model of ω on both factors
-        (obX, _), (obY, _) = wc.ombar(X), wc.ombar(Y)
-        _, cell_bar = wc.bimodule_tensor(obX, obY)
-        m1 = descend(cell, compose_tensor(cell_bar.proj, wc.mu(X), wc.mu(Y)))
+        obX, obY = wc.ombar(X).module, wc.ombar(Y).module
+        cell_bar = bim.product(obX, obY)
+        m1 = tensor_maps(cell, cell_bar, wc.mu(X), wc.mu(Y))
         # identify with D(D(R,X),Y) through the collapse in the first slot
-        ddc = wc.dcell(wc.dmodule(wc.R, X), Y)
-        m2 = descend(cell_bar, compose_tensor(
-            ddc.outer.proj, self._collapse_inv(X), identity(obY.space)))
+        ddc = wc.product(wc.product(wc.R, X).module, Y)
+        m2 = tensor_maps(cell_bar, ddc.outer, self._collapse_inv(X),
+                         identity(obY.space))
         # transport and collapse on the other side
-        alpha = wc.alpha_prime(wc.R, X, Y)
-        DXY = wc.dmodule(X, Y)
+        alpha = wc.associator(wc.R, X, Y).lin
+        DXY = wc.product(X, Y).module
         u_d = self._collapse(DXY)
         return compose_all(m1, m2, alpha, u_d, wc.nu(DXY))
 
 
 def verify_monoidal_functor(wc: WattsContext,
                             sample: Sequence[Module]) -> CoherenceReport:
-    """Monoidal-functor coherence checks for (ω, ξ, η).
+    """Monoidal-functor coherence checks for (ω, ξ, η) from (Mod_R, ⊙)
+    to the bimodule tensor ``wc.bimodules``.
 
     The target hexagon degenerates to a pentagon because the bimodule
     tensor is associated canonically through total projections.
     """
-    ct = wc.ct
+    ct, bim = wc.ct, wc.bimodules
     om = OmegaFunctor(wc)
     rec = _Recorder()
     I = ct.unit
-    Rbim = Bimodule.regular(wc.algebra)
     eta = om.eta()
 
     for X in sample:
@@ -1016,8 +1011,8 @@ def verify_monoidal_functor(wc: WattsContext,
             except NotInvertible:
                 iso_ok = False
             rec.add(f"xi-iso[{X.name},{Y.name}]", iso_ok, ctx)
-            BXY, _ = wc.bimodule_tensor(wc.omega(X), wc.omega(Y))
-            mm = ModuleMap(BXY, wc.omega(wc.dmodule(X, Y)), xi)
+            mm = ModuleMap(bim.product(wc.omega(X), wc.omega(Y)).module,
+                           wc.omega(wc.product(X, Y).module), xi)
             rec.add(f"xi-equivariant[{X.name},{Y.name}]", mm.is_equivariant(),
                     ctx)
 
@@ -1026,50 +1021,37 @@ def verify_monoidal_functor(wc: WattsContext,
             for Z in sample:
                 ctx = {"objects": [X.name, Y.name, Z.name]}
                 oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
-                AB, cell_ab = wc.bimodule_tensor(oX, oY)
-                _, cell_l = wc.bimodule_tensor(AB, oZ)
-                BC, cell_bc = wc.bimodule_tensor(oY, oZ)
-                _, cell_r = wc.bimodule_tensor(oX, BC)
-                assoc = _rebracket(cell_ab, cell_l, cell_bc, cell_r,
-                                   oX.space, oZ.space)
-                if assoc is None:
-                    rec.add(f"functor-pentagon[{X.name},{Y.name},{Z.name}]",
-                            False, {"reason": "flattening failed", **ctx})
-                    continue
-                DXY = wc.dmodule(X, Y)
-                DYZ = wc.dmodule(Y, Z)
-                _, cell_dz = wc.bimodule_tensor(wc.omega(DXY), oZ)
-                _, cell_xd = wc.bimodule_tensor(oX, wc.omega(DYZ))
-                m1 = descend(cell_l, compose_tensor(
-                    cell_dz.proj, om.xi(X, Y), identity(oZ.space)))
+                DXY = wc.product(X, Y).module
+                DYZ = wc.product(Y, Z).module
+                m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
+                                 bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
+                                 identity(oZ.space))
                 lhs = compose_all(m1, om.xi(DXY, Z),
                                   wc.omega_map(wc.associator(X, Y, Z)))
-                m2 = descend(cell_r, compose_tensor(
-                    cell_xd.proj, identity(oX.space), om.xi(Y, Z)))
-                rhs = compose_all(assoc, m2, om.xi(X, DYZ))
+                m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
+                                 bim.product(oX, wc.omega(DYZ)),
+                                 identity(oX.space), om.xi(Y, Z))
+                rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2,
+                                  om.xi(X, DYZ))
                 rec.equal(f"functor-pentagon[{X.name},{Y.name},{Z.name}]",
                           lhs, rhs, ctx)
 
+    oI = wc.omega(I)
     for X in sample:
         ctx = {"object": X.name}
         oX = wc.omega(X)
         # left unit square
-        _, cell_rx = wc.bimodule_tensor(Rbim, oX)
-        lam_str = _collapse(cell_rx, oX.left, oX.space)
-        _, cell_ix = wc.bimodule_tensor(wc.omega(I), oX)
-        m = descend(cell_rx, compose_tensor(cell_ix.proj, eta,
-                                            identity(oX.space)))
+        m = tensor_maps(bim.product(bim.unit, oX), bim.product(oI, oX), eta,
+                        identity(oX.space))
         lhs = compose_all(m, om.xi(I, X), wc.omega_map(wc.left_unit(X)))
-        rec.equal(f"functor-unit-left[{X.name}]", lhs, lam_str, ctx)
+        rec.equal(f"functor-unit-left[{X.name}]", lhs,
+                  bim.left_unit(oX).lin, ctx)
         # right unit square
-        _, cell_xr = wc.bimodule_tensor(oX, Rbim)
-        orbits = [_orbit(oX.right, a, wc.algebra.space) for a in range(oX.dim)]
-        rho_str = _collapse(cell_xr, orbits, oX.space)
-        _, cell_xi2 = wc.bimodule_tensor(oX, wc.omega(I))
-        m = descend(cell_xr, compose_tensor(cell_xi2.proj,
-                                            identity(oX.space), eta))
+        m = tensor_maps(bim.product(oX, bim.unit), bim.product(oX, oI),
+                        identity(oX.space), eta)
         lhs = compose_all(m, om.xi(X, I), wc.omega_map(wc.right_unit(X)))
-        rec.equal(f"functor-unit-right[{X.name}]", lhs, rho_str, ctx)
+        rec.equal(f"functor-unit-right[{X.name}]", lhs,
+                  bim.right_unit(oX).lin, ctx)
 
     return CoherenceReport(f"monoidal functor: {ct.name}",
                            tuple(m.name for m in sample), tuple(rec.results))
@@ -1094,13 +1076,13 @@ class ExactSequence:
         self.g.check()
         if not compose(self.g.lin, self.f.lin).is_zero():
             raise StructureError(f"{self.name}: g∘f ≠ 0")
-        if rank(self.g.lin) != self.g.target.dim:
+        rank_g = rank(self.g.lin)
+        if rank_g != self.g.target.dim:
             raise StructureError(f"{self.name}: g is not surjective")
-        ker_dim = self.g.source.dim - rank(self.g.lin)
-        if rank(self.f.lin) != ker_dim:
+        rank_f = rank(self.f.lin)
+        if rank_f != self.g.source.dim - rank_g:
             raise StructureError(f"{self.name}: im f ≠ ker g")
-        if self.kind == "short-exact" and \
-                rank(self.f.lin) != self.f.source.dim:
+        if self.kind == "short-exact" and rank_f != self.f.source.dim:
             raise StructureError(f"{self.name}: f is not injective")
 
 
@@ -1138,21 +1120,21 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
             flat_space = VectorSpace.make(wc.algebra.field, len(rows[0]), "h")
             dom = VectorSpace.make(wc.algebra.field, len(rows), "c")
             stacked = LinearMap.from_rows(flat_space, dom, tuple(rows))
+            image_rank = rank(stacked)
             rec.add(f"hom-injective[{M.name},{N.name}]",
-                    rank(stacked) == len(basis),
+                    image_rank == len(basis),
                     {"pair": [M.name, N.name], "hom_dim": len(basis),
-                     "image_rank": rank(stacked)})
+                     "image_rank": image_rank})
 
     for seq in sequences:
         wf = wc.omega_map(seq.f)
         wg = wc.omega_map(seq.g)
-        wc_dim = wc.omega(seq.g.target).dim
+        rank_f, rank_g = rank(wf), rank(wg)
         ok = (compose(wg, wf).is_zero()
-              and rank(wg) == wc_dim
-              and rank(wf) == wc.omega(seq.g.source).dim - rank(wg))
+              and rank_g == wc.omega(seq.g.target).dim
+              and rank_f == wc.omega(seq.g.source).dim - rank_g)
         rec.add(f"omega-right-exact[{seq.name}]", ok,
-                {"sequence": seq.name, "rank_f": rank(wf),
-                 "rank_g": rank(wg)})
+                {"sequence": seq.name, "rank_f": rank_f, "rank_g": rank_g})
 
     inexact = []
     for seq in sequences:

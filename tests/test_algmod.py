@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, algebra_from_json,
                             balanced_tensor, bimodule_tensor, hom_basis,
-                            module_identity, module_tensor_commutative)
+                            module_identity, module_tensor_commutative,
+                            tensor_maps)
 from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
                             is_identity, make_map, rank, serialize_raw,
@@ -82,16 +83,15 @@ class TestModules:
 class TestTensorOverR:
     def test_unit_law(self, z2_group_algebra):
         R = Module.regular(z2_group_algebra)
-        result, cell = module_tensor_commutative(R, R)
-        assert result.dim == R.dim
+        cell = module_tensor_commutative(R, R)
+        assert cell.module.dim == R.dim
         # canonical map r⊗s ↦ rs is the descended multiplication; projection
         # composed with section is the identity, so the cell is a retract.
         assert compose(cell.proj, cell.section).matrix == identity(cell.space).matrix
 
     def test_dual_numbers_quotient_square(self, dual_numbers):
         C = quotient_by_x(dual_numbers)
-        result, _ = module_tensor_commutative(C, C)
-        assert result.dim == 1
+        assert module_tensor_commutative(C, C).module.dim == 1
 
     def test_orthogonal_idempotents_kill(self, split_pair):
         alg = split_pair
@@ -101,8 +101,7 @@ class TestTensorOverR:
         space1 = VectorSpace(F3, ("v",))
         right_row = Module("row1", alg, space1, "right",
                            (zero_map(space1, space1), identity(space1)))
-        result, _ = module_tensor_commutative(left_col, right_row)
-        assert result.dim == 0
+        assert module_tensor_commutative(left_col, right_row).module.dim == 0
 
     def test_left_module_over_commutative_algebra(self, dual_numbers):
         # over a commutative R a left action is a right one: a left-sided
@@ -120,7 +119,7 @@ class TestTensorOverR:
 
     def test_group_algebra_regular_square(self, z2_group_algebra):
         R = Bimodule.regular(z2_group_algebra)
-        result, _ = bimodule_tensor(R, R)
+        result = bimodule_tensor(R, R).module
         assert result.dim == 2
         result.check()
 
@@ -153,16 +152,18 @@ class TestRightExactness:
         surj = make_map(R.space, C.space, [[1, 0]])
         from monocat.linalg import tensor as ktensor
         from monocat.algmod import descend
-        src, src_cell = module_tensor_commutative(C, R)
-        tgt, tgt_cell = module_tensor_commutative(C, C)
+        src_cell = module_tensor_commutative(C, R)
+        tgt_cell = module_tensor_commutative(C, C)
         induced = descend(src_cell, compose(
             tgt_cell.proj, ktensor(identity(C.space), surj)))
-        assert rank(induced) == tgt.dim
+        assert rank(induced) == tgt_cell.module.dim
+        assert tensor_maps(src_cell, tgt_cell, identity(C.space),
+                           surj) == induced
 
     def test_descend_of_the_projection_is_the_identity(self,
                                                       z2_group_algebra):
         R = Module.regular(z2_group_algebra)
-        _, cell = module_tensor_commutative(R, R)
+        cell = module_tensor_commutative(R, R)
         assert cell.section.cols is not None
         induced = descend(cell, cell.proj)
         assert is_identity(induced) and induced.source is cell.space

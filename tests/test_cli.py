@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from monocat.cli import main
-from monocat.watts import MalformedTensor
+from monocat.fixtures import strict_f3_z2
+from monocat.watts import MalformedTensor, check_monoidal_axioms
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "monocat" / "fixtures"
@@ -235,6 +236,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["watts", "report"])
     def test_construction_failure_is_a_failed_check(
             self, capsys, tmp_path, monkeypatch, command):
+        # the groups that ran before the failing construction keep their
+        # reports: here the axioms, which run before T
+        fx = strict_f3_z2()
+        axioms = check_monoidal_axioms(fx.ct, fx.sample).to_json()["checks"]
+        assert all(check["ok"] for check in axioms)
+
         def broken(wc):
             raise MalformedTensor("α′ is not invertible")
 
@@ -248,10 +255,12 @@ class TestExitCodes:
         payload = json.loads(out)
         report = payload["report"] if command == "watts" else \
             payload["fixtures"]["strict-f3-z2"]
-        assert report["checks"] == [{
-            "name": "pipeline-construction", "ok": False,
-            "witness": {"error": "MalformedTensor",
-                        "detail": "α′ is not invertible"}}]
+        failure = {"name": "pipeline-construction", "ok": False,
+                   "witness": {"error": "MalformedTensor",
+                               "detail": "α′ is not invertible"}}
+        assert not report["ok"]
+        assert report["checks"] == sorted(axioms + [failure],
+                                          key=lambda check: check["name"])
 
     def test_unknown_simple_is_data_error(self, capsys):
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])

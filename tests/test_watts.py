@@ -18,9 +18,9 @@ from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
 from monocat.linalg import (Field, FieldScalar, VectorSpace, compose,
                             compose_all, identity, make_map, rank,
                             serialize_raw, solve_iso, tensor)
-from monocat.watts import (ExactSequence, GradedTensor, MalformedTensor,
-                           NotBalanced, NotNatural, StrictTensor,
-                           WattsContext, _collapse_regular,
+from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
+                           MalformedTensor, NotBalanced, NotNatural,
+                           StrictTensor, WattsContext,
                            check_monoidal_axioms, check_rigidity,
                            check_T_coherence, flip_cocycle,
                            induce_natural_family, is_three_cocycle,
@@ -171,18 +171,18 @@ class TestTransport:
         assert check_monoidal_axioms(wc_strict, sample).ok
 
     def test_context_is_the_transported_tensor(self, wc_sign, fx_sign):
-        # the product is D, the associator α′ and the unitors λ′, ρ′, each
-        # read from the context's own caches
+        # the product is D, the associator α′ and the unitors λ′, ρ′;
+        # ``dcell`` and ``alpha_prime`` build what the caches hold
         ct, R, I = wc_sign.ct, wc_sign.R, wc_sign.unit
         assert wc_sign.name == f"transported[{ct.name}]"
         assert I == ct.unit
         for X in fx_sign.sample:
-            assert wc_sign.product(X, R) is wc_sign.dcell(X, R)
+            assert wc_sign.product(X, R) == wc_sign.dcell(X, R)
             assert wc_sign.left_unit(X).lin.rows == compose(
                 ct.left_unit(X).lin, wc_sign.c_iso(I, X)).rows
             assert wc_sign.right_unit(X).lin.rows == compose(
                 ct.right_unit(X).lin, wc_sign.c_iso(X, I)).rows
-        assert wc_sign.associator(R, R, R).lin is \
+        assert wc_sign.associator(R, R, R).lin == \
             wc_sign.alpha_prime(R, R, R)
 
     @pytest.mark.parametrize("flip", [None, (0, 1, 1)])
@@ -269,8 +269,8 @@ class TestSharedCells:
         wc = WattsContext(fx_strict.ct)
         X = fx_strict.module("Sp")
         X2 = replace(X, name="X2")
-        first = wc.dcell(X, wc.R)
-        assert wc.dcell(X2, wc.R) is first
+        first = wc.product(X, wc.R)
+        assert wc.product(X2, wc.R) is first
         assert first.module.name == "D(Sp,R)"
 
     def test_renamed_module_shares_the_product(self):
@@ -291,10 +291,10 @@ class TestSharedCells:
 
     def test_each_context_starts_with_its_own_cells(self, fx_strict):
         first = WattsContext(fx_strict.ct)
-        first.dcell(fx_strict.module("Sp"), first.R)
-        assert first._dcell and first._ombar
+        first.product(fx_strict.module("Sp"), first.R)
+        assert first._products and first._ombar
         second = WattsContext(fx_strict.ct)
-        assert second._dcell == {} and second._ombar == {}
+        assert second._products == {} and second._ombar == {}
 
     def test_checks_name_the_renamed_module(self):
         fx = strict_f3_z2()
@@ -440,7 +440,7 @@ class TestNaturalFamilies:
         P = Bimodule.regular(A)
         R = Module.regular(A)
         phi = A.right_mult_matrix(1)  # ·e12: left-linear, not right-linear
-        uP = _collapse_regular(P)
+        uP = BimoduleTensor(A).left_unit(P).lin
         comp = compose_all(uP, phi, solve_iso(uP))
         with pytest.raises(NotBalanced):
             nat_to_bimodule_hom(P, P, {R: comp})
@@ -536,18 +536,20 @@ def _reference_ombar(wc, X):
     idX = identity(X.space)
     left = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.left1)
     right = tuple(descend_action(cell, tensor(idX, a)) for a in wc.T.right)
-    return Bimodule(f"({X.name}⊗₂T)", wc.algebra, cell.space, left,
-                    right), cell
+    return replace(cell, module=Bimodule(f"({X.name}⊗₂T)", wc.algebra,
+                                         cell.space, left, right))
 
 
 def _reference_dcell(wc, X, Y):
-    obY, inner = _reference_ombar(wc, Y)
+    inner = _reference_ombar(wc, Y)
+    obY = inner.module
     outer = balanced_tensor(X.space, X.action, inner.space, obY.left)
     idX = identity(X.space)
     right = tuple(descend_action(outer, tensor(idX, a)) for a in obY.right)
     mod = Module(f"D({X.name},{Y.name})", wc.algebra, outer.space, "right",
                  right)
-    return (mod, outer, compose(outer.proj, tensor(idX, inner.proj)),
+    return (mod, replace(outer, module=mod),
+            compose(outer.proj, tensor(idX, inner.proj)),
             compose(tensor(idX, inner.section), outer.section))
 
 
@@ -557,16 +559,16 @@ def _reference_bimodule_tensor(M, N):
                  for a in M.left)
     right = tuple(descend_action(cell, tensor(identity(M.space), b))
                   for b in N.right)
-    return Bimodule(f"({M.name}⊗{N.name})", M.algebra, cell.space, left,
-                    right), cell
+    return replace(cell, module=Bimodule(f"({M.name}⊗{N.name})", M.algebra,
+                                         cell.space, left, right))
 
 
 def _reference_module_tensor(X, Y):
     cell = balanced_tensor(X.space, X.action, Y.space, Y.action)
     action = tuple(descend_action(cell, tensor(identity(X.space), b))
                    for b in Y.action)
-    return Module(f"({X.name}⊗{Y.name})", X.algebra, cell.space, "right",
-                  action), cell
+    return replace(cell, module=Module(f"({X.name}⊗{Y.name})", X.algebra,
+                                       cell.space, "right", action))
 
 
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
@@ -576,15 +578,29 @@ def test_tensor_over_matches_reference_cokernels(name):
     for X in fx.sample:
         assert wc.ombar(X) == _reference_ombar(wc, X)
         for Y in fx.sample:
-            dc = wc.dcell(X, Y)
+            dc = wc.product(X, Y)
             assert (dc.module, dc.outer, dc.proj, dc.section) == \
                 _reference_dcell(wc, X, Y)
             oX, oY = wc.omega(X), wc.omega(Y)
             expected = _reference_bimodule_tensor(oX, oY)
             assert bimodule_tensor(oX, oY) == expected
-            assert wc.bimodule_tensor(oX, oY) == expected
+            assert wc.bimodules.product(oX, oY) == expected
             assert module_tensor_commutative(X, Y) == \
                 _reference_module_tensor(X, Y)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_bimodule_tensor_is_monoidal(name):
+    # the target of ω: ⊗_R with its rebracketing α and collapsing λ, ρ
+    # passes every axiom on the images ω(X) of the sample
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+    sample = [wc.omega(X) for X in fx.sample]
+    rep = check_monoidal_axioms(wc.bimodules, sample)
+    assert rep.ok, rep.failures
+    names = [r.name for r in rep.results]
+    assert sum(x.startswith("pentagon[") for x in names) == len(sample) ** 4
+    assert wc.bimodules.unit == Bimodule.regular(fx.algebra)
 
 
 def graded_flipped():
