@@ -5,11 +5,12 @@ cells (quotients of the scalar Kronecker product), morphism tensoring,
 and the associator/unit components.  From such a structure we build the
 triple-action bimodule T = R⊙R, the natural isomorphisms θ, μ, c, the
 transported structure (D, α′, λ′, ρ′), itself a CustomTensor (a
-``WattsContext``), and the embedding functor ω into R-R-bimodules with
-its monoidal structure ξ.  The target of ω is a CustomTensor too:
-``BimoduleTensor``, ⊗_R on bimodules, which shares its associator and
-unitors with the strict tensor.  Every claimed identity is checked by
-exact matrix equality and reported with witnesses.
+``WattsContext``) whose product D(X,Y) = X⊗_R(Y⊗₂T) is one balanced
+tensor cell like every other, and the embedding functor ω into
+R-R-bimodules with its monoidal structure ξ.  The target of ω is a
+CustomTensor too: ``BimoduleTensor``, ⊗_R on bimodules, which shares its
+associator and unitors with the strict tensor.  Every claimed identity is
+checked by exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
@@ -235,12 +236,9 @@ class CustomTensor:
         pR = self.product(X, pYZ.module)
         qL = compose_tensor(pL.proj, pXY.proj, identity(Z.space))
         qR = compose_tensor(pR.proj, identity(X.space), pYZ.proj)
-        same = identity(qL.source)
-        bridge = LinearMap.from_rows(qL.source, qR.source, same.rows,
-                                     same.cols)
         sec = compose(tensor(pXY.section, identity(Z.space)), pL.section)
-        a = compose(qR, compose(bridge, sec))
-        if compose(a, qL).rows != compose(qR, bridge).rows:
+        a = compose(qR, sec)
+        if compose(a, qL).rows != qR.rows:
             raise MalformedTensor(
                 f"{self.name}: rebracketing is not well defined on "
                 f"({X.name},{Y.name},{Z.name})")
@@ -413,9 +411,7 @@ class GradedTensor(CustomTensor):
         XY = self.product(X, Y).module
         pL = self.product(XY, Z)
         pR = self.product(X, self.product(Y, Z).module)
-        same = identity(pL.module.space)
-        terms = [(1, LinearMap.from_rows(pL.module.space, pR.module.space,
-                                         same.rows, same.cols))]
+        terms = [(1, identity(pL.module.space))]
         for c in (0, 1):
             odd = [(a, b) for a in (0, 1) for b in (0, 1)
                    if self.cocycle[(a, b, c)] == -1]
@@ -666,19 +662,10 @@ def build_T(ct: CustomTensor, R: Module,
 # ---------------------------------------------------------------------------
 # The Watts construction
 
-@dataclass(frozen=True)
-class DCell:
-    """Transported product D(X,Y) = X⊗₁(Y⊗₂T) as a nested cokernel."""
-
-    module: Module       # right module structure on the quotient
-    outer: TensorCell    # X⊗₁(Y⊗₂T)
-    proj: LinearMap      # total projection from X⊗(Y⊗T)
-    section: LinearMap   # total section
-
-
 class WattsContext(CustomTensor):
     """The monoidal structure (D, α′, λ′, ρ′) that T transports ⊙ to on
-    Mod_R: a CustomTensor whose product X⊙′Y is the cell D(X,Y), with T
+    Mod_R: a CustomTensor whose product X⊙′Y is the ``tensor_over`` cell
+    D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is f⊗(g⊗₂id_T) descended, with T
     and every construction derived from the source tensor ``ct``, each
     built once per context; the caches are freed with the context.  D(X,Y)
     is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
@@ -770,22 +757,21 @@ class WattsContext(CustomTensor):
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
 
-    def dcell(self, X: Module, Y: Module) -> DCell:
-        """Build D(X,Y); ``product`` caches it."""
-        inner = self.ombar(Y)
-        outer = tensor_over(X, 0, inner.module, 0, f"D({X.name},{Y.name})")
-        idX = identity(X.space)
-        proj = compose_tensor(outer.proj, idX, inner.proj)
-        section = compose(tensor(idX, inner.section), outer.section)
-        return DCell(outer.module, outer, proj, section)
+    def dcell(self, X: Module, Y: Module) -> TensorCell:
+        """Build D(X,Y) = X⊗_R(Y⊗₂T), X balanced against the first left
+        action of the bimodule Y⊗₂T; ``product`` caches it."""
+        return tensor_over(X, 0, self.ombar(Y).module, 0,
+                           f"D({X.name},{Y.name})")
 
     def _product(self, X, Y):
         return self.dcell(X, Y)
 
     def _push(self, proj, f, g):
-        """proj ∘ (f⊗(g⊗id_T)): D(X,Y) is a quotient of X⊗(Y⊗T)."""
-        return compose_tensor(proj, f.lin,
-                              tensor(g.lin, identity(self.T.space)))
+        """proj ∘ (f⊗(g⊗₂id_T)), g tensored through Y⊗₂T first; raises
+        LinAlgError when g⊗₂id_T does not descend."""
+        gT = tensor_maps(self.ombar(g.source), self.ombar(g.target), g.lin,
+                         identity(self.T.space))
+        return compose_tensor(proj, f.lin, gT)
 
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
@@ -793,7 +779,7 @@ class WattsContext(CustomTensor):
     def c_iso(self, X: Module, Y: Module) -> LinearMap:
         """c_{X,Y} = θ_Y(X) ∘ (id_X ⊗ ν_Y): D(X,Y) -> X⊙Y."""
         theta, cell = self.theta(Y, X)
-        step = tensor_maps(self.product(X, Y).outer, cell, identity(X.space),
+        step = tensor_maps(self.product(X, Y), cell, identity(X.space),
                            self.nu(Y))
         return compose(theta, step)
 
@@ -955,7 +941,7 @@ class OmegaFunctor:
     def _collapse(self, X: Module) -> LinearMap:
         """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
         obX = self.wc.ombar(X).module
-        return _collapse(self.wc.product(self.wc.R, X).outer, obX.left,
+        return _collapse(self.wc.product(self.wc.R, X), obX.left,
                          obX.space)
 
     @_memo("_u_inv")
@@ -978,7 +964,7 @@ class OmegaFunctor:
         m1 = tensor_maps(cell, cell_bar, wc.mu(X), wc.mu(Y))
         # identify with D(D(R,X),Y) through the collapse in the first slot
         ddc = wc.product(wc.product(wc.R, X).module, Y)
-        m2 = tensor_maps(cell_bar, ddc.outer, self._collapse_inv(X),
+        m2 = tensor_maps(cell_bar, ddc, self._collapse_inv(X),
                          identity(obY.space))
         # transport and collapse on the other side
         alpha = wc.associator(wc.R, X, Y).lin
@@ -1117,8 +1103,8 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
             for lin in basis:
                 img = wc.omega_map(ModuleMap(M, N, lin))
                 rows.append(tuple(chain.from_iterable(img.rows)))
-            flat_space = VectorSpace.make(wc.algebra.field, len(rows[0]), "h")
-            dom = VectorSpace.make(wc.algebra.field, len(rows), "c")
+            flat_space = VectorSpace(wc.algebra.field, shape=(len(rows[0]),))
+            dom = VectorSpace(wc.algebra.field, shape=(len(rows),))
             stacked = LinearMap.from_rows(flat_space, dom, tuple(rows))
             image_rank = rank(stacked)
             rec.add(f"hom-injective[{M.name},{N.name}]",

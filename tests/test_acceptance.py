@@ -75,7 +75,7 @@ def test_criterion_02_embedding_homomorphism_200_pairs():
                 assert prod.entry(j, n) == oracle
         assert dual_image(fd, VX) == embed_object(fd, dual_object(fd, X))
         done += 1
-    assert time.perf_counter() - t0 < 5.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_criterion_03_growth_bound_sequences():
@@ -165,7 +165,7 @@ def test_criterion_06_natural_family_roundtrip_50_homs():
         back = nat_to_bimodule_hom(P, P, fam)  # verifies reconstruction
         assert back.lin.matrix == f.lin.matrix
         done += 1
-    assert time.perf_counter() - t0 < 5.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _flatness_summary(rep):

@@ -9,7 +9,7 @@ import pytest
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, balanced_tensor, bimodule_tensor,
                             descend, hom_basis, matrix_to_json,
-                            module_tensor_commutative)
+                            module_identity, module_tensor_commutative)
 from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
@@ -548,9 +548,7 @@ def _reference_dcell(wc, X, Y):
     right = tuple(descend_action(outer, tensor(idX, a)) for a in obY.right)
     mod = Module(f"D({X.name},{Y.name})", wc.algebra, outer.space, "right",
                  right)
-    return (mod, replace(outer, module=mod),
-            compose(outer.proj, tensor(idX, inner.proj)),
-            compose(tensor(idX, inner.section), outer.section))
+    return replace(outer, module=mod)
 
 
 def _reference_bimodule_tensor(M, N):
@@ -578,15 +576,26 @@ def test_tensor_over_matches_reference_cokernels(name):
     for X in fx.sample:
         assert wc.ombar(X) == _reference_ombar(wc, X)
         for Y in fx.sample:
-            dc = wc.product(X, Y)
-            assert (dc.module, dc.outer, dc.proj, dc.section) == \
-                _reference_dcell(wc, X, Y)
+            assert wc.product(X, Y) == _reference_dcell(wc, X, Y)
             oX, oY = wc.omega(X), wc.omega(Y)
             expected = _reference_bimodule_tensor(oX, oY)
             assert bimodule_tensor(oX, oY) == expected
             assert wc.bimodules.product(oX, oY) == expected
             assert module_tensor_commutative(X, Y) == \
                 _reference_module_tensor(X, Y)
+
+
+@pytest.mark.parametrize("build", [strict_f3_z2, dual_numbers_f2])
+def test_transported_mor_rejects_a_map_that_is_not_equivariant(build):
+    # g⊗₂id_T descends through Y⊗₂T only for a map g of right modules
+    wc = WattsContext(build().ct)
+    R, n = wc.R, wc.R.dim
+    units = (ModuleMap(R, R, make_map(R.space, R.space, [
+        [int((r, c) == (i, j)) for c in range(n)] for r in range(n)]))
+        for i in range(n) for j in range(n))
+    g = next(u for u in units if not u.is_equivariant())
+    with pytest.raises(MalformedTensor, match="does not descend"):
+        wc.mor(module_identity(R), g)
 
 
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
