@@ -56,7 +56,9 @@ class FusionData:
         try:
             return self.simples.index(label)
         except ValueError:
-            raise UnknownSimple(label) from None
+            raise UnknownSimple(
+                f"unknown simple object {label!r}; simples are "
+                f"{', '.join(self.simples)}") from None
 
     # ------------------------------------------------------------------
 
@@ -462,8 +464,7 @@ class _Parser:
             return inner
         if tok is None or tok in "+*^)":
             raise ExprError(f"unexpected token {tok!r}")
-        if tok not in self.fd.simples:
-            raise UnknownSimple(tok)
+        self.fd.index(tok)
         return ObjectExpr.simple(tok)
 
 

@@ -223,10 +223,6 @@ class VectorSpace:
 
     __hash__ = cached_hash
 
-    @staticmethod
-    def make(field: Field, dim: int, prefix: str = "e") -> "VectorSpace":
-        return VectorSpace(field, tuple(f"{prefix}{i}" for i in range(dim)))
-
 
 Matrix = tuple  # tuple of row tuples
 

@@ -23,10 +23,14 @@ content, and a hit returns the object built under the first name seen:
 X2 is X renamed and D(X,R) was built first.  Check names and witnesses
 are formed from the sample and the loop variables, never from cached
 objects, so reports name the caller's modules; an exception raised
-inside a cached construction can still carry the first name.  The work of a run follows
-the content of its sample: two modules of one content cost one, so the
-benchmark's seeded widening of R moves the work with the seed (README,
-Library layout).
+inside a cached construction can still carry the first name.  Almost
+every check whiskers a map with an identity, f⊙id_Z, so each tensor keeps
+one identity map per content (``CustomTensor.ident``): the ``mor`` key is
+then found by pointer and hashed once, where a fresh identity would be
+hashed over its whole table and compared by content on every hit.  The
+work of a run follows the content of its sample: two modules of one
+content cost one, so the benchmark's seeded widening of R moves the work
+with the seed (README, Library layout).
 """
 
 from __future__ import annotations
@@ -170,6 +174,11 @@ class CustomTensor:
     ``proj`` and a ``section`` of it.  Morphism tensoring pushes f⊗g
     through the target cell's projection, descends it through the source
     cell and is verified well defined and equivariant on every call.
+    ``ident(X)`` is the one identity of X's content for this tensor, the
+    identity every f⊙id and id⊙f is formed with, so that its ``mor`` key
+    hits by pointer.  Every cache is a dict on the instance and refers to
+    modules only, so a tensor is freed by refcount with all of them;
+    an identity kept on its module would be a reference cycle instead.
     """
 
     def __init__(self, algebra: Algebra, unit: Module, name: str):
@@ -179,6 +188,7 @@ class CustomTensor:
         self._products: Dict[tuple, TensorCell] = {}
         self._mors: Dict[tuple, ModuleMap] = {}
         self._assocs: Dict[tuple, ModuleMap] = {}
+        self._ids: Dict[tuple, ModuleMap] = {}
 
     @property
     def field(self) -> Field:
@@ -190,6 +200,11 @@ class CustomTensor:
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
         raise NotImplementedError
+
+    @_memo("_ids")
+    def ident(self, X: Module) -> ModuleMap:
+        """id_X, one object per content of X, as a key of ``mor``."""
+        return module_identity(X)
 
     def _push(self, proj: LinearMap, f: ModuleMap,
               g: ModuleMap) -> LinearMap:
@@ -460,9 +475,9 @@ def _pentagon(ct: CustomTensor, W: Module, X: Module, Y: Module,
     XY = ct.product(X, Y).module
     YZ = ct.product(Y, Z).module
     path_a = compose_all(
-        ct.mor(ct.associator(W, X, Y), module_identity(Z)).lin,
+        ct.mor(ct.associator(W, X, Y), ct.ident(Z)).lin,
         ct.associator(W, XY, Z).lin,
-        ct.mor(module_identity(W), ct.associator(X, Y, Z)).lin)
+        ct.mor(ct.ident(W), ct.associator(X, Y, Z)).lin)
     path_b = compose_all(ct.associator(WX, Y, Z).lin,
                          ct.associator(W, X, YZ).lin)
     return path_a, path_b
@@ -472,9 +487,9 @@ def _triangle(ct: CustomTensor, X: Module, Y: Module, rho_x: ModuleMap,
               lam_y: ModuleMap) -> tuple:
     """The two sides (X⊙I)⊙Y -> X⊙Y of the triangle, (id ⊙ λ_Y) ∘ α and
     ρ_X ⊙ id, for the unit components ``rho_x`` and ``lam_y``."""
-    lhs = compose(ct.mor(module_identity(X), lam_y).lin,
+    lhs = compose(ct.mor(ct.ident(X), lam_y).lin,
                   ct.associator(X, ct.unit, Y).lin)
-    return lhs, ct.mor(rho_x, module_identity(Y)).lin
+    return lhs, ct.mor(rho_x, ct.ident(Y)).lin
 
 
 def check_monoidal_axioms(ct: CustomTensor,
@@ -527,10 +542,10 @@ def check_monoidal_axioms(ct: CustomTensor,
 
             XY = ct.product(X, Y).module
             lhs = compose(ct.left_unit(XY).lin, ct.associator(I, X, Y).lin)
-            rhs = ct.mor(lams[X][0], module_identity(Y)).lin
+            rhs = ct.mor(lams[X][0], ct.ident(Y)).lin
             rec.equal(f"unit-left-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
 
-            lhs = compose(ct.mor(module_identity(X), rhos[Y][0]).lin,
+            lhs = compose(ct.mor(ct.ident(X), rhos[Y][0]).lin,
                           ct.associator(X, Y, I).lin)
             rhs = ct.right_unit(XY).lin
             rec.equal(f"unit-right-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
@@ -558,7 +573,7 @@ def check_monoidal_axioms(ct: CustomTensor,
         return compose_all(rhos[f.source][1], g, rhos[f.target][0].lin)
 
     morphisms = _hom_samples(sample)
-    one = module_identity(I)
+    one = ct.ident(I)
     for k, f in enumerate(morphisms):
         ctx = {"morphism": k,
                "pair": [f.source.name, f.target.name]}
@@ -580,10 +595,10 @@ def check_monoidal_axioms(ct: CustomTensor,
     for k, f in enumerate(morphisms):
         for l, g in enumerate(morphisms):
             fg = ct.mor(f, g).lin
-            a = compose(ct.mor(module_identity(f.target), g).lin,
-                        ct.mor(f, module_identity(g.source)).lin)
-            b = compose(ct.mor(f, module_identity(g.target)).lin,
-                        ct.mor(module_identity(f.source), g).lin)
+            a = compose(ct.mor(ct.ident(f.target), g).lin,
+                        ct.mor(f, ct.ident(g.source)).lin)
+            b = compose(ct.mor(f, ct.ident(g.target)).lin,
+                        ct.mor(ct.ident(f.source), g).lin)
             ctx = {"morphisms": [k, l]}
             rec.equal(f"interchange-a[{k},{l}]", fg, a, ctx)
             rec.equal(f"interchange-b[{k},{l}]", fg, b, ctx)
@@ -593,11 +608,11 @@ def check_monoidal_axioms(ct: CustomTensor,
         ctx = {"morphism": k, "pair": [f.source.name, f.target.name]}
         rec.equal(f"lambda-natural[{k}]",
                   compose(lams[f.target][0].lin,
-                          ct.mor(module_identity(I), f).lin),
+                          ct.mor(one, f).lin),
                   compose(f.lin, lams[f.source][0].lin), ctx)
         rec.equal(f"rho-natural[{k}]",
                   compose(rhos[f.target][0].lin,
-                          ct.mor(f, module_identity(I)).lin),
+                          ct.mor(f, one).lin),
                   compose(f.lin, rhos[f.source][0].lin), ctx)
     for k, f in enumerate(morphisms[:6]):
         for Y in sample[:2]:
@@ -605,9 +620,8 @@ def check_monoidal_axioms(ct: CustomTensor,
                 YZ = ct.product(Y, Z).module
                 lhs = compose(
                     ct.associator(f.target, Y, Z).lin,
-                    ct.mor(ct.mor(f, module_identity(Y)),
-                           module_identity(Z)).lin)
-                rhs = compose(ct.mor(f, module_identity(YZ)).lin,
+                    ct.mor(ct.mor(f, ct.ident(Y)), ct.ident(Z)).lin)
+                rhs = compose(ct.mor(f, ct.ident(YZ)).lin,
                               ct.associator(f.source, Y, Z).lin)
                 rec.equal(f"alpha-natural[{k},{Y.name},{Z.name}]", lhs, rhs,
                           {"morphism": k, "objects": [Y.name, Z.name]})
@@ -650,7 +664,7 @@ def build_T(ct: CustomTensor, R: Module,
     """T = R⊙R; left1 from −⊙R on the left multiplications ``lmult`` of
     R, left2 from R⊙−."""
     cell = ct.product(R, R)
-    idR = module_identity(R)
+    idR = ct.ident(R)
     left1 = tuple(ct.mor(lm, idR).lin for lm in lmult)
     left2 = tuple(ct.mor(idR, lm).lin for lm in lmult)
     T = TripleModule(ct.algebra, cell.module.space, left1, left2,
@@ -697,7 +711,7 @@ class WattsContext(CustomTensor):
     def omega(self, X: Module) -> Bimodule:
         """R⊙X; r acts on the left through ℓ_r ⊙ id_X."""
         cell = self.ct.product(self.R, X)
-        idX = module_identity(X)
+        idX = self.ct.ident(X)
         left = tuple(self.ct.mor(lm, idX).lin for lm in self.lmult)
         bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
                        left, tuple(cell.module.action))
@@ -706,7 +720,7 @@ class WattsContext(CustomTensor):
 
     def omega_map(self, f: ModuleMap) -> LinearMap:
         """ω(f) = id_R ⊙ f on the underlying spaces."""
-        return self.ct.mor(module_identity(self.R), f).lin
+        return self.ct.mor(self.ct.ident(self.R), f).lin
 
     # -- μ and ν -----------------------------------------------------------
 
@@ -724,7 +738,7 @@ class WattsContext(CustomTensor):
     def nu(self, X: Module) -> LinearMap:
         """X⊗₂T -> R⊙X, x⊗t ↦ (id_R ⊙ x̂)(t)."""
         cell = self.ombar(X)
-        idR = module_identity(self.R)
+        idR = self.ct.ident(self.R)
         blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
                   for a in range(X.dim)]
         try:
@@ -744,7 +758,7 @@ class WattsContext(CustomTensor):
         of Y⊗_R ω(X) it is defined on."""
         cell = tensor_with_bimodule(Y, self.omega(X))
         target = self.ct.product(Y, X).module
-        idX = module_identity(X)
+        idX = self.ct.ident(X)
         blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
                   for b in range(Y.dim)]
         try:
@@ -797,11 +811,11 @@ class WattsContext(CustomTensor):
         c_xy = ModuleMap(self.product(X, Y).module, XY, self.c_iso(X, Y))
         c_yz_inv = ModuleMap(YZ, self.product(Y, Z).module, self.c_inv(Y, Z))
         return compose_all(
-            self.mor(c_xy, module_identity(Z)).lin,
+            self.mor(c_xy, self.ident(Z)).lin,
             self.c_iso(XY, Z),
             ct.associator(X, Y, Z).lin,
             self.c_inv(X, YZ),
-            self.mor(module_identity(X), c_yz_inv).lin)
+            self.mor(self.ident(X), c_yz_inv).lin)
 
     def _associator(self, X, Y, Z):
         D = self.product
@@ -840,8 +854,8 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
     # α′_{R,R,R} is equivariant for the three slot actions and the right one
     alpha = wc.associator(R, R, R).lin
     RR = wc.product(R, R).module
-    idR = module_identity(R)
-    idRR = module_identity(RR)
+    idR = wc.ident(R)
+    idRR = wc.ident(RR)
     for i, lm in enumerate(wc.lmult):
         src_slots = (wc.mor(wc.mor(lm, idR), idR).lin,
                      wc.mor(wc.mor(idR, lm), idR).lin,
@@ -1129,7 +1143,7 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
         for W in sample:
             if W.dim == 0:
                 continue
-            probe = ct.mor(seq.f, module_identity(W)).lin
+            probe = ct.mor(seq.f, ct.ident(W)).lin
             exact = rank(probe) == probe.source.dim
             if not exact:
                 inexact.append([seq.name, W.name])
@@ -1157,9 +1171,9 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
     rho_x = ct.right_unit(X)
     snake1 = compose_all(
         solve_iso(lam_x.lin),
-        ct.mor(db, module_identity(X)).lin,
+        ct.mor(db, ct.ident(X)).lin,
         ct.associator(X, Xdual, X).lin,
-        ct.mor(module_identity(X), ev).lin,
+        ct.mor(ct.ident(X), ev).lin,
         rho_x.lin)
     rec.equal("snake-X", snake1, identity(X.space), {"object": X.name})
 
@@ -1167,9 +1181,9 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
     rho_d = ct.right_unit(Xdual)
     snake2 = compose_all(
         solve_iso(rho_d.lin),
-        ct.mor(module_identity(Xdual), db).lin,
+        ct.mor(ct.ident(Xdual), db).lin,
         solve_iso(ct.associator(Xdual, X, Xdual).lin),
-        ct.mor(ev, module_identity(Xdual)).lin,
+        ct.mor(ev, ct.ident(Xdual)).lin,
         lam_d.lin)
     rec.equal("snake-Xdual", snake2, identity(Xdual.space),
               {"object": Xdual.name})

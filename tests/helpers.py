@@ -1,8 +1,13 @@
-"""Small algebras the tests build by hand; the library reads algebras
-only from fixture JSON."""
+"""Small algebras and labelled spaces the tests build by hand; the
+library reads algebras only from fixture JSON."""
 
 from monocat.algmod import Algebra
 from monocat.linalg import Field, VectorSpace
+
+
+def labelled_space(field: Field, dim: int, prefix: str = "e") -> VectorSpace:
+    """A space of dimension ``dim`` with basis labels prefix0, prefix1, …"""
+    return VectorSpace(field, tuple(f"{prefix}{i}" for i in range(dim)))
 
 
 def group_algebra(field: Field, n: int) -> Algebra:

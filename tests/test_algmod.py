@@ -16,7 +16,7 @@ from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
                             solve_iso, tensor, zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
 
-from helpers import group_algebra, truncated_polynomial
+from helpers import group_algebra, labelled_space, truncated_polynomial
 
 F2 = Field(2)
 F3 = Field(3)
@@ -207,10 +207,10 @@ def reference_hom_basis(X, Y):
                 for k in range(m):
                     coeff[k * n + c] -= B.matrix[r][k].value
                 rows.append(field.box(coeff))
-    unknowns = VectorSpace.make(field, m * n, "f")
+    unknowns = labelled_space(field, m * n, "f")
     if not rows:
         rows = [field.box([0] * (m * n))]
-    sys_map = LinearMap(unknowns, VectorSpace.make(field, len(rows), "r"),
+    sys_map = LinearMap(unknowns, labelled_space(field, len(rows), "r"),
                         tuple(rows))
     ker, incl = kernel(sys_map)
     basis = []
@@ -247,7 +247,7 @@ def _conjugated_sum(alg, summands, seed):
                 blocks.append([[(-1) ** g]])
         blocks_per_g.append(_block_diagonal(blocks))
     dim = len(blocks_per_g[0])
-    space = VectorSpace.make(field, dim, "v")
+    space = labelled_space(field, dim, "v")
     rng = random.Random(seed)
     while True:
         P = make_map(space, space, [[rng.randrange(field.char)
@@ -360,12 +360,12 @@ def test_balanced_tensor_universal_property(pair, k, seed):
     field, rng = X.field, random.Random(seed)
     cell = balanced_tensor(X.space, X.action, Y.space, Y.action)
     ambient = cell.proj.source
-    V = VectorSpace.make(field, k, "v")
+    V = labelled_space(field, k, "v")
     rels = _balancing_relations(X, Y)
     # β is balanced iff β ∘ rel = 0, i.e. each row of β is in the kernel
     # of the stacked transposed relations
     stacked = LinearMap(
-        ambient, VectorSpace.make(field, len(rels) * ambient.dim, "r"),
+        ambient, labelled_space(field, len(rels) * ambient.dim, "r"),
         tuple(row for rel in rels for row in zip(*rel.matrix)))
     ker, incl = kernel(stacked)
     rows = []

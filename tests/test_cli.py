@@ -266,6 +266,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv,token", [
+        (["embed", "fusion-fibonacci", "foo"], "'foo'"),
+        (["embed", "fusion-fibonacci", "0*tau"], "'0'"),
+        (["bound", "fusion-fibonacci", "0"], "'0'"),
+    ])
+    def test_unknown_simple_names_the_token_and_the_simples(
+            self, capsys, argv, token):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert token in err
+        assert "simples are 1, tau" in err
+
     def test_broken_unit_law_fails_validation(self, capsys, tmp_path):
         data = json.loads(
             (FIXTURES / "fusion-fibonacci.json").read_text())

@@ -12,7 +12,7 @@ from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
                             NotInvertible, quotient_by_raw_rows, rank,
                             solve_iso, tensor, tensor_space, zero_map)
 
-from helpers import group_algebra
+from helpers import group_algebra, labelled_space
 
 F2 = Field(2)
 F3 = Field(3)
@@ -21,7 +21,7 @@ F97 = Field(97)
 
 
 def _space(field, n):
-    return VectorSpace.make(field, n)
+    return labelled_space(field, n)
 
 
 class TestCompose:
@@ -253,7 +253,7 @@ def _maps(draw, shapes):
     for letter in "".join(shapes):
         if letter not in dims:
             dims[letter] = draw(st.integers(min_value=0, max_value=4))
-    spaces = {letter: VectorSpace.make(field, d, letter)
+    spaces = {letter: labelled_space(field, d, letter)
               for letter, d in dims.items()}
     maps = []
     for rows_letter, cols_letter in shapes:
@@ -331,7 +331,7 @@ def test_add_and_scale_match_dense(drawn, data):
 
 def test_zero_dimensional_spaces():
     for field in KERNEL_FIELDS:
-        V0, V2 = VectorSpace.make(field, 0), VectorSpace.make(field, 2)
+        V0, V2 = labelled_space(field, 0), labelled_space(field, 2)
         into, out_of = zero_map(V0, V2), zero_map(V2, V0)
         assert compose(into, out_of).matrix == zero_map(V2, V2).matrix
         assert compose(out_of, into).matrix == ()
@@ -391,7 +391,7 @@ def test_separately_built_modules_equal_and_hash_equal():
 
 
 def test_mixed_fields_raise():
-    V3, V5 = VectorSpace.make(F3, 2), VectorSpace.make(F5, 2)
+    V3, V5 = labelled_space(F3, 2), labelled_space(F5, 2)
     f3, f5 = identity(V3), identity(V5)
     with pytest.raises(ValueError):
         compose(f3, f5)
@@ -406,7 +406,7 @@ def test_mixed_fields_raise():
 
 
 def test_entries_of_another_field_rejected():
-    V3, V5 = VectorSpace.make(F3, 2), VectorSpace.make(F5, 2)
+    V3, V5 = labelled_space(F3, 2), labelled_space(F5, 2)
     with pytest.raises(ValueError):
         identity(V3) + LinearMap(V3, V3, identity(V5).matrix)
 
@@ -418,7 +418,7 @@ def test_entries_of_another_field_rejected():
 def test_kernel_builds_no_field_scalar(monkeypatch):
     cases = []
     for field in KERNEL_FIELDS:
-        V = VectorSpace.make(field, 3)
+        V = labelled_space(field, 3)
         f = make_map(V, V, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # det 1
         g = make_map(V, V, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # rank 2
         cases.append((field, f, g, 2))
@@ -429,7 +429,7 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
     # a 3-cycle and an inclusion of a plane: the inclusion paths
     perms = [make_map(f.source, f.source, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
              for _, f, _, _ in cases]
-    incls = [make_map(VectorSpace.make(field, 2, "w"), f.source,
+    incls = [make_map(labelled_space(field, 2, "w"), f.source,
                       [[0, 0], [0, 1], [1, 0]])
              for field, f, _, _ in cases]
 
@@ -509,7 +509,7 @@ def _compose_tensor_cases(draw):
     f, g = [draw(st.sampled_from((
         m, identity(m.source), zero_map(m.source, m.target)))) for m in (f, g)]
     inner = tensor_space(f.target, g.target)
-    out = VectorSpace.make(field, draw(st.integers(0, 4)), "p")
+    out = labelled_space(field, draw(st.integers(0, 4)), "p")
     P = make_map(inner, out, draw(st.lists(
         st.lists(_entry(field), min_size=inner.dim, max_size=inner.dim),
         min_size=out.dim, max_size=out.dim)))
@@ -529,15 +529,15 @@ def test_compose_tensor_matches_compose_of_tensor(drawn):
 
 
 def test_compose_tensor_checks_the_inner_space():
-    V2, V3 = VectorSpace.make(F3, 2), VectorSpace.make(F3, 3)
+    V2, V3 = labelled_space(F3, 2), labelled_space(F3, 3)
     f, g = identity(V2), identity(V3)
     with pytest.raises(ValueError, match="compose_tensor"):
         compose_tensor(identity(tensor_space(V3, V2)), f, g)
     with pytest.raises(ValueError, match="compose_tensor"):
-        compose_tensor(identity(VectorSpace.make(F3, 6)), f, g)
+        compose_tensor(identity(labelled_space(F3, 6)), f, g)
     with pytest.raises(ValueError, match="mixed-field"):
         compose_tensor(identity(tensor_space(V2, V3)), f,
-                       identity(VectorSpace.make(F2, 3)))
+                       identity(labelled_space(F2, 3)))
 
 
 def test_tensor_space_built_once_and_freed_with_its_left_factor():
@@ -549,7 +549,7 @@ def test_tensor_space_built_once_and_freed_with_its_left_factor():
     W2 = VectorSpace(F3, ("p", "q", "r"))
     assert W2 == W and hash(W2) == hash(W)
     assert tensor_space(V, W2) is VW
-    assert tensor_space(W, V) != VW and VectorSpace.make(F3, 6) != VW
+    assert tensor_space(W, V) != VW and labelled_space(F3, 6) != VW
     assert tensor_space(V, V) is not VW
     ref = weakref.ref(V)
     gc.disable()
@@ -561,7 +561,7 @@ def test_tensor_space_built_once_and_freed_with_its_left_factor():
 
 
 def test_linear_combination_lone_and_empty_terms():
-    V, W = VectorSpace.make(F5, 2), VectorSpace.make(F5, 3)
+    V, W = labelled_space(F5, 2), labelled_space(F5, 3)
     f = make_map(V, W, [[1, 2], [0, 3], [4, 0]])
     assert linear_combination(V, W, [(1, f)]).rows is f.rows
     assert linear_combination(V, W, [(0, f), (1, f), (0, f)]).rows is f.rows
@@ -620,7 +620,7 @@ def _mixed_maps(draw, patterns):
     spaces = {}
     for letter in "".join(shapes):
         if letter not in spaces:
-            spaces[letter] = VectorSpace.make(
+            spaces[letter] = labelled_space(
                 field, draw(st.integers(min_value=0, max_value=4)), letter)
     return field, [draw(_flagged_map(field, spaces[c], spaces[r]))
                    for r, c in shapes]
@@ -648,7 +648,7 @@ def test_inclusions_tensor_like_dense_maps(drawn, data):
     _assert_cols_agree(got)
     inner = tensor_space(f.target, g.target)
     out = data.draw(st.sampled_from(
-        (inner, VectorSpace.make(field, data.draw(st.integers(0, 4)), "p"))))
+        (inner, labelled_space(field, data.draw(st.integers(0, 4)), "p"))))
     P = data.draw(_flagged_map(field, inner, out))
     got = compose_tensor(P, f, g)
     assert got == ref_compose(P, ref_tensor(f, g))
@@ -693,7 +693,7 @@ def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
     entry = st.sampled_from([0, 0, 1, 1, "2", "1/1", field(1)])
     table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                min_size=m, max_size=m))
-    f = make_map(VectorSpace.make(field, n), VectorSpace.make(field, m),
+    f = make_map(labelled_space(field, n), labelled_space(field, m),
                  table)
     assert f.cols == _ref_inclusion_cols(f.rows, n)
     _assert_cols_agree(f)
@@ -701,7 +701,7 @@ def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
 
 def test_permutation_is_not_the_identity():
     for field in KERNEL_FIELDS:
-        V = VectorSpace.make(field, 3)
+        V = labelled_space(field, 3)
         swap = make_map(V, V, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         f = make_map(V, V, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
         assert swap.cols == (1, 0, 2) and not is_identity(swap)
@@ -715,7 +715,7 @@ def test_permutation_is_not_the_identity():
         assert compose_tensor(P, idV, idV) is P
         # the identity table between two distinct, equal spaces is an
         # inclusion, not an identity
-        W = VectorSpace.make(field, 3)
+        W = labelled_space(field, 3)
         relabel = LinearMap.from_rows(V, W, idV.rows, idV.cols)
         assert W == V and not is_identity(relabel)
         assert compose(relabel, f) == LinearMap.from_rows(V, W, f.rows)

@@ -310,6 +310,52 @@ class TestSharedCells:
         assert "triangle[Sp,X2]" in names
 
 
+class TestIdentityCache:
+    """A tensor keeps one identity map per content of its argument, so
+    every mor(f, id) key after the first is found by pointer."""
+
+    def test_one_identity_per_module(self):
+        fx = strict_f3_z2()
+        ct, X = fx.ct, fx.module("Sp")
+        assert ct.ident(X) is ct.ident(X)
+        assert ct.ident(X) == module_identity(X)
+
+    def test_renamed_module_shares_the_identity(self):
+        fx = strict_f3_z2()
+        ct, X, Y = fx.ct, fx.module("Sp"), fx.module("Sm")
+        X2 = replace(X, name="X2")
+        assert ct.ident(X2) is ct.ident(X)
+        f = ModuleMap(Y, Y, hom_basis(Y, Y)[0])
+        assert ct.mor(f, ct.ident(X2)) is ct.mor(f, ct.ident(X))
+
+    def test_each_tensor_keeps_its_own_identities(self):
+        fx = strict_f3_z2()
+        wc = WattsContext(fx.ct)
+        X = fx.module("Sp")
+        assert wc.ident(X) is not fx.ct.ident(X)
+        assert wc.ident(X) == fx.ct.ident(X)
+
+    def test_checked_tensors_freed_by_refcount(self, fx_sign):
+        # the identities cached on a tensor refer to modules only, so a
+        # checked tensor and its caches go when it is dropped
+        fx = strict_f3_z2()
+        builds = (
+            (lambda: StrictTensor(fx.algebra), fx.sample),
+            (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                                  sign_cocycle()), fx_sign.sample))
+        gc.disable()
+        try:
+            for build, sample in builds:
+                ct = build()
+                assert check_monoidal_axioms(ct, sample).ok
+                assert ct._ids
+                ref = weakref.ref(ct)
+                del ct
+                assert ref() is None, sample
+        finally:
+            gc.enable()
+
+
 class TestFunctor:
     def test_strict_functor_coherence(self, wc_strict, fx_strict):
         rep = verify_monoidal_functor(wc_strict, fx_strict.sample)
