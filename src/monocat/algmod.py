@@ -16,11 +16,20 @@ reports and messages.  Every cache keyed by modules therefore builds a
 product, cell or map once per content, and a hit returns the object
 built under the first name seen.  ``Module.regular`` names the regular
 module ``R``, the name every bundled sample gives it.
+
+``tensor_over`` and ``balanced_tensor`` are pure, so each takes an
+optional cell table ``cells=``: a dict its caller owns, keyed by the
+builder and its arguments (the asked name included, so a hit carries
+it).  It holds modules, spaces, maps and cells, never a tensor or a
+context; ``monocat report`` keeps one for all its watts fixtures, a
+``WattsContext`` built without one makes its own, and nothing is cached
+process-wide.  A cell is checked once, when it is built.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -278,10 +287,30 @@ class TensorCell:
     module: object = None  # Module | Bimodule | None
 
 
+def _tabled(build):
+    """The cell builder ``build`` memoized in the cell table its caller
+    passes as ``cells=``, keyed by the builder's name and its positional
+    arguments, which must then be hashable.  ``build`` gets the table too,
+    for the cells it builds in turn.  Without a table, ``build`` runs as
+    is."""
+    @functools.wraps(build)
+    def tabled(*args, cells: Optional[dict] = None):
+        if cells is None:
+            return build(*args)
+        key = (build.__name__,) + args
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = build(*args, cells=cells)
+        return cell
+    return tabled
+
+
+@_tabled
 def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
-                    Yspace: VectorSpace,
-                    left_mats: Sequence[LinearMap]) -> TensorCell:
-    """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r."""
+                    Yspace: VectorSpace, left_mats: Sequence[LinearMap],
+                    cells: Optional[dict] = None) -> TensorCell:
+    """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r; it
+    builds no other cell, so it leaves the table ``cells`` to ``_tabled``."""
     p = Xspace.field.char
     ambient = tensor_space(Xspace, Yspace)
     n = Yspace.dim
@@ -324,16 +353,19 @@ def tensor_maps(src, tgt, f: LinearMap, g: LinearMap) -> LinearMap:
     return descend(src, compose_tensor(tgt.proj, f, g))
 
 
-def tensor_over(X, i: int, Y, j: int, name: str) -> TensorCell:
+@_tabled
+def tensor_over(X, i: int, Y, j: int, name: str,
+                cells: Optional[dict] = None) -> TensorCell:
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
-    a Bimodule; it is checked and returned as the cell's ``module``."""
+    a Bimodule; it is checked and returned as the cell's ``module``.  The
+    bare balanced cell under it goes through the table ``cells`` too."""
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
     cell = balanced_tensor(X.space, X.families[i][1], Y.space,
-                           Y.families[j][1])
+                           Y.families[j][1], cells=cells)
     idX, idY = identity(X.space), identity(Y.space)
     families = [
         (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))
@@ -350,10 +382,12 @@ def tensor_over(X, i: int, Y, j: int, name: str) -> TensorCell:
     return TensorCell(cell.space, cell.proj, cell.section, result)
 
 
-def bimodule_tensor(M: Bimodule, N: Bimodule,
-                    name: Optional[str] = None) -> TensorCell:
-    """M ⊗_R N with the outer actions."""
-    return tensor_over(M, 1, N, 0, name or f"({M.name}⊗{N.name})")
+def bimodule_tensor(M: Bimodule, N: Bimodule, name: Optional[str] = None,
+                    cells: Optional[dict] = None) -> TensorCell:
+    """M ⊗_R N with the outer actions, through the cell table ``cells``
+    when one is given."""
+    return tensor_over(M, 1, N, 0, name or f"({M.name}⊗{N.name})",
+                       cells=cells)
 
 
 def module_tensor_commutative(X: Module, Y: Module,

@@ -1,9 +1,12 @@
 """Command-line front end: load fixtures, run checks, emit reports.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (or the
-input data is semantically rejected), 2 unreadable/malformed input or
-usage error.  JSON reports carry a top-level ``"schema": 1`` and are
-emitted with sorted keys so identical inputs produce identical bytes.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2
+unreadable/malformed input or usage error.  An object expression that
+does not parse or names no simple object is malformed input (2); a
+divisibility failure, a zero object and broken End-reciprocity are
+failed checks of the fusion ring's own data (1).  JSON reports carry a
+top-level ``"schema": 1`` and are emitted with sorted keys so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -136,10 +139,12 @@ def cmd_bound(args) -> int:
 # watts
 
 
-def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
+def _watts_reports(fx: WattsFixture, groups,
+                   cells: Optional[dict] = None) -> List[CoherenceReport]:
     """The reports of the check groups on one fixture; when a construction
     itself breaks down, the reports of the groups that already ran and one
-    failed ``pipeline-construction`` check after them, not a usage error."""
+    failed ``pipeline-construction`` check after them, not a usage error.
+    ``cells`` is the cell table handed to the fixture's ``WattsContext``."""
     reports: List[CoherenceReport] = []
     try:
         if isinstance(fx.ct, GradedTensor) and "axioms" in groups:
@@ -151,7 +156,7 @@ def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
             reports.append(check_monoidal_axioms(fx.ct, fx.sample))
         wc: Optional[WattsContext] = None
         if groups & {"T", "functor", "embedding"}:
-            wc = WattsContext(fx.ct)
+            wc = WattsContext(fx.ct, cells)
         if "T" in groups:
             reports.append(check_T_coherence(wc))
         if "functor" in groups:
@@ -224,6 +229,9 @@ def cmd_report(args) -> int:
     fixtures = {name: load_fixture_file(path)
                 for name, path in sorted(files.items())}
     rng = random.Random(args.seed)
+    # one cell table for every watts fixture: a cokernel is fixed by the
+    # content of its factors, so fixtures on one algebra share their cells
+    cells: dict = {}
     sections = {}
     texts = []
     for name, fx in fixtures.items():
@@ -231,7 +239,7 @@ def cmd_report(args) -> int:
             rep = _fusion_report(fx, rng, args.n_max)
         else:
             rep = merge_reports(f"watts: {fx.name}",
-                                _watts_reports(fx, set(CHECK_GROUPS)))
+                                _watts_reports(fx, set(CHECK_GROUPS), cells))
         sections[name] = rep.to_json()
         texts.append(rep.to_text())
     ok = all(sec["ok"] for sec in sections.values())
@@ -313,11 +321,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FixtureError as exc:
+    except (FixtureError, UnknownSimple, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownSimple, ExprError, ZeroObject, DivisibilityError,
-            InternalMismatch, ValueError) as exc:
+    except (ZeroObject, DivisibilityError, InternalMismatch,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

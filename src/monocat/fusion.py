@@ -387,9 +387,15 @@ class ExprError(FusionError):
 
 
 class _Parser:
+    """Recursive descent over ``+`` (sum), ``*`` (fusion), ``^`` (power by
+    a non-negative integer) and parentheses.  An ExprError names the
+    expression, the position, counted in characters from 0, what was
+    expected there and what was found."""
+
     def __init__(self, fd: FusionData, text: str):
         self.fd = fd
-        self.tokens = self._lex(text)
+        self.text = text
+        self.tokens = self._lex(text)  # (token, position) pairs
         self.pos = 0
 
     @staticmethod
@@ -401,30 +407,42 @@ class _Parser:
             if ch.isspace():
                 i += 1
             elif ch in "+*^()":
-                tokens.append(ch)
+                tokens.append((ch, i))
                 i += 1
             elif ch.isalnum() or ch == "_":
                 j = i
                 while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                     j += 1
-                tokens.append(text[i:j])
+                tokens.append((text[i:j], i))
                 i = j
             else:
-                raise ExprError(f"unexpected character {ch!r}")
+                raise ExprError(
+                    f"{text!r}: unexpected character {ch!r} at position {i}")
         return tokens
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) \
+            else None
 
     def take(self):
         tok = self.peek()
         self.pos += 1
         return tok
 
+    def expected(self, what: str) -> ExprError:
+        """The error for the next token when ``what`` should come there."""
+        if self.pos < len(self.tokens):
+            tok, at = self.tokens[self.pos]
+            found = repr(tok)
+        else:
+            at, found = len(self.text), "end of input"
+        return ExprError(f"{self.text!r}: expected {what} at position {at}, "
+                         f"found {found}")
+
     def parse(self) -> ObjectExpr:
         expr = self.sum_expr()
         if self.peek() is not None:
-            raise ExprError(f"trailing input at {self.peek()!r}")
+            raise self.expected("'+', '*', '^' or end of input")
         return expr
 
     def sum_expr(self) -> ObjectExpr:
@@ -445,9 +463,10 @@ class _Parser:
         base = self.atom()
         while self.peek() == "^":
             self.take()
-            tok = self.take()
+            tok = self.peek()
             if tok is None or not tok.isdigit():
-                raise ExprError("exponent must be a non-negative integer")
+                raise self.expected("a non-negative integer exponent")
+            self.take()
             n = int(tok)
             if n == 0:
                 base = ObjectExpr.simple(self.fd.unit)
@@ -456,14 +475,16 @@ class _Parser:
         return base
 
     def atom(self) -> ObjectExpr:
-        tok = self.take()
+        tok = self.peek()
+        if tok is None or tok in ("+", "*", "^", ")"):
+            raise self.expected("a simple object or '('")
+        self.take()
         if tok == "(":
             inner = self.sum_expr()
-            if self.take() != ")":
-                raise ExprError("unbalanced parenthesis")
+            if self.peek() != ")":
+                raise self.expected("')'")
+            self.take()
             return inner
-        if tok is None or tok in "+*^)":
-            raise ExprError(f"unexpected token {tok!r}")
         self.fd.index(tok)
         return ObjectExpr.simple(tok)
 

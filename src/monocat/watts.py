@@ -46,8 +46,8 @@ from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      module_identity, module_tensor_commutative, tensor_maps,
                      tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     compose, compose_all, compose_tensor, identity,
-                     linear_combination, rank, solve_iso, tensor,
+                     cached_hash, compose, compose_all, compose_tensor,
+                     identity, linear_combination, rank, solve_iso, tensor,
                      tensor_space)
 
 
@@ -317,14 +317,16 @@ class StrictTensor(CustomTensor):
 class BimoduleTensor(CustomTensor):
     """⊗_R on R-R-bimodules over any algebra, the target of ω: the unit is
     the regular bimodule, the associator the canonical rebracketing, and
-    λ and ρ collapse R as the strict tensor's do."""
+    λ and ρ collapse R as the strict tensor's do.  Its products are built
+    through the cell table ``cells`` when one is given (``algmod``)."""
 
-    def __init__(self, algebra: Algebra):
+    def __init__(self, algebra: Algebra, cells: Optional[dict] = None):
         super().__init__(algebra, Bimodule.regular(algebra),
                          f"bimodules[{algebra.name}]")
+        self.cells = cells
 
     def _product(self, M: Bimodule, N: Bimodule) -> TensorCell:
-        return bimodule_tensor(M, N)
+        return bimodule_tensor(M, N, cells=self.cells)
 
     _associator = CustomTensor._rebracket
     left_unit = _collapse_left
@@ -643,6 +645,8 @@ class TripleModule:
     left2: tuple
     right: tuple
 
+    __hash__ = cached_hash
+
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -687,13 +691,18 @@ class WattsContext(CustomTensor):
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen; no cache is shared
-    with another context."""
+    the object named after the first modules seen.  The ``_memo`` caches
+    depend on ⊙ and are never shared with another context; the cokernels
+    (``ombar``, ``dcell``, the products of ``bimodules``, θ's cells)
+    depend on content alone and go through the cell table ``cells``
+    (``algmod``): the caller's, which other contexts may share, or else a
+    fresh one that goes with the context."""
 
-    def __init__(self, ct: CustomTensor):
+    def __init__(self, ct: CustomTensor, cells: Optional[dict] = None):
         super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]")
         self.ct = ct
-        self.bimodules = BimoduleTensor(ct.algebra)
+        self.cells = {} if cells is None else cells
+        self.bimodules = BimoduleTensor(ct.algebra, self.cells)
         R = self.R = Module.regular(ct.algebra)
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
@@ -728,7 +737,8 @@ class WattsContext(CustomTensor):
     def ombar(self, X: Module) -> TensorCell:
         """X⊗₂T, X balanced against the second left action, with the
         residual first-left and right actions as its bimodule."""
-        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)")
+        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)",
+                           cells=self.cells)
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
@@ -756,7 +766,7 @@ class WattsContext(CustomTensor):
     def theta(self, X: Module, Y: Module) -> tuple:
         """θ_X(Y): Y⊗_R ω(X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t), with the cell
         of Y⊗_R ω(X) it is defined on."""
-        cell = tensor_with_bimodule(Y, self.omega(X))
+        cell = tensor_with_bimodule(Y, self.omega(X), self.cells)
         target = self.ct.product(Y, X).module
         idX = self.ct.ident(X)
         blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
@@ -775,7 +785,7 @@ class WattsContext(CustomTensor):
         """Build D(X,Y) = X⊗_R(Y⊗₂T), X balanced against the first left
         action of the bimodule Y⊗₂T; ``product`` caches it."""
         return tensor_over(X, 0, self.ombar(Y).module, 0,
-                           f"D({X.name},{Y.name})")
+                           f"D({X.name},{Y.name})", cells=self.cells)
 
     def _product(self, X, Y):
         return self.dcell(X, Y)
@@ -879,9 +889,11 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 # ---------------------------------------------------------------------------
 # Natural transformations of −⊗P functors and their generating homs
 
-def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
-    """M ⊗_R P balancing the right action of M against the left of P."""
-    return balanced_tensor(M.space, M.action, P.space, P.left)
+def tensor_with_bimodule(M: Module, P: Bimodule,
+                         cells: Optional[dict] = None) -> TensorCell:
+    """M ⊗_R P balancing the right action of M against the left of P,
+    through the cell table ``cells`` when one is given."""
+    return balanced_tensor(M.space, M.action, P.space, P.left, cells=cells)
 
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from monocat.cli import main
-from monocat.fixtures import strict_f3_z2
+from monocat.fixtures import bundled_watts_fixtures, strict_f3_z2
 from monocat.watts import MalformedTensor, check_monoidal_axioms
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,6 +39,16 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+@pytest.fixture(scope="module")
+def bundled_report():
+    """``monocat --format json report`` on the bundled fixtures, run once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("MONOCAT_FIXTURES", raising=False)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["--format", "json", "report"]) == 0
+    return json.loads(out.getvalue())
+
+
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_matches_golden(self, capsys, monkeypatch, name):
@@ -62,6 +75,16 @@ class TestGolden:
         assert code == 1
         golden = GOLDEN / "watts-graded-flipped-dup.json"
         assert out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fixture", sorted(bundled_watts_fixtures()))
+    def test_report_section_is_the_watts_report(
+            self, capsys, monkeypatch, bundled_report, fixture):
+        # the report's watts fixtures share one cell table; each section is
+        # still what ``watts`` prints for its fixture alone
+        monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+        code, out, _ = run(capsys, ["--format", "json", "watts", fixture])
+        assert code == 0
+        assert bundled_report["fixtures"][fixture] == json.loads(out)["report"]
 
     def test_repeat_runs_byte_identical(self, capsys):
         argv = GOLDEN_CASES["watts-strict-axioms.json"]
@@ -262,9 +285,17 @@ class TestExitCodes:
         assert report["checks"] == sorted(axioms + [failure],
                                           key=lambda check: check["name"])
 
+    @pytest.mark.parametrize("expr", ["tau+", "", "tau*"])
+    def test_malformed_expression_is_usage_error(self, capsys, expr):
+        code, out, err = run(capsys, ["embed", "fusion-fibonacci", expr])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {expr!r}: expected ")
+        assert "at position" in err and "None" not in err
+
     def test_unknown_simple_is_data_error(self, capsys):
+        # an unknown simple is malformed input, not a failed check
         code, _, _ = run(capsys, ["embed", "fusion-fibonacci", "sigma"])
-        assert code == 1
+        assert code == 2
 
     @pytest.mark.parametrize("argv,token", [
         (["embed", "fusion-fibonacci", "foo"], "'foo'"),
@@ -274,7 +305,7 @@ class TestExitCodes:
     def test_unknown_simple_names_the_token_and_the_simples(
             self, capsys, argv, token):
         code, out, err = run(capsys, argv)
-        assert code == 1
+        assert code == 2
         assert out == ""
         assert token in err
         assert "simples are 1, tau" in err
@@ -349,3 +380,26 @@ class TestFixtureDirOverride:
         code, out, err = run(capsys, ["--format", "json", "report"])
         assert code == 2 and out == ""
         assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_report_sections_name_only_their_own_modules(
+            self, capsys, tmp_path, monkeypatch):
+        # graded-sign next to a copy whose modules I and L are Q_I and Q_L:
+        # the two share one cell table, and no name crosses between them
+        text = (FIXTURES / "graded-sign.json").read_text(encoding="utf-8")
+        (tmp_path / "graded-sign.json").write_text(text, encoding="utf-8")
+        data = json.loads(text.replace('"I"', '"Q_I"')
+                          .replace('"L"', '"Q_L"')
+                          .replace('"L-R-I"', '"Q_L-R-Q_I"'))
+        data["name"] = "graded-sign-renamed"
+        (tmp_path / "graded-sign-renamed.json").write_text(
+            json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv("MONOCAT_FIXTURES", str(tmp_path))
+        code, out, _ = run(capsys, ["--format", "json", "report"])
+        assert code == 0
+        sections = json.loads(out)["fixtures"]
+        own = json.dumps(sections["graded-sign"], ensure_ascii=False)
+        other = json.dumps(sections["graded-sign-renamed"],
+                           ensure_ascii=False)
+        old_name = re.compile(r"(?<!\w)[IL](?!\w)")
+        assert "Q_" not in own and old_name.search(own)
+        assert "Q_L" in other and not old_name.search(other)

@@ -270,6 +270,20 @@ class TestParser:
         with pytest.raises(ExprError):
             parse_object(fib, "(tau")
 
+    @pytest.mark.parametrize("text, message", [
+        ("tau+", "'tau+': expected a simple object or '(' at position 4, "
+                 "found end of input"),
+        ("", "'': expected a simple object or '(' at position 0, "
+             "found end of input"),
+        ("tau*", "'tau*': expected a simple object or '(' at position 4, "
+                 "found end of input"),
+    ])
+    def test_malformed_expression_names_position_and_expectation(
+            self, fib, text, message):
+        with pytest.raises(ExprError) as exc:
+            parse_object(fib, text)
+        assert str(exc.value) == message
+
 
 class TestJson:
     @pytest.mark.parametrize("name", sorted(bundled_rings()))

@@ -6,17 +6,20 @@ from dataclasses import replace
 
 import pytest
 
+import monocat.algmod as algmod
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
-                            StructureError, balanced_tensor, bimodule_tensor,
-                            descend, hom_basis, matrix_to_json,
-                            module_identity, module_tensor_commutative)
+                            StructureError, TensorCell, balanced_tensor,
+                            bimodule_tensor, descend, hom_basis,
+                            matrix_to_json, module_identity,
+                            module_tensor_commutative)
+from monocat.cli import _watts_reports
 from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
                               graded_sign, graded_trivial, resolve_fixture,
                               strict_f3_z2, watts_fixture_from_json)
-from monocat.linalg import (Field, FieldScalar, VectorSpace, compose,
-                            compose_all, identity, make_map, rank,
+from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
+                            compose, compose_all, identity, make_map, rank,
                             serialize_raw, solve_iso, tensor)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
@@ -296,6 +299,36 @@ class TestSharedCells:
         second = WattsContext(fx_strict.ct)
         assert second._products == {} and second._ombar == {}
 
+    def test_one_table_serves_both_graded_fixtures(self, monkeypatch):
+        # graded-trivial and graded-sign are one category under two
+        # cocycles: every cokernel of the second run is in the table
+        builds = []
+        build = algmod.quotient_by_raw_rows
+        monkeypatch.setattr(algmod, "quotient_by_raw_rows",
+                            lambda *args: builds.append(1) or build(*args))
+        groups = {"T", "functor"}
+        cells = {}
+        first = _watts_reports(graded_sign(), groups, cells)
+        assert builds and all(rep.ok for rep in first)
+        size = len(cells)
+        builds.clear()
+        second = _watts_reports(graded_trivial(), groups, cells)
+        assert builds == [] and len(cells) == size
+        assert [rep.to_json() for rep in second] == \
+            [rep.to_json() for rep in _watts_reports(graded_trivial(), groups)]
+
+    def test_table_cell_carries_the_asked_name(self, fx_strict):
+        # the asked name is part of the key: a renamed module gets a cell
+        # of its own name, on the same balanced cell underneath
+        cells = {}
+        B = Bimodule.regular(fx_strict.algebra, "B")
+        first = bimodule_tensor(B, B, cells=cells)
+        assert bimodule_tensor(B, B, cells=cells) is first
+        second = bimodule_tensor(replace(B, name="B2"), B, cells=cells)
+        assert first.module.name == "(B⊗B)"
+        assert second.module.name == "(B2⊗B)"
+        assert second == first and second.proj is first.proj
+
     def test_checks_name_the_renamed_module(self):
         fx = strict_f3_z2()
         X2 = replace(fx.module("Sp"), name="X2")
@@ -337,12 +370,15 @@ class TestIdentityCache:
 
     def test_checked_tensors_freed_by_refcount(self, fx_sign):
         # the identities cached on a tensor refer to modules only, so a
-        # checked tensor and its caches go when it is dropped
+        # checked tensor and its caches go when it is dropped; so does a
+        # context whose cell table outlives it, since the table holds
+        # modules, maps and cells, never a tensor
         fx = strict_f3_z2()
         builds = (
             (lambda: StrictTensor(fx.algebra), fx.sample),
             (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
                                   sign_cocycle()), fx_sign.sample))
+        cells = {}
         gc.disable()
         try:
             for build, sample in builds:
@@ -352,8 +388,22 @@ class TestIdentityCache:
                 ref = weakref.ref(ct)
                 del ct
                 assert ref() is None, sample
+            wc = WattsContext(fx_sign.ct, cells)
+            assert check_T_coherence(wc).ok
+            assert verify_monoidal_functor(wc, fx_sign.sample).ok
+            assert wc.cells is cells and wc.bimodules.cells is cells
+            ref = weakref.ref(wc)
+            del wc
+            assert ref() is None
         finally:
             gc.enable()
+        assert cells
+        parts = {type(part) for key in cells for part in key} | {
+            type(x) for key in cells for part in key
+            if type(part) is tuple for x in part}
+        assert parts <= {str, int, tuple, VectorSpace, LinearMap, Module,
+                         Bimodule, TripleModule}
+        assert all(type(cell) is TensorCell for cell in cells.values())
 
 
 class TestFunctor:
