@@ -18,12 +18,17 @@ built under the first name seen.  ``Module.regular`` names the regular
 module ``R``, the name every bundled sample gives it.
 
 ``tensor_over`` and ``balanced_tensor`` are pure, so each takes an
-optional cell table ``cells=``: a dict its caller owns, keyed by the
-builder and its arguments (the asked name included, so a hit carries
-it).  It holds modules, spaces, maps and cells, never a tensor or a
-context; ``monocat report`` keeps one for all its watts fixtures, a
-``WattsContext`` built without one makes its own, and nothing is cached
-process-wide.  A cell is checked once, when it is built.
+optional cell table ``cells=``, and so does ``hom_basis`` for its
+quotient: a dict its caller owns, keyed by the builder and its arguments
+(the asked name included, so a hit carries it).  Every tensor of
+``watts`` has one, the caller's or its own, and keeps in it too, under
+its functor key, the caches that depend only on its rule on objects and
+morphisms (products, maps, identities; the Watts constructions of a
+transported tensor), while the caches that depend on the associator
+stay on the tensor.  The table holds modules, spaces, maps, cells and
+dicts of them, never a tensor or a context; ``monocat report`` keeps one
+for all its fixtures, and nothing is cached process-wide.  A cell is
+checked once, when it is built.
 """
 
 from __future__ import annotations
@@ -253,21 +258,22 @@ def module_identity(M) -> ModuleMap:
 # ---------------------------------------------------------------------------
 # Hom computation
 
-def hom_basis(X, Y):
+def hom_basis(X, Y, cells: Optional[dict] = None):
     """Basis of equivariant linear maps X -> Y as a list of LinearMaps.
 
     Works for one-sided modules with matching side and for bimodules.  The
     unknowns F[r][c] are the coordinates of Y ⊗ X, and F·A = B·F over each
     intertwined pair (A, B) is the balancing of Y, acted on by Bᵀ, against
     X, acted on by A.  The rows of that quotient's projection are the RREF
-    null basis of the relations, one map each.
+    null basis of the relations, one map each; the quotient goes through
+    the cell table ``cells`` when one is given.
     """
     if type(X) is not type(Y):
         raise StructureError("hom between different kinds of modules")
     pairs = _intertwined(X, Y)
     m, n = Y.dim, X.dim
-    cell = balanced_tensor(Y.space, [transpose(B) for _, B in pairs],
-                           X.space, [A for A, _ in pairs])
+    cell = balanced_tensor(Y.space, tuple(transpose(B) for _, B in pairs),
+                           X.space, tuple(A for A, _ in pairs), cells=cells)
     return [LinearMap.from_rows(X.space, Y.space, tuple(
         [flat[r * n:(r + 1) * n] for r in range(m)]))
         for flat in cell.proj.rows]

@@ -226,12 +226,14 @@ def cmd_report(args) -> int:
     files = bundled_fixture_files()
     if not files:
         raise FixtureError(f"no fixture files in {fixtures_dir()}")
-    fixtures = {name: load_fixture_file(path)
+    # one cell table for every watts fixture, made before they load: a
+    # cokernel is fixed by the content of its factors, and everything ⊙
+    # builds by its rule on objects and morphisms, so fixtures on one
+    # algebra and one rule, whatever their associators, share that work
+    cells: dict = {}
+    fixtures = {name: load_fixture_file(path, cells)
                 for name, path in sorted(files.items())}
     rng = random.Random(args.seed)
-    # one cell table for every watts fixture: a cokernel is fixed by the
-    # content of its factors, so fixtures on one algebra share their cells
-    cells: dict = {}
     sections = {}
     texts = []
     for name, fx in fixtures.items():

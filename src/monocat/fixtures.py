@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
                      algebra_from_json, module_from_json)
@@ -61,7 +61,10 @@ class WattsFixture:
         raise FixtureError(f"{self.name}: no sample module named {name!r}")
 
 
-def watts_fixture_from_json(data: dict) -> WattsFixture:
+def watts_fixture_from_json(data: dict,
+                            cells: Optional[dict] = None) -> WattsFixture:
+    """The fixture in ``data``, its tensor built on the cell table
+    ``cells`` when one is given (``watts.CustomTensor``)."""
     try:
         name = data["name"]
         algebra = algebra_from_json(data["algebra"])
@@ -86,7 +89,7 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
         tensor = data["tensor"]
         kind = tensor["kind"]
         if kind == "strict":
-            ct: CustomTensor = StrictTensor(algebra)
+            ct: CustomTensor = StrictTensor(algebra, cells=cells)
         elif kind == "graded-z2":
             unit = byname[tensor["unit"]]
             # deliberately no cocycle-condition rejection here: a twisted
@@ -100,7 +103,8 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
                         f"{name}: the cocycle lists the triple {triple} "
                         "twice")
                 cocycle[triple] = value
-            ct = GradedTensor(algebra, unit, cocycle, name=name)
+            ct = GradedTensor(algebra, unit, cocycle, name=name,
+                              cells=cells)
         else:
             raise FixtureError(f"{name}: unknown tensor kind {kind!r}")
 
@@ -141,12 +145,12 @@ def watts_fixture_from_json(data: dict) -> WattsFixture:
 Fixture = Union[WattsFixture, FusionData]
 
 
-def fixture_from_json(data: dict) -> Fixture:
+def fixture_from_json(data: dict, cells: Optional[dict] = None) -> Fixture:
     if not isinstance(data, dict):
         raise FixtureError("fixture must be a JSON object")
     kind = data.get("kind")
     if kind == "watts":
-        return watts_fixture_from_json(data)
+        return watts_fixture_from_json(data, cells)
     if kind == "fusion":
         try:
             return fusion_from_json(data)
@@ -155,7 +159,10 @@ def fixture_from_json(data: dict) -> Fixture:
     raise FixtureError(f"unknown fixture kind {kind!r}")
 
 
-def load_fixture_file(path: Union[str, Path]) -> Fixture:
+def load_fixture_file(path: Union[str, Path],
+                      cells: Optional[dict] = None) -> Fixture:
+    """The fixture in the file ``path``; a watts fixture's tensor is built
+    on the cell table ``cells`` when one is given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -163,7 +170,7 @@ def load_fixture_file(path: Union[str, Path]) -> Fixture:
         raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"invalid JSON in {path}: {exc}") from exc
-    return fixture_from_json(data)
+    return fixture_from_json(data, cells)
 
 
 def fixtures_dir() -> Path:

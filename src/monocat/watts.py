@@ -150,9 +150,9 @@ class _Recorder:
 # Custom tensor structures
 
 def _memo(attr: str):
-    """Cache a method's results, never None, in the per-instance dict
-    ``self.<attr>`` keyed by its positional arguments; the cache lives and
-    dies with the instance."""
+    """Cache a method's results, never None, in the dict ``self.<attr>``
+    keyed by its positional arguments: the instance's own, or the one it
+    shares through its table (``CustomTensor``)."""
     def decorate(method):
         @functools.wraps(method)
         def cached(self, *args):
@@ -176,19 +176,42 @@ class CustomTensor:
     cell and is verified well defined and equivariant on every call.
     ``ident(X)`` is the one identity of X's content for this tensor, the
     identity every f⊙id and id⊙f is formed with, so that its ``mor`` key
-    hits by pointer.  Every cache is a dict on the instance and refers to
-    modules only, so a tensor is freed by refcount with all of them;
-    an identity kept on its module would be a reference cycle instead.
+    hits by pointer.
+
+    Each cache is a dict bound to its attribute.  Those in ``_shared``
+    depend only on ⊙'s rule on objects and morphisms, named by the
+    ``functor_key``, and are fetched from the cell table ``cells`` under
+    (that key, the attribute name), so tensors that differ only in their
+    associator build each product, map and identity once; ``_assocs``
+    (α) stays on the instance.  Only a class that sets ``keyed`` itself
+    has a key: a subclass inherits none and keeps private caches, so a
+    tensor with data of its own never reads another's entries.  ``cells``
+    is the caller's table, or a fresh one that goes with the tensor.
+    Every cache refers to modules only, never to a tensor, so a tensor is
+    freed by refcount while its table lives on; an identity kept on its
+    module would be a reference cycle instead.
     """
 
-    def __init__(self, algebra: Algebra, unit: Module, name: str):
+    keyed = False
+    _shared = ("_products", "_mors", "_ids")
+
+    def __init__(self, algebra: Algebra, unit: Module, name: str,
+                 cells: Optional[dict] = None):
         self.algebra = algebra
         self.unit = unit
         self.name = name
-        self._products: Dict[tuple, TensorCell] = {}
-        self._mors: Dict[tuple, ModuleMap] = {}
+        self.cells = {} if cells is None else cells
+        self.key = self.functor_key() if vars(type(self)).get("keyed") \
+            else None
+        for attr in self._shared:
+            setattr(self, attr, {} if self.key is None
+                    else self.cells.setdefault((self.key, attr), {}))
         self._assocs: Dict[tuple, ModuleMap] = {}
-        self._ids: Dict[tuple, ModuleMap] = {}
+
+    def functor_key(self) -> Optional[tuple]:
+        """The key of ⊙'s rule on objects and morphisms: (the class, the
+        algebra), read only when the class sets ``keyed``."""
+        return (type(self), self.algebra)
 
     @property
     def field(self) -> Field:
@@ -300,11 +323,15 @@ class StrictTensor(CustomTensor):
     the regular module named ``R``.  Products are keyed by content: a hit
     returns the product named after the first pair seen."""
 
-    def __init__(self, algebra: Algebra, name: Optional[str] = None):
+    keyed = True
+
+    def __init__(self, algebra: Algebra, name: Optional[str] = None,
+                 cells: Optional[dict] = None):
         if not algebra.is_commutative():
             raise StructureError("strict tensor needs a commutative algebra")
         unit = Module.regular(algebra)
-        super().__init__(algebra, unit, name or f"strict[{algebra.name}]")
+        super().__init__(algebra, unit, name or f"strict[{algebra.name}]",
+                         cells)
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
         return module_tensor_commutative(X, Y)
@@ -318,12 +345,13 @@ class BimoduleTensor(CustomTensor):
     """⊗_R on R-R-bimodules over any algebra, the target of ω: the unit is
     the regular bimodule, the associator the canonical rebracketing, and
     λ and ρ collapse R as the strict tensor's do.  Its products are built
-    through the cell table ``cells`` when one is given (``algmod``)."""
+    through its cell table (``algmod``)."""
+
+    keyed = True
 
     def __init__(self, algebra: Algebra, cells: Optional[dict] = None):
         super().__init__(algebra, Bimodule.regular(algebra),
-                         f"bimodules[{algebra.name}]")
-        self.cells = cells
+                         f"bimodules[{algebra.name}]", cells)
 
     def _product(self, M: Bimodule, N: Bimodule) -> TensorCell:
         return bimodule_tensor(M, N, cells=self.cells)
@@ -372,11 +400,16 @@ class GradedTensor(CustomTensor):
     parity projectors, so modules need not be presented in a homogeneous
     basis.  Since P₀ + P₁ = id on every factor, the associator is the
     identity plus the defect of ω: for the trivial cocycle it is the
-    identity inclusion itself.
+    identity inclusion itself.  The cocycle is no part of the functor
+    key: graded tensors over one algebra share their products, maps and
+    parity projectors through a common table, and only α is their own.
     """
 
+    keyed = True
+    _shared = CustomTensor._shared + ("_parities",)
+
     def __init__(self, algebra: Algebra, unit: Module, cocycle: dict,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None, cells: Optional[dict] = None):
         if algebra.field.char == 2:
             raise MalformedTensor("graded tensor needs characteristic ≠ 2")
         # basis (1, g) with g² = 1: element 0 is the unit, element 1 is g
@@ -399,9 +432,8 @@ class GradedTensor(CustomTensor):
                 raise MalformedTensor(
                     f"cocycle value at {triple} must be 1 or -1, "
                     f"got {value!r}")
-        super().__init__(algebra, unit, name or "graded[Z/2]")
+        super().__init__(algebra, unit, name or "graded[Z/2]", cells)
         self.cocycle = dict(cocycle)
-        self._parities: Dict[tuple, tuple] = {}
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
@@ -463,10 +495,11 @@ def _iso_inverse(m: LinearMap, what: str) -> LinearMap:
         raise MalformedTensor(f"{what} is not invertible") from exc
 
 
-def _hom_samples(sample: Sequence[Module]):
-    """Morphism sample: every hom-basis map between sample modules."""
+def _hom_samples(sample: Sequence[Module], cells: dict):
+    """Morphism sample: every hom-basis map between sample modules, the
+    bases' quotients through the cell table ``cells``."""
     return [ModuleMap(X, Y, lin) for X in sample for Y in sample
-            for lin in hom_basis(X, Y)]
+            for lin in hom_basis(X, Y, cells)]
 
 
 def _pentagon(ct: CustomTensor, W: Module, X: Module, Y: Module,
@@ -556,7 +589,7 @@ def check_monoidal_axioms(ct: CustomTensor,
               ct.right_unit(I).lin, {"object": I.name})
 
     # End(I) is commutative under composition
-    endI = [ModuleMap(I, I, lin) for lin in hom_basis(I, I)]
+    endI = [ModuleMap(I, I, lin) for lin in hom_basis(I, I, ct.cells)]
     for i, r in enumerate(endI):
         for j, s in enumerate(endI):
             if j <= i:
@@ -574,7 +607,7 @@ def check_monoidal_axioms(ct: CustomTensor,
         """ρ_t ∘ g ∘ ρ_s⁻¹ for f: s -> t."""
         return compose_all(rhos[f.source][1], g, rhos[f.target][0].lin)
 
-    morphisms = _hom_samples(sample)
+    morphisms = _hom_samples(sample, ct.cells)
     one = ct.ident(I)
     for k, f in enumerate(morphisms):
         ctx = {"morphism": k,
@@ -685,34 +718,40 @@ class WattsContext(CustomTensor):
     Mod_R: a CustomTensor whose product X⊙′Y is the ``tensor_over`` cell
     D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is f⊗(g⊗₂id_T) descended, with T
     and every construction derived from the source tensor ``ct``, each
-    built once per context; the caches are freed with the context.  D(X,Y)
+    built once per table and functor key, or per context.  D(X,Y)
     is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
     ``alpha_prime`` build, every other caller reads the cache.  ``R`` is
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen.  The ``_memo`` caches
-    depend on ⊙ and are never shared with another context; the cokernels
-    (``ombar``, ``dcell``, the products of ``bimodules``, θ's cells)
-    depend on content alone and go through the cell table ``cells``
-    (``algmod``): the caller's, which other contexts may share, or else a
-    fresh one that goes with the context."""
+    the object named after the first modules seen.  T, D, ω, ν, μ, θ, c
+    and the transported ``mor`` are fixed by ⊙ on objects and morphisms
+    (Watts 1960), so their caches are shared through the table ``cells``
+    under the functor key ("transported", the source tensor's key): the
+    contexts of one graded tensor under two cocycles build them once.
+    Only α′ (``_assocs``) and ξ (``OmegaFunctor``) depend on α and stay
+    on the instance; a source tensor without a key leaves every cache
+    private.  The cokernels (``ombar``, ``dcell``, the products of
+    ``bimodules``, θ's cells) go through the same table (``algmod``):
+    the caller's, which other contexts may share, or else a fresh one
+    that goes with the context."""
+
+    keyed = True
+    _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_mu",
+                                      "_c", "_c_inv")
 
     def __init__(self, ct: CustomTensor, cells: Optional[dict] = None):
-        super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]")
         self.ct = ct
-        self.cells = {} if cells is None else cells
+        super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]",
+                         cells)
         self.bimodules = BimoduleTensor(ct.algebra, self.cells)
         R = self.R = Module.regular(ct.algebra)
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
         self.T = build_T(ct, R, self.lmult)
-        self._omega: Dict[tuple, Bimodule] = {}
-        self._ombar: Dict[tuple, TensorCell] = {}
-        self._nu: Dict[tuple, LinearMap] = {}
-        self._mu: Dict[tuple, LinearMap] = {}
-        self._c: Dict[tuple, LinearMap] = {}
-        self._c_inv: Dict[tuple, LinearMap] = {}
+
+    def functor_key(self) -> Optional[tuple]:
+        return None if self.ct.key is None else ("transported", self.ct.key)
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 
@@ -955,7 +994,9 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 
 class OmegaFunctor:
     """ω together with ξ and η over a WattsContext; ξ, the collapses u_X
-    and their inverses are built once per functor and freed with it."""
+    and their inverses are built once per functor and freed with it.  ξ
+    is built from α′, so these caches are never shared through the
+    context's table."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
@@ -1120,7 +1161,7 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
 
     for M in sample:
         for N in sample:
-            basis = hom_basis(M, N)
+            basis = hom_basis(M, N, wc.cells)
             if not basis:
                 rec.add(f"hom-injective[{M.name},{N.name}]", True, None)
                 continue

@@ -12,12 +12,13 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             bimodule_tensor, descend, hom_basis,
                             matrix_to_json, module_identity,
                             module_tensor_commutative)
-from monocat.cli import _watts_reports
+from monocat.cli import CHECK_GROUPS, _watts_reports
 from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
-                              graded_sign, graded_trivial, resolve_fixture,
-                              strict_f3_z2, watts_fixture_from_json)
+                              graded_sign, graded_trivial, load_fixture_file,
+                              resolve_fixture, strict_f3_z2,
+                              watts_fixture_from_json)
 from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
                             compose, compose_all, identity, make_map, rank,
                             serialize_raw, solve_iso, tensor)
@@ -301,19 +302,29 @@ class TestSharedCells:
 
     def test_one_table_serves_both_graded_fixtures(self, monkeypatch):
         # graded-trivial and graded-sign are one category under two
-        # cocycles: every cokernel of the second run is in the table
+        # cocycles: after graded-sign, graded-trivial builds no cokernel
+        # and adds no product, ω, X⊗₂T, ν, μ, c or c⁻¹; only mor may
+        # grow, as mor(α, id) keys on α
         builds = []
         build = algmod.quotient_by_raw_rows
         monkeypatch.setattr(algmod, "quotient_by_raw_rows",
                             lambda *args: builds.append(1) or build(*args))
-        groups = {"T", "functor"}
+        groups = set(CHECK_GROUPS)
         cells = {}
-        first = _watts_reports(graded_sign(), groups, cells)
+        sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
+        trivial = load_fixture_file(BUNDLED / "graded-trivial.json", cells)
+        first = _watts_reports(sign, groups, cells)
         assert builds and all(rep.ok for rep in first)
+        shared = ("_products", "_omega", "_ombar", "_nu", "_mu", "_c",
+                  "_c_inv")
+        sizes = {key: len(memo) for key, memo in cells.items()
+                 if type(key[0]) is tuple and key[1] in shared}
+        assert len(sizes) == 9  # ⊙, D and ⊗_R products, six of D's
         size = len(cells)
         builds.clear()
-        second = _watts_reports(graded_trivial(), groups, cells)
+        second = _watts_reports(trivial, groups, cells)
         assert builds == [] and len(cells) == size
+        assert {key: len(cells[key]) for key in sizes} == sizes
         assert [rep.to_json() for rep in second] == \
             [rep.to_json() for rep in _watts_reports(graded_trivial(), groups)]
 
@@ -343,6 +354,78 @@ class TestSharedCells:
         assert "triangle[Sp,X2]" in names
 
 
+class TestFunctorKey:
+    """Tensors that differ only in their associator share, through one
+    table, every cache that depends on ⊙'s rule on objects and morphisms;
+    α, α′ and ξ stay their own."""
+
+    def test_a_flipped_cocycle_reads_no_alpha_of_another(self):
+        # graded-sign's run fills the table; a graded tensor with the
+        # cocycle flipped at (0,1,1) then reports on it exactly what it
+        # reports on a table of its own, failures and witnesses included
+        groups = set(CHECK_GROUPS)
+        cells = {}
+        sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
+        assert all(rep.ok for rep in _watts_reports(sign, groups, cells))
+        flipped = flip_cocycle(sign_cocycle(), (0, 1, 1))
+
+        def reports(table):
+            ct = GradedTensor(sign.algebra, sign.module("I"), flipped,
+                              name="graded-flipped", cells=table)
+            reps = _watts_reports(replace(sign, ct=ct), groups, table)
+            return ct, [rep.to_json() for rep in reps]
+
+        shared, on_shared = reports(cells)
+        own, on_own = reports(None)
+        assert shared._products is sign.ct._products
+        assert own._products is not sign.ct._products
+        assert shared._assocs is not sign.ct._assocs
+        assert on_shared == on_own
+        # α fails the pentagon, α′ the T-pentagon and ξ the functor one
+        failed = [c for rep in on_shared for c in rep["checks"]
+                  if not c["ok"] and c["name"] != "cocycle-condition"]
+        assert {c["name"].split("[")[0] for c in failed} == {
+            "pentagon", "unit-left-derived", "T-pentagon",
+            "functor-pentagon"}
+        assert all({"lhs", "rhs"} <= set(c["witness"]) for c in failed)
+
+    def test_one_algebra_under_two_rules_stays_apart(self, fx_strict,
+                                                     fx_sign):
+        # strict-f3-z2 and the graded fixtures share the algebra 𝔽₃[Z/2]:
+        # the key names the rule, so R⊙R keeps each rule's dimension
+        assert fx_strict.algebra == fx_sign.algebra
+        R = Module.regular(fx_strict.algebra)
+
+        def strict(cells):
+            return StrictTensor(fx_strict.algebra, cells=cells)
+
+        def graded(cells):
+            return GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                                trivial_cocycle(), cells=cells)
+
+        alone = {build: build(None).product(R, R) for build in
+                 (strict, graded)}
+        assert alone[strict].space.dim == 2 and alone[graded].space.dim == 4
+        for order in ((strict, graded), (graded, strict)):
+            cells = {}
+            for build in order:
+                assert build(cells).product(R, R) == alone[build]
+
+    def test_a_subclass_without_a_key_keeps_private_caches(self, fx_sign):
+        class Probe(GradedTensor):
+            pass
+
+        cells = {}
+        base = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                            sign_cocycle(), cells=cells)
+        probe = Probe(fx_sign.algebra, fx_sign.module("I"), sign_cocycle(),
+                      cells=cells)
+        assert base.key == (GradedTensor, fx_sign.algebra)
+        assert probe.key is None
+        assert probe._products is not base._products
+        assert WattsContext(probe, cells).key is None
+
+
 class TestIdentityCache:
     """A tensor keeps one identity map per content of its argument, so
     every mor(f, id) key after the first is found by pointer."""
@@ -370,15 +453,19 @@ class TestIdentityCache:
 
     def test_checked_tensors_freed_by_refcount(self, fx_sign):
         # the identities cached on a tensor refer to modules only, so a
-        # checked tensor and its caches go when it is dropped; so does a
-        # context whose cell table outlives it, since the table holds
-        # modules, maps and cells, never a tensor
+        # checked tensor and its caches go when it is dropped; so do a
+        # tensor and a context whose cell table outlives them, since the
+        # table holds modules, maps, cells and dicts of them, never a
+        # tensor
         fx = strict_f3_z2()
+        cells = {}
         builds = (
             (lambda: StrictTensor(fx.algebra), fx.sample),
             (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
-                                  sign_cocycle()), fx_sign.sample))
-        cells = {}
+                                  sign_cocycle()), fx_sign.sample),
+            (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                                  sign_cocycle(), cells=cells),
+             fx_sign.sample))
         gc.disable()
         try:
             for build, sample in builds:
@@ -397,13 +484,27 @@ class TestIdentityCache:
             assert ref() is None
         finally:
             gc.enable()
-        assert cells
-        parts = {type(part) for key in cells for part in key} | {
-            type(x) for key in cells for part in key
+        # cells under (builder name, arguments), caches under (functor
+        # key, attribute name)
+        built = {key: cell for key, cell in cells.items()
+                 if type(key[0]) is str}
+        caches = {key: memo for key, memo in cells.items()
+                  if type(key[0]) is not str}
+        assert built and caches
+        parts = {type(part) for key in built for part in key} | {
+            type(x) for key in built for part in key
             if type(part) is tuple for x in part}
         assert parts <= {str, int, tuple, VectorSpace, LinearMap, Module,
                          Bimodule, TripleModule}
-        assert all(type(cell) is TensorCell for cell in cells.values())
+        assert all(type(cell) is TensorCell for cell in built.values())
+        graded = (GradedTensor, fx_sign.algebra)
+        assert {key for key, _ in caches} == {
+            graded, ("transported", graded),
+            (BimoduleTensor, fx_sign.algebra)}
+        assert all(type(memo) is dict for memo in caches.values())
+        assert {type(out) for memo in caches.values()
+                for out in memo.values()} <= {
+            TensorCell, ModuleMap, Bimodule, LinearMap, tuple}
 
 
 class TestFunctor:
