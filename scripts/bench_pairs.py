@@ -12,9 +12,7 @@ afresh with ``compileall``, so the two sides start from the same
 bytecode state whatever ``PYTHONDONTWRITEBYTECODE`` says; the output
 file records this under ``bytecode``.  It also records, per workload,
 side and end-to-end metric, the median, the quartiles and every run's
-value; per metric, the pairs the change won (ties count for neither)
-and whether a gain is ``claimable``: the change won every pair, and its
-median beats the parent's by more than the parent's quartile spread;
+value; per metric, the pairs the change won (ties count for neither);
 per run whether the gate passed; and the host.  It is rewritten after
 every pair, so an interrupted comparison keeps the pairs it finished.
 Last, each side gets one ``--trace 1`` run of ``report`` on seed 7,
@@ -28,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -85,16 +84,12 @@ def summarize(pairs) -> dict:
         values = {s: [p[s]["metrics"][name] for p in ok] for s in SIDES}
         wins = sum(1 for a, b in zip(values["parent"], values["change"])
                    if sign * (b - a) > 0)
-        spread = {s: _spread(values[s]) for s in SIDES}
-        parent = spread["parent"]
-        gain = sign * (spread["change"]["median"] - parent["median"])
         out["metrics"][name] = {
-            **{s: {**spread[s], "values": values[s]} for s in SIDES},
+            **{s: {**_spread(values[s]), "values": values[s]}
+               for s in SIDES},
             "change_wins": wins,
-            "claimable": (wins == len(ok) and "q1" in parent
-                          and gain > parent["q3"] - parent["q1"]),
-            "change_over_parent": (spread["change"]["median"]
-                                   / parent["median"])}
+            "change_over_parent": (statistics.median(values["change"])
+                                   / statistics.median(values["parent"]))}
     return out
 
 

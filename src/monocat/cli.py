@@ -139,12 +139,11 @@ def cmd_bound(args) -> int:
 # watts
 
 
-def _watts_reports(fx: WattsFixture, groups,
-                   cells: Optional[dict] = None) -> List[CoherenceReport]:
+def _watts_reports(fx: WattsFixture, groups) -> List[CoherenceReport]:
     """The reports of the check groups on one fixture; when a construction
     itself breaks down, the reports of the groups that already ran and one
     failed ``pipeline-construction`` check after them, not a usage error.
-    ``cells`` is the cell table handed to the fixture's ``WattsContext``."""
+    Every stage works on the cell table of the fixture's tensor."""
     reports: List[CoherenceReport] = []
     try:
         if isinstance(fx.ct, GradedTensor) and "axioms" in groups:
@@ -156,7 +155,7 @@ def _watts_reports(fx: WattsFixture, groups,
             reports.append(check_monoidal_axioms(fx.ct, fx.sample))
         wc: Optional[WattsContext] = None
         if groups & {"T", "functor", "embedding"}:
-            wc = WattsContext(fx.ct, cells)
+            wc = WattsContext(fx.ct)
         if "T" in groups:
             reports.append(check_T_coherence(wc))
         if "functor" in groups:
@@ -241,7 +240,7 @@ def cmd_report(args) -> int:
             rep = _fusion_report(fx, rng, args.n_max)
         else:
             rep = merge_reports(f"watts: {fx.name}",
-                                _watts_reports(fx, set(CHECK_GROUPS), cells))
+                                _watts_reports(fx, set(CHECK_GROUPS)))
         sections[name] = rep.to_json()
         texts.append(rep.to_text())
     ok = all(sec["ok"] for sec in sections.values())

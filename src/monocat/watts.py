@@ -183,16 +183,14 @@ class CustomTensor:
     ``functor_key``, and are fetched from the cell table ``cells`` under
     (that key, the attribute name), so tensors that differ only in their
     associator build each product, map and identity once; ``_assocs``
-    (α) stays on the instance.  Only a class that sets ``keyed`` itself
-    has a key: a subclass inherits none and keeps private caches, so a
-    tensor with data of its own never reads another's entries.  ``cells``
-    is the caller's table, or a fresh one that goes with the tensor.
+    (α) stays on the instance.  The key names the class, so a subclass
+    never reads its parent's entries.  ``cells`` is the caller's table,
+    or a fresh one that goes with the tensor.
     Every cache refers to modules only, never to a tensor, so a tensor is
     freed by refcount while its table lives on; an identity kept on its
     module would be a reference cycle instead.
     """
 
-    keyed = False
     _shared = ("_products", "_mors", "_ids")
 
     def __init__(self, algebra: Algebra, unit: Module, name: str,
@@ -201,16 +199,14 @@ class CustomTensor:
         self.unit = unit
         self.name = name
         self.cells = {} if cells is None else cells
-        self.key = self.functor_key() if vars(type(self)).get("keyed") \
-            else None
+        self.key = self.functor_key()
         for attr in self._shared:
-            setattr(self, attr, {} if self.key is None
-                    else self.cells.setdefault((self.key, attr), {}))
+            setattr(self, attr, self.cells.setdefault((self.key, attr), {}))
         self._assocs: Dict[tuple, ModuleMap] = {}
 
-    def functor_key(self) -> Optional[tuple]:
+    def functor_key(self) -> tuple:
         """The key of ⊙'s rule on objects and morphisms: (the class, the
-        algebra), read only when the class sets ``keyed``."""
+        algebra)."""
         return (type(self), self.algebra)
 
     @property
@@ -323,8 +319,6 @@ class StrictTensor(CustomTensor):
     the regular module named ``R``.  Products are keyed by content: a hit
     returns the product named after the first pair seen."""
 
-    keyed = True
-
     def __init__(self, algebra: Algebra, name: Optional[str] = None,
                  cells: Optional[dict] = None):
         if not algebra.is_commutative():
@@ -346,8 +340,6 @@ class BimoduleTensor(CustomTensor):
     the regular bimodule, the associator the canonical rebracketing, and
     λ and ρ collapse R as the strict tensor's do.  Its products are built
     through its cell table (``algmod``)."""
-
-    keyed = True
 
     def __init__(self, algebra: Algebra, cells: Optional[dict] = None):
         super().__init__(algebra, Bimodule.regular(algebra),
@@ -405,7 +397,6 @@ class GradedTensor(CustomTensor):
     parity projectors through a common table, and only α is their own.
     """
 
-    keyed = True
     _shared = CustomTensor._shared + ("_parities",)
 
     def __init__(self, algebra: Algebra, unit: Module, cocycle: dict,
@@ -718,7 +709,7 @@ class WattsContext(CustomTensor):
     Mod_R: a CustomTensor whose product X⊙′Y is the ``tensor_over`` cell
     D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is f⊗(g⊗₂id_T) descended, with T
     and every construction derived from the source tensor ``ct``, each
-    built once per table and functor key, or per context.  D(X,Y)
+    built once per table and functor key.  D(X,Y)
     is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
     ``alpha_prime`` build, every other caller reads the cache.  ``R`` is
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
@@ -726,32 +717,30 @@ class WattsContext(CustomTensor):
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
     the object named after the first modules seen.  T, D, ω, ν, μ, θ, c
     and the transported ``mor`` are fixed by ⊙ on objects and morphisms
-    (Watts 1960), so their caches are shared through the table ``cells``
-    under the functor key ("transported", the source tensor's key): the
-    contexts of one graded tensor under two cocycles build them once.
-    Only α′ (``_assocs``) and ξ (``OmegaFunctor``) depend on α and stay
-    on the instance; a source tensor without a key leaves every cache
-    private.  The cokernels (``ombar``, ``dcell``, the products of
-    ``bimodules``, θ's cells) go through the same table (``algmod``):
-    the caller's, which other contexts may share, or else a fresh one
-    that goes with the context."""
+    (Watts 1960), so their caches are shared through the source tensor's
+    table ``ct.cells`` under the functor key ("transported", the source
+    tensor's key): the contexts of one graded tensor under two cocycles
+    build them once.  Only α′ (``_assocs``) and ξ (``OmegaFunctor``)
+    depend on α and stay on the instance.  The cokernels (``ombar``,
+    ``dcell``, the products of ``bimodules``, θ's cells) go through the
+    same table (``algmod``), as do the hom bases the checks read, so the
+    axioms of ``ct`` and the embedding of its context build each once."""
 
-    keyed = True
     _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_mu",
                                       "_c", "_c_inv")
 
-    def __init__(self, ct: CustomTensor, cells: Optional[dict] = None):
+    def __init__(self, ct: CustomTensor):
         self.ct = ct
         super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]",
-                         cells)
+                         ct.cells)
         self.bimodules = BimoduleTensor(ct.algebra, self.cells)
         R = self.R = Module.regular(ct.algebra)
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
         self.T = build_T(ct, R, self.lmult)
 
-    def functor_key(self) -> Optional[tuple]:
-        return None if self.ct.key is None else ("transported", self.ct.key)
+    def functor_key(self) -> tuple:
+        return ("transported", self.ct.key)
 
     # -- ω(X) as the bimodule R⊙X ------------------------------------------
 

@@ -293,11 +293,14 @@ class TestSharedCells:
         with pytest.raises(StructureError, match="different algebras"):
             fx.ct.product(X, other)
 
-    def test_each_context_starts_with_its_own_cells(self, fx_strict):
-        first = WattsContext(fx_strict.ct)
-        first.product(fx_strict.module("Sp"), first.R)
+    def test_each_context_starts_with_its_own_cells(self):
+        # a context works on its tensor's table, so contexts over tensors
+        # loaded apart share nothing
+        fx = strict_f3_z2()
+        first = WattsContext(fx.ct)
+        first.product(fx.module("Sp"), first.R)
         assert first._products and first._ombar
-        second = WattsContext(fx_strict.ct)
+        second = WattsContext(strict_f3_z2().ct)
         assert second._products == {} and second._ombar == {}
 
     def test_one_table_serves_both_graded_fixtures(self, monkeypatch):
@@ -313,7 +316,7 @@ class TestSharedCells:
         cells = {}
         sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
         trivial = load_fixture_file(BUNDLED / "graded-trivial.json", cells)
-        first = _watts_reports(sign, groups, cells)
+        first = _watts_reports(sign, groups)
         assert builds and all(rep.ok for rep in first)
         shared = ("_products", "_omega", "_ombar", "_nu", "_mu", "_c",
                   "_c_inv")
@@ -322,7 +325,7 @@ class TestSharedCells:
         assert len(sizes) == 9  # ⊙, D and ⊗_R products, six of D's
         size = len(cells)
         builds.clear()
-        second = _watts_reports(trivial, groups, cells)
+        second = _watts_reports(trivial, groups)
         assert builds == [] and len(cells) == size
         assert {key: len(cells[key]) for key in sizes} == sizes
         assert [rep.to_json() for rep in second] == \
@@ -366,13 +369,13 @@ class TestFunctorKey:
         groups = set(CHECK_GROUPS)
         cells = {}
         sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
-        assert all(rep.ok for rep in _watts_reports(sign, groups, cells))
+        assert all(rep.ok for rep in _watts_reports(sign, groups))
         flipped = flip_cocycle(sign_cocycle(), (0, 1, 1))
 
         def reports(table):
             ct = GradedTensor(sign.algebra, sign.module("I"), flipped,
                               name="graded-flipped", cells=table)
-            reps = _watts_reports(replace(sign, ct=ct), groups, table)
+            reps = _watts_reports(replace(sign, ct=ct), groups)
             return ct, [rep.to_json() for rep in reps]
 
         shared, on_shared = reports(cells)
@@ -411,19 +414,19 @@ class TestFunctorKey:
             for build in order:
                 assert build(cells).product(R, R) == alone[build]
 
-    def test_a_subclass_without_a_key_keeps_private_caches(self, fx_sign):
-        class Probe(GradedTensor):
-            pass
-
-        cells = {}
-        base = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
-                            sign_cocycle(), cells=cells)
-        probe = Probe(fx_sign.algebra, fx_sign.module("I"), sign_cocycle(),
-                      cells=cells)
-        assert base.key == (GradedTensor, fx_sign.algebra)
-        assert probe.key is None
-        assert probe._products is not base._products
-        assert WattsContext(probe, cells).key is None
+    def test_a_context_works_on_its_tensors_table(self, fx_sign):
+        # contexts over one tensor share its table and their functor
+        # caches, and keep their own α′
+        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                          sign_cocycle())
+        first, second = WattsContext(ct), WattsContext(ct)
+        assert first.cells is ct.cells and first.bimodules.cells is ct.cells
+        assert first.key == ("transported", (GradedTensor, fx_sign.algebra))
+        R = first.R
+        assert second.product(R, R) is first.product(R, R)
+        assert second.omega(R) is first.omega(R)
+        assert first.associator(R, R, R) is not None
+        assert first._assocs and second._assocs == {}
 
 
 class TestIdentityCache:
@@ -475,7 +478,9 @@ class TestIdentityCache:
                 ref = weakref.ref(ct)
                 del ct
                 assert ref() is None, sample
-            wc = WattsContext(fx_sign.ct, cells)
+            wc = WattsContext(GradedTensor(
+                fx_sign.algebra, fx_sign.module("I"), sign_cocycle(),
+                cells=cells))
             assert check_T_coherence(wc).ok
             assert verify_monoidal_functor(wc, fx_sign.sample).ok
             assert wc.cells is cells and wc.bimodules.cells is cells
