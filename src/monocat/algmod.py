@@ -21,7 +21,8 @@ module ``R``, the name every bundled sample gives it.
 optional cell table ``cells=``, and so does ``hom_basis`` for its
 quotient: a dict its caller owns, keyed by the builder and its arguments
 (the asked name included, so a hit carries it).  Every tensor of
-``watts`` has one, the caller's or its own, and keeps in it too, under
+``watts`` has one, the caller's, its own or, for a transported tensor,
+its source tensor's, and keeps in it too, under
 its functor key, the caches that depend only on its rule on objects and
 morphisms (products, maps, identities; the Watts constructions of a
 transported tensor), while the caches that depend on the associator
