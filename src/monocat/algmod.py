@@ -17,25 +17,22 @@ product, cell or map once per content, and a hit returns the object
 built under the first name seen.  ``Module.regular`` names the regular
 module ``R``, the name every bundled sample gives it.
 
-``tensor_over`` and ``balanced_tensor`` are pure, so each takes an
-optional cell table ``cells=``, and so does ``hom_basis`` for its
-quotient: a dict its caller owns, keyed by the builder and its arguments
-(the asked name included, so a hit carries it).  Every tensor of
-``watts`` has one, the caller's, its own or, for a transported tensor,
-its source tensor's, and keeps in it too, under
-its functor key, the caches that depend only on its rule on objects and
-morphisms (products, maps, identities; the Watts constructions of a
-transported tensor), while the caches that depend on the associator
+Every product here is a balancing cokernel, so the one cache is a table
+of them: ``cokernel`` keeps each ``balanced_tensor`` in the dict
+``cells`` its caller owns, keyed by its arguments, so by content, and is
+the only code that touches a table; ``tensor_over`` and ``hom_basis``
+memoize nothing.  Every tensor of ``watts`` has a table, the caller's,
+its own or, for a transported tensor, its source tensor's, and keeps in
+it too, under its functor key, the caches that depend only on its rule
+on objects and morphisms, while those that depend on the associator
 stay on the tensor.  The table holds modules, spaces, maps, cells and
 dicts of them, never a tensor or a context; ``monocat report`` keeps one
-for all its fixtures, and nothing is cached process-wide.  A cell is
-checked once, when it is built.
+for all its fixtures, and nothing is cached process-wide.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -266,15 +263,15 @@ def hom_basis(X, Y, cells: Optional[dict] = None):
     unknowns F[r][c] are the coordinates of Y ⊗ X, and F·A = B·F over each
     intertwined pair (A, B) is the balancing of Y, acted on by Bᵀ, against
     X, acted on by A.  The rows of that quotient's projection are the RREF
-    null basis of the relations, one map each; the quotient goes through
-    the cell table ``cells`` when one is given.
+    null basis of the relations, one map each; ``cokernel`` finds the
+    quotient in the cell table ``cells``.
     """
     if type(X) is not type(Y):
         raise StructureError("hom between different kinds of modules")
     pairs = _intertwined(X, Y)
     m, n = Y.dim, X.dim
-    cell = balanced_tensor(Y.space, tuple(transpose(B) for _, B in pairs),
-                           X.space, tuple(A for A, _ in pairs), cells=cells)
+    cell = cokernel(cells, Y.space, tuple(transpose(B) for _, B in pairs),
+                    X.space, tuple(A for A, _ in pairs))
     return [LinearMap.from_rows(X.space, Y.space, tuple(
         [flat[r * n:(r + 1) * n] for r in range(m)]))
         for flat in cell.proj.rows]
@@ -294,30 +291,10 @@ class TensorCell:
     module: object = None  # Module | Bimodule | None
 
 
-def _tabled(build):
-    """The cell builder ``build`` memoized in the cell table its caller
-    passes as ``cells=``, keyed by the builder's name and its positional
-    arguments, which must then be hashable.  ``build`` gets the table too,
-    for the cells it builds in turn.  Without a table, ``build`` runs as
-    is."""
-    @functools.wraps(build)
-    def tabled(*args, cells: Optional[dict] = None):
-        if cells is None:
-            return build(*args)
-        key = (build.__name__,) + args
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = build(*args, cells=cells)
-        return cell
-    return tabled
-
-
-@_tabled
 def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
-                    Yspace: VectorSpace, left_mats: Sequence[LinearMap],
-                    cells: Optional[dict] = None) -> TensorCell:
-    """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r; it
-    builds no other cell, so it leaves the table ``cells`` to ``_tabled``."""
+                    Yspace: VectorSpace, left_mats: Sequence[LinearMap]
+                    ) -> TensorCell:
+    """Quotient of X ⊗_K Y by (x·r)⊗y − x⊗(r·y) over algebra basis r."""
     p = Xspace.field.char
     ambient = tensor_space(Xspace, Yspace)
     n = Yspace.dim
@@ -340,6 +317,20 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
     return TensorCell(*quotient_by_raw_rows(ambient, rows))
 
 
+def cokernel(cells: Optional[dict], Xspace: VectorSpace, right_mats: tuple,
+             Yspace: VectorSpace, left_mats: tuple) -> TensorCell:
+    """``balanced_tensor`` of the arguments, kept in the cell table
+    ``cells`` under ("balanced_tensor", the arguments) when one is given."""
+    args = (Xspace, right_mats, Yspace, left_mats)
+    if cells is None:
+        return balanced_tensor(*args)
+    key = ("balanced_tensor",) + args
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = balanced_tensor(*args)
+    return cell
+
+
 def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:
     """The map on the quotient ``cell_src.space`` induced by ``pushed``, an
     ambient map already pushed to its target; verifies it is well defined:
@@ -360,19 +351,18 @@ def tensor_maps(src, tgt, f: LinearMap, g: LinearMap) -> LinearMap:
     return descend(src, compose_tensor(tgt.proj, f, g))
 
 
-@_tabled
 def tensor_over(X, i: int, Y, j: int, name: str,
                 cells: Optional[dict] = None) -> TensorCell:
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
-    a Bimodule; it is checked and returned as the cell's ``module``.  The
-    bare balanced cell under it goes through the table ``cells`` too."""
+    a Bimodule, named ``name``; it is checked and returned as the
+    ``module`` of the balanced cell ``cokernel`` finds in ``cells``."""
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
-    cell = balanced_tensor(X.space, X.families[i][1], Y.space,
-                           Y.families[j][1], cells=cells)
+    cell = cokernel(cells, X.space, X.families[i][1], Y.space,
+                    Y.families[j][1])
     idX, idY = identity(X.space), identity(Y.space)
     families = [
         (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))
@@ -389,22 +379,20 @@ def tensor_over(X, i: int, Y, j: int, name: str,
     return TensorCell(cell.space, cell.proj, cell.section, result)
 
 
-def bimodule_tensor(M: Bimodule, N: Bimodule, name: Optional[str] = None,
+def bimodule_tensor(M: Bimodule, N: Bimodule,
                     cells: Optional[dict] = None) -> TensorCell:
-    """M ⊗_R N with the outer actions, through the cell table ``cells``
-    when one is given."""
-    return tensor_over(M, 1, N, 0, name or f"({M.name}⊗{N.name})",
-                       cells=cells)
+    """M ⊗_R N with the outer actions, on the cell table ``cells``."""
+    return tensor_over(M, 1, N, 0, f"({M.name}⊗{N.name})", cells)
 
 
 def module_tensor_commutative(X: Module, Y: Module,
-                              name: Optional[str] = None) -> TensorCell:
+                              cells: Optional[dict] = None) -> TensorCell:
     """X ⊗_R Y of right modules over a commutative algebra, as a right
     module: Y is the symmetric bimodule it is over a commutative R."""
     if not X.algebra.is_commutative():
         raise StructureError("module tensor requires a commutative algebra")
     Ysym = Bimodule(Y.name, Y.algebra, Y.space, Y.action, Y.action)
-    return tensor_over(X, 0, Ysym, 0, name or f"({X.name}⊗{Y.name})")
+    return tensor_over(X, 0, Ysym, 0, f"({X.name}⊗{Y.name})", cells)
 
 
 # ---------------------------------------------------------------------------

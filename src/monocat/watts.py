@@ -41,10 +41,9 @@ from itertools import chain
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, balanced_tensor, bimodule_tensor,
-                     check_actions, descend, hom_basis, matrix_to_json,
-                     module_identity, module_tensor_commutative, tensor_maps,
-                     tensor_over)
+                     TensorCell, bimodule_tensor, check_actions, cokernel,
+                     descend, hom_basis, matrix_to_json, module_identity,
+                     module_tensor_commutative, tensor_maps, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      cached_hash, compose, compose_all, compose_tensor,
                      identity, linear_combination, rank, solve_iso, tensor,
@@ -183,9 +182,10 @@ class CustomTensor:
     ``functor_key``, and are fetched from the cell table ``cells`` under
     (that key, the attribute name), so tensors that differ only in their
     associator build each product, map and identity once; ``_assocs``
-    (α) stays on the instance.  The key names the class, so a subclass
-    never reads its parent's entries.  ``cells`` is the caller's table,
-    or a fresh one that goes with the tensor.
+    (α) stays on the instance unless the class lists it there too.  The
+    key names the class, so a subclass never reads its parent's entries.
+    ``cells`` is the caller's table, or a fresh one that goes with the
+    tensor.
     Every cache refers to modules only, never to a tensor, so a tensor is
     freed by refcount while its table lives on; an identity kept on its
     module would be a reference cycle instead.
@@ -200,9 +200,9 @@ class CustomTensor:
         self.name = name
         self.cells = {} if cells is None else cells
         self.key = self.functor_key()
+        self._assocs: Dict[tuple, ModuleMap] = {}
         for attr in self._shared:
             setattr(self, attr, self.cells.setdefault((self.key, attr), {}))
-        self._assocs: Dict[tuple, ModuleMap] = {}
 
     def functor_key(self) -> tuple:
         """The key of ⊙'s rule on objects and morphisms: (the class, the
@@ -317,7 +317,10 @@ def _collapse_right(ct: CustomTensor, X) -> ModuleMap:
 class StrictTensor(CustomTensor):
     """⊙ = ⊗_R over a commutative algebra; the unit object is R itself,
     the regular module named ``R``.  Products are keyed by content: a hit
-    returns the product named after the first pair seen."""
+    returns the product named after the first pair seen.  α, like ⊙,
+    is fixed by the functor key, so it is shared."""
+
+    _shared = CustomTensor._shared + ("_assocs",)
 
     def __init__(self, algebra: Algebra, name: Optional[str] = None,
                  cells: Optional[dict] = None):
@@ -328,7 +331,7 @@ class StrictTensor(CustomTensor):
                          cells)
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
-        return module_tensor_commutative(X, Y)
+        return module_tensor_commutative(X, Y, self.cells)
 
     _associator = CustomTensor._rebracket
     left_unit = _collapse_left
@@ -338,15 +341,17 @@ class StrictTensor(CustomTensor):
 class BimoduleTensor(CustomTensor):
     """⊗_R on R-R-bimodules over any algebra, the target of ω: the unit is
     the regular bimodule, the associator the canonical rebracketing, and
-    λ and ρ collapse R as the strict tensor's do.  Its products are built
-    through its cell table (``algmod``)."""
+    λ and ρ collapse R as the strict tensor's do.  α is shared, as the
+    strict tensor's is."""
+
+    _shared = CustomTensor._shared + ("_assocs",)
 
     def __init__(self, algebra: Algebra, cells: Optional[dict] = None):
         super().__init__(algebra, Bimodule.regular(algebra),
                          f"bimodules[{algebra.name}]", cells)
 
     def _product(self, M: Bimodule, N: Bimodule) -> TensorCell:
-        return bimodule_tensor(M, N, cells=self.cells)
+        return bimodule_tensor(M, N, self.cells)
 
     _associator = CustomTensor._rebracket
     left_unit = _collapse_left
@@ -715,19 +720,18 @@ class WattsContext(CustomTensor):
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen.  T, D, ω, ν, μ, θ, c
-    and the transported ``mor`` are fixed by ⊙ on objects and morphisms
+    the object named after the first modules seen.  T, D, ω, ν, μ, θ, c,
+    u and the transported ``mor`` are fixed by ⊙ on objects and morphisms
     (Watts 1960), so their caches are shared through the source tensor's
     table ``ct.cells`` under the functor key ("transported", the source
     tensor's key): the contexts of one graded tensor under two cocycles
     build them once.  Only α′ (``_assocs``) and ξ (``OmegaFunctor``)
-    depend on α and stay on the instance.  The cokernels (``ombar``,
-    ``dcell``, the products of ``bimodules``, θ's cells) go through the
-    same table (``algmod``), as do the hom bases the checks read, so the
-    axioms of ``ct`` and the embedding of its context build each once."""
+    depend on α and stay on the instance.  Every cokernel, the hom bases
+    the checks read included, is kept in the same table (``algmod``), so
+    the axioms of ``ct`` and the embedding of its context build each once."""
 
     _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_mu",
-                                      "_c", "_c_inv")
+                                      "_c", "_c_inv", "_u", "_u_inv")
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
@@ -765,8 +769,18 @@ class WattsContext(CustomTensor):
     def ombar(self, X: Module) -> TensorCell:
         """X⊗₂T, X balanced against the second left action, with the
         residual first-left and right actions as its bimodule."""
-        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)",
-                           cells=self.cells)
+        return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)", self.cells)
+
+    @_memo("_u")
+    def collapse(self, X: Module) -> LinearMap:
+        """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
+        obX = self.ombar(X).module
+        return _collapse(self.product(self.R, X), obX.left, obX.space)
+
+    @_memo("_u_inv")
+    def collapse_inv(self, X: Module) -> LinearMap:
+        """u_X⁻¹: X⊗₂T -> D(R,X)."""
+        return solve_iso(self.collapse(X))
 
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
@@ -813,7 +827,7 @@ class WattsContext(CustomTensor):
         """Build D(X,Y) = X⊗_R(Y⊗₂T), X balanced against the first left
         action of the bimodule Y⊗₂T; ``product`` caches it."""
         return tensor_over(X, 0, self.ombar(Y).module, 0,
-                           f"D({X.name},{Y.name})", cells=self.cells)
+                           f"D({X.name},{Y.name})", self.cells)
 
     def _product(self, X, Y):
         return self.dcell(X, Y)
@@ -920,8 +934,8 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 def tensor_with_bimodule(M: Module, P: Bimodule,
                          cells: Optional[dict] = None) -> TensorCell:
     """M ⊗_R P balancing the right action of M against the left of P,
-    through the cell table ``cells`` when one is given."""
-    return balanced_tensor(M.space, M.action, P.space, P.left, cells=cells)
+    kept in the cell table ``cells`` when one is given."""
+    return cokernel(cells, M.space, M.action, P.space, P.left)
 
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
@@ -982,28 +996,12 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # The monoidal embedding ω with structure ξ
 
 class OmegaFunctor:
-    """ω together with ξ and η over a WattsContext; ξ, the collapses u_X
-    and their inverses are built once per functor and freed with it.  ξ
-    is built from α′, so these caches are never shared through the
-    context's table."""
+    """ω together with ξ and η over a WattsContext.  ξ is built from α′,
+    so it is cached once per functor and freed with it, never shared."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
         self._xi: Dict[tuple, LinearMap] = {}
-        self._u: Dict[tuple, LinearMap] = {}
-        self._u_inv: Dict[tuple, LinearMap] = {}
-
-    @_memo("_u")
-    def _collapse(self, X: Module) -> LinearMap:
-        """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
-        obX = self.wc.ombar(X).module
-        return _collapse(self.wc.product(self.wc.R, X), obX.left,
-                         obX.space)
-
-    @_memo("_u_inv")
-    def _collapse_inv(self, X: Module) -> LinearMap:
-        """u_X⁻¹: X⊗₂T -> D(R,X)."""
-        return solve_iso(self._collapse(X))
 
     def eta(self) -> LinearMap:
         """η: R -> ω(I), the inverse of the right unit at R."""
@@ -1020,12 +1018,12 @@ class OmegaFunctor:
         m1 = tensor_maps(cell, cell_bar, wc.mu(X), wc.mu(Y))
         # identify with D(D(R,X),Y) through the collapse in the first slot
         ddc = wc.product(wc.product(wc.R, X).module, Y)
-        m2 = tensor_maps(cell_bar, ddc, self._collapse_inv(X),
+        m2 = tensor_maps(cell_bar, ddc, wc.collapse_inv(X),
                          identity(obY.space))
         # transport and collapse on the other side
         alpha = wc.associator(wc.R, X, Y).lin
         DXY = wc.product(X, Y).module
-        u_d = self._collapse(DXY)
+        u_d = wc.collapse(DXY)
         return compose_all(m1, m2, alpha, u_d, wc.nu(DXY))
 
 

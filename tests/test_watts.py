@@ -332,16 +332,31 @@ class TestSharedCells:
             [rep.to_json() for rep in _watts_reports(graded_trivial(), groups)]
 
     def test_table_cell_carries_the_asked_name(self, fx_strict):
-        # the asked name is part of the key: a renamed module gets a cell
-        # of its own name, on the same balanced cell underneath
+        # the table keeps the balanced cell, keyed by content: a renamed
+        # module shares it, and each product carries the name asked for
         cells = {}
         B = Bimodule.regular(fx_strict.algebra, "B")
         first = bimodule_tensor(B, B, cells=cells)
-        assert bimodule_tensor(B, B, cells=cells) is first
         second = bimodule_tensor(replace(B, name="B2"), B, cells=cells)
+        assert second.proj is first.proj and second == first
         assert first.module.name == "(B⊗B)"
         assert second.module.name == "(B2⊗B)"
-        assert second == first and second.proj is first.proj
+        assert [key[0] for key in cells] == ["balanced_tensor"]
+
+    def test_every_cokernel_is_built_once_on_the_table(self, monkeypatch):
+        # every product of the watts fixtures is a balancing cokernel
+        # looked up in the one table, so each is built once and kept
+        builds = []
+        build = algmod.quotient_by_raw_rows
+        monkeypatch.setattr(algmod, "quotient_by_raw_rows",
+                            lambda *args: builds.append(1) or build(*args))
+        cells = {}
+        for name in ("dual-numbers-f2", "graded-sign", "graded-trivial",
+                     "strict-f3-z2"):
+            fx = load_fixture_file(BUNDLED / f"{name}.json", cells)
+            assert all(rep.ok for rep in _watts_reports(fx, set(CHECK_GROUPS)))
+        entries = [key for key in cells if key[0] == "balanced_tensor"]
+        assert builds and len(builds) == len(entries)
 
     def test_checks_name_the_renamed_module(self):
         fx = strict_f3_z2()
@@ -413,6 +428,33 @@ class TestFunctorKey:
             cells = {}
             for build in order:
                 assert build(cells).product(R, R) == alone[build]
+
+    def test_contexts_share_what_the_key_fixes(self):
+        # ⊗_R's α is the canonical rebracketing and u_X collapses R, both
+        # fixed by the functor key: graded-trivial's context reads the
+        # ones graded-sign's run built and adds none, and keeps its own α′
+        groups = set(CHECK_GROUPS)
+        cells = {}
+        sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
+        trivial = load_fixture_file(BUNDLED / "graded-trivial.json", cells)
+        assert all(rep.ok for rep in _watts_reports(sign, groups))
+        first, second = WattsContext(sign.ct), WattsContext(trivial.ct)
+        assert second.bimodules._assocs is first.bimodules._assocs
+        assert second._u is first._u and second._u_inv is first._u_inv
+        assert second._assocs is not first._assocs
+        sizes = [len(memo) for memo in (first.bimodules._assocs, first._u,
+                                        first._u_inv)]
+        assert all(sizes)
+        assert all(rep.ok for rep in _watts_reports(trivial, groups))
+        assert [len(memo) for memo in (second.bimodules._assocs, second._u,
+                                       second._u_inv)] == sizes
+
+    def test_strict_tensors_share_alpha(self, fx_strict):
+        cells = {}
+        first = StrictTensor(fx_strict.algebra, cells=cells)
+        second = StrictTensor(fx_strict.algebra, cells=cells)
+        R = first.unit
+        assert second.associator(R, R, R) is first.associator(R, R, R)
 
     def test_a_context_works_on_its_tensors_table(self, fx_sign):
         # contexts over one tensor share its table and their functor
