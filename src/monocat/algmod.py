@@ -19,15 +19,29 @@ module ``R``, the name every bundled sample gives it.
 
 Every product here is a balancing cokernel, so the one cache is a table
 of them: ``cokernel`` keeps each ``balanced_tensor`` in the dict
-``cells`` its caller owns, keyed by its arguments, so by content, and is
-the only code that touches a table; ``tensor_over`` and ``hom_basis``
-memoize nothing.  Every tensor of ``watts`` has a table, the caller's,
-its own or, for a transported tensor, its source tensor's, and keeps in
-it too, under its functor key, the caches that depend only on its rule
-on objects and morphisms, while those that depend on the associator
-stay on the tensor.  The table holds modules, spaces, maps, cells and
-dicts of them, never a tensor or a context; ``monocat report`` keeps one
-for all its fixtures, and nothing is cached process-wide.
+``cells`` its caller owns, keyed by its arguments, so by content, and
+with ``intern`` (below) is the only code that touches a table;
+``tensor_over`` and ``hom_basis`` memoize nothing.  Every tensor of
+``watts`` has a table, the caller's, its own or, for a transported
+tensor, its source tensor's, and keeps in it too, under its functor
+key, the caches that depend only on its rule on objects and morphisms,
+while those that depend on the associator stay on the tensor.  The
+table holds modules, spaces, maps, cells and dicts of them, never a
+tensor or a context; ``monocat report`` keeps one for all its
+fixtures, and nothing is cached process-wide.
+
+A cache keyed by content still compares a key it did not store by
+content, entry by entry; ``intern`` makes equal content one object per
+table, so the key is found by pointer.  Interned are the loaded algebra,
+its regular module R and sample modules (a sample module keeps its own
+object when the table's has another name), the unit R of the strict
+tensor and of a Watts context, the identities ``ct.ident``, the shared
+α of the strict and bimodule tensors, the graded tensor's product
+modules and the hom-sample maps the checks read (each keeps its own
+object unless the table's has the same source and target).  The
+modules ``tensor_over`` builds are not, so a product carries the name
+asked for; nor is an α that depends on the instance (a graded tensor's,
+a context's α′), which goes with its tensor by refcount.
 """
 
 from __future__ import annotations
@@ -329,6 +343,14 @@ def cokernel(cells: Optional[dict], Xspace: VectorSpace, right_mats: tuple,
     if cell is None:
         cell = cells[key] = balanced_tensor(*args)
     return cell
+
+
+def intern(cells: dict, obj):
+    """The first object of ``obj``'s content kept in the cell table
+    ``cells``, under the one key "interned"; ``obj`` itself, now kept, on
+    a miss.  Equal objects passed through one table are one object, so a
+    cache keyed by them finds its key by pointer."""
+    return cells.setdefault("interned", {}).setdefault(obj, obj)
 
 
 def descend(cell_src: TensorCell, pushed: LinearMap) -> LinearMap:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
-                     algebra_from_json, module_from_json)
+                     algebra_from_json, intern, module_from_json)
 from .fusion import FusionData, _count, fusion_from_json
 from .linalg import make_map
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
@@ -64,11 +64,19 @@ class WattsFixture:
 def watts_fixture_from_json(data: dict,
                             cells: Optional[dict] = None) -> WattsFixture:
     """The fixture in ``data``, its tensor built on the cell table
-    ``cells`` when one is given (``watts.CustomTensor``)."""
+    ``cells``, or on a table of its own when none is given
+    (``watts.CustomTensor``).  The algebra, its regular module and the
+    sample modules are interned in the table (``algmod.intern``), R
+    first, so that R's space is the algebra's; a sample module keeps its
+    own object when the table's has another name."""
+    cells = {} if cells is None else cells
     try:
         name = data["name"]
-        algebra = algebra_from_json(data["algebra"])
-        sample = tuple(module_from_json(algebra, m)
+        algebra = intern(cells, algebra_from_json(data["algebra"]))
+        # "R" names the regular module in every report; the sample holds
+        # Module.regular itself
+        regular = intern(cells, Module.regular(algebra))
+        sample = tuple(_sample_module(cells, module_from_json(algebra, m))
                        for m in data.get("modules", ()))
         if not sample:
             raise FixtureError(f"{name}: the sample lists no modules")
@@ -77,15 +85,9 @@ def watts_fixture_from_json(data: dict,
         if len(byname) != len(names):
             twice = sorted({n for n in names if names.count(n) > 1})
             raise FixtureError(f"{name}: sample module names repeat: {twice}")
-        # "R" names the regular module in every report; the sample holds
-        # Module.regular itself, whose space is the algebra's
-        regular = Module.regular(algebra)
-        if byname.get("R", regular) != regular:
+        if byname.get("R", regular) is not regular:
             raise FixtureError(
                 f"{name}: the sample module R is not the regular module")
-        if "R" in byname:
-            byname["R"] = regular
-            sample = tuple(regular if m.name == "R" else m for m in sample)
         tensor = data["tensor"]
         kind = tensor["kind"]
         if kind == "strict":
@@ -136,6 +138,13 @@ def watts_fixture_from_json(data: dict,
     except (KeyError, TypeError, ValueError, StructureError,
             WattsError) as exc:
         raise FixtureError(f"malformed watts fixture: {exc}") from exc
+
+
+def _sample_module(cells: dict, module: Module) -> Module:
+    """The table's object of ``module``'s content when it has the same
+    name, else ``module``, so that every sample name stays its own."""
+    found = intern(cells, module)
+    return found if found.name == module.name else module
 
 
 # ---------------------------------------------------------------------------

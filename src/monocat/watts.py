@@ -16,7 +16,9 @@ All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
 map of every pair, see ``_hom_samples``).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
-as in every bundled sample.  A module is its content (``algmod``), so
+as in every bundled sample, and one object on a table: the loader, the
+strict tensor and a context intern it (``algmod.intern``).  A module is
+its content (``algmod``), so
 every cache, keyed by modules, builds each product, cell and map once per
 content, and a hit returns the object built under the first name seen:
 ``product(X2, R).module.name`` reads ``D(X,R)`` on a WattsContext when
@@ -24,10 +26,11 @@ X2 is X renamed and D(X,R) was built first.  Check names and witnesses
 are formed from the sample and the loop variables, never from cached
 objects, so reports name the caller's modules; an exception raised
 inside a cached construction can still carry the first name.  Almost
-every check whiskers a map with an identity, f⊙id_Z, so each tensor keeps
-one identity map per content (``CustomTensor.ident``): the ``mor`` key is
-then found by pointer and hashed once, where a fresh identity would be
-hashed over its whole table and compared by content on every hit.  The
+every check whiskers a map with an identity, f⊙id_Z, so a table keeps
+one identity map per content (``CustomTensor.ident``), and interns the
+other objects that key the caches: the ``mor`` key is then found by
+pointer and hashed once, where a fresh equal object would be hashed
+over its whole table and compared by content on every hit.  The
 work of a run follows the content of its sample: two modules of one
 content cost one, so the benchmark's seeded widening of R moves the work
 with the seed (README, Library layout).
@@ -42,8 +45,9 @@ from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
                      TensorCell, bimodule_tensor, check_actions, cokernel,
-                     descend, hom_basis, matrix_to_json, module_identity,
-                     module_tensor_commutative, tensor_maps, tensor_over)
+                     descend, hom_basis, intern, matrix_to_json,
+                     module_identity, module_tensor_commutative, tensor_maps,
+                     tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      cached_hash, compose, compose_all, compose_tensor,
                      identity, linear_combination, rank, solve_iso, tensor,
@@ -173,9 +177,10 @@ class CustomTensor:
     ``proj`` and a ``section`` of it.  Morphism tensoring pushes f⊗g
     through the target cell's projection, descends it through the source
     cell and is verified well defined and equivariant on every call.
-    ``ident(X)`` is the one identity of X's content for this tensor, the
-    identity every f⊙id and id⊙f is formed with, so that its ``mor`` key
-    hits by pointer.
+    ``ident(X)`` is the one identity of X's content on the table, interned
+    there (``algmod.intern``), so a tensor and its context share it; it is
+    the identity every f⊙id and id⊙f is formed with, so that its ``mor``
+    key hits by pointer.
 
     Each cache is a dict bound to its attribute.  Those in ``_shared``
     depend only on ⊙'s rule on objects and morphisms, named by the
@@ -186,9 +191,10 @@ class CustomTensor:
     key names the class, so a subclass never reads its parent's entries.
     ``cells`` is the caller's table, or a fresh one that goes with the
     tensor.
-    Every cache refers to modules only, never to a tensor, so a tensor is
-    freed by refcount while its table lives on; an identity kept on its
-    module would be a reference cycle instead.
+    Every cache, and the interned store, refers to modules and maps only,
+    never to a tensor, so a tensor is freed by refcount while its table
+    lives on; an identity kept on its module would be a reference cycle
+    instead.  An α that depends on the instance is never interned.
     """
 
     _shared = ("_products", "_mors", "_ids")
@@ -222,8 +228,9 @@ class CustomTensor:
 
     @_memo("_ids")
     def ident(self, X: Module) -> ModuleMap:
-        """id_X, one object per content of X, as a key of ``mor``."""
-        return module_identity(X)
+        """id_X, one object per content of X on the table, as a key of
+        ``mor``."""
+        return intern(self.cells, module_identity(X))
 
     def _push(self, proj: LinearMap, f: ModuleMap,
               g: ModuleMap) -> LinearMap:
@@ -276,7 +283,7 @@ class CustomTensor:
             raise MalformedTensor(
                 f"{self.name}: rebracketing is not well defined on "
                 f"({X.name},{Y.name},{Z.name})")
-        return ModuleMap(pL.module, pR.module, a)
+        return intern(self.cells, ModuleMap(pL.module, pR.module, a))
 
 
 def _orbit(actions: Sequence[LinearMap], b: int,
@@ -326,7 +333,8 @@ class StrictTensor(CustomTensor):
                  cells: Optional[dict] = None):
         if not algebra.is_commutative():
             raise StructureError("strict tensor needs a commutative algebra")
-        unit = Module.regular(algebra)
+        cells = {} if cells is None else cells
+        unit = intern(cells, Module.regular(algebra))
         super().__init__(algebra, unit, name or f"strict[{algebra.name}]",
                          cells)
 
@@ -434,9 +442,10 @@ class GradedTensor(CustomTensor):
     def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
         action = (identity(space), tensor(X.action[1], Y.action[1]))
-        mod = Module(f"({X.name}⊙{Y.name})", self.algebra, space, "right",
-                     action)
-        return TensorCell(space, identity(space), identity(space), mod)
+        mod = intern(self.cells, Module(f"({X.name}⊙{Y.name})", self.algebra,
+                                        space, "right", action))
+        one = identity(mod.space)
+        return TensorCell(mod.space, one, one, mod)
 
     @_memo("_parities")
     def _parity(self, X: Module) -> tuple:
@@ -491,11 +500,22 @@ def _iso_inverse(m: LinearMap, what: str) -> LinearMap:
         raise MalformedTensor(f"{what} is not invertible") from exc
 
 
+def _hom_maps(X: Module, Y: Module, cells: dict) -> list:
+    """Every hom-basis map X -> Y as a ModuleMap, the basis's quotient
+    looked up and each map interned in the cell table ``cells``.  A map
+    keeps its own object unless the table's has X and Y themselves as
+    source and target, so that witnesses name the caller's modules."""
+    out = []
+    for lin in hom_basis(X, Y, cells):
+        f = ModuleMap(X, Y, lin)
+        found = intern(cells, f)
+        out.append(found if found.source is X and found.target is Y else f)
+    return out
+
+
 def _hom_samples(sample: Sequence[Module], cells: dict):
-    """Morphism sample: every hom-basis map between sample modules, the
-    bases' quotients through the cell table ``cells``."""
-    return [ModuleMap(X, Y, lin) for X in sample for Y in sample
-            for lin in hom_basis(X, Y, cells)]
+    """Morphism sample: every hom-basis map between sample modules."""
+    return [f for X in sample for Y in sample for f in _hom_maps(X, Y, cells)]
 
 
 def _pentagon(ct: CustomTensor, W: Module, X: Module, Y: Module,
@@ -585,7 +605,7 @@ def check_monoidal_axioms(ct: CustomTensor,
               ct.right_unit(I).lin, {"object": I.name})
 
     # End(I) is commutative under composition
-    endI = [ModuleMap(I, I, lin) for lin in hom_basis(I, I, ct.cells)]
+    endI = _hom_maps(I, I, ct.cells)
     for i, r in enumerate(endI):
         for j, s in enumerate(endI):
             if j <= i:
@@ -738,7 +758,7 @@ class WattsContext(CustomTensor):
         super().__init__(ct.algebra, ct.unit, f"transported[{ct.name}]",
                          ct.cells)
         self.bimodules = BimoduleTensor(ct.algebra, self.cells)
-        R = self.R = Module.regular(ct.algebra)
+        R = self.R = intern(self.cells, Module.regular(ct.algebra))
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
         self.T = build_T(ct, R, self.lmult)

@@ -24,7 +24,7 @@ from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
                             serialize_raw, solve_iso, tensor)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
-                           StrictTensor, WattsContext,
+                           StrictTensor, WattsContext, _hom_samples,
                            check_monoidal_axioms, check_rigidity,
                            check_T_coherence, flip_cocycle,
                            induce_natural_family, is_three_cocycle,
@@ -247,7 +247,45 @@ class TestSharedRegularModule:
     @pytest.mark.parametrize("name", ["strict-f3-z2", "dual-numbers-f2"])
     def test_strict_unit_is_the_sample_R(self, name):
         for fx in (bundled_watts_fixtures()[name], resolve_fixture(name)):
-            assert fx.ct.unit == fx.module("R")
+            assert fx.ct.unit is fx.module("R") is WattsContext(fx.ct).R
+
+    def test_fixtures_on_one_table_share_their_objects(self):
+        # on report's table, graded-trivial loads graded-sign's algebra,
+        # R and sample modules, so their caches hit by pointer
+        cells = {}
+        fxs = {p.stem: load_fixture_file(p, cells)
+               for p in sorted(BUNDLED.glob("*.json"))}
+        sign, trivial = fxs["graded-sign"], fxs["graded-trivial"]
+        assert trivial.algebra is sign.algebra
+        assert [m.name for m in trivial.sample] == \
+            [m.name for m in sign.sample]
+        for m in trivial.sample:
+            assert m is sign.module(m.name)
+        # strict-f3-z2 is over the same algebra: one R, also its unit
+        strict = fxs["strict-f3-z2"]
+        assert strict.algebra is sign.algebra
+        assert strict.ct.unit is strict.module("R") is sign.module("R")
+        assert WattsContext(trivial.ct).R is sign.module("R")
+        assert sign.module("R").space is sign.algebra.space
+
+    def test_equal_samples_keep_their_names(self):
+        # graded-sign with L repeated as L2: L2 is equal to L but stays its
+        # own object, and every sampled map runs between the sample's own
+        # modules, so witnesses name the pair asked for
+        data = json.loads((BUNDLED / "graded-sign.json").read_text())
+        L = next(m for m in data["modules"] if m["name"] == "L")
+        data["modules"].append(dict(L, name="L2"))
+        fx = watts_fixture_from_json(data)
+        L, L2 = fx.module("L"), fx.module("L2")
+        assert L2 == L and L2 is not L and L2.name == "L2"
+        maps = _hom_samples(fx.sample, fx.ct.cells)
+        pairs = [(X, Y) for X in fx.sample for Y in fx.sample
+                 for _ in hom_basis(X, Y)]
+        assert len(maps) == len(pairs)
+        assert all(f.source is X and f.target is Y
+                   for f, (X, Y) in zip(maps, pairs))
+        assert any(f.source is L2 for f in maps)
+        assert _hom_samples(fx.sample, fx.ct.cells)[0] is maps[0]
 
     def test_parity_projectors_built_once(self, fx_sign):
         for X in fx_sign.sample:
@@ -490,11 +528,13 @@ class TestIdentityCache:
         assert ct.mor(f, ct.ident(X2)) is ct.mor(f, ct.ident(X))
 
     def test_each_tensor_keeps_its_own_identities(self):
+        # each tensor keeps its own dict of identities, and on one table
+        # they hold one identity per content
         fx = strict_f3_z2()
         wc = WattsContext(fx.ct)
         X = fx.module("Sp")
-        assert wc.ident(X) is not fx.ct.ident(X)
-        assert wc.ident(X) == fx.ct.ident(X)
+        assert wc.ident(X) is fx.ct.ident(X)
+        assert wc._ids is not fx.ct._ids
 
     def test_checked_tensors_freed_by_refcount(self, fx_sign):
         # the identities cached on a tensor refer to modules only, so a
@@ -531,8 +571,11 @@ class TestIdentityCache:
             assert ref() is None
         finally:
             gc.enable()
-        # cells under (builder name, arguments), caches under (functor
-        # key, attribute name)
+        # interned objects under one key, cells under (builder name,
+        # arguments), caches under (functor key, attribute name)
+        interned = cells.pop("interned")
+        assert {type(obj) for obj in interned} == {Module, ModuleMap}
+        assert all(interned[obj] is obj for obj in interned)
         built = {key: cell for key, cell in cells.items()
                  if type(key[0]) is str}
         caches = {key: memo for key, memo in cells.items()
