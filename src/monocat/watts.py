@@ -3,14 +3,15 @@
 A CustomTensor packages a tensor product ⊙ on right R-modules: product
 cells (quotients of the scalar Kronecker product), morphism tensoring,
 and the associator/unit components.  From such a structure we build the
-triple-action bimodule T = R⊙R, the natural isomorphisms θ, μ, c, the
-transported structure (D, α′, λ′, ρ′), itself a CustomTensor (a
-``WattsContext``) whose product D(X,Y) = X⊗_R(Y⊗₂T) is one balanced
-tensor cell like every other, and the embedding functor ω into
-R-R-bimodules with its monoidal structure ξ.  The target of ω is a
-CustomTensor too: ``BimoduleTensor``, ⊗_R on bimodules, which shares its
-associator and unitors with the strict tensor.  Every claimed identity is
-checked by exact matrix equality and reported with witnesses.
+triple-action bimodule T = R⊙R, the natural isomorphisms ν, μ = ν⁻¹ and
+c (collapsed out of D(X,Y) through ν), the transported structure
+(D, α′, λ′, ρ′), itself a CustomTensor (a ``WattsContext``) whose product
+D(X,Y) = X⊗_R(Y⊗₂T) is one balanced tensor cell like every other, and
+the embedding functor ω into R-R-bimodules with its monoidal structure
+ξ.  The target of ω is a CustomTensor too: ``BimoduleTensor``, ⊗_R on
+bimodules, which shares its associator and unitors with the strict
+tensor.  Every claimed identity is checked by exact matrix equality and
+reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
@@ -44,10 +45,10 @@ from itertools import chain
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, bimodule_tensor, check_actions, cokernel,
-                     descend, hom_basis, intern, matrix_to_json,
-                     module_identity, module_tensor_commutative, tensor_maps,
-                     tensor_over)
+                     TensorCell, balanced_tensor, bimodule_tensor,
+                     check_actions, descend, hom_basis, intern,
+                     matrix_to_json, module_identity,
+                     module_tensor_commutative, tensor_maps, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
                      cached_hash, compose, compose_all, compose_tensor,
                      identity, linear_combination, rank, solve_iso, tensor,
@@ -329,14 +330,12 @@ class StrictTensor(CustomTensor):
 
     _shared = CustomTensor._shared + ("_assocs",)
 
-    def __init__(self, algebra: Algebra, name: Optional[str] = None,
-                 cells: Optional[dict] = None):
+    def __init__(self, algebra: Algebra, cells: Optional[dict] = None):
         if not algebra.is_commutative():
             raise StructureError("strict tensor needs a commutative algebra")
         cells = {} if cells is None else cells
         unit = intern(cells, Module.regular(algebra))
-        super().__init__(algebra, unit, name or f"strict[{algebra.name}]",
-                         cells)
+        super().__init__(algebra, unit, f"strict[{algebra.name}]", cells)
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
         return module_tensor_commutative(X, Y, self.cells)
@@ -740,18 +739,20 @@ class WattsContext(CustomTensor):
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen.  T, D, ω, ν, μ, θ, c,
-    u and the transported ``mor`` are fixed by ⊙ on objects and morphisms
-    (Watts 1960), so their caches are shared through the source tensor's
-    table ``ct.cells`` under the functor key ("transported", the source
-    tensor's key): the contexts of one graded tensor under two cocycles
-    build them once.  Only α′ (``_assocs``) and ξ (``OmegaFunctor``)
-    depend on α and stay on the instance.  Every cokernel, the hom bases
-    the checks read included, is kept in the same table (``algmod``), so
-    the axioms of ``ct`` and the embedding of its context build each once."""
+    the object named after the first modules seen.  T, D, ω, ν, c, u, the
+    transported ``mor`` and the inverses μ = ν⁻¹, u⁻¹ and c⁻¹, kept in the
+    one cache of ``inverse`` keyed by the map, are fixed by ⊙ on objects
+    and morphisms (Watts 1960), so their caches are shared through the
+    source tensor's table ``ct.cells`` under the functor key
+    ("transported", the source tensor's key): the contexts of one graded
+    tensor under two cocycles build them once.  Only α′ (``_assocs``) and
+    ξ (``OmegaFunctor``) depend on α and stay on the instance.  Every
+    cokernel, the hom bases the checks read included, is kept in the same
+    table (``algmod``), so the axioms of ``ct`` and the embedding of its
+    context build each once."""
 
-    _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_mu",
-                                      "_c", "_c_inv", "_u", "_u_inv")
+    _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_c", "_u",
+                                      "_inv")
 
     def __init__(self, ct: CustomTensor):
         self.ct = ct
@@ -797,11 +798,6 @@ class WattsContext(CustomTensor):
         obX = self.ombar(X).module
         return _collapse(self.product(self.R, X), obX.left, obX.space)
 
-    @_memo("_u_inv")
-    def collapse_inv(self, X: Module) -> LinearMap:
-        """u_X⁻¹: X⊗₂T -> D(R,X)."""
-        return solve_iso(self.collapse(X))
-
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
         return ModuleMap(self.R, X, _orbit(X.action, a, self.R.space))
@@ -818,28 +814,15 @@ class WattsContext(CustomTensor):
         except LinAlgError as exc:
             raise MalformedTensor(f"ν[{X.name}] is not balanced") from exc
 
-    @_memo("_mu")
     def mu(self, X: Module) -> LinearMap:
-        """R⊙X -> X⊗₂T, the Watts equivalence for R⊙−."""
-        return solve_iso(self.nu(X))
+        """μ_X = ν_X⁻¹: R⊙X -> X⊗₂T, the Watts equivalence for R⊙−."""
+        return self.inverse(self.nu(X))
 
-    # -- θ ------------------------------------------------------------------
-
-    def theta(self, X: Module, Y: Module) -> tuple:
-        """θ_X(Y): Y⊗_R ω(X) -> Y⊙X, y⊗t ↦ (ŷ ⊙ id_X)(t), with the cell
-        of Y⊗_R ω(X) it is defined on."""
-        cell = tensor_with_bimodule(Y, self.omega(X), self.cells)
-        target = self.ct.product(Y, X).module
-        idX = self.ct.ident(X)
-        blocks = [self.ct.mor(self._xhat(Y, b), idX).lin
-                  for b in range(Y.dim)]
-        try:
-            th = _collapse(cell, blocks, target.space)
-        except LinAlgError as exc:
-            raise MalformedTensor(
-                f"θ[{X.name}]({Y.name}) is not balanced") from exc
-        solve_iso(th)  # NotInvertible signals a colimit failure
-        return th, cell
+    @_memo("_inv")
+    def inverse(self, m: LinearMap) -> LinearMap:
+        """m⁻¹, one cache for μ, u⁻¹ and c⁻¹: m is a map the context
+        caches (ν, u, c), so its key is found by pointer."""
+        return solve_iso(m)
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
 
@@ -863,16 +846,21 @@ class WattsContext(CustomTensor):
 
     @_memo("_c")
     def c_iso(self, X: Module, Y: Module) -> LinearMap:
-        """c_{X,Y} = θ_Y(X) ∘ (id_X ⊗ ν_Y): D(X,Y) -> X⊙Y."""
-        theta, cell = self.theta(Y, X)
-        step = tensor_maps(self.product(X, Y), cell, identity(X.space),
-                           self.nu(Y))
-        return compose(theta, step)
-
-    @_memo("_c_inv")
-    def c_inv(self, X: Module, Y: Module) -> LinearMap:
-        """c_{X,Y}⁻¹: X⊙Y -> D(X,Y)."""
-        return solve_iso(self.c_iso(X, Y))
+        """c_{X,Y}: D(X,Y) -> X⊙Y, x⊗w ↦ (x̂ ⊙ id_Y)(ν_Y(w)), descended
+        through D(X,Y); its inverse is computed here, as a failure to
+        invert signals a colimit failure."""
+        cell = self.product(X, Y)
+        idY = self.ct.ident(Y)
+        nu = self.nu(Y)
+        blocks = [compose(self.ct.mor(self._xhat(X, a), idY).lin, nu)
+                  for a in range(X.dim)]
+        try:
+            c = _collapse(cell, blocks, self.ct.product(X, Y).module.space)
+        except LinAlgError as exc:
+            raise MalformedTensor(
+                f"c[{X.name},{Y.name}] is not balanced") from exc
+        self.inverse(c)
+        return c
 
     def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
         """Build D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α;
@@ -881,12 +869,13 @@ class WattsContext(CustomTensor):
         XY = ct.product(X, Y).module
         YZ = ct.product(Y, Z).module
         c_xy = ModuleMap(self.product(X, Y).module, XY, self.c_iso(X, Y))
-        c_yz_inv = ModuleMap(YZ, self.product(Y, Z).module, self.c_inv(Y, Z))
+        c_yz_inv = ModuleMap(YZ, self.product(Y, Z).module,
+                             self.inverse(self.c_iso(Y, Z)))
         return compose_all(
             self.mor(c_xy, self.ident(Z)).lin,
             self.c_iso(XY, Z),
             ct.associator(X, Y, Z).lin,
-            self.c_inv(X, YZ),
+            self.inverse(self.c_iso(X, YZ)),
             self.mor(self.ident(X), c_yz_inv).lin)
 
     def _associator(self, X, Y, Z):
@@ -951,11 +940,9 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 # ---------------------------------------------------------------------------
 # Natural transformations of −⊗P functors and their generating homs
 
-def tensor_with_bimodule(M: Module, P: Bimodule,
-                         cells: Optional[dict] = None) -> TensorCell:
-    """M ⊗_R P balancing the right action of M against the left of P,
-    kept in the cell table ``cells`` when one is given."""
-    return cokernel(cells, M.space, M.action, P.space, P.left)
+def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
+    """M ⊗_R P balancing the right action of M against the left of P."""
+    return balanced_tensor(M.space, M.action, P.space, P.left)
 
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
@@ -1038,7 +1025,7 @@ class OmegaFunctor:
         m1 = tensor_maps(cell, cell_bar, wc.mu(X), wc.mu(Y))
         # identify with D(D(R,X),Y) through the collapse in the first slot
         ddc = wc.product(wc.product(wc.R, X).module, Y)
-        m2 = tensor_maps(cell_bar, ddc, wc.collapse_inv(X),
+        m2 = tensor_maps(cell_bar, ddc, wc.inverse(wc.collapse(X)),
                          identity(obY.space))
         # transport and collapse on the other side
         alpha = wc.associator(wc.R, X, Y).lin
@@ -1168,15 +1155,13 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
 
     for M in sample:
         for N in sample:
-            basis = hom_basis(M, N, wc.cells)
+            basis = _hom_maps(M, N, wc.cells)
             if not basis:
                 rec.add(f"hom-injective[{M.name},{N.name}]", True, None)
                 continue
             # one flattened image per row: the rank of the image family
-            rows = []
-            for lin in basis:
-                img = wc.omega_map(ModuleMap(M, N, lin))
-                rows.append(tuple(chain.from_iterable(img.rows)))
+            rows = [tuple(chain.from_iterable(wc.omega_map(f).rows))
+                    for f in basis]
             flat_space = VectorSpace(wc.algebra.field, shape=(len(rows[0]),))
             dom = VectorSpace(wc.algebra.field, shape=(len(rows),))
             stacked = LinearMap.from_rows(flat_space, dom, tuple(rows))

@@ -11,7 +11,7 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, TensorCell, balanced_tensor,
                             bimodule_tensor, descend, hom_basis,
                             matrix_to_json, module_identity,
-                            module_tensor_commutative)
+                            module_tensor_commutative, tensor_maps)
 from monocat.cli import CHECK_GROUPS, _watts_reports
 from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
@@ -344,7 +344,7 @@ class TestSharedCells:
     def test_one_table_serves_both_graded_fixtures(self, monkeypatch):
         # graded-trivial and graded-sign are one category under two
         # cocycles: after graded-sign, graded-trivial builds no cokernel
-        # and adds no product, ω, X⊗₂T, ν, μ, c or c⁻¹; only mor may
+        # and adds no product, ω, X⊗₂T, ν, c or inverse; only mor may
         # grow, as mor(α, id) keys on α
         builds = []
         build = algmod.quotient_by_raw_rows
@@ -356,11 +356,10 @@ class TestSharedCells:
         trivial = load_fixture_file(BUNDLED / "graded-trivial.json", cells)
         first = _watts_reports(sign, groups)
         assert builds and all(rep.ok for rep in first)
-        shared = ("_products", "_omega", "_ombar", "_nu", "_mu", "_c",
-                  "_c_inv")
+        shared = ("_products", "_omega", "_ombar", "_nu", "_c", "_inv")
         sizes = {key: len(memo) for key, memo in cells.items()
                  if type(key[0]) is tuple and key[1] in shared}
-        assert len(sizes) == 9  # ⊙, D and ⊗_R products, six of D's
+        assert len(sizes) == 8  # ⊙, D and ⊗_R products, five of D's
         size = len(cells)
         builds.clear()
         second = _watts_reports(trivial, groups)
@@ -478,14 +477,14 @@ class TestFunctorKey:
         assert all(rep.ok for rep in _watts_reports(sign, groups))
         first, second = WattsContext(sign.ct), WattsContext(trivial.ct)
         assert second.bimodules._assocs is first.bimodules._assocs
-        assert second._u is first._u and second._u_inv is first._u_inv
+        assert second._u is first._u and second._inv is first._inv
         assert second._assocs is not first._assocs
         sizes = [len(memo) for memo in (first.bimodules._assocs, first._u,
-                                        first._u_inv)]
+                                        first._inv)]
         assert all(sizes)
         assert all(rep.ok for rep in _watts_reports(trivial, groups))
         assert [len(memo) for memo in (second.bimodules._assocs, second._u,
-                                       second._u_inv)] == sizes
+                                       second._inv)] == sizes
 
     def test_strict_tensors_share_alpha(self, fx_strict):
         cells = {}
@@ -870,6 +869,55 @@ def test_tensor_over_matches_reference_cokernels(name):
             assert wc.bimodules.product(oX, oY) == expected
             assert module_tensor_commutative(X, Y) == \
                 _reference_module_tensor(X, Y)
+
+
+def _reference_c(wc, X, Y):
+    """c_{X,Y} by the θ route: θ_Y(X): X⊗_R ω(Y) -> X⊙Y, x⊗t ↦
+    (x̂ ⊙ id_Y)(t), descended through its own cell, after id_X ⊗ ν_Y."""
+    ct = wc.ct
+    cell = tensor_with_bimodule(X, wc.omega(Y))
+    target = ct.product(X, Y).module.space
+    blocks = [ct.mor(wc._xhat(X, b), ct.ident(Y)).lin for b in range(X.dim)]
+    ambient = LinearMap.from_rows(cell.proj.source, target, tuple(
+        tuple(itertools.chain.from_iterable(blk.rows[r] for blk in blocks))
+        for r in range(target.dim)))
+    theta = descend(cell, ambient)
+    step = tensor_maps(wc.product(X, Y), cell, identity(X.space), wc.nu(Y))
+    return compose(theta, step)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_c_matches_the_theta_route(name):
+    # a map induced on a quotient is unique: collapsing D(X,Y) directly
+    # gives the map θ_Y(X) ∘ (id_X ⊗ ν_Y) gave
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+    for X in fx.sample:
+        for Y in fx.sample:
+            assert wc.c_iso(X, Y).rows == _reference_c(wc, X, Y).rows
+
+
+def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
+    # negative control: ν with its first two source coordinates swapped
+    # no longer balances c on graded-sign, and the pipeline reports that
+    # as a failed construction, not a bare LinAlgError
+    nu = WattsContext.nu
+
+    def swapped(self, X):
+        m = nu(self, X)
+        rows = tuple((row[1], row[0]) + row[2:] for row in m.rows)
+        return LinearMap.from_rows(m.source, m.target, rows)
+
+    monkeypatch.setattr(WattsContext, "nu", swapped)
+    fx = graded_sign()
+    R = fx.module("R")
+    with pytest.raises(MalformedTensor, match=r"c\[R,R\] is not balanced"):
+        WattsContext(fx.ct).c_iso(R, R)
+    for groups in ({"T"}, set(CHECK_GROUPS)):
+        last = _watts_reports(graded_sign(), groups)[-1].results[-1]
+        assert last.name == "pipeline-construction" and not last.ok
+        assert last.witness == {"error": "MalformedTensor",
+                                "detail": "c[R,R] is not balanced"}
 
 
 @pytest.mark.parametrize("build", [strict_f3_z2, dual_numbers_f2])
