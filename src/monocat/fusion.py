@@ -10,7 +10,7 @@ transposes.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
@@ -219,98 +219,67 @@ def dual_object(fd: FusionData, X: ObjectExpr) -> ObjectExpr:
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Matrix of K-dimensions of Hom blocks, with endo-field annotations."""
+    """Matrix of K-dimensions of Hom blocks: rows[j][k] is block (j, k),
+    over the simples in their order, zeros stored."""
 
     simples: tuple
-    entries: Mapping[Tuple[str, str], int]   # (j, k) -> dim over K
-    row_fields: Mapping[str, int]            # j -> r_j
-    col_fields: Mapping[str, int]            # k -> r_k
+    rows: tuple
 
     def entry(self, j: str, k: str) -> int:
-        return self.entries.get((j, k), 0)
-
-    def check_divisibility(self):
-        for (j, _), d in self.entries.items():
-            if d % self.row_fields[j] != 0:
-                raise DivisibilityError(f"block row {j}: {d} not divisible "
-                                        f"by r_j = {self.row_fields[j]}")
+        return self.rows[self.simples.index(j)][self.simples.index(k)]
 
     def to_lists(self) -> list:
-        return [[self.entry(j, k) for k in self.simples] for j in self.simples]
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockMatrix):
-            return NotImplemented
-        return (self.simples == other.simples
-                and self.to_lists() == other.to_lists()
-                and dict(self.row_fields) == dict(other.row_fields)
-                and dict(self.col_fields) == dict(other.col_fields))
+        return [list(row) for row in self.rows]
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        entries = {}
-        for j in self.simples:
-            for k in self.simples:
-                v = self.entry(j, k) + other.entry(j, k)
-                if v:
-                    entries[(j, k)] = v
-        return BlockMatrix(self.simples, entries, self.row_fields,
-                           self.col_fields)
-
-    def row_sums(self):
-        return {j: sum(self.entry(j, k) for k in self.simples)
-                for j in self.simples}
-
-    def col_sums(self):
-        return {k: sum(self.entry(j, k) for j in self.simples)
-                for k in self.simples}
+        return BlockMatrix(self.simples, tuple(
+            tuple(map(add, a, b)) for a, b in zip(self.rows, other.rows)))
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries.values())
+        return not any(map(any, self.rows))
 
 
 def embed_object(fd: FusionData, X: ObjectExpr) -> BlockMatrix:
     """Block dimensions of the image of X: entry (j,k) = Σ_i m_i c_{ik}^j r_j."""
-    entries: Dict[Tuple[str, str], int] = {}
+    terms = []
     for i, mi in X.mult.items():
         if mi == 0:
             continue
         fd.index(i)
         if mi < 0:
             raise FusionError("negative multiplicity")
-        for j in fd.simples:
-            for k in fd.simples:
-                c = fd.c(i, k, j)
-                if c:
-                    key = (j, k)
-                    entries[key] = entries.get(key, 0) + mi * c * fd.r(j)
-    fields = {lab: fd.r(lab) for lab in fd.simples}
-    return BlockMatrix(fd.simples, entries, fields, fields)
+        terms.append((i, mi))
+    return BlockMatrix(fd.simples, tuple(
+        tuple(sum(mi * fd.c(i, k, j) for i, mi in terms) * fd.r(j)
+              for k in fd.simples) for j in fd.simples))
 
 
 def tensor_images(fd: FusionData, V: BlockMatrix, W: BlockMatrix) -> BlockMatrix:
-    """Matrix product with the r_k contraction over the middle index."""
-    V.check_divisibility()
-    entries: Dict[Tuple[str, str], int] = {}
-    for j in fd.simples:
-        for n in fd.simples:
-            acc = 0
-            for k in fd.simples:
-                v = V.entry(j, k)
-                if v % fd.r(k) != 0:
-                    raise DivisibilityError(
-                        f"middle block ({j},{k}) = {v} not divisible by "
-                        f"r_k = {fd.r(k)}")
-                acc += (v // fd.r(k)) * W.entry(k, n)
-            if acc:
-                entries[(j, n)] = acc
-    return BlockMatrix(fd.simples, entries, V.row_fields, W.col_fields)
+    """Matrix product with the r_k contraction over the middle index.  Each
+    block row j of V must be divisible by r_j, and each block (j,k) by r_k."""
+    r = [fd.r(lab) for lab in fd.simples]
+    for j, rj, row in zip(fd.simples, r, V.rows):
+        for d in row:
+            if d % rj != 0:
+                raise DivisibilityError(f"block row {j}: {d} not divisible "
+                                        f"by r_j = {rj}")
+    cols = tuple(zip(*W.rows))
+    rows = []
+    for j, row in zip(fd.simples, V.rows):
+        for k, rk, v in zip(fd.simples, r, row):
+            if v % rk != 0:
+                raise DivisibilityError(
+                    f"middle block ({j},{k}) = {v} not divisible by "
+                    f"r_k = {rk}")
+        contracted = [v // rk for v, rk in zip(row, r)]
+        rows.append(tuple(sum(map(mul, contracted, col)) for col in cols))
+    return BlockMatrix(fd.simples, tuple(rows))
 
 
 def dual_image(fd: FusionData, V: BlockMatrix) -> BlockMatrix:
-    """Transpose with row/column field annotations swapped."""
-    entries = {(k, j): d for (j, k), d in V.entries.items() if d}
-    return BlockMatrix(fd.simples, entries, V.col_fields, V.row_fields)
+    """Transpose."""
+    return BlockMatrix(fd.simples, tuple(zip(*V.rows)))
 
 
 def end_dimension(fd: FusionData, X: ObjectExpr) -> int:
@@ -330,7 +299,7 @@ def growth_bound(fd: FusionData, X: ObjectExpr) -> int:
     V = embed_object(fd, X)
     if V.is_zero:
         raise ZeroObject("growth bound of the zero object")
-    return max(list(V.row_sums().values()) + list(V.col_sums().values()))
+    return max(map(sum, V.rows + tuple(zip(*V.rows))))
 
 
 def check_theorem4(fd: FusionData, X: ObjectExpr, n_max: int) -> dict:
@@ -347,8 +316,7 @@ def check_theorem4(fd: FusionData, X: ObjectExpr, n_max: int) -> dict:
     rows = []
     ok = True
     power = X
-    Vn = embed_object(fd, X)
-    V1 = embed_object(fd, X)
+    Vn = V1 = embed_object(fd, X)
     for n in range(1, n_max + 1):
         dim_end = end_dimension(fd, power)
         # independent bookkeeping: the embedding matrix of the power is the
@@ -503,15 +471,29 @@ def _count(value) -> int:
     return value
 
 
+def _object(data: dict, key: str) -> dict:
+    """The JSON object ``data[key]``, {} when it is absent or null."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key}: expected an object, got {value!r}")
+    return value
+
+
 def fusion_from_json(data: dict) -> FusionData:
     simples = tuple(data["simples"])
     mult = {}
     for i, k, j, c in data.get("fusion", []):
         mult[(i, k, j)] = _count(c)
-    dual = dict(data.get("dual") or {s: s for s in simples})
+    dual = dict(_object(data, "dual"))
+    for s, d in dual.items():
+        if isinstance(d, (list, dict)):
+            raise ValueError(f"dual[{s!r}]: expected a simple label, "
+                             f"got {d!r}")
     for s in simples:
         dual.setdefault(s, s)
-    endo = {s: _count(v) for s, v in (data.get("endo_dim") or {}).items()}
+    endo = {s: _count(v) for s, v in _object(data, "endo_dim").items()}
     for s in simples:
         endo.setdefault(s, 1)
     return FusionData(simples, data["unit"], mult, dual, endo,

@@ -40,8 +40,8 @@ with the seed (README, Library layout).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, combinations, product
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
@@ -94,9 +94,14 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CoherenceReport:
+    """The results of one report.  ``domains``, which is not printed,
+    gives the number of instances each check family ranges over;
+    ``alpha-natural`` checks a sample of its own."""
+
     title: str
     sample: tuple
     results: tuple
+    domains: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -130,12 +135,38 @@ class CoherenceReport:
 def merge_reports(title: str, reports: Sequence[CoherenceReport]) -> CoherenceReport:
     results = tuple(r for rep in reports for r in rep.results)
     sample = tuple(sorted({n for rep in reports for n in rep.sample}))
-    return CoherenceReport(title, sample, results)
+    domains = {k: v for rep in reports for k, v in rep.domains.items()}
+    return CoherenceReport(title, sample, results, domains)
 
 
 class _Recorder:
+    """The results of a report, and the domain of each check family that
+    runs through a scope (``objects``, ``maps``) or is set by hand."""
+
     def __init__(self):
         self.results = []
+        self.domains: Dict[str, int] = {}
+
+    def objects(self, family: str, sample: Sequence[Module], n: int):
+        """Each n-tuple of sample modules, in nested-loop order, with its
+        check name family[A,B,…] and its context; the domain is |sample|ⁿ."""
+        self.domains[family] = len(sample) ** n
+        for objs in product(sample, repeat=n):
+            names = [X.name for X in objs]
+            yield (objs, f"{family}[{','.join(names)}]",
+                   {"object": names[0]} if n == 1 else {"objects": names})
+
+    def maps(self, family: str, morphisms: Sequence[ModuleMap], per: int = 1):
+        """Each (k, f) of the morphism sample with its check name
+        family[k] and its context; the domain is ``per`` instances a map."""
+        self.domains[family] = len(morphisms) * per
+        for k, f in enumerate(morphisms):
+            yield (k, f), f"{family}[{k}]", {
+                "morphism": k, "pair": [f.source.name, f.target.name]}
+
+    def report(self, title: str, names: Sequence[str]) -> CoherenceReport:
+        return CoherenceReport(title, tuple(names), tuple(self.results),
+                               self.domains)
 
     def add(self, name: str, ok: bool, witness: Optional[dict] = None):
         self.results.append(CheckResult(name, ok, None if ok else witness))
@@ -553,65 +584,46 @@ def check_monoidal_axioms(ct: CustomTensor,
         raise ValueError("sample must be non-empty")
     I = ct.unit
     rec = _Recorder()
-    names = tuple(m.name for m in sample)
 
     # component sanity: isomorphisms and equivariance
     lams, rhos = {}, {}  # X -> (component, the inverse of its matrix)
-    for X in sample:
+    for (X,), name, ctx in rec.objects("unit-components-equivariant",
+                                       sample, 1):
         lam, rho = ct.left_unit(X), ct.right_unit(X)
         lams[X] = lam, _iso_inverse(lam.lin, f"λ[{X.name}]")
         rhos[X] = rho, _iso_inverse(rho.lin, f"ρ[{X.name}]")
-        rec.add(f"unit-components-equivariant[{X.name}]",
-                lam.is_equivariant() and rho.is_equivariant(),
-                {"object": X.name})
-    for X in sample:
-        for Y in sample:
-            for Z in sample:
-                a = ct.associator(X, Y, Z)
-                _iso_inverse(a.lin, f"α[{X.name},{Y.name},{Z.name}]")
-                rec.add(f"associator-equivariant[{X.name},{Y.name},{Z.name}]",
-                        a.is_equivariant(),
-                        {"objects": [X.name, Y.name, Z.name]})
+        rec.add(name, lam.is_equivariant() and rho.is_equivariant(), ctx)
+    for (X, Y, Z), name, ctx in rec.objects("associator-equivariant",
+                                            sample, 3):
+        a = ct.associator(X, Y, Z)
+        _iso_inverse(a.lin, f"α[{X.name},{Y.name},{Z.name}]")
+        rec.add(name, a.is_equivariant(), ctx)
 
     # pentagon on all quadruples
-    for W in sample:
-        for X in sample:
-            for Y in sample:
-                for Z in sample:
-                    rec.equal(
-                        f"pentagon[{W.name},{X.name},{Y.name},{Z.name}]",
-                        *_pentagon(ct, W, X, Y, Z),
-                        {"objects": [W.name, X.name, Y.name, Z.name]})
+    for objs, name, ctx in rec.objects("pentagon", sample, 4):
+        rec.equal(name, *_pentagon(ct, *objs), ctx)
 
     # triangle and the derived unit diagrams on all pairs
-    for X in sample:
-        for Y in sample:
-            ctx = {"objects": [X.name, Y.name]}
-            rec.equal(f"triangle[{X.name},{Y.name}]",
-                      *_triangle(ct, X, Y, rhos[X][0], lams[Y][0]), ctx)
-
-            XY = ct.product(X, Y).module
-            lhs = compose(ct.left_unit(XY).lin, ct.associator(I, X, Y).lin)
-            rhs = ct.mor(lams[X][0], ct.ident(Y)).lin
-            rec.equal(f"unit-left-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
-
-            lhs = compose(ct.mor(ct.ident(X), rhos[Y][0]).lin,
-                          ct.associator(X, Y, I).lin)
-            rhs = ct.right_unit(XY).lin
-            rec.equal(f"unit-right-derived[{X.name},{Y.name}]", lhs, rhs, ctx)
+    for (X, Y), name, ctx in rec.objects("triangle", sample, 2):
+        rec.equal(name, *_triangle(ct, X, Y, rhos[X][0], lams[Y][0]), ctx)
+    for (X, Y), name, ctx in rec.objects("unit-left-derived", sample, 2):
+        lhs = compose(ct.left_unit(ct.product(X, Y).module).lin,
+                      ct.associator(I, X, Y).lin)
+        rec.equal(name, lhs, ct.mor(lams[X][0], ct.ident(Y)).lin, ctx)
+    for (X, Y), name, ctx in rec.objects("unit-right-derived", sample, 2):
+        lhs = compose(ct.mor(ct.ident(X), rhos[Y][0]).lin,
+                      ct.associator(X, Y, I).lin)
+        rec.equal(name, lhs, ct.right_unit(ct.product(X, Y).module).lin, ctx)
 
     rec.equal("lambda_I-equals-rho_I", ct.left_unit(I).lin,
               ct.right_unit(I).lin, {"object": I.name})
 
     # End(I) is commutative under composition
     endI = _hom_maps(I, I, ct.cells)
-    for i, r in enumerate(endI):
-        for j, s in enumerate(endI):
-            if j <= i:
-                continue
-            rec.equal(f"endI-commutes[{i},{j}]",
-                      compose(r.lin, s.lin), compose(s.lin, r.lin),
-                      {"basis": [i, j]})
+    rec.domains["endI-commutes"] = len(endI) * (len(endI) - 1) // 2
+    for (i, r), (j, s) in combinations(enumerate(endI), 2):
+        rec.equal(f"endI-commutes[{i},{j}]", compose(r.lin, s.lin),
+                  compose(s.lin, r.lin), {"basis": [i, j]})
 
     # End(I) actions on Hom(X,Y): unit acts trivially, actions associate
     def via_lam(f: ModuleMap, g: LinearMap) -> LinearMap:
@@ -624,60 +636,54 @@ def check_monoidal_axioms(ct: CustomTensor,
 
     morphisms = _hom_samples(sample, ct.cells)
     one = ct.ident(I)
-    for k, f in enumerate(morphisms):
-        ctx = {"morphism": k,
-               "pair": [f.source.name, f.target.name]}
-        rec.equal(f"endI-unit-acts-trivially-left[{k}]",
-                  via_lam(f, ct.mor(one, f).lin), f.lin, ctx)
-        rec.equal(f"endI-unit-acts-trivially-right[{k}]",
-                  via_rho(f, ct.mor(f, one).lin), f.lin, ctx)
-        for i, r in enumerate(endI):
-            for j, s in enumerate(endI):
-                rf = ModuleMap(f.source, f.target,
-                               via_lam(f, ct.mor(r, f).lin))
-                fs = ModuleMap(f.source, f.target,
-                               via_rho(f, ct.mor(f, s).lin))
-                rec.equal(f"endI-actions-associate[{k},{i},{j}]",
-                          via_rho(f, ct.mor(rf, s).lin),
-                          via_lam(f, ct.mor(r, fs).lin), ctx)
+    for (_, f), name, ctx in rec.maps("endI-unit-acts-trivially-left",
+                                      morphisms):
+        rec.equal(name, via_lam(f, ct.mor(one, f).lin), f.lin, ctx)
+    for (_, f), name, ctx in rec.maps("endI-unit-acts-trivially-right",
+                                      morphisms):
+        rec.equal(name, via_rho(f, ct.mor(f, one).lin), f.lin, ctx)
+    for (k, f), _, ctx in rec.maps("endI-actions-associate", morphisms,
+                                   len(endI) ** 2):
+        for (i, r), (j, s) in product(enumerate(endI), repeat=2):
+            rf = ModuleMap(f.source, f.target, via_lam(f, ct.mor(r, f).lin))
+            fs = ModuleMap(f.source, f.target, via_rho(f, ct.mor(f, s).lin))
+            rec.equal(f"endI-actions-associate[{k},{i},{j}]",
+                      via_rho(f, ct.mor(rf, s).lin),
+                      via_lam(f, ct.mor(r, fs).lin), ctx)
 
     # bifunctor interchange on sampled morphism pairs
-    for k, f in enumerate(morphisms):
-        for l, g in enumerate(morphisms):
-            fg = ct.mor(f, g).lin
-            a = compose(ct.mor(ct.ident(f.target), g).lin,
-                        ct.mor(f, ct.ident(g.source)).lin)
-            b = compose(ct.mor(f, ct.ident(g.target)).lin,
-                        ct.mor(ct.ident(f.source), g).lin)
-            ctx = {"morphisms": [k, l]}
-            rec.equal(f"interchange-a[{k},{l}]", fg, a, ctx)
-            rec.equal(f"interchange-b[{k},{l}]", fg, b, ctx)
+    rec.domains["interchange-a"] = rec.domains["interchange-b"] = \
+        len(morphisms) ** 2
+    for (k, f), (l, g) in product(enumerate(morphisms), repeat=2):
+        fg = ct.mor(f, g).lin
+        a = compose(ct.mor(ct.ident(f.target), g).lin,
+                    ct.mor(f, ct.ident(g.source)).lin)
+        b = compose(ct.mor(f, ct.ident(g.target)).lin,
+                    ct.mor(ct.ident(f.source), g).lin)
+        rec.equal(f"interchange-a[{k},{l}]", fg, a, {"morphisms": [k, l]})
+        rec.equal(f"interchange-b[{k},{l}]", fg, b, {"morphisms": [k, l]})
 
-    # naturality of λ, ρ on all sampled morphisms, α on a reduced set
-    for k, f in enumerate(morphisms):
-        ctx = {"morphism": k, "pair": [f.source.name, f.target.name]}
-        rec.equal(f"lambda-natural[{k}]",
-                  compose(lams[f.target][0].lin,
-                          ct.mor(one, f).lin),
+    # naturality of λ, ρ on all sampled morphisms, α on a reduced set of
+    # its domain, the maps times the pairs of sample modules
+    for (_, f), name, ctx in rec.maps("lambda-natural", morphisms):
+        rec.equal(name, compose(lams[f.target][0].lin, ct.mor(one, f).lin),
                   compose(f.lin, lams[f.source][0].lin), ctx)
-        rec.equal(f"rho-natural[{k}]",
-                  compose(rhos[f.target][0].lin,
-                          ct.mor(f, one).lin),
+    for (_, f), name, ctx in rec.maps("rho-natural", morphisms):
+        rec.equal(name, compose(rhos[f.target][0].lin, ct.mor(f, one).lin),
                   compose(f.lin, rhos[f.source][0].lin), ctx)
-    for k, f in enumerate(morphisms[:6]):
-        for Y in sample[:2]:
-            for Z in sample[:2]:
-                YZ = ct.product(Y, Z).module
-                lhs = compose(
-                    ct.associator(f.target, Y, Z).lin,
-                    ct.mor(ct.mor(f, ct.ident(Y)), ct.ident(Z)).lin)
-                rhs = compose(ct.mor(f, ct.ident(YZ)).lin,
-                              ct.associator(f.source, Y, Z).lin)
-                rec.equal(f"alpha-natural[{k},{Y.name},{Z.name}]", lhs, rhs,
-                          {"morphism": k, "objects": [Y.name, Z.name]})
+    rec.domains["alpha-natural"] = len(morphisms) * len(sample) ** 2
+    for (k, f), Y, Z in product(enumerate(morphisms[:6]), sample[:2],
+                                sample[:2]):
+        YZ = ct.product(Y, Z).module
+        lhs = compose(ct.associator(f.target, Y, Z).lin,
+                      ct.mor(ct.mor(f, ct.ident(Y)), ct.ident(Z)).lin)
+        rhs = compose(ct.mor(f, ct.ident(YZ)).lin,
+                      ct.associator(f.source, Y, Z).lin)
+        rec.equal(f"alpha-natural[{k},{Y.name},{Z.name}]", lhs, rhs,
+                  {"morphism": k, "objects": [Y.name, Z.name]})
 
-    return CoherenceReport(f"monoidal axioms: {ct.name}", names,
-                           tuple(rec.results))
+    return rec.report(f"monoidal axioms: {ct.name}",
+                      [m.name for m in sample])
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +939,7 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
         rec.equal(f"T-alpha-right-equivariant[e{i}]",
                   compose(alpha, a_src), compose(a_tgt, alpha), {"basis": i})
 
-    return CoherenceReport(f"T coherence: {wc.ct.name}", (R.name, I.name),
-                           tuple(rec.results))
+    return rec.report(f"T coherence: {wc.ct.name}", (R.name, I.name))
 
 
 # ---------------------------------------------------------------------------
@@ -1048,60 +1053,50 @@ def verify_monoidal_functor(wc: WattsContext,
     I = ct.unit
     eta = om.eta()
 
-    for X in sample:
-        for Y in sample:
-            xi = om.xi(X, Y)
-            ctx = {"objects": [X.name, Y.name]}
-            try:
-                solve_iso(xi)
-                iso_ok = True
-            except NotInvertible:
-                iso_ok = False
-            rec.add(f"xi-iso[{X.name},{Y.name}]", iso_ok, ctx)
-            mm = ModuleMap(bim.product(wc.omega(X), wc.omega(Y)).module,
-                           wc.omega(wc.product(X, Y).module), xi)
-            rec.add(f"xi-equivariant[{X.name},{Y.name}]", mm.is_equivariant(),
-                    ctx)
+    for (X, Y), name, ctx in rec.objects("xi-iso", sample, 2):
+        xi = om.xi(X, Y)
+        try:
+            solve_iso(xi)
+            iso_ok = True
+        except NotInvertible:
+            iso_ok = False
+        rec.add(name, iso_ok, ctx)
+    for (X, Y), name, ctx in rec.objects("xi-equivariant", sample, 2):
+        mm = ModuleMap(bim.product(wc.omega(X), wc.omega(Y)).module,
+                       wc.omega(wc.product(X, Y).module), om.xi(X, Y))
+        rec.add(name, mm.is_equivariant(), ctx)
 
-    for X in sample:
-        for Y in sample:
-            for Z in sample:
-                ctx = {"objects": [X.name, Y.name, Z.name]}
-                oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
-                DXY = wc.product(X, Y).module
-                DYZ = wc.product(Y, Z).module
-                m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
-                                 bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
-                                 identity(oZ.space))
-                lhs = compose_all(m1, om.xi(DXY, Z),
-                                  wc.omega_map(wc.associator(X, Y, Z)))
-                m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
-                                 bim.product(oX, wc.omega(DYZ)),
-                                 identity(oX.space), om.xi(Y, Z))
-                rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2,
-                                  om.xi(X, DYZ))
-                rec.equal(f"functor-pentagon[{X.name},{Y.name},{Z.name}]",
-                          lhs, rhs, ctx)
+    for (X, Y, Z), name, ctx in rec.objects("functor-pentagon", sample, 3):
+        oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
+        DXY = wc.product(X, Y).module
+        DYZ = wc.product(Y, Z).module
+        m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
+                         bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
+                         identity(oZ.space))
+        lhs = compose_all(m1, om.xi(DXY, Z),
+                          wc.omega_map(wc.associator(X, Y, Z)))
+        m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
+                         bim.product(oX, wc.omega(DYZ)),
+                         identity(oX.space), om.xi(Y, Z))
+        rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2, om.xi(X, DYZ))
+        rec.equal(name, lhs, rhs, ctx)
 
     oI = wc.omega(I)
-    for X in sample:
-        ctx = {"object": X.name}
+    for (X,), name, ctx in rec.objects("functor-unit-left", sample, 1):
         oX = wc.omega(X)
-        # left unit square
         m = tensor_maps(bim.product(bim.unit, oX), bim.product(oI, oX), eta,
                         identity(oX.space))
         lhs = compose_all(m, om.xi(I, X), wc.omega_map(wc.left_unit(X)))
-        rec.equal(f"functor-unit-left[{X.name}]", lhs,
-                  bim.left_unit(oX).lin, ctx)
-        # right unit square
+        rec.equal(name, lhs, bim.left_unit(oX).lin, ctx)
+    for (X,), name, ctx in rec.objects("functor-unit-right", sample, 1):
+        oX = wc.omega(X)
         m = tensor_maps(bim.product(oX, bim.unit), bim.product(oX, oI),
                         identity(oX.space), eta)
         lhs = compose_all(m, om.xi(X, I), wc.omega_map(wc.right_unit(X)))
-        rec.equal(f"functor-unit-right[{X.name}]", lhs,
-                  bim.right_unit(oX).lin, ctx)
+        rec.equal(name, lhs, bim.right_unit(oX).lin, ctx)
 
-    return CoherenceReport(f"monoidal functor: {ct.name}",
-                           tuple(m.name for m in sample), tuple(rec.results))
+    return rec.report(f"monoidal functor: {ct.name}",
+                      [m.name for m in sample])
 
 
 # ---------------------------------------------------------------------------
@@ -1138,38 +1133,35 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
     """Embedding checks for ω (faithfulness, exactness), plus the
     flatness probe.
 
-    The flatness entries are informational: their `ok` flag only records
-    that the probe ran, while the witness carries `exact: true/false` for
-    each (sequence, probe object) pair.  Tensoring a short exact sequence
-    with a non-flat probe object is expected to lose injectivity on some
-    fixtures; that observation is data, not a defect of ω.
+    The flatness entries are informational: each `flatness[…]` check
+    passes once its probe ran, and `flatness-summary` lists the
+    (sequence, probe object) pairs that are not exact.  Tensoring a short
+    exact sequence with a non-flat probe object is expected to lose
+    injectivity on some fixtures; that observation is data, not a defect
+    of ω.
     """
     ct = wc.ct
     rec = _Recorder()
 
-    for X in sample:
+    for (X,), name, ctx in rec.objects("omega-nonzero", sample, 1):
         oX = wc.omega(X)
-        rec.add(f"omega-nonzero[{X.name}]",
-                (X.dim == 0) == (oX.dim == 0),
-                {"object": X.name, "dim": X.dim, "omega_dim": oX.dim})
+        rec.add(name, (X.dim == 0) == (oX.dim == 0),
+                dict(ctx, dim=X.dim, omega_dim=oX.dim))
 
-    for M in sample:
-        for N in sample:
-            basis = _hom_maps(M, N, wc.cells)
-            if not basis:
-                rec.add(f"hom-injective[{M.name},{N.name}]", True, None)
-                continue
-            # one flattened image per row: the rank of the image family
-            rows = [tuple(chain.from_iterable(wc.omega_map(f).rows))
-                    for f in basis]
-            flat_space = VectorSpace(wc.algebra.field, shape=(len(rows[0]),))
-            dom = VectorSpace(wc.algebra.field, shape=(len(rows),))
-            stacked = LinearMap.from_rows(flat_space, dom, tuple(rows))
-            image_rank = rank(stacked)
-            rec.add(f"hom-injective[{M.name},{N.name}]",
-                    image_rank == len(basis),
-                    {"pair": [M.name, N.name], "hom_dim": len(basis),
-                     "image_rank": image_rank})
+    for (M, N), name, _ in rec.objects("hom-injective", sample, 2):
+        basis = _hom_maps(M, N, wc.cells)
+        if not basis:
+            rec.add(name, True)
+            continue
+        # one flattened image per row: the rank of the image family
+        rows = [tuple(chain.from_iterable(wc.omega_map(f).rows))
+                for f in basis]
+        flat_space = VectorSpace(wc.algebra.field, shape=(len(rows[0]),))
+        dom = VectorSpace(wc.algebra.field, shape=(len(rows),))
+        image_rank = rank(LinearMap.from_rows(flat_space, dom, tuple(rows)))
+        rec.add(name, image_rank == len(basis),
+                {"pair": [M.name, N.name], "hom_dim": len(basis),
+                 "image_rank": image_rank})
 
     for seq in sequences:
         wf = wc.omega_map(seq.f)
@@ -1189,16 +1181,13 @@ def verify_embedding(wc: WattsContext, sample: Sequence[Module],
             if W.dim == 0:
                 continue
             probe = ct.mor(seq.f, ct.ident(W)).lin
-            exact = rank(probe) == probe.source.dim
-            if not exact:
+            if rank(probe) != probe.source.dim:
                 inexact.append([seq.name, W.name])
-            rec.add(f"flatness[{seq.name};{W.name}]", True,
-                    {"sequence": seq.name, "probe": W.name, "exact": exact})
+            rec.add(f"flatness[{seq.name};{W.name}]", True)
     rec.results.append(CheckResult(
         "flatness-summary", True, {"inexact": sorted(inexact)}))
 
-    return CoherenceReport(f"embedding: {ct.name}",
-                           tuple(m.name for m in sample), tuple(rec.results))
+    return rec.report(f"embedding: {ct.name}", [m.name for m in sample])
 
 
 # ---------------------------------------------------------------------------
@@ -1245,5 +1234,4 @@ def check_rigidity(ct: CustomTensor, X: Module, Xdual: Module,
         rec.add("ev-nondegenerate", ok, {"object": X.name})
         coform = compose(ct.product(X, Xdual).section, db.lin)
         rec.add("db-nonzero", not coform.is_zero(), {"object": X.name})
-    return CoherenceReport(f"rigidity: {ct.name} at {X.name}",
-                           (X.name, Xdual.name), tuple(rec.results))
+    return rec.report(f"rigidity: {ct.name} at {X.name}", (X.name, Xdual.name))

@@ -322,6 +322,22 @@ class TestExitCodes:
         rep = json.loads(out)["report"]
         assert not rep["ok"] and rep["failures"]
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("endo_dim", [1, 1], "endo_dim"),
+        ("endo_dim", 3, "endo_dim"),
+        ("dual", {"1": "1", "tau": ["tau"]}, "dual['tau']"),
+    ])
+    def test_malformed_fusion_field_is_usage_error(self, capsys, tmp_path,
+                                                   field, value, named):
+        data = json.loads(
+            (FIXTURES / "fusion-fibonacci.json").read_text())
+        data[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and named in err
+
     def test_mutated_duality_data_fails_watts(self, capsys, tmp_path):
         data = json.loads((FIXTURES / "graded-sign.json").read_text())
         for rig in data["rigidity"]:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            check_monoidal_axioms, check_rigidity,
                            check_T_coherence, flip_cocycle,
                            induce_natural_family, is_three_cocycle,
+                           merge_reports,
                            nat_to_bimodule_hom, sign_cocycle,
                            tensor_with_bimodule, trivial_cocycle,
                            verify_embedding, verify_monoidal_functor)
@@ -1007,3 +1009,23 @@ def test_graded_associator_matches_eight_term_sum(build):
                 if ct.cocycle == trivial_cocycle():
                     # the identity inclusion keeps the compose fast paths
                     assert got.lin.cols is not None
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_each_family_checks_its_domain(name):
+    # every family of the axioms and the functor with more than one
+    # instance records its domain, and checks all of it but α-naturality,
+    # which checks the first six maps times the pairs of the first two
+    # modules out of every map times every pair
+    fx = load_fixture_file(BUNDLED / f"{name}.json")
+    reports = _watts_reports(fx, set(CHECK_GROUPS))
+    rep = merge_reports(name, reports)
+    checked = Counter(r.name.split("[")[0] for r in rep.results)
+    for part in reports:
+        if part.title.startswith(("monoidal axioms", "monoidal functor")):
+            counts = Counter(r.name.split("[")[0] for r in part.results)
+            assert {f for f, c in counts.items() if c > 1} <= set(part.domains)
+    n, maps = len(fx.sample), len(_hom_samples(fx.sample, fx.ct.cells))
+    assert rep.domains.pop("alpha-natural") == maps * n ** 2
+    assert checked["alpha-natural"] == min(6, maps) * min(2, n) ** 2
+    assert rep.domains == {f: checked[f] for f in rep.domains}
