@@ -18,10 +18,11 @@ built under the first name seen.  ``Module.regular`` names the regular
 module ``R``, the name every bundled sample gives it.
 
 Every product here is a balancing cokernel, so the one cache is a table
-of them: ``cokernel`` keeps each ``balanced_tensor`` in the dict
-``cells`` its caller owns, keyed by its arguments, so by content, and
-with ``intern`` (below) is the only code that touches a table;
-``tensor_over`` and ``hom_basis`` memoize nothing.  Every tensor of
+of them: ``cokernel``, the one caller of ``balanced_tensor``, keeps each
+cell in the dict ``cells`` its caller owns, keyed by its arguments, so
+by content, and with ``intern`` (below) is the only code that touches a
+table.  ``hom_basis``, ``tensor_over`` and the products built on it take
+that table as a required argument and memoize nothing.  Every tensor of
 ``watts`` has a table, the caller's, its own or, for a transported
 tensor, its source tensor's, and keeps in it too, under its functor
 key, the caches that depend only on its rule on objects and morphisms,
@@ -48,12 +49,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .linalg import (Field, LinearMap, VectorSpace, cached_hash, compose,
-                     compose_tensor, identity, LinAlgError, linear_combination,
-                     make_map, quotient_by_raw_rows, serialize_raw,
-                     tensor_space, transpose)
+from .linalg import (Field, LinearMap, VectorSpace, _string, cached_hash,
+                     compose, compose_tensor, identity, LinAlgError,
+                     linear_combination, make_map, quotient_by_raw_rows,
+                     serialize_raw, tensor_space, transpose)
 
 
 class StructureError(Exception):
@@ -141,14 +142,11 @@ class Module:
         check_actions(self.name, self.algebra, self.space, self.families)
 
     @staticmethod
-    def regular(algebra: Algebra, side: str = "right") -> "Module":
-        """The algebra acting on itself by multiplication on ``side``,
-        named ``R``."""
-        if side == "right":
-            action = tuple(algebra.right_mult_matrix(j) for j in range(algebra.dim))
-        else:
-            action = tuple(algebra.left_mult_matrix(i) for i in range(algebra.dim))
-        return Module("R", algebra, algebra.space, side, action)
+    def regular(algebra: Algebra) -> "Module":
+        """The algebra acting on itself by right multiplication, named
+        ``R``."""
+        action = tuple(algebra.right_mult_matrix(j) for j in range(algebra.dim))
+        return Module("R", algebra, algebra.space, "right", action)
 
 
 def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
@@ -222,10 +220,11 @@ class Bimodule:
         check_actions(self.name, self.algebra, self.space, self.families)
 
     @staticmethod
-    def regular(algebra: Algebra, name: Optional[str] = None) -> "Bimodule":
+    def regular(algebra: Algebra) -> "Bimodule":
+        """The algebra acting on itself on both sides, named after it."""
         left = tuple(algebra.left_mult_matrix(i) for i in range(algebra.dim))
         right = tuple(algebra.right_mult_matrix(j) for j in range(algebra.dim))
-        return Bimodule(name or algebra.name, algebra, algebra.space, left, right)
+        return Bimodule(algebra.name, algebra, algebra.space, left, right)
 
 
 def _intertwined(X, Y):
@@ -270,7 +269,7 @@ def module_identity(M) -> ModuleMap:
 # ---------------------------------------------------------------------------
 # Hom computation
 
-def hom_basis(X, Y, cells: Optional[dict] = None):
+def hom_basis(X, Y, cells: dict):
     """Basis of equivariant linear maps X -> Y as a list of LinearMaps.
 
     Works for one-sided modules with matching side and for bimodules.  The
@@ -331,17 +330,15 @@ def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
     return TensorCell(*quotient_by_raw_rows(ambient, rows))
 
 
-def cokernel(cells: Optional[dict], Xspace: VectorSpace, right_mats: tuple,
+def cokernel(cells: dict, Xspace: VectorSpace, right_mats: tuple,
              Yspace: VectorSpace, left_mats: tuple) -> TensorCell:
     """``balanced_tensor`` of the arguments, kept in the cell table
-    ``cells`` under ("balanced_tensor", the arguments) when one is given."""
-    args = (Xspace, right_mats, Yspace, left_mats)
-    if cells is None:
-        return balanced_tensor(*args)
-    key = ("balanced_tensor",) + args
+    ``cells`` under ("balanced_tensor", the arguments): the one caller of
+    ``balanced_tensor``."""
+    key = ("balanced_tensor", Xspace, right_mats, Yspace, left_mats)
     cell = cells.get(key)
     if cell is None:
-        cell = cells[key] = balanced_tensor(*args)
+        cell = cells[key] = balanced_tensor(*key[1:])
     return cell
 
 
@@ -373,8 +370,7 @@ def tensor_maps(src, tgt, f: LinearMap, g: LinearMap) -> LinearMap:
     return descend(src, compose_tensor(tgt.proj, f, g))
 
 
-def tensor_over(X, i: int, Y, j: int, name: str,
-                cells: Optional[dict] = None) -> TensorCell:
+def tensor_over(X, i: int, Y, j: int, name: str, cells: dict) -> TensorCell:
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
@@ -401,14 +397,13 @@ def tensor_over(X, i: int, Y, j: int, name: str,
     return TensorCell(cell.space, cell.proj, cell.section, result)
 
 
-def bimodule_tensor(M: Bimodule, N: Bimodule,
-                    cells: Optional[dict] = None) -> TensorCell:
+def bimodule_tensor(M: Bimodule, N: Bimodule, cells: dict) -> TensorCell:
     """M ⊗_R N with the outer actions, on the cell table ``cells``."""
     return tensor_over(M, 1, N, 0, f"({M.name}⊗{N.name})", cells)
 
 
 def module_tensor_commutative(X: Module, Y: Module,
-                              cells: Optional[dict] = None) -> TensorCell:
+                              cells: dict) -> TensorCell:
     """X ⊗_R Y of right modules over a commutative algebra, as a right
     module: Y is the symmetric bimodule it is over a commutative R."""
     if not X.algebra.is_commutative():
@@ -425,9 +420,14 @@ def matrix_to_json(m: LinearMap) -> list:
 
 
 def _basis_space(field: Field, data: dict) -> VectorSpace:
-    """The space on the ``basis`` labels; StructureError when the declared
-    ``dim`` is not an int equal to their number."""
-    space = VectorSpace(field, tuple(data["basis"]))
+    """The space on the ``basis`` labels; StructureError when ``basis`` is
+    not a list or the declared ``dim`` is not an int equal to the number
+    of labels."""
+    basis = data["basis"]
+    if not isinstance(basis, list):
+        raise StructureError(
+            f"{data.get('name')}: basis: expected a list, got {basis!r}")
+    space = VectorSpace(field, tuple(basis))
     dim = data["dim"]
     if type(dim) is not int or dim != space.dim:
         raise StructureError(
@@ -448,8 +448,9 @@ def algebra_from_json(data: dict) -> Algebra:
 
 
 def module_from_json(algebra: Algebra, data: dict) -> Module:
+    name = _string(data["name"], "module name")
     space = _basis_space(algebra.field, data)
     action = tuple(make_map(space, space, rows) for rows in data["action"])
-    mod = Module(data["name"], algebra, space, data["side"], action)
+    mod = Module(name, algebra, space, data["side"], action)
     mod.check()
     return mod

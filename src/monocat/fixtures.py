@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple, Union
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
                      algebra_from_json, intern, module_from_json)
 from .fusion import FusionData, _count, fusion_from_json
-from .linalg import make_map
+from .linalg import _string, make_map
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
                     WattsError)
 
@@ -71,7 +71,7 @@ def watts_fixture_from_json(data: dict,
     own object when the table's has another name."""
     cells = {} if cells is None else cells
     try:
-        name = data["name"]
+        name = _string(data["name"], "name")
         algebra = intern(cells, algebra_from_json(data["algebra"]))
         # "R" names the regular module in every report; the sample holds
         # Module.regular itself

@@ -14,6 +14,8 @@ from operator import add, mul
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
+from .linalg import _string
+
 
 class FusionError(Exception):
     pass
@@ -296,7 +298,12 @@ def end_dimension(fd: FusionData, X: ObjectExpr) -> int:
 
 def growth_bound(fd: FusionData, X: ObjectExpr) -> int:
     """Max row/column K-dimension sum of the embedding matrix of X."""
-    V = embed_object(fd, X)
+    return _growth(embed_object(fd, X))
+
+
+def _growth(V: BlockMatrix) -> int:
+    """Max row/column sum of the embedding matrix V; ZeroObject when V is
+    zero."""
     if V.is_zero:
         raise ZeroObject("growth bound of the zero object")
     return max(map(sum, V.rows + tuple(zip(*V.rows))))
@@ -310,13 +317,13 @@ def check_theorem4(fd: FusionData, X: ObjectExpr, n_max: int) -> dict:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    d = growth_bound(fd, X)
+    Vn = V1 = embed_object(fd, X)
+    d = _growth(V1)
     c = max(fd.r(i) for i in fd.simples)
     base = d if c == 1 else d * c * c
     rows = []
     ok = True
     power = X
-    Vn = V1 = embed_object(fd, X)
     for n in range(1, n_max + 1):
         dim_end = end_dimension(fd, power)
         # independent bookkeeping: the embedding matrix of the power is the
@@ -482,7 +489,7 @@ def _object(data: dict, key: str) -> dict:
 
 
 def fusion_from_json(data: dict) -> FusionData:
-    simples = tuple(data["simples"])
+    simples = tuple(_string(s, "simples") for s in data["simples"])
     mult = {}
     for i, k, j, c in data.get("fusion", []):
         mult[(i, k, j)] = _count(c)
@@ -496,5 +503,5 @@ def fusion_from_json(data: dict) -> FusionData:
     endo = {s: _count(v) for s, v in _object(data, "endo_dim").items()}
     for s in simples:
         endo.setdefault(s, 1)
-    return FusionData(simples, data["unit"], mult, dual, endo,
-                      name=data.get("name", "fusion"))
+    return FusionData(simples, _string(data["unit"], "unit"), mult, dual, endo,
+                      name=_string(data.get("name", "fusion"), "name"))

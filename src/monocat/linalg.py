@@ -23,6 +23,8 @@ with ``LinearMap.from_rows``, which checks nothing.  It never builds a
 ``FieldScalar``.  ``compose_tensor(P, f, g)`` is P∘(f⊗g) without the
 Kronecker product f⊗g: the nonzeros of each row of f⊗g come straight from
 those of f and g (Van Loan, *The ubiquitous Kronecker product*, 2000).
+One helper, ``_kron_nz``, lists them; ``tensor`` writes the same list out
+densely.
 
 A space is its shape: two VectorSpaces are equal, and hash alike, when
 their field and ``shape`` are, the flat tuple of factor dimensions of a
@@ -75,7 +77,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import prod
 from typing import Optional, Sequence, Union
 
@@ -199,6 +200,14 @@ class FieldScalar:
 QQ = Field(0)
 
 
+def _string(value, what: str) -> str:
+    """``value`` when it is a string, else ValueError naming ``what``: the
+    names and labels a fixture gives are strings."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what}: expected a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class VectorSpace:
     """Finite-dimensional space with a fixed ordered basis.
@@ -206,8 +215,8 @@ class VectorSpace:
     Equal to another, and hashed alike, when field and ``shape`` are: the
     flat tuple of factor dimensions of a ``tensor_space`` (which is keyed
     by shape), (dim,) of any other space.  ``labels``, the distinct basis
-    names of a space given by them, are never compared; a space built
-    from its shape alone has None.
+    names (strings) of a space given by them, are never compared; a space
+    built from its shape alone has None.
     """
 
     field: Field
@@ -216,6 +225,8 @@ class VectorSpace:
 
     def __post_init__(self):
         if self.shape is None:
+            for label in self.labels:
+                _string(label, "basis label")
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("basis labels must be distinct")
             _set(self, "shape", (len(self.labels),))
@@ -501,10 +512,21 @@ def compose(f: LinearMap, g: LinearMap) -> LinearMap:
         f.rows, g_nz, g.source.dim, f.field.char))
 
 
+def _kron_nz(f: LinearMap, g: LinearMap) -> list:
+    """The nonzeros (c, v) of each row of f⊗g, row-major, v unreduced:
+    those of row (b, d) are the products of the nonzeros of row b of f
+    and row d of g (Van Loan 2000), so no two share a column."""
+    k = g.source.dim
+    f_nz = [[(a * k, x) for a, x in enumerate(row) if x] for row in f.rows]
+    g_nz = [[(c, y) for c, y in enumerate(row) if y] for row in g.rows]
+    return [[(a + c, x * y) for a, x in frow for c, y in grow]
+            for frow in f_nz for grow in g_nz]
+
+
 def compose_tensor(P: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
-    """P∘(f⊗g), never forming f⊗g: the nonzeros of row (b, d) of f⊗g are
-    the products of those of row b of f and row d of g.  For two
-    inclusions it gathers columns of P, and for id⊗id it is P."""
+    """P∘(f⊗g), never forming f⊗g: ``_mul_rows`` reads the nonzeros of
+    f⊗g from ``_kron_nz``.  For two inclusions it gathers columns of P,
+    and for id⊗id it is P."""
     _check_same_field(g.field, f.field)
     inner = tensor_space(f.target, g.target)
     if P.source is not inner and P.source != inner:
@@ -516,13 +538,9 @@ def compose_tensor(P: LinearMap, f: LinearMap, g: LinearMap) -> LinearMap:
         n = g.target.dim
         return _gathered(tensor_space(f.source, g.source), P,
                          [a * n + b for a in f.cols for b in g.cols])
-    k = g.source.dim
-    f_nz = [[(a * k, x) for a, x in enumerate(row) if x] for row in f.rows]
-    g_nz = [[(c, y) for c, y in enumerate(row) if y] for row in g.rows]
-    fg_nz = [[(a + c, x * y) for a, x in frow for c, y in grow]
-             for frow in f_nz for grow in g_nz]
     return LinearMap.from_rows(tensor_space(f.source, g.source), P.target,
-                               _mul_rows(P.rows, fg_nz, f.source.dim * k,
+                               _mul_rows(P.rows, _kron_nz(f, g),
+                                         f.source.dim * g.source.dim,
                                          P.field.char))
 
 
@@ -535,8 +553,9 @@ def compose_all(*maps: LinearMap) -> LinearMap:
 
 
 def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product on the chosen bases, row-major pair ordering;
-    for two inclusions, index arithmetic."""
+    """Kronecker product on the chosen bases, row-major pair ordering:
+    the nonzeros ``_kron_nz`` lists, written out densely; for two
+    inclusions, index arithmetic."""
     field = f.field
     _check_same_field(g.field, field)
     source = tensor_space(f.source, g.source)
@@ -547,19 +566,12 @@ def tensor(f: LinearMap, g: LinearMap) -> LinearMap:
         return LinearMap.from_rows(source, target,
                                    _inclusion_rows(cols, target.dim), cols)
     p = field.char
-    zero_block = (0,) * g.source.dim
-    # per row of g, a -> a·row, built once per distinct entry a of f
-    g_blocks = [{0: zero_block, 1: grow} for grow in g.rows]
     rows = []
-    for frow in f.rows:
-        distinct = set(frow)
-        for grow, blocks in zip(g.rows, g_blocks):
-            for a in distinct:
-                if a not in blocks:
-                    blocks[a] = (tuple([a * b % p for b in grow]) if p
-                                 else tuple([a * b for b in grow]))
-            rows.append(tuple(chain.from_iterable(
-                map(blocks.__getitem__, frow))))
+    for nz in _kron_nz(f, g):
+        row = [0] * source.dim
+        for c, v in nz:
+            row[c] = v % p if p else v
+        rows.append(tuple(row))
     return LinearMap.from_rows(source, target, tuple(rows))
 
 

@@ -45,13 +45,13 @@ from itertools import chain, combinations, product
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, balanced_tensor, bimodule_tensor,
-                     check_actions, descend, hom_basis, intern,
-                     matrix_to_json, module_identity,
-                     module_tensor_commutative, tensor_maps, tensor_over)
+                     TensorCell, bimodule_tensor, check_actions, cokernel,
+                     descend, hom_basis, intern, matrix_to_json,
+                     module_identity, module_tensor_commutative, tensor_maps,
+                     tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     cached_hash, compose, compose_all, compose_tensor,
-                     identity, linear_combination, rank, solve_iso, tensor,
+                     compose, compose_all, compose_tensor, identity,
+                     linear_combination, rank, solve_iso, tensor,
                      tensor_space)
 
 
@@ -206,9 +206,9 @@ class CustomTensor:
 
     Subclasses provide product cells: X⊙Y as a quotient of the scalar
     tensor product X⊗_K Y, with its ``module``, its structure surjection
-    ``proj`` and a ``section`` of it.  Morphism tensoring pushes f⊗g
-    through the target cell's projection, descends it through the source
-    cell and is verified well defined and equivariant on every call.
+    ``proj`` and a ``section`` of it.  f⊙g is ``tensor_maps`` of f and
+    the right-hand factor of g (``_right_factor``) between the two
+    cells, verified well defined and equivariant on every call.
     ``ident(X)`` is the one identity of X's content on the table, interned
     there (``algmod.intern``), so a tensor and its context share it; it is
     the identity every f⊙id and id⊙f is formed with, so that its ``mor``
@@ -264,17 +264,16 @@ class CustomTensor:
         ``mor``."""
         return intern(self.cells, module_identity(X))
 
-    def _push(self, proj: LinearMap, f: ModuleMap,
-              g: ModuleMap) -> LinearMap:
-        """proj ∘ (f⊗g) on the ambient spaces."""
-        return compose_tensor(proj, f.lin, g.lin)
+    def _right_factor(self, g: ModuleMap) -> LinearMap:
+        """The map that g contributes on the right of the ambient f⊗g."""
+        return g.lin
 
     @_memo("_mors")
     def mor(self, f: ModuleMap, g: ModuleMap) -> ModuleMap:
         src = self.product(f.source, g.source)
         tgt = self.product(f.target, g.target)
         try:
-            induced = descend(src, self._push(tgt.proj, f, g))
+            induced = tensor_maps(src, tgt, f.lin, self._right_factor(g))
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"{self.name}: ⊙ of maps does not descend for "
@@ -302,19 +301,20 @@ class CustomTensor:
     # -- shared helpers ----------------------------------------------------
 
     def _rebracket(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
-        """Canonical (X⊙Y)⊙Z -> X⊙(Y⊙Z) through the total projections
-        from X⊗Y⊗Z."""
+        """Canonical (X⊙Y)⊙Z -> X⊙(Y⊙Z): the total projection qR from
+        X⊗Y⊗Z onto X⊙(Y⊙Z) descended through the one qL onto (X⊙Y)⊙Z."""
         pXY, pYZ = self.product(X, Y), self.product(Y, Z)
         pL = self.product(pXY.module, Z)
         pR = self.product(X, pYZ.module)
         qL = compose_tensor(pL.proj, pXY.proj, identity(Z.space))
         qR = compose_tensor(pR.proj, identity(X.space), pYZ.proj)
         sec = compose(tensor(pXY.section, identity(Z.space)), pL.section)
-        a = compose(qR, sec)
-        if compose(a, qL).rows != qR.rows:
+        try:
+            a = descend(TensorCell(pL.space, qL, sec), qR)
+        except LinAlgError as exc:
             raise MalformedTensor(
                 f"{self.name}: rebracketing is not well defined on "
-                f"({X.name},{Y.name},{Z.name})")
+                f"({X.name},{Y.name},{Z.name})") from exc
         return intern(self.cells, ModuleMap(pL.module, pR.module, a))
 
 
@@ -699,12 +699,6 @@ class TripleModule:
     left2: tuple
     right: tuple
 
-    __hash__ = cached_hash
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     @property
     def families(self) -> tuple:
         return (("left", self.left1), ("left", self.left2),
@@ -737,7 +731,8 @@ def build_T(ct: CustomTensor, R: Module,
 class WattsContext(CustomTensor):
     """The monoidal structure (D, α′, λ′, ρ′) that T transports ⊙ to on
     Mod_R: a CustomTensor whose product X⊙′Y is the ``tensor_over`` cell
-    D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is f⊗(g⊗₂id_T) descended, with T
+    D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is ``tensor_maps`` of f and
+    g⊗₂id_T (``_right_factor``), with T
     and every construction derived from the source tensor ``ct``, each
     built once per table and functor key.  D(X,Y)
     is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
@@ -841,12 +836,11 @@ class WattsContext(CustomTensor):
     def _product(self, X, Y):
         return self.dcell(X, Y)
 
-    def _push(self, proj, f, g):
-        """proj ∘ (f⊗(g⊗₂id_T)), g tensored through Y⊗₂T first; raises
-        LinAlgError when g⊗₂id_T does not descend."""
-        gT = tensor_maps(self.ombar(g.source), self.ombar(g.target), g.lin,
-                         identity(self.T.space))
-        return compose_tensor(proj, f.lin, gT)
+    def _right_factor(self, g):
+        """g⊗₂id_T, g tensored through Y⊗₂T; raises LinAlgError when it
+        does not descend."""
+        return tensor_maps(self.ombar(g.source), self.ombar(g.target), g.lin,
+                           identity(self.T.space))
 
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
@@ -945,20 +939,20 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 # ---------------------------------------------------------------------------
 # Natural transformations of −⊗P functors and their generating homs
 
-def tensor_with_bimodule(M: Module, P: Bimodule) -> TensorCell:
-    """M ⊗_R P balancing the right action of M against the left of P."""
-    return balanced_tensor(M.space, M.action, P.space, P.left)
+def tensor_with_bimodule(M: Module, P: Bimodule, cells: dict) -> TensorCell:
+    """M ⊗_R P balancing the right action of M against the left of P,
+    kept in the cell table ``cells``."""
+    return cokernel(cells, M.space, M.action, P.space, P.left)
 
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
-    """The family M ↦ id_M ⊗ f induced by a bimodule homomorphism."""
-    P, Q = f.source, f.target
-    out = {}
-    for M in modules:
-        out[M] = tensor_maps(tensor_with_bimodule(M, P),
-                             tensor_with_bimodule(M, Q), identity(M.space),
-                             f.lin)
-    return out
+    """The family M ↦ id_M ⊗ f induced by a bimodule homomorphism, its
+    cells built on one table of its own."""
+    P, Q, cells = f.source, f.target, {}
+    return {M: tensor_maps(tensor_with_bimodule(M, P, cells),
+                           tensor_with_bimodule(M, Q, cells),
+                           identity(M.space), f.lin)
+            for M in modules}
 
 
 def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
@@ -970,17 +964,20 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     under any name.
     Naturality is verified on full hom bases between sample members, the
     extracted map is verified two-sided linear, and every component is
-    reproduced from the extraction.
+    reproduced from the extraction.  The component cells, the hom bases
+    and λ_P, λ_Q are built on the table of one ``BimoduleTensor``, so the
+    cell R⊗P of the component at R is the one λ_P collapses.
     """
     modules = list(components)
     R = Module.regular(P.algebra)   # equal to the sample's, whatever its name
     if R not in components:
         raise NotNatural("the sample must contain the regular module")
-    cells_p = {M: tensor_with_bimodule(M, P) for M in modules}
-    cells_q = {M: tensor_with_bimodule(M, Q) for M in modules}
+    bim = BimoduleTensor(P.algebra)
+    cells_p = {M: tensor_with_bimodule(M, P, bim.cells) for M in modules}
+    cells_q = {M: tensor_with_bimodule(M, Q, bim.cells) for M in modules}
     for M in modules:
         for N in modules:
-            for lin in hom_basis(M, N):
+            for lin in hom_basis(M, N, bim.cells):
                 fP = tensor_maps(cells_p[M], cells_p[N], lin,
                                  identity(P.space))
                 fQ = tensor_maps(cells_q[M], cells_q[N], lin,
@@ -989,7 +986,6 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
                         compose(fQ, components[M]).rows:
                     raise NotNatural(
                         f"square fails for a map {M.name} -> {N.name}")
-    bim = BimoduleTensor(P.algebra)
     uP, uQ = bim.left_unit(P).lin, bim.left_unit(Q).lin
     phi = compose_all(solve_iso(uP), components[R], uQ)
     for i in range(P.algebra.dim):

@@ -159,7 +159,7 @@ def test_criterion_06_natural_family_roundtrip_50_homs():
         A = algebras[done % len(algebras)]
         P = Bimodule.regular(A)
         lin = linear_combination(P.space, P.space, [
-            (rng.randrange(A.field.char), b) for b in hom_basis(P, P)])
+            (rng.randrange(A.field.char), b) for b in hom_basis(P, P, {})])
         f = ModuleMap(P, P, lin)
         fam = induce_natural_family(f, [Module.regular(A)])
         back = nat_to_bimodule_hom(P, P, fam)  # verifies reconstruction

@@ -338,6 +338,90 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and named in err
 
+    NON_STRINGS = [True, None, 1.5, 2 ** 70]
+
+    def _validate_mutated(self, capsys, tmp_path, source, mutate):
+        """The stderr of ``validate`` on the bundled ``source`` after
+        ``mutate``, asserted to be a usage error."""
+        data = json.loads((FIXTURES / f"{source}.json").read_text())
+        mutate(data)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("value", NON_STRINGS)
+    def test_non_string_watts_fixture_name_is_usage_error(
+            self, capsys, tmp_path, value):
+        err = self._validate_mutated(capsys, tmp_path, "strict-f3-z2",
+                                     lambda data: data.update(name=value))
+        assert f"name: expected a string, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NON_STRINGS)
+    def test_non_string_fusion_fixture_name_is_usage_error(
+            self, capsys, tmp_path, value):
+        err = self._validate_mutated(capsys, tmp_path, "fusion-fibonacci",
+                                     lambda data: data.update(name=value))
+        assert f"name: expected a string, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NON_STRINGS)
+    def test_non_string_module_name_is_usage_error(self, capsys, tmp_path,
+                                                    value):
+        def mutate(data):
+            data["modules"][1]["name"] = value
+            data.update(sequences=[], rigidity=[])
+
+        err = self._validate_mutated(capsys, tmp_path, "strict-f3-z2",
+                                     mutate)
+        assert f"module name: expected a string, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NON_STRINGS)
+    def test_non_string_basis_label_is_usage_error(self, capsys, tmp_path,
+                                                    value):
+        def mutate(data):
+            data["modules"][1]["basis"][0] = value
+
+        err = self._validate_mutated(capsys, tmp_path, "strict-f3-z2",
+                                     mutate)
+        assert f"basis label: expected a string, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NON_STRINGS)
+    def test_non_string_simple_label_is_usage_error(self, capsys, tmp_path,
+                                                    value):
+        # tau renamed to ``value`` throughout; ``embed`` raised on it
+        def mutate(data):
+            data["simples"][1] = value
+            data["fusion"] = [[value if x == "tau" else x for x in row]
+                              for row in data["fusion"]]
+            data.update(dual={}, endo_dim={})
+
+        err = self._validate_mutated(capsys, tmp_path, "fusion-fibonacci",
+                                     mutate)
+        assert f"simples: expected a string, got {value!r}" in err
+
+    def test_a_unit_that_is_not_a_string_is_usage_error(self, capsys,
+                                                        tmp_path):
+        # ``bound`` hashed the list and raised
+        data = json.loads((FIXTURES / "fusion-fibonacci.json").read_text())
+        data["unit"] = ["1"]
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, ["bound", str(path), "tau"])
+        assert code == 2 and out == ""
+        assert "unit: expected a string, got ['1']" in err
+
+    def test_a_basis_that_is_not_a_list_is_usage_error(self, capsys,
+                                                       tmp_path):
+        # a one-character string would read as one label
+        def mutate(data):
+            data["modules"][1]["basis"] = "x"
+
+        err = self._validate_mutated(capsys, tmp_path, "strict-f3-z2",
+                                     mutate)
+        assert "Sp: basis: expected a list, got 'x'" in err
+
     def test_mutated_duality_data_fails_watts(self, capsys, tmp_path):
         data = json.loads((FIXTURES / "graded-sign.json").read_text())
         for rig in data["rigidity"]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from monocat import fusion
 from monocat.fusion import (BlockMatrix, DivisibilityError, ExprError,
                             FusionData, InternalMismatch, ObjectExpr,
                             UnknownSimple, ZeroObject, check_embedding_homomorphism,
@@ -151,6 +152,8 @@ class TestGrowthBound:
     def test_zero_object(self, fib):
         with pytest.raises(ZeroObject):
             growth_bound(fib, ObjectExpr.zero())
+        with pytest.raises(ZeroObject):
+            check_theorem4(fib, ObjectExpr.zero(), 3)
 
 
 def brute_force_end_dim(fd, X, n):
@@ -179,6 +182,21 @@ class TestTheorem4:
         z6 = bundled_rings()["z6"]
         report = check_theorem4(z6, ObjectExpr.simple("g1"), 6)
         assert [r["dim_end"] for r in report["rows"]] == [1] * 6
+
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_embeds_x_once_and_each_power_once(self, fib, monkeypatch,
+                                               n_max):
+        # X for d and V1, then the powers X^2 … X^n_max: n_max + 1 in all
+        embed, calls = fusion.embed_object, []
+
+        def counted(fd, X):
+            calls.append(X)
+            return embed(fd, X)
+
+        monkeypatch.setattr(fusion, "embed_object", counted)
+        report = check_theorem4(fib, ObjectExpr.simple("tau"), n_max)
+        assert report["d"] == 2 and len(report["rows"]) == n_max
+        assert len(calls) == n_max + 1
 
     def test_matches_brute_force(self):
         for name in ("fibonacci", "ising", "rep_s3"):

@@ -1,0 +1,100 @@
+"""Each kind of product in ``monocat`` has one implementation.
+
+A stdlib ``ast`` pass over ``src/monocat``, as ``test_imports`` is: every
+balancing cokernel is built by ``algmod.cokernel`` on a cell table, and
+each layer's product goes through its one helper.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src" / "monocat"
+
+
+def _references(tree, module: str) -> dict:
+    """Every name a function reads, as a bare name or an attribute, keyed
+    by the function's dotted name ``module.Class.function``."""
+    out = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Name):
+                out.setdefault(scope, set()).add(child.id)
+            elif isinstance(child, ast.Attribute):
+                out.setdefault(scope, set()).add(child.attr)
+            visit(child, inner)
+
+    visit(tree, module)
+    return out
+
+
+def _package_references() -> dict:
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out.update(_references(tree, path.stem))
+    return out
+
+
+def _readers(refs: dict, name: str) -> set:
+    return {scope for scope, names in refs.items() if name in names}
+
+
+def _none_table_branches(tree) -> list:
+    """Line of each ``cells is None``/``is not None`` test, and of each
+    ``cells`` parameter with a default."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Name) and x.id == "cells"
+                   for x in operands) and any(
+                    isinstance(x, ast.Constant) and x.value is None
+                    for x in operands):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            defaults = positional[len(positional) - len(node.defaults):]
+            kw_defaults = [arg for arg, default in
+                           zip(node.kwonlyargs, node.kw_defaults)
+                           if default is not None]
+            lines += [arg.lineno for arg in defaults + kw_defaults
+                      if arg.arg == "cells"]
+    return lines
+
+
+def test_balanced_tensor_is_built_only_by_cokernel():
+    assert _readers(_package_references(), "balanced_tensor") == \
+        {"algmod.cokernel"}
+
+
+def test_algmod_has_no_optional_table():
+    tree = ast.parse((SRC / "algmod.py").read_text(encoding="utf-8"))
+    assert _none_table_branches(tree) == []
+
+
+@pytest.mark.parametrize("function, helper", [
+    ("linalg.tensor", "_kron_nz"),
+    ("linalg.compose_tensor", "_kron_nz"),
+    ("watts.CustomTensor.mor", "tensor_maps"),
+    ("watts.CustomTensor._rebracket", "descend"),
+])
+def test_each_product_goes_through_its_helper(function, helper):
+    assert function in _readers(_package_references(), helper)
+
+
+def test_the_walk_finds_callers_and_optional_tables():
+    tree = ast.parse("def cokernel(cells):\n    return balanced_tensor()\n"
+                     "class T:\n    def f(self, cells=None):\n"
+                     "        if cells is None:\n"
+                     "            return m.balanced_tensor\n")
+    assert _readers(_references(tree, "m"), "balanced_tensor") == \
+        {"m.cokernel", "m.T.f"}
+    assert _none_table_branches(tree) == [4, 5]

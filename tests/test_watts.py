@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import monocat.algmod as algmod
+import monocat.watts as watts
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, TensorCell, balanced_tensor,
                             bimodule_tensor, descend, hom_basis,
@@ -282,7 +283,7 @@ class TestSharedRegularModule:
         assert L2 == L and L2 is not L and L2.name == "L2"
         maps = _hom_samples(fx.sample, fx.ct.cells)
         pairs = [(X, Y) for X in fx.sample for Y in fx.sample
-                 for _ in hom_basis(X, Y)]
+                 for _ in hom_basis(X, Y, {})]
         assert len(maps) == len(pairs)
         assert all(f.source is X and f.target is Y
                    for f, (X, Y) in zip(maps, pairs))
@@ -374,7 +375,7 @@ class TestSharedCells:
         # the table keeps the balanced cell, keyed by content: a renamed
         # module shares it, and each product carries the name asked for
         cells = {}
-        B = Bimodule.regular(fx_strict.algebra, "B")
+        B = replace(Bimodule.regular(fx_strict.algebra), name="B")
         first = bimodule_tensor(B, B, cells=cells)
         second = bimodule_tensor(replace(B, name="B2"), B, cells=cells)
         assert second.proj is first.proj and second == first
@@ -525,7 +526,7 @@ class TestIdentityCache:
         ct, X, Y = fx.ct, fx.module("Sp"), fx.module("Sm")
         X2 = replace(X, name="X2")
         assert ct.ident(X2) is ct.ident(X)
-        f = ModuleMap(Y, Y, hom_basis(Y, Y)[0])
+        f = ModuleMap(Y, Y, hom_basis(Y, Y, {})[0])
         assert ct.mor(f, ct.ident(X2)) is ct.mor(f, ct.ident(X))
 
     def test_each_tensor_keeps_its_own_identities(self):
@@ -665,7 +666,7 @@ class TestNaturalFamilies:
         P = Bimodule.regular(A)
         Q = Bimodule.regular(A)
         modules = [Module.regular(A), fx_strict.module("Sm")]
-        for lin in hom_basis(P, Q):
+        for lin in hom_basis(P, Q, {}):
             f = ModuleMap(P, Q, lin)
             fam = induce_natural_family(f, modules)
             back = nat_to_bimodule_hom(P, Q, fam)
@@ -676,7 +677,7 @@ class TestNaturalFamilies:
         # the sample's "R" is the regular module nat_to_bimodule_hom needs
         fx = bundled_watts_fixtures()[name]
         P = Bimodule.regular(fx.algebra)
-        for lin in hom_basis(P, P):
+        for lin in hom_basis(P, P, {}):
             f = ModuleMap(P, P, lin)
             back = nat_to_bimodule_hom(
                 P, P, induce_natural_family(f, fx.sample))
@@ -693,16 +694,36 @@ class TestNaturalFamilies:
         assert Reg == replace(Module.regular(A), name="Reg")
         P = Bimodule.regular(A)
         for modules in ([Reg], fx.sample):
-            for lin in hom_basis(P, P):
+            for lin in hom_basis(P, P, {}):
                 f = ModuleMap(P, P, lin)
                 back = nat_to_bimodule_hom(
                     P, P, induce_natural_family(f, modules))
                 assert back.lin.rows == f.lin.rows
 
+    def test_extraction_builds_each_cell_once(self, fx_strict, monkeypatch):
+        # the component cells, the hom bases and λ_P share one table, so
+        # the cell R⊗P of the component at R is the one λ_P collapses
+        A = fx_strict.algebra
+        P, R = Bimodule.regular(A), Module.regular(A)
+        f = ModuleMap(P, P, hom_basis(P, P, {})[0])
+        fam = induce_natural_family(f, [R, fx_strict.module("Sm")])
+        build, built = algmod.balanced_tensor, []
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        for module in (algmod, watts):  # wherever a caller may bind it
+            monkeypatch.setattr(module, "balanced_tensor", counted,
+                                raising=False)
+        nat_to_bimodule_hom(P, P, fam)
+        assert len(built) == len(set(built))
+        assert (R.space, R.action, P.space, P.left) in built
+
     def test_corrupted_component_not_natural(self, fx_strict):
         A = fx_strict.algebra
         P = Bimodule.regular(A)
-        f = ModuleMap(P, P, hom_basis(P, P)[0])
+        f = ModuleMap(P, P, hom_basis(P, P, {})[0])
         modules = [Module.regular(A), fx_strict.module("Sm")]
         fam = induce_natural_family(f, modules)
         M = modules[1]
@@ -715,7 +736,7 @@ class TestNaturalFamilies:
     def test_missing_regular_module_rejected(self, fx_strict):
         A = fx_strict.algebra
         P = Bimodule.regular(A)
-        f = ModuleMap(P, P, hom_basis(P, P)[0])
+        f = ModuleMap(P, P, hom_basis(P, P, {})[0])
         fam = induce_natural_family(f, [fx_strict.module("Sm")])
         with pytest.raises(NotNatural):
             nat_to_bimodule_hom(P, P, fam)
@@ -774,7 +795,7 @@ class TestFixtureSerialization:
         monkeypatch.setattr(Field, "__call__", boxed)
         monkeypatch.setattr(FieldScalar, "__init__", boxed)
         loaded = [fixture_from_json(data) for data in files]
-        dims = {(fx.name, X.name, Y.name): len(hom_basis(X, Y))
+        dims = {(fx.name, X.name, Y.name): len(hom_basis(X, Y, {}))
                 for fx in loaded for X in fx.sample for Y in fx.sample}
         monkeypatch.undo()
         # the identity lies in every End(X)
@@ -867,9 +888,9 @@ def test_tensor_over_matches_reference_cokernels(name):
             assert wc.product(X, Y) == _reference_dcell(wc, X, Y)
             oX, oY = wc.omega(X), wc.omega(Y)
             expected = _reference_bimodule_tensor(oX, oY)
-            assert bimodule_tensor(oX, oY) == expected
+            assert bimodule_tensor(oX, oY, {}) == expected
             assert wc.bimodules.product(oX, oY) == expected
-            assert module_tensor_commutative(X, Y) == \
+            assert module_tensor_commutative(X, Y, {}) == \
                 _reference_module_tensor(X, Y)
 
 
@@ -877,7 +898,7 @@ def _reference_c(wc, X, Y):
     """c_{X,Y} by the θ route: θ_Y(X): X⊗_R ω(Y) -> X⊙Y, x⊗t ↦
     (x̂ ⊙ id_Y)(t), descended through its own cell, after id_X ⊗ ν_Y."""
     ct = wc.ct
-    cell = tensor_with_bimodule(X, wc.omega(Y))
+    cell = tensor_with_bimodule(X, wc.omega(Y), {})
     target = ct.product(X, Y).module.space
     blocks = [ct.mor(wc._xhat(X, b), ct.ident(Y)).lin for b in range(X.dim)]
     ambient = LinearMap.from_rows(cell.proj.source, target, tuple(
