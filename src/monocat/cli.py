@@ -3,8 +3,9 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
 unreadable/malformed input or usage error.  An object expression that
 does not parse or names no simple object is malformed input (2); a
-divisibility failure, a zero object and broken End-reciprocity are
-failed checks of the fusion ring's own data (1).  JSON reports carry a
+fusion fixture that fails ``validate``, a divisibility failure, a zero
+object and broken End-reciprocity are failed checks of the fusion
+ring's own data (1).  JSON reports carry a
 top-level ``"schema": 1`` and are emitted with sorted keys so identical
 inputs produce identical bytes.
 """
@@ -41,9 +42,17 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
         print(text)
 
 
+class InvalidFixture(Exception):
+    """A fusion fixture that fails its own ``validate`` checks."""
+
+
 def _need_fusion(fx, ref: str) -> FusionData:
+    """``fx`` once it is a fusion fixture that passes ``validate``."""
     if not isinstance(fx, FusionData):
         raise FixtureError(f"{ref!r} is not a fusion fixture")
+    failed = dict.fromkeys(f["check"] for f in fx.validate().failures)
+    if failed:
+        raise InvalidFixture(f"{ref!r} fails validate: {', '.join(failed)}")
     return fx
 
 
@@ -325,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (FixtureError, UnknownSimple, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroObject, DivisibilityError, InternalMismatch,
+    except (InvalidFixture, ZeroObject, DivisibilityError, InternalMismatch,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -489,7 +489,10 @@ def _object(data: dict, key: str) -> dict:
 
 
 def fusion_from_json(data: dict) -> FusionData:
-    simples = tuple(_string(s, "simples") for s in data["simples"])
+    labels = data["simples"]
+    if not isinstance(labels, list):  # a string would split into labels
+        raise ValueError(f"simples: expected a list, got {labels!r}")
+    simples = tuple(_string(s, "simples") for s in labels)
     mult = {}
     for i, k, j, c in data.get("fusion", []):
         mult[(i, k, j)] = _count(c)

@@ -740,9 +740,9 @@ class WattsContext(CustomTensor):
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen.  T, D, ω, ν, c, u, the
-    transported ``mor`` and the inverses μ = ν⁻¹, u⁻¹ and c⁻¹, kept in the
-    one cache of ``inverse`` keyed by the map, are fixed by ⊙ on objects
+    the object named after the first modules seen.  T, D, ω, ν, c, the
+    transported ``mor`` and the inverses μ = ν⁻¹ and c⁻¹, kept in the one
+    cache of ``inverse`` keyed by the map, are fixed by ⊙ on objects
     and morphisms (Watts 1960), so their caches are shared through the
     source tensor's table ``ct.cells`` under the functor key
     ("transported", the source tensor's key): the contexts of one graded
@@ -752,7 +752,7 @@ class WattsContext(CustomTensor):
     table (``algmod``), so the axioms of ``ct`` and the embedding of its
     context build each once."""
 
-    _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_c", "_u",
+    _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_c",
                                       "_inv")
 
     def __init__(self, ct: CustomTensor):
@@ -793,12 +793,6 @@ class WattsContext(CustomTensor):
         residual first-left and right actions as its bimodule."""
         return tensor_over(X, 0, self.T, 1, f"({X.name}⊗₂T)", self.cells)
 
-    @_memo("_u")
-    def collapse(self, X: Module) -> LinearMap:
-        """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor."""
-        obX = self.ombar(X).module
-        return _collapse(self.product(self.R, X), obX.left, obX.space)
-
     def _xhat(self, X: Module, a: int) -> ModuleMap:
         """The right-module map R -> X, r ↦ x_a · r."""
         return ModuleMap(self.R, X, _orbit(X.action, a, self.R.space))
@@ -821,8 +815,8 @@ class WattsContext(CustomTensor):
 
     @_memo("_inv")
     def inverse(self, m: LinearMap) -> LinearMap:
-        """m⁻¹, one cache for μ, u⁻¹ and c⁻¹: m is a map the context
-        caches (ν, u, c), so its key is found by pointer."""
+        """m⁻¹, one cache for μ and c⁻¹: m is a map the context caches
+        (ν, c), so its key is found by pointer."""
         return solve_iso(m)
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
@@ -1017,22 +1011,14 @@ class OmegaFunctor:
 
     @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
-        """ξ_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)) built from α′_{R,X,Y}."""
-        wc, bim = self.wc, self.wc.bimodules
-        cell = bim.product(wc.omega(X), wc.omega(Y))
-        # pass to the X⊗₂T model of ω on both factors
-        obX, obY = wc.ombar(X).module, wc.ombar(Y).module
-        cell_bar = bim.product(obX, obY)
-        m1 = tensor_maps(cell, cell_bar, wc.mu(X), wc.mu(Y))
-        # identify with D(D(R,X),Y) through the collapse in the first slot
-        ddc = wc.product(wc.product(wc.R, X).module, Y)
-        m2 = tensor_maps(cell_bar, ddc, wc.inverse(wc.collapse(X)),
-                         identity(obY.space))
-        # transport and collapse on the other side
-        alpha = wc.associator(wc.R, X, Y).lin
-        DXY = wc.product(X, Y).module
-        u_d = wc.collapse(DXY)
-        return compose_all(m1, m2, alpha, u_d, wc.nu(DXY))
+        """ξ_{X,Y} = c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ μ_Y):
+        ω(X)⊗_R ω(Y) -> ω(D(X,Y)), through D(D(R,X),Y)."""
+        wc, R = self.wc, self.wc.R
+        cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
+        ddc = wc.product(wc.product(R, X).module, Y)
+        m = tensor_maps(cell, ddc, wc.inverse(wc.c_iso(R, X)), wc.mu(Y))
+        return compose_all(m, wc.associator(R, X, Y).lin,
+                           wc.c_iso(R, wc.product(X, Y).module))
 
 
 def verify_monoidal_functor(wc: WattsContext,

@@ -422,6 +422,32 @@ class TestExitCodes:
                                      mutate)
         assert "Sp: basis: expected a list, got 'x'" in err
 
+    def test_simples_that_are_not_a_list_are_usage_error(self, capsys,
+                                                          tmp_path):
+        # the string "1t" read as the two labels 1 and t
+        err = self._validate_mutated(capsys, tmp_path, "fusion-fibonacci",
+                                     lambda data: data.update(simples="1t"))
+        assert "simples: expected a list, got '1t'" in err
+
+    @pytest.mark.parametrize("command", ["embed", "bound"])
+    @pytest.mark.parametrize("failed", ["unit-membership",
+                                        "multiplicity-domain"])
+    def test_an_invalid_fusion_fixture_fails_embed_and_bound(
+            self, capsys, tmp_path, command, failed):
+        # embed printed a matrix, with a -1 block under a negative
+        # multiplicity, and bound reported an End-dimension mismatch
+        data = json.loads((FIXTURES / "fusion-fibonacci.json").read_text())
+        if failed == "unit-membership":
+            data["unit"] = "u"
+        else:
+            data["fusion"][0][3] = -1
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, [command, str(path), "tau"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "fails validate" in err
+        assert failed in err
+
     def test_mutated_duality_data_fails_watts(self, capsys, tmp_path):
         data = json.loads((FIXTURES / "graded-sign.json").read_text())
         for rig in data["rigidity"]:

@@ -90,6 +90,29 @@ def test_each_product_goes_through_its_helper(function, helper):
     assert function in _readers(_package_references(), helper)
 
 
+def _methods(tree, cls: str) -> dict:
+    """The functions the body of class ``cls`` defines, by name."""
+    body = next(node.body for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {node.name: node for node in body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node, name: str) -> int:
+    """Calls of ``name``, bare or as an attribute, under ``node``."""
+    return sum(isinstance(call, ast.Call) and name in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        for call in ast.walk(node))
+
+
+def test_xi_is_built_from_c_with_one_tensor_maps():
+    # ξ = c_{R,D} ∘ α′ ∘ (c_{R,X}⁻¹ ⊗ μ_Y): no collapse u_X onto X⊗₂T
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    assert "c_iso" in _package_references()["watts.OmegaFunctor.xi"]
+    assert _calls(_methods(tree, "OmegaFunctor")["xi"], "tensor_maps") == 1
+    assert "collapse" not in _methods(tree, "WattsContext")
+
+
 def test_the_walk_finds_callers_and_optional_tables():
     tree = ast.parse("def cokernel(cells):\n    return balanced_tensor()\n"
                      "class T:\n    def f(self, cells=None):\n"

@@ -26,7 +26,7 @@ from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
                             serialize_raw, solve_iso, tensor)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
-                           StrictTensor, WattsContext, _hom_samples,
+                           OmegaFunctor, StrictTensor, WattsContext, _hom_samples,
                            check_monoidal_axioms, check_rigidity,
                            check_T_coherence, flip_cocycle,
                            induce_natural_family, is_three_cocycle,
@@ -470,9 +470,10 @@ class TestFunctorKey:
                 assert build(cells).product(R, R) == alone[build]
 
     def test_contexts_share_what_the_key_fixes(self):
-        # ⊗_R's α is the canonical rebracketing and u_X collapses R, both
-        # fixed by the functor key: graded-trivial's context reads the
-        # ones graded-sign's run built and adds none, and keeps its own α′
+        # ⊗_R's α is the canonical rebracketing and c_{X,Y} collapses
+        # D(X,Y) through ν, both fixed by the functor key: graded-trivial's
+        # context reads the ones graded-sign's run built and adds none, and
+        # keeps its own α′
         groups = set(CHECK_GROUPS)
         cells = {}
         sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
@@ -480,13 +481,13 @@ class TestFunctorKey:
         assert all(rep.ok for rep in _watts_reports(sign, groups))
         first, second = WattsContext(sign.ct), WattsContext(trivial.ct)
         assert second.bimodules._assocs is first.bimodules._assocs
-        assert second._u is first._u and second._inv is first._inv
+        assert second._c is first._c and second._inv is first._inv
         assert second._assocs is not first._assocs
-        sizes = [len(memo) for memo in (first.bimodules._assocs, first._u,
+        sizes = [len(memo) for memo in (first.bimodules._assocs, first._c,
                                         first._inv)]
         assert all(sizes)
         assert all(rep.ok for rep in _watts_reports(trivial, groups))
-        assert [len(memo) for memo in (second.bimodules._assocs, second._u,
+        assert [len(memo) for memo in (second.bimodules._assocs, second._c,
                                        second._inv)] == sizes
 
     def test_strict_tensors_share_alpha(self, fx_strict):
@@ -918,6 +919,46 @@ def test_c_matches_the_theta_route(name):
     for X in fx.sample:
         for Y in fx.sample:
             assert wc.c_iso(X, Y).rows == _reference_c(wc, X, Y).rows
+
+
+def _reference_u(wc, X):
+    """u_X: D(R,X) -> X⊗₂T, collapsing the free regular factor by the
+    first left action of X⊗₂T."""
+    obX = wc.ombar(X).module
+    return watts._collapse(wc.product(wc.R, X), obX.left, obX.space)
+
+
+def _reference_xi(wc, X, Y):
+    """ξ_{X,Y} by the five-map route: μ_X⊗μ_Y into ω̄(X)⊗_R ω̄(Y), then
+    u_X⁻¹⊗id into D(D(R,X),Y), α′_{R,X,Y}, u_D and ν_D, D = D(X,Y)."""
+    bim = wc.bimodules
+    obX, obY = wc.ombar(X).module, wc.ombar(Y).module
+    cell_bar = bim.product(obX, obY)
+    m1 = tensor_maps(bim.product(wc.omega(X), wc.omega(Y)), cell_bar,
+                     wc.mu(X), wc.mu(Y))
+    ddc = wc.product(wc.product(wc.R, X).module, Y)
+    m2 = tensor_maps(cell_bar, ddc, solve_iso(_reference_u(wc, X)),
+                     identity(obY.space))
+    D = wc.product(X, Y).module
+    return compose_all(m1, m2, wc.associator(wc.R, X, Y).lin,
+                       _reference_u(wc, D), wc.nu(D))
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_xi_matches_the_five_map_route(name):
+    # c_{R,X} = ν_X ∘ u_X, so u_X⁻¹∘μ_X = c_{R,X}⁻¹ and ν_D∘u_D = c_{R,D}:
+    # ξ from c and μ alone has the rows of the route through X⊗₂T
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+    om = OmegaFunctor(wc)
+    for X in fx.sample:
+        assert wc.c_iso(wc.R, X).rows == \
+            compose(wc.nu(X), _reference_u(wc, X)).rows
+        for Y in fx.sample:
+            D = wc.product(X, Y).module
+            assert wc.c_iso(wc.R, D).rows == \
+                compose(wc.nu(D), _reference_u(wc, D)).rows
+            assert om.xi(X, Y).rows == _reference_xi(wc, X, Y).rows
 
 
 def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
