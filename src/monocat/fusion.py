@@ -65,8 +65,9 @@ class FusionData:
     # ------------------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
-        """Exhaustively check unit laws, associativity, reciprocity,
-        unit simplicity, and row/column finiteness."""
+        """Exhaustively check that the unit, the duals and the endo_dim
+        keys are simples, unit laws, associativity, reciprocity, unit
+        simplicity, and row/column finiteness."""
         failures: List[dict] = []
         labels = self.simples
         if self.unit not in labels:
@@ -75,6 +76,10 @@ class FusionData:
         for lab, dl in self.dual.items():
             if lab not in labels or dl not in labels:
                 failures.append({"check": "dual-membership", "witness": lab})
+        for lab in self.endo_dim:
+            if lab not in labels:
+                failures.append({"check": "endo-dim-membership",
+                                 "witness": lab})
         for lab in labels:
             if self.dual.get(self.dual.get(lab, lab), None) != lab:
                 failures.append({"check": "dual-involution", "witness": lab})
@@ -493,8 +498,13 @@ def fusion_from_json(data: dict) -> FusionData:
     if not isinstance(labels, list):  # a string would split into labels
         raise ValueError(f"simples: expected a list, got {labels!r}")
     simples = tuple(_string(s, "simples") for s in labels)
+    if len(set(simples)) != len(simples):
+        raise ValueError(f"simples: labels must be distinct, got {labels!r}")
     mult = {}
     for i, k, j, c in data.get("fusion", []):
+        if (i, k, j) in mult:  # a later entry would overwrite silently
+            raise ValueError(f"fusion: the triple {[i, k, j]!r} is listed "
+                             "twice")
         mult[(i, k, j)] = _count(c)
     dual = dict(_object(data, "dual"))
     for s, d in dual.items():

@@ -47,7 +47,11 @@ keeps None.  The flag is sound, not complete.  It is set by
 - ``quotient_by_raw_rows`` on its section, and on its projection when
   there are no relations;
 - ``compose``, ``tensor`` and ``solve_iso`` of inclusions, and
-  ``linear_combination`` of one coefficient-1 term.
+  ``linear_combination`` of one coefficient-1 term;
+- the gather of columns that ``compose`` and ``compose_tensor`` make for
+  an inclusion on the right, when the gathered columns are an inclusion,
+  whether or not the map they come from is one (a descended map that
+  only moves coordinates).
 
 It is read, never multiplied: ``compose`` with an identity returns the
 other operand, with an inclusion on the right gathers columns and with
@@ -388,10 +392,12 @@ def _inclusion_rows(cols, nrows: int) -> tuple:
 
 def _gathered(source: VectorSpace, f: LinearMap, idx) -> LinearMap:
     """f after the inclusion ``idx`` of ``source``: the columns idx of f,
-    in that order; an inclusion when f is one."""
+    in that order; an inclusion when f is one, or when those columns are
+    one."""
     if f.cols is None:
-        return LinearMap.from_rows(source, f.target, tuple(
-            [tuple([row[c] for c in idx]) for row in f.rows]))
+        rows = tuple([tuple([row[c] for c in idx]) for row in f.rows])
+        return LinearMap.from_rows(source, f.target, rows,
+                                   _inclusion_cols(rows, len(idx)))
     cols = tuple([f.cols[c] for c in idx])
     return LinearMap.from_rows(source, f.target,
                                _inclusion_rows(cols, f.target.dim), cols)

@@ -22,8 +22,10 @@ strict tensor and a context intern it (``algmod.intern``).  A module is
 its content (``algmod``), so
 every cache, keyed by modules, builds each product, cell and map once per
 content, and a hit returns the object built under the first name seen:
-``product(X2, R).module.name`` reads ``D(X,R)`` on a WattsContext when
-X2 is X renamed and D(X,R) was built first.  Check names and witnesses
+``product(X2, R).name`` reads ``D(X,R)`` on a WattsContext when X2 is X
+renamed and D(X,R) was built first, and a product module, interned, is
+the first module of its content on the table, whatever the cell's name
+(``TensorCell.name``).  Check names and witnesses
 are formed from the sample and the loop variables, never from cached
 objects, so reports name the caller's modules; an exception raised
 inside a cached construction can still carry the first name.  Almost
@@ -434,10 +436,12 @@ class GradedTensor(CustomTensor):
     ω: (Z/2)³ -> {±1}, given on all eight triples, acting through the
     parity projectors, so modules need not be presented in a homogeneous
     basis.  Since P₀ + P₁ = id on every factor, the associator is the
-    identity plus the defect of ω: for the trivial cocycle it is the
-    identity inclusion itself.  The cocycle is no part of the functor
-    key: graded tensors over one algebra share their products, maps and
-    parity projectors through a common table, and only α is their own.
+    identity plus the defect of ω, whose terms with a zero projector are
+    skipped: for the trivial cocycle, and wherever every defect term
+    meets a zero projector, it is the identity inclusion itself.  The
+    cocycle is no part of the functor key: graded tensors over one
+    algebra share their products, maps and parity projectors through a
+    common table, and only α is their own.
     """
 
     _shared = CustomTensor._shared + ("_parities",)
@@ -472,26 +476,31 @@ class GradedTensor(CustomTensor):
     def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
         action = (identity(space), tensor(X.action[1], Y.action[1]))
-        mod = intern(self.cells, Module(f"({X.name}⊙{Y.name})", self.algebra,
-                                        space, "right", action))
+        name = f"({X.name}⊙{Y.name})"
+        mod = intern(self.cells,
+                     Module(name, self.algebra, space, "right", action))
         one = identity(mod.space)
-        return TensorCell(mod.space, one, one, mod)
+        return TensorCell(mod.space, one, one, mod, name)
 
     @_memo("_parities")
     def _parity(self, X: Module) -> tuple:
-        """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2)."""
+        """The parity projectors (P₀, P₁) = ((1 + g)/2, (1 − g)/2), None
+        in place of one that is zero."""
         half = self.field._coerce("1/2")
         one, g = identity(X.space), X.action[1]
-        return tuple(linear_combination(X.space, X.space,
-                                        ((half, one), (sign * half, g)))
-                     for sign in (1, -1))
+        projectors = (linear_combination(X.space, X.space,
+                                         ((half, one), (sign * half, g)))
+                      for sign in (1, -1))
+        return tuple(None if P.is_zero() else P for P in projectors)
 
     def _associator(self, X, Y, Z):
         """Σ ω(a,b,c)·P_a⊗P_b⊗P_c over the parity projectors.  The eight
         P_a⊗P_b⊗P_c sum to id, so this is id − 2·Σ_c S_c⊗P_c with S_c the
-        sum of the P_a⊗P_b where ω(a,b,c) = −1: the identity inclusion
-        for the trivial cocycle, one full-size Kronecker product for the
-        sign cocycle."""
+        sum of the P_a⊗P_b where ω(a,b,c) = −1.  A term with a zero
+        projector is zero and is skipped, so α is the identity inclusion
+        where no term is left: for the trivial cocycle, which builds no
+        projector, and for the sign cocycle wherever a factor has no odd
+        part; else one full-size Kronecker product."""
         XY = self.product(X, Y).module
         pL = self.product(XY, Z)
         pR = self.product(X, self.product(Y, Z).module)
@@ -499,11 +508,14 @@ class GradedTensor(CustomTensor):
         for c in (0, 1):
             odd = [(a, b) for a in (0, 1) for b in (0, 1)
                    if self.cocycle[(a, b, c)] == -1]
-            if odd:
-                pX, pY = self._parity(X), self._parity(Y)
-                inner = linear_combination(XY.space, XY.space, [
-                    (1, tensor(pX[a], pY[b])) for a, b in odd])
-                terms.append((-2, tensor(inner, self._parity(Z)[c])))
+            if not odd:
+                continue
+            pX, pY, pZ = self._parity(X), self._parity(Y), self._parity(Z)
+            nonzero = [(1, tensor(pX[a], pY[b])) for a, b in odd
+                       if pX[a] is not None and pY[b] is not None]
+            if nonzero and pZ[c] is not None:
+                inner = linear_combination(XY.space, XY.space, nonzero)
+                terms.append((-2, tensor(inner, pZ[c])))
         lin = linear_combination(pL.module.space, pR.module.space, terms)
         return ModuleMap(pL.module, pR.module, lin)
 
@@ -740,7 +752,9 @@ class WattsContext(CustomTensor):
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
-    the object named after the first modules seen.  T, D, ω, ν, c, the
+    the object named after the first modules seen; D(X,Y) and X⊗₂T are
+    ``tensor_over`` cells, whose modules are interned on the table and
+    whose ``name`` is the one asked for.  T, D, ω, ν, c, the
     transported ``mor`` and the inverses μ = ν⁻¹ and c⁻¹, kept in the one
     cache of ``inverse`` keyed by the map, are fixed by ⊙ on objects
     and morphisms (Watts 1960), so their caches are shared through the
@@ -1012,11 +1026,17 @@ class OmegaFunctor:
     @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
         """ξ_{X,Y} = c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ μ_Y):
-        ω(X)⊗_R ω(Y) -> ω(D(X,Y)), through D(D(R,X),Y)."""
+        ω(X)⊗_R ω(Y) -> ω(D(X,Y)), through D(D(R,X),Y); MalformedTensor
+        when μ_Y is not invertible or c_{R,X}⁻¹ ⊗ μ_Y does not descend, as
+        for a ν that does not balance."""
         wc, R = self.wc, self.wc.R
         cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
         ddc = wc.product(wc.product(R, X).module, Y)
-        m = tensor_maps(cell, ddc, wc.inverse(wc.c_iso(R, X)), wc.mu(Y))
+        try:
+            m = tensor_maps(cell, ddc, wc.inverse(wc.c_iso(R, X)), wc.mu(Y))
+        except LinAlgError as exc:
+            raise MalformedTensor(
+                f"ξ[{X.name},{Y.name}] is not well defined") from exc
         return compose_all(m, wc.associator(R, X, Y).lin,
                            wc.c_iso(R, wc.product(X, Y).module))
 

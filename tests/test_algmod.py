@@ -1,10 +1,12 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import monocat.algmod as algmod
 from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, algebra_from_json,
                             balanced_tensor, bimodule_tensor, hom_basis,
@@ -123,6 +125,32 @@ class TestTensorOverR:
         with pytest.raises(StructureError, match="different algebras"):
             bimodule_tensor(Bimodule.regular(z2_group_algebra),
                             Bimodule.regular(dual_numbers), {})
+
+    def test_builds_once_and_checks_once_per_content(self, dual_numbers,
+                                                    monkeypatch):
+        # the table keeps each product under its inputs: a content-equal
+        # call builds nothing; other inputs with a product of the same
+        # content build it but share its module, checked once
+        built, checked = [], []
+        build, check = algmod.tensor_maps, algmod.check_actions
+        monkeypatch.setattr(algmod, "tensor_maps",
+                            lambda *a: built.append(1) or build(*a))
+        monkeypatch.setattr(algmod, "check_actions",
+                            lambda *a: checked.append(a[0]) or check(*a))
+        cells = {}
+        R, C = Module.regular(dual_numbers), quotient_by_x(dual_numbers)
+        first = module_tensor_commutative(R, C, cells)
+        assert built and checked == ["(R⊗R/x)"]
+        n = len(built)
+        again = module_tensor_commutative(replace(R, name="R2"), C, cells)
+        assert len(built) == n and checked == ["(R⊗R/x)"]
+        assert again.module is first.module and again == first
+        assert (first.name, again.name) == ("(R⊗R/x)", "(R2⊗R/x)")
+        R_left = Module("Rl", dual_numbers, R.space, "left", R.action)
+        other = module_tensor_commutative(R_left, C, cells)
+        assert len(built) > n and checked == ["(R⊗R/x)"]
+        assert other.module is first.module and other.name == "(Rl⊗R/x)"
+        assert first.module.name == "(R⊗R/x)"
 
     def test_group_algebra_regular_square(self, z2_group_algebra):
         R = Bimodule.regular(z2_group_algebra)

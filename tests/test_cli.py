@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import monocat.linalg as linalg
 from monocat.cli import main
 from monocat.fixtures import bundled_watts_fixtures, strict_f3_z2
 from monocat.watts import MalformedTensor, check_monoidal_axioms
@@ -97,6 +98,20 @@ class TestGolden:
             if name.endswith(".json"):
                 data = json.loads((GOLDEN / name).read_text())
                 assert data["schema"] == 1
+
+
+def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
+    # a guard on the fast paths: with gathered inclusions flagged, zero
+    # terms of the graded α skipped and each tensor_over product built
+    # once, ``report --seed 7`` makes 2,369 full products (6,789 without)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    mul_rows = linalg._mul_rows
+    monkeypatch.setattr(linalg, "_mul_rows",
+                        lambda *args: calls.append(1) or mul_rows(*args))
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 2500
 
 
 class TestExitCodes:
@@ -428,6 +443,36 @@ class TestExitCodes:
         err = self._validate_mutated(capsys, tmp_path, "fusion-fibonacci",
                                      lambda data: data.update(simples="1t"))
         assert "simples: expected a list, got '1t'" in err
+
+    def test_a_fusion_triple_listed_twice_is_usage_error(self, capsys,
+                                                         tmp_path):
+        # the second entry overwrote the first: τ⊗τ loaded as 1 and
+        # validated
+        err = self._validate_mutated(
+            capsys, tmp_path, "fusion-fibonacci",
+            lambda data: data["fusion"].append(["tau", "tau", "tau", 0]))
+        assert "fusion: the triple ['tau', 'tau', 'tau'] is listed twice" \
+            in err
+
+    def test_repeated_simples_are_usage_error(self, capsys, tmp_path):
+        # they failed frobenius-reciprocity, exit 1
+        err = self._validate_mutated(
+            capsys, tmp_path, "fusion-fibonacci",
+            lambda data: data["simples"].append("tau"))
+        assert "simples: labels must be distinct" in err
+
+    def test_an_endo_dim_key_that_is_no_simple_fails_validate(self, capsys,
+                                                              tmp_path):
+        # it was ignored, where an unknown dual key fails dual-membership
+        data = json.loads((FIXTURES / "fusion-fibonacci.json").read_text())
+        data["endo_dim"] = {"sigma": 2}
+        path = tmp_path / "endo.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["--format", "json", "validate",
+                                    str(path)])
+        assert code == 1
+        assert json.loads(out)["report"]["failures"] == [
+            {"check": "endo-dim-membership", "witness": "sigma"}]
 
     @pytest.mark.parametrize("command", ["embed", "bound"])
     @pytest.mark.parametrize("failed", ["unit-membership",

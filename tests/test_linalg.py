@@ -725,6 +725,30 @@ def test_permutation_is_not_the_identity():
         assert compose(f, given) is f and compose(given, f) is f
 
 
+def test_a_gather_that_is_an_inclusion_is_flagged():
+    # f is no inclusion, but its columns 1, 0 are one: gathered at them,
+    # as ``descend`` gathers a map that only moves coordinates, it comes
+    # back flagged; gathered at columns that are none, it does not
+    for field in KERNEL_FIELDS:
+        V, W = labelled_space(field, 3), labelled_space(field, 2)
+        f = make_map(V, W, [[0, 1, 1], [1, 0, 1]])
+        first = make_map(W, V, [[1, 0], [0, 1], [0, 0]])
+        last = make_map(W, V, [[0, 0], [1, 0], [0, 1]])
+        assert f.cols is None and first.cols == (0, 1)
+        got = compose(f, first)
+        assert got.cols == (1, 0) and got == ref_compose(f, first)
+        got = compose(f, last)
+        assert got.cols is None and got == ref_compose(f, last)
+        P = make_map(tensor_space(W, W), W, [[1, 0, 0, 1], [0, 1, 0, 1]])
+        L = labelled_space(field, 1)
+        for c, cols in ((0, (0, 1)), (1, None)):
+            a = make_map(L, W, [[int(r == c)] for r in range(2)])
+            got = compose_tensor(P, a, identity(W))
+            assert got.cols == cols
+            assert got == ref_compose(P, ref_tensor(a, identity(W)))
+            _assert_cols_agree(got)
+
+
 def test_identity_keeps_no_reference_to_its_space():
     V = VectorSpace(F3, ("a", "b"))
     ref = weakref.ref(V)

@@ -22,7 +22,8 @@ from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               resolve_fixture, strict_f3_z2,
                               watts_fixture_from_json)
 from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
-                            compose, compose_all, identity, make_map, rank,
+                            compose, compose_all, identity,
+                            linear_combination, make_map, rank,
                             serialize_raw, solve_iso, tensor)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
@@ -143,6 +144,40 @@ class TestMonoidalAxioms:
             assert all(r.ok for r in pent) == is_three_cocycle(omega), omega
             cocycles += is_three_cocycle(omega)
         assert cocycles == 8
+
+    def test_graded_alpha_skips_zero_terms(self, fx_sign):
+        # α has the rows of Σ ω(a,b,c)·P_a⊗P_b⊗P_c written out over all
+        # eight terms; at (I,L,L) every defect term of the sign cocycle
+        # meets P₁ of the even line I, which is zero, so α is the flagged
+        # identity inclusion, while at (L,L,L) the defect stays
+        ct = fx_sign.ct
+        for X, Y, Z in itertools.product(fx_sign.sample, repeat=3):
+            assert ct.associator(X, Y, Z).lin.rows == \
+                _dense_graded_alpha(ct, X, Y, Z).rows
+        I, L = fx_sign.module("I"), fx_sign.module("L")
+        a = ct.associator(I, L, L).lin
+        assert a.cols is not None and a.rows == identity(a.source).rows
+        a = ct.associator(L, L, L).lin
+        assert a.cols is None and a.rows != identity(a.source).rows
+
+    def test_trivial_cocycle_builds_no_projector(self, fx_sign):
+        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+                          trivial_cocycle())
+        assert check_monoidal_axioms(ct, fx_sign.sample).ok
+        assert ct._parities == {}
+        assert all(a.lin.cols is not None for a in ct._assocs.values())
+
+
+def _dense_graded_alpha(ct, X, Y, Z):
+    """Σ ω(a,b,c)·P_a⊗P_b⊗P_c over all eight triples, zero terms too."""
+    half = ct.field._coerce("1/2")
+    P = [[linear_combination(M.space, M.space, ((half, identity(M.space)),
+                                                (sign * half, M.action[1])))
+          for sign in (1, -1)] for M in (X, Y, Z)]
+    lin = ct.associator(X, Y, Z).lin
+    return linear_combination(lin.source, lin.target, [
+        (w, tensor(tensor(P[0][a], P[1][b]), P[2][c]))
+        for (a, b, c), w in ct.cocycle.items()])
 
 
 class TestTransport:
@@ -311,12 +346,16 @@ class TestSharedCells:
         assert replace(X, side="left") != X
 
     def test_renamed_module_shares_the_dcell(self, fx_strict):
+        # the cell carries the name asked for; its module is the table's
+        # one object of that content, here Sp itself, as D(Sp,R) = Sp
         wc = WattsContext(fx_strict.ct)
         X = fx_strict.module("Sp")
         X2 = replace(X, name="X2")
         first = wc.product(X, wc.R)
         assert wc.product(X2, wc.R) is first
-        assert first.module.name == "D(Sp,R)"
+        assert first.name == "D(Sp,R)"
+        assert first.module is algmod.intern(wc.cells, first.module)
+        assert first.module == X and first.module.name == "Sp"
 
     def test_renamed_module_shares_the_product(self):
         fx = strict_f3_z2()
@@ -372,16 +411,21 @@ class TestSharedCells:
             [rep.to_json() for rep in _watts_reports(graded_trivial(), groups)]
 
     def test_table_cell_carries_the_asked_name(self, fx_strict):
-        # the table keeps the balanced cell, keyed by content: a renamed
-        # module shares it, and each product carries the name asked for
+        # the table keeps the balanced cell and the product on it, keyed
+        # by content: a renamed module shares both, the product's module
+        # keeps the first name, and each cell carries the name asked for
         cells = {}
         B = replace(Bimodule.regular(fx_strict.algebra), name="B")
         first = bimodule_tensor(B, B, cells=cells)
         second = bimodule_tensor(replace(B, name="B2"), B, cells=cells)
         assert second.proj is first.proj and second == first
+        assert second.module is first.module
         assert first.module.name == "(B⊗B)"
-        assert second.module.name == "(B2⊗B)"
-        assert [key[0] for key in cells] == ["balanced_tensor"]
+        assert (first.name, second.name) == ("(B⊗B)", "(B2⊗B)")
+        interned = cells.pop("interned")
+        assert list(interned) == [first.module]
+        assert sorted(key[0] for key in cells) == [
+            "balanced_tensor", "tensor_over"]
 
     def test_every_cokernel_is_built_once_on_the_table(self, monkeypatch):
         # every product of the watts fixtures is a balancing cokernel
@@ -577,7 +621,8 @@ class TestIdentityCache:
         # interned objects under one key, cells under (builder name,
         # arguments), caches under (functor key, attribute name)
         interned = cells.pop("interned")
-        assert {type(obj) for obj in interned} == {Module, ModuleMap}
+        assert {type(obj) for obj in interned} == {Module, Bimodule,
+                                                  ModuleMap}
         assert all(interned[obj] is obj for obj in interned)
         built = {key: cell for key, cell in cells.items()
                  if type(key[0]) is str}
@@ -961,10 +1006,8 @@ def test_xi_matches_the_five_map_route(name):
             assert om.xi(X, Y).rows == _reference_xi(wc, X, Y).rows
 
 
-def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
-    # negative control: ν with its first two source coordinates swapped
-    # no longer balances c on graded-sign, and the pipeline reports that
-    # as a failed construction, not a bare LinAlgError
+def _swap_nu(monkeypatch):
+    """Patch ν to swap its first two source coordinates."""
     nu = WattsContext.nu
 
     def swapped(self, X):
@@ -973,6 +1016,13 @@ def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
         return LinearMap.from_rows(m.source, m.target, rows)
 
     monkeypatch.setattr(WattsContext, "nu", swapped)
+
+
+def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
+    # negative control: ν with its first two source coordinates swapped
+    # no longer balances c on graded-sign, and the pipeline reports that
+    # as a failed construction, not a bare LinAlgError
+    _swap_nu(monkeypatch)
     fx = graded_sign()
     R = fx.module("R")
     with pytest.raises(MalformedTensor, match=r"c\[R,R\] is not balanced"):
@@ -982,6 +1032,18 @@ def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
         assert last.name == "pipeline-construction" and not last.ok
         assert last.witness == {"error": "MalformedTensor",
                                 "detail": "c[R,R] is not balanced"}
+
+
+def test_an_unbalanced_nu_fails_xi_under_the_functor_group(monkeypatch):
+    # with the functor group alone, ξ meets the swapped ν before any c
+    # fails: c_{R,I}⁻¹ ⊗ μ_R does not descend, and the pipeline reports a
+    # failed construction naming ξ, not a bare LinAlgError
+    _swap_nu(monkeypatch)
+    reports = _watts_reports(graded_sign(), {"functor"})
+    [last] = [r for rep in reports for r in rep.results]
+    assert last.name == "pipeline-construction" and not last.ok
+    assert last.witness == {"error": "MalformedTensor",
+                            "detail": "ξ[I,R] is not well defined"}
 
 
 @pytest.mark.parametrize("build", [strict_f3_z2, dual_numbers_f2])
