@@ -3,8 +3,8 @@
 A CustomTensor packages a tensor product ⊙ on right R-modules: product
 cells (quotients of the scalar Kronecker product), morphism tensoring,
 and the associator/unit components.  From such a structure we build the
-triple-action bimodule T = R⊙R, the natural isomorphisms ν, μ = ν⁻¹ and
-c (collapsed out of D(X,Y) through ν), the transported structure
+triple-action bimodule T = R⊙R, the natural isomorphisms ν and c
+(collapsed out of D(X,Y) through ν), the transported structure
 (D, α′, λ′, ρ′), itself a CustomTensor (a ``WattsContext``) whose product
 D(X,Y) = X⊗_R(Y⊗₂T) is one balanced tensor cell like every other, and
 the embedding functor ω into R-R-bimodules with its monoidal structure
@@ -755,16 +755,16 @@ class WattsContext(CustomTensor):
     the object named after the first modules seen; D(X,Y) and X⊗₂T are
     ``tensor_over`` cells, whose modules are interned on the table and
     whose ``name`` is the one asked for.  T, D, ω, ν, c, the
-    transported ``mor`` and the inverses μ = ν⁻¹ and c⁻¹, kept in the one
-    cache of ``inverse`` keyed by the map, are fixed by ⊙ on objects
-    and morphisms (Watts 1960), so their caches are shared through the
-    source tensor's table ``ct.cells`` under the functor key
-    ("transported", the source tensor's key): the contexts of one graded
-    tensor under two cocycles build them once.  Only α′ (``_assocs``) and
-    ξ (``OmegaFunctor``) depend on α and stay on the instance.  Every
-    cokernel, the hom bases the checks read included, is kept in the same
-    table (``algmod``), so the axioms of ``ct`` and the embedding of its
-    context build each once."""
+    transported ``mor`` and c⁻¹, kept in the cache of ``inverse`` keyed
+    by the map, are fixed by ⊙ on objects and morphisms (Watts 1960), so
+    their caches are shared through the source tensor's table
+    ``ct.cells`` under the functor key ("transported", the source
+    tensor's key): the contexts of one graded tensor under two cocycles
+    build them once.  Only α′ (``_assocs``) and ξ (``OmegaFunctor``),
+    built from α with c at their endpoints, depend on α and stay on the
+    instance.  Every cokernel, the hom bases the checks read included, is
+    kept in the same table (``algmod``), so the axioms of ``ct`` and the
+    embedding of its context build each once."""
 
     _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_c",
                                       "_inv")
@@ -799,7 +799,7 @@ class WattsContext(CustomTensor):
         """ω(f) = id_R ⊙ f on the underlying spaces."""
         return self.ct.mor(self.ct.ident(self.R), f).lin
 
-    # -- μ and ν -----------------------------------------------------------
+    # -- ν -----------------------------------------------------------------
 
     @_memo("_ombar")
     def ombar(self, X: Module) -> TensorCell:
@@ -823,14 +823,10 @@ class WattsContext(CustomTensor):
         except LinAlgError as exc:
             raise MalformedTensor(f"ν[{X.name}] is not balanced") from exc
 
-    def mu(self, X: Module) -> LinearMap:
-        """μ_X = ν_X⁻¹: R⊙X -> X⊗₂T, the Watts equivalence for R⊙−."""
-        return self.inverse(self.nu(X))
-
     @_memo("_inv")
     def inverse(self, m: LinearMap) -> LinearMap:
-        """m⁻¹, one cache for μ and c⁻¹: m is a map the context caches
-        (ν, c), so its key is found by pointer."""
+        """m⁻¹, the cache of c⁻¹: m is a map the context caches, so its
+        key is found by pointer."""
         return solve_iso(m)
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
@@ -852,39 +848,51 @@ class WattsContext(CustomTensor):
 
     # -- c, α′, λ′, ρ′ -------------------------------------------------------
 
+    def _hat_collapse(self, cell: TensorCell, X: Module, Y: Module,
+                      inner: Optional[LinearMap] = None) -> LinearMap:
+        """x⊗w ↦ (x̂ ⊙ id_Y)(inner(w)) into X⊙Y, descended through
+        ``cell``, a quotient of X⊗W, with inner: W -> R⊙Y (the identity
+        when None); raises LinAlgError when it is not well defined."""
+        blocks = [self.ct.mor(self._xhat(X, a), self.ct.ident(Y)).lin
+                  for a in range(X.dim)]
+        if inner is not None:
+            blocks = [compose(blk, inner) for blk in blocks]
+        return _collapse(cell, blocks, self.ct.product(X, Y).module.space)
+
     @_memo("_c")
     def c_iso(self, X: Module, Y: Module) -> LinearMap:
-        """c_{X,Y}: D(X,Y) -> X⊙Y, x⊗w ↦ (x̂ ⊙ id_Y)(ν_Y(w)), descended
-        through D(X,Y); its inverse is computed here, as a failure to
-        invert signals a colimit failure."""
-        cell = self.product(X, Y)
-        idY = self.ct.ident(Y)
-        nu = self.nu(Y)
-        blocks = [compose(self.ct.mor(self._xhat(X, a), idY).lin, nu)
-                  for a in range(X.dim)]
+        """c_{X,Y}: D(X,Y) -> X⊙Y, x⊗w ↦ (x̂ ⊙ id_Y)(ν_Y(w)), natural in X
+        and Y (Watts 1960), and its inverse, whose failure is a colimit
+        failure: MalformedTensor for a ν that does not balance or is
+        singular."""
+        cell, nu = self.product(X, Y), self.nu(Y)
         try:
-            c = _collapse(cell, blocks, self.ct.product(X, Y).module.space)
+            c = self._hat_collapse(cell, X, Y, nu)
+            self.inverse(c)
+        except NotInvertible as exc:
+            raise MalformedTensor(
+                f"c[{X.name},{Y.name}] is not invertible") from exc
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"c[{X.name},{Y.name}] is not balanced") from exc
-        self.inverse(c)
         return c
 
     def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
-        """Build D(D(X,Y),Z) -> D(X,D(Y,Z)) transported through c and α;
-        ``associator`` caches it."""
+        """Build α′: D(D(X,Y),Z) -> D(X,D(Y,Z)) as c_{D(X,Y),Z},
+        c_{X,Y} ⊙ id_Z, α, id_X ⊙ c_{Y,Z}⁻¹, c_{X,D(Y,Z)}⁻¹ (diagram
+        order): by naturality of c, α transported through D(X⊙Y,Z) and
+        D(X,Y⊙Z) without building them; ``associator`` caches it."""
         ct = self.ct
-        XY = ct.product(X, Y).module
-        YZ = ct.product(Y, Z).module
-        c_xy = ModuleMap(self.product(X, Y).module, XY, self.c_iso(X, Y))
-        c_yz_inv = ModuleMap(YZ, self.product(Y, Z).module,
+        DXY, DYZ = self.product(X, Y).module, self.product(Y, Z).module
+        c_xy = ModuleMap(DXY, ct.product(X, Y).module, self.c_iso(X, Y))
+        c_yz_inv = ModuleMap(ct.product(Y, Z).module, DYZ,
                              self.inverse(self.c_iso(Y, Z)))
         return compose_all(
-            self.mor(c_xy, self.ident(Z)).lin,
-            self.c_iso(XY, Z),
+            self.c_iso(DXY, Z),
+            ct.mor(c_xy, ct.ident(Z)).lin,
             ct.associator(X, Y, Z).lin,
-            self.inverse(self.c_iso(X, YZ)),
-            self.mor(self.ident(X), c_yz_inv).lin)
+            ct.mor(ct.ident(X), c_yz_inv).lin,
+            self.inverse(self.c_iso(X, DYZ)))
 
     def _associator(self, X, Y, Z):
         D = self.product
@@ -1012,7 +1020,7 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # The monoidal embedding ω with structure ξ
 
 class OmegaFunctor:
-    """ω together with ξ and η over a WattsContext.  ξ is built from α′,
+    """ω together with ξ and η over a WattsContext.  ξ is built from α,
     so it is cached once per functor and freed with it, never shared."""
 
     def __init__(self, wc: WattsContext):
@@ -1025,20 +1033,22 @@ class OmegaFunctor:
 
     @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
-        """ξ_{X,Y} = c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ μ_Y):
-        ω(X)⊗_R ω(Y) -> ω(D(X,Y)), through D(D(R,X),Y); MalformedTensor
-        when μ_Y is not invertible or c_{R,X}⁻¹ ⊗ μ_Y does not descend, as
-        for a ν that does not balance."""
-        wc, R = self.wc, self.wc.R
+        """ξ_{X,Y} = (id_R ⊙ c_{X,Y}⁻¹) ∘ α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) ->
+        ω(D(X,Y)), κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into (R⊙X)⊙Y.  This is
+        c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ ν_Y⁻¹) with α′ unfolded and
+        c moved by naturality, c_{R⊙X,Y} ∘ (id ⊗ ν_Y ν_Y⁻¹) = κ, so no
+        D(D(R,X),Y) is built; MalformedTensor when κ does not descend."""
+        wc, ct, R = self.wc, self.wc.ct, self.wc.R
         cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
-        ddc = wc.product(wc.product(R, X).module, Y)
         try:
-            m = tensor_maps(cell, ddc, wc.inverse(wc.c_iso(R, X)), wc.mu(Y))
+            kappa = wc._hat_collapse(cell, ct.product(R, X).module, Y)
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
-        return compose_all(m, wc.associator(R, X, Y).lin,
-                           wc.c_iso(R, wc.product(X, Y).module))
+        c_inv = ModuleMap(ct.product(X, Y).module, wc.product(X, Y).module,
+                          wc.inverse(wc.c_iso(X, Y)))
+        return compose_all(kappa, ct.associator(R, X, Y).lin,
+                           ct.mor(ct.ident(R), c_inv).lin)
 
 
 def verify_monoidal_functor(wc: WattsContext,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import monocat.algmod as algmod
 import monocat.linalg as linalg
 from monocat.cli import main
 from monocat.fixtures import bundled_watts_fixtures, strict_f3_z2
@@ -112,6 +113,20 @@ def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
     assert len(calls) <= 2500
+
+
+def test_report_transports_at_the_endpoints(capsys, monkeypatch):
+    # a guard on the endpoint routes: α′ and ξ take c at their endpoints,
+    # so no D(X⊙Y,Z), D(X,Y⊙Z) or D(D(R,X),Y) is built, and ``report
+    # --seed 7`` builds 84 balanced tensors (118 through those cells)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    build = algmod.balanced_tensor
+    monkeypatch.setattr(algmod, "balanced_tensor",
+                        lambda *args: calls.append(1) or build(*args))
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 90
 
 
 class TestExitCodes:

@@ -98,19 +98,31 @@ def _methods(tree, cls: str) -> dict:
             if isinstance(node, ast.FunctionDef)}
 
 
-def _calls(node, name: str) -> int:
-    """Calls of ``name``, bare or as an attribute, under ``node``."""
-    return sum(isinstance(call, ast.Call) and name in (
-        getattr(call.func, "id", None), getattr(call.func, "attr", None))
-        for call in ast.walk(node))
+def _calls(node, name: str, on: str = None) -> int:
+    """Calls of ``name``, bare or as an attribute, under ``node``; with
+    ``on``, only the calls ``on.name``."""
+    def match(func):
+        if on is not None:
+            return (isinstance(func, ast.Attribute) and func.attr == name
+                    and getattr(func.value, "id", None) == on)
+        return name in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    return sum(isinstance(call, ast.Call) and match(call.func)
+               for call in ast.walk(node))
 
 
 def test_xi_is_built_from_c_with_one_tensor_maps():
-    # ξ = c_{R,D} ∘ α′ ∘ (c_{R,X}⁻¹ ⊗ μ_Y): no collapse u_X onto X⊗₂T
+    # c is natural, so α′ and ξ take it at their endpoints: ξ reads c and
+    # the ⊙ associator and tensors no maps into D(D(R,X),Y), α′ takes no
+    # ⊙′ of maps, μ is gone, and no collapse u_X onto X⊗₂T is defined
     tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    context = _methods(tree, "WattsContext")
+    xi = _methods(tree, "OmegaFunctor")["xi"]
     assert "c_iso" in _package_references()["watts.OmegaFunctor.xi"]
-    assert _calls(_methods(tree, "OmegaFunctor")["xi"], "tensor_maps") == 1
-    assert "collapse" not in _methods(tree, "WattsContext")
+    assert _calls(xi, "associator", on="ct") == 1
+    assert _calls(xi, "tensor_maps") == _calls(xi, "mu") == 0
+    assert _calls(context["alpha_prime"], "mor", on="self") == 0
+    assert "mu" not in context and "collapse" not in context
 
 
 def test_the_walk_finds_callers_and_optional_tables():
@@ -121,3 +133,5 @@ def test_the_walk_finds_callers_and_optional_tables():
     assert _readers(_references(tree, "m"), "balanced_tensor") == \
         {"m.cokernel", "m.T.f"}
     assert _none_table_branches(tree) == [4, 5]
+    calls = ast.parse("self.mor(f)\nct.mor(g)\nmor(h)\n")
+    assert _calls(calls, "mor") == 3 and _calls(calls, "mor", on="ct") == 1

@@ -24,7 +24,7 @@ from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
 from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
                             compose, compose_all, identity,
                             linear_combination, make_map, rank,
-                            serialize_raw, solve_iso, tensor)
+                            serialize_raw, solve_iso, tensor, zero_map)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
                            OmegaFunctor, StrictTensor, WattsContext, _hom_samples,
@@ -194,7 +194,8 @@ class TestTransport:
 
     def test_mu_nu_inverse_pair(self, wc_strict):
         for X in (wc_strict.R, ):
-            nu, mu = wc_strict.nu(X), wc_strict.mu(X)
+            nu = wc_strict.nu(X)
+            mu = wc_strict.inverse(nu)
             assert compose(nu, mu).matrix == identity(nu.target).matrix
 
     def test_twisted_transported_associator_not_identity(self, wc_sign):
@@ -980,7 +981,7 @@ def _reference_xi(wc, X, Y):
     obX, obY = wc.ombar(X).module, wc.ombar(Y).module
     cell_bar = bim.product(obX, obY)
     m1 = tensor_maps(bim.product(wc.omega(X), wc.omega(Y)), cell_bar,
-                     wc.mu(X), wc.mu(Y))
+                     wc.inverse(wc.nu(X)), wc.inverse(wc.nu(Y)))
     ddc = wc.product(wc.product(wc.R, X).module, Y)
     m2 = tensor_maps(cell_bar, ddc, solve_iso(_reference_u(wc, X)),
                      identity(obY.space))
@@ -1004,6 +1005,54 @@ def test_xi_matches_the_five_map_route(name):
             assert wc.c_iso(wc.R, D).rows == \
                 compose(wc.nu(D), _reference_u(wc, D)).rows
             assert om.xi(X, Y).rows == _reference_xi(wc, X, Y).rows
+
+
+def _reference_alpha_prime(wc, X, Y, Z):
+    """α′ by the transport through D(X⊙Y,Z) and D(X,Y⊙Z): c_{X,Y} ⊙′ id_Z,
+    c_{X⊙Y,Z}, α_{X,Y,Z}, c_{X,Y⊙Z}⁻¹ and id_X ⊙′ c_{Y,Z}⁻¹, in diagram
+    order, each ⊙′ through the context's own ``mor``."""
+    ct = wc.ct
+    XY, YZ = ct.product(X, Y).module, ct.product(Y, Z).module
+    c_xy = ModuleMap(wc.product(X, Y).module, XY, wc.c_iso(X, Y))
+    c_yz_inv = ModuleMap(YZ, wc.product(Y, Z).module,
+                         solve_iso(wc.c_iso(Y, Z)))
+    return compose_all(wc.mor(c_xy, wc.ident(Z)).lin, wc.c_iso(XY, Z),
+                       ct.associator(X, Y, Z).lin,
+                       solve_iso(wc.c_iso(X, YZ)),
+                       wc.mor(wc.ident(X), c_yz_inv).lin)
+
+
+def _reference_xi_through_dd(wc, X, Y):
+    """ξ_{X,Y} = c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ μ_Y), through
+    D(D(R,X),Y), with α′ by ``_reference_alpha_prime``."""
+    R = wc.R
+    m = tensor_maps(wc.bimodules.product(wc.omega(X), wc.omega(Y)),
+                    wc.product(wc.product(R, X).module, Y),
+                    solve_iso(wc.c_iso(R, X)), solve_iso(wc.nu(Y)))
+    return compose_all(m, _reference_alpha_prime(wc, R, X, Y),
+                       wc.c_iso(R, wc.product(X, Y).module))
+
+
+@pytest.mark.parametrize(
+    "name, flip",
+    [(name, None) for name in sorted(bundled_watts_fixtures())]
+    + [("graded-sign", t) for t in sorted(trivial_cocycle())],
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_endpoint_routes_match_the_routes_through_d(name, flip):
+    # c is natural, so moving it to the endpoints of α′ and ξ keeps their
+    # rows: the new routes equal the old ones, which build D(X⊙Y,Z),
+    # D(X,Y⊙Z) and D(D(R,X),Y), on every sample triple and pair, and on
+    # every single flip of the sign cocycle, where α is no cocycle
+    fx = bundled_watts_fixtures()[name]
+    ct = fx.ct if flip is None else GradedTensor(
+        fx.algebra, fx.module("I"), flip_cocycle(fx.ct.cocycle, flip))
+    wc = WattsContext(ct)
+    om = OmegaFunctor(wc)
+    for X, Y in itertools.product(fx.sample, repeat=2):
+        assert om.xi(X, Y).rows == _reference_xi_through_dd(wc, X, Y).rows
+        for Z in fx.sample:
+            assert wc.alpha_prime(X, Y, Z).rows == \
+                _reference_alpha_prime(wc, X, Y, Z).rows
 
 
 def _swap_nu(monkeypatch):
@@ -1035,15 +1084,29 @@ def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
 
 
 def test_an_unbalanced_nu_fails_xi_under_the_functor_group(monkeypatch):
-    # with the functor group alone, ξ meets the swapped ν before any c
-    # fails: c_{R,I}⁻¹ ⊗ μ_R does not descend, and the pipeline reports a
-    # failed construction naming ξ, not a bare LinAlgError
+    # with the functor group alone, ξ[I,R] meets the swapped ν in the
+    # c_{I,R} it builds on, and the pipeline reports a failed construction
+    # naming c, not a bare LinAlgError
     _swap_nu(monkeypatch)
     reports = _watts_reports(graded_sign(), {"functor"})
     [last] = [r for rep in reports for r in rep.results]
     assert last.name == "pipeline-construction" and not last.ok
     assert last.witness == {"error": "MalformedTensor",
-                            "detail": "ξ[I,R] is not well defined"}
+                            "detail": "c[I,R] is not balanced"}
+
+
+@pytest.mark.parametrize("groups, first", [
+    ({"T"}, "R,R"), ({"functor"}, "I,I"), (set(CHECK_GROUPS), "R,R")])
+def test_a_singular_nu_fails_c_under_each_group(monkeypatch, groups, first):
+    # negative control: a ν that balances but is the zero map gives a c
+    # that descends and is singular; each group reports the first such c
+    # as a failed construction, not a bare NotInvertible
+    monkeypatch.setattr(WattsContext, "nu", lambda self, X: zero_map(
+        self.ombar(X).space, self.omega(X).space))
+    last = _watts_reports(graded_sign(), groups)[-1].results[-1]
+    assert last.name == "pipeline-construction" and not last.ok
+    assert last.witness == {"error": "MalformedTensor",
+                            "detail": f"c[{first}] is not invertible"}
 
 
 @pytest.mark.parametrize("build", [strict_f3_z2, dual_numbers_f2])
