@@ -20,18 +20,19 @@ module ``R``, the name every bundled sample gives it.
 Every product here is a balancing cokernel, so the one cache is a table
 of them: ``cokernel``, the one caller of ``balanced_tensor``, keeps each
 cell in the dict ``cells`` its caller owns, keyed by its arguments, so
-by content, and ``tensor_over`` keeps there, under its own arguments,
-that cell with the module it carries; with ``intern`` (below) they are
-the only code that touches a table.  ``hom_basis`` and the products
-built on ``tensor_over`` take that table as a required argument and
-memoize nothing.  Every tensor of
-``watts`` has a table, the caller's, its own or, for a transported
-tensor, its source tensor's, and keeps in it too, under its functor
-key, the caches that depend only on its rule on objects and morphisms,
-while those that depend on the associator stay on the tensor.  The
-table holds modules, spaces, maps, cells and dicts of them, never a
-tensor or a context; ``monocat report`` keeps one for all its
-fixtures, and nothing is cached process-wide.
+by content; with ``intern`` (below) it is the only code that touches a
+table.  ``hom_basis`` and the products built on ``tensor_over`` take
+that table as a required argument and memoize nothing: ``tensor_over``
+builds a cell with the module it carries and keeps nothing under its
+own arguments, so each product has one store, the product cache of the
+tensor that asks for it.  Every tensor of ``watts`` has a table, the
+caller's, its own or, for a transported tensor, its source tensor's,
+and keeps in it too, under its functor key, the caches that depend only
+on its rule on objects and morphisms, while those that depend on the
+associator stay on the tensor.  The table holds modules, spaces, maps,
+cells and dicts of them, never a tensor or a context; ``monocat
+report`` keeps one for all its fixtures, and nothing is cached
+process-wide.
 
 A cache keyed by content still compares a key it did not store by
 content, entry by entry; ``intern`` makes equal content one object per
@@ -43,11 +44,9 @@ tensor and of a Watts context, the identities ``ct.ident``, the shared
 tensor and of ``tensor_over``, which checks its module only when the
 content is new, and the hom-sample maps the checks read (each keeps its
 own object unless the table's has the same source and target).  An
-interned product module keeps the name it was first built under; the
-cell that carries it holds the name its caller asked for
-(``TensorCell.name``).  An α that depends on the instance (a graded
-tensor's, a context's α′) is not interned, and goes with its tensor by
-refcount.
+interned product module keeps the name it was first built under.  An α
+that depends on the instance (a graded tensor's, a context's α′) is not
+interned, and goes with its tensor by refcount.
 """
 
 from __future__ import annotations
@@ -301,16 +300,12 @@ def hom_basis(X, Y, cells: dict):
 @dataclass(frozen=True)
 class TensorCell:
     """A balanced tensor product presented as an explicit quotient, with
-    the module or bimodule it carries (None for a bare ``balanced_tensor``)
-    and the name its caller asked for, which takes no part in equality:
-    the module is one object per content on its table, and keeps the name
-    it was first built under."""
+    the module or bimodule it carries (None for a bare ``balanced_tensor``)."""
 
     space: VectorSpace
     proj: LinearMap     # ambient X ⊗_K Y -> space
     section: LinearMap  # space -> ambient, proj ∘ section = id
     module: object = None  # Module | Bimodule | None
-    name: str = dataclasses.field(default=None, compare=False)
 
 
 def balanced_tensor(Xspace: VectorSpace, right_mats: Sequence[LinearMap],
@@ -384,36 +379,30 @@ def tensor_over(X, i: int, Y, j: int, name: str, cells: dict) -> TensorCell:
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
-    a Bimodule, the ``module`` of the balanced cell ``cokernel`` finds in
-    ``cells``.  The table keeps that cell under ("tensor_over", X, i, Y,
-    j), its module interned, and checked only when its content is new;
-    the cell returned carries ``name``."""
+    a Bimodule, named ``name`` and checked only when its content is new
+    on the table ``cells``, where ``cokernel`` finds the balanced cell and
+    ``intern`` the module.  The cell is built, not kept: its caller's
+    product cache is its one store."""
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
-    key = ("tensor_over", X, i, Y, j)
-    built = cells.get(key)
-    if built is None:
-        cell = cokernel(cells, X.space, X.families[i][1], Y.space,
-                        Y.families[j][1])
-        idX, idY = identity(X.space), identity(Y.space)
-        families = [
-            (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))
-            for k, (side, mats) in enumerate(X.families) if k != i] + [
-            (side, tuple(tensor_maps(cell, cell, idX, b) for b in mats))
-            for k, (side, mats) in enumerate(Y.families) if k != j]
-        if len(families) == 1:
-            (side, action), = families
-            result = Module(name, X.algebra, cell.space, side, action)
-        else:
-            (_, left), (_, right) = families
-            result = Bimodule(name, X.algebra, cell.space, left, right)
-        if result not in cells.get("interned", ()):
-            result.check()
-        built = cells[key] = TensorCell(cell.space, cell.proj, cell.section,
-                                        intern(cells, result), name)
-    if built.name == name:
-        return built
-    return dataclasses.replace(built, name=name)
+    cell = cokernel(cells, X.space, X.families[i][1], Y.space,
+                    Y.families[j][1])
+    idX, idY = identity(X.space), identity(Y.space)
+    families = [
+        (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))
+        for k, (side, mats) in enumerate(X.families) if k != i] + [
+        (side, tuple(tensor_maps(cell, cell, idX, b) for b in mats))
+        for k, (side, mats) in enumerate(Y.families) if k != j]
+    if len(families) == 1:
+        (side, action), = families
+        result = Module(name, X.algebra, cell.space, side, action)
+    else:
+        (_, left), (_, right) = families
+        result = Bimodule(name, X.algebra, cell.space, left, right)
+    if result not in cells.get("interned", ()):
+        result.check()
+    return TensorCell(cell.space, cell.proj, cell.section,
+                      intern(cells, result))
 
 
 def bimodule_tensor(M: Bimodule, N: Bimodule, cells: dict) -> TensorCell:

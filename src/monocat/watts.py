@@ -19,19 +19,19 @@ map of every pair, see ``_hom_samples``).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
 as in every bundled sample, and one object on a table: the loader, the
 strict tensor and a context intern it (``algmod.intern``).  A module is
-its content (``algmod``), so
-every cache, keyed by modules, builds each product, cell and map once per
-content, and a hit returns the object built under the first name seen:
-``product(X2, R).name`` reads ``D(X,R)`` on a WattsContext when X2 is X
-renamed and D(X,R) was built first, and a product module, interned, is
-the first module of its content on the table, whatever the cell's name
-(``TensorCell.name``).  Check names and witnesses
-are formed from the sample and the loop variables, never from cached
-objects, so reports name the caller's modules; an exception raised
-inside a cached construction can still carry the first name.  Almost
-every check whiskers a map with an identity, f⊙id_Z, so a table keeps
-one identity map per content (``CustomTensor.ident``), and interns the
-other objects that key the caches: the ``mor`` key is then found by
+its content (``algmod``), so every cache, keyed by modules, builds each
+product, cell and map once per content, and a hit returns the object
+built under the first name seen: on a WattsContext, ``product(X2, R)``
+with X2 X renamed is the D(X,R) cell built first, and a product module,
+interned, is the first module of its content on the table.  Each product
+cell has one store, its tensor's ``product`` cache (``_ombar`` for
+X⊗₂T): ``algmod.tensor_over`` builds it and keeps nothing.  Check names
+and witnesses are formed from the sample and the loop variables, never
+from cached objects, so reports name the caller's modules; an exception
+raised inside a cached construction can still carry the first name.
+Almost every check whiskers a map with an identity, f⊙id_Z, so a table
+keeps one identity map per content (``CustomTensor.ident``), and interns
+the other objects that key the caches: the ``mor`` key is then found by
 pointer and hashed once, where a fresh equal object would be hashed
 over its whole table and compared by content on every hit.  The
 work of a run follows the content of its sample: two modules of one
@@ -476,11 +476,10 @@ class GradedTensor(CustomTensor):
     def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
         action = (identity(space), tensor(X.action[1], Y.action[1]))
-        name = f"({X.name}⊙{Y.name})"
-        mod = intern(self.cells,
-                     Module(name, self.algebra, space, "right", action))
+        mod = intern(self.cells, Module(f"({X.name}⊙{Y.name})",
+                                        self.algebra, space, "right", action))
         one = identity(mod.space)
-        return TensorCell(mod.space, one, one, mod, name)
+        return TensorCell(mod.space, one, one, mod)
 
     @_memo("_parities")
     def _parity(self, X: Module) -> tuple:
@@ -753,8 +752,8 @@ class WattsContext(CustomTensor):
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
     the object named after the first modules seen; D(X,Y) and X⊗₂T are
-    ``tensor_over`` cells, whose modules are interned on the table and
-    whose ``name`` is the one asked for.  T, D, ω, ν, c, the
+    ``tensor_over`` cells, whose modules are interned on the table, and
+    ``product`` and ``ombar`` are their one stores.  T, D, ω, ν, c, the
     transported ``mor`` and c⁻¹, kept in the cache of ``inverse`` keyed
     by the map, are fixed by ⊙ on objects and morphisms (Watts 1960), so
     their caches are shared through the source tensor's table

@@ -17,6 +17,7 @@ from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
                             is_identity, make_map, rank, serialize_raw,
                             solve_iso, tensor, zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
+from monocat.watts import StrictTensor
 
 from helpers import group_algebra, labelled_space, truncated_polynomial
 
@@ -128,9 +129,10 @@ class TestTensorOverR:
 
     def test_builds_once_and_checks_once_per_content(self, dual_numbers,
                                                     monkeypatch):
-        # the table keeps each product under its inputs: a content-equal
-        # call builds nothing; other inputs with a product of the same
-        # content build it but share its module, checked once
+        # tensor_over keeps no cell: every call builds its actions, and
+        # products of one content share one module, checked once; the
+        # product cache is the one store, so there a content-equal call
+        # builds nothing
         built, checked = [], []
         build, check = algmod.tensor_maps, algmod.check_actions
         monkeypatch.setattr(algmod, "tensor_maps",
@@ -143,14 +145,20 @@ class TestTensorOverR:
         assert built and checked == ["(R⊗R/x)"]
         n = len(built)
         again = module_tensor_commutative(replace(R, name="R2"), C, cells)
-        assert len(built) == n and checked == ["(R⊗R/x)"]
+        assert len(built) == 2 * n and checked == ["(R⊗R/x)"]
         assert again.module is first.module and again == first
-        assert (first.name, again.name) == ("(R⊗R/x)", "(R2⊗R/x)")
         R_left = Module("Rl", dual_numbers, R.space, "left", R.action)
         other = module_tensor_commutative(R_left, C, cells)
-        assert len(built) > n and checked == ["(R⊗R/x)"]
-        assert other.module is first.module and other.name == "(Rl⊗R/x)"
+        assert checked == ["(R⊗R/x)"] and other.module is first.module
         assert first.module.name == "(R⊗R/x)"
+        assert [key[0] for key in cells if key != "interned"] == [
+            "balanced_tensor"]
+
+        ct = StrictTensor(dual_numbers)
+        product = ct.product(ct.unit, C)
+        n = len(built)
+        assert ct.product(replace(ct.unit, name="R2"), C) is product
+        assert len(built) == n
 
     def test_group_algebra_regular_square(self, z2_group_algebra):
         R = Bimodule.regular(z2_group_algebra)

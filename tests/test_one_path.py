@@ -125,6 +125,27 @@ def test_xi_is_built_from_c_with_one_tensor_maps():
     assert "mu" not in context and "collapse" not in context
 
 
+def _table_writes(node) -> int:
+    """Assignments to ``cells[...]`` under ``node``."""
+    return sum(isinstance(sub, ast.Subscript)
+               and isinstance(sub.ctx, ast.Store)
+               and getattr(sub.value, "id", None) == "cells"
+               for sub in ast.walk(node))
+
+
+def test_tensor_over_builds_and_keeps_nothing():
+    # each product has one store, the product cache of the tensor that
+    # asks for it: tensor_over finds its cokernel and interns its module
+    # on the table, and writes nothing there under its own key
+    tree = ast.parse((SRC / "algmod.py").read_text(encoding="utf-8"))
+    tensor_over = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "tensor_over")
+    assert _table_writes(tensor_over) == 0
+    assert _calls(tensor_over, "cokernel") == 1
+    assert _calls(tensor_over, "intern") == 1
+
+
 def test_the_walk_finds_callers_and_optional_tables():
     tree = ast.parse("def cokernel(cells):\n    return balanced_tensor()\n"
                      "class T:\n    def f(self, cells=None):\n"
@@ -135,3 +156,6 @@ def test_the_walk_finds_callers_and_optional_tables():
     assert _none_table_branches(tree) == [4, 5]
     calls = ast.parse("self.mor(f)\nct.mor(g)\nmor(h)\n")
     assert _calls(calls, "mor") == 3 and _calls(calls, "mor", on="ct") == 1
+    writes = ast.parse("cells[k] = v\ncells[k]\nx = cells.get(k)\n"
+                       "other[k] = v\n")
+    assert _table_writes(writes) == 1
