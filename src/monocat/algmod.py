@@ -31,8 +31,9 @@ and keeps in it too, under its functor key, the caches that depend only
 on its rule on objects and morphisms, while those that depend on the
 associator stay on the tensor.  The table holds modules, spaces, maps,
 cells and dicts of them, never a tensor or a context; ``monocat
-report`` keeps one for all its fixtures, and nothing is cached
-process-wide.
+report`` keeps one for all its fixtures.  The one process-wide store is
+``linalg``'s: each F_p's p boxed scalars, kept for the life of the
+process.
 
 A cache keyed by content still compares a key it did not store by
 content, entry by entry; ``intern`` makes equal content one object per

@@ -88,12 +88,21 @@ def watts_fixture_from_json(data: dict,
         if byname.get("R", regular) is not regular:
             raise FixtureError(
                 f"{name}: the sample module R is not the regular module")
+
+        def member(what: str, key) -> Module:
+            """The sample module named ``key``, given by the field
+            ``what``; FixtureError naming the field when there is none."""
+            if not isinstance(key, str) or key not in byname:
+                raise FixtureError(
+                    f"{name}: {what}: no sample module named {key!r}")
+            return byname[key]
+
         tensor = data["tensor"]
         kind = tensor["kind"]
         if kind == "strict":
             ct: CustomTensor = StrictTensor(algebra, cells=cells)
         elif kind == "graded-z2":
-            unit = byname[tensor["unit"]]
+            unit = member("tensor.unit", tensor["unit"])
             # deliberately no cocycle-condition rejection here: a twisted
             # non-cocycle must still load so the pentagon checks can
             # produce concrete witnesses for it
@@ -111,8 +120,9 @@ def watts_fixture_from_json(data: dict,
             raise FixtureError(f"{name}: unknown tensor kind {kind!r}")
 
         sequences = []
-        for s in data.get("sequences", ()):
-            a, b, c = (byname[n] for n in s["spaces"])
+        for i, s in enumerate(data.get("sequences", ())):
+            a, b, c = (member(f"sequences[{i}].spaces", n)
+                       for n in s["spaces"])
             seq = ExactSequence(
                 s["name"], s["exactness"],
                 ModuleMap(a, b, make_map(a.space, b.space, s["f"])),
@@ -121,8 +131,9 @@ def watts_fixture_from_json(data: dict,
             sequences.append(seq)
 
         rigidity = []
-        for r in data.get("rigidity", ()):
-            X, Xd = byname[r["object"]], byname[r["dual"]]
+        for i, r in enumerate(data.get("rigidity", ())):
+            X, Xd = (member(f"rigidity[{i}].{key}", r[key])
+                     for key in ("object", "dual"))
             pair_dx = ct.product(Xd, X).module
             pair_xd = ct.product(X, Xd).module
             rigidity.append(RigidityDatum(

@@ -301,11 +301,6 @@ def end_dimension(fd: FusionData, X: ObjectExpr) -> int:
     return direct
 
 
-def growth_bound(fd: FusionData, X: ObjectExpr) -> int:
-    """Max row/column K-dimension sum of the embedding matrix of X."""
-    return _growth(embed_object(fd, X))
-
-
 def _growth(V: BlockMatrix) -> int:
     """Max row/column sum of the embedding matrix V; ZeroObject when V is
     zero."""

@@ -16,7 +16,7 @@ wrong shape is rejected there.
 
 Raw entries are the only scalars the library computes with.  The exact
 kernel (``compose``, ``compose_tensor``, ``tensor``,
-``linear_combination``, which map addition uses, ``_rref``, ``kernel``,
+``linear_combination``, ``_rref``, ``kernel``,
 ``solve_iso`` and ``quotient_by_raw_rows``) computes on raw rows, skips
 zero operand entries, reduces each output entry once and builds its result
 with ``LinearMap.from_rows``, which checks nothing.  It never builds a
@@ -134,6 +134,8 @@ class Field:
     char: int = 0
 
     def __post_init__(self):
+        if isinstance(self.char, bool) or not isinstance(self.char, int):
+            raise ValueError(f"char: expected an integer, got {self.char!r}")
         if self.char != 0 and self.char not in _SMALL_PRIMES:
             raise ValueError(f"unsupported characteristic {self.char}")
         table = None
@@ -342,20 +344,6 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.rows)
-
-    def _check_shape(self, other: "LinearMap"):
-        if other.source != self.source or other.target != self.target:
-            raise ValueError("shape mismatch in map addition")
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        self._check_shape(other)
-        return linear_combination(self.source, self.target,
-                                  ((1, self), (1, other)))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        self._check_shape(other)
-        return linear_combination(self.source, self.target,
-                                  ((1, self), (-1, other)))
 
 
 # the slots' own setters: the fastest way past the immutable __setattr__

@@ -763,7 +763,15 @@ class WattsContext(CustomTensor):
     built from α with c at their endpoints, depend on α and stay on the
     instance.  Every cokernel, the hom bases the checks read included, is
     kept in the same table (``algmod``), so the axioms of ``ct`` and the
-    embedding of its context build each once."""
+    embedding of its context build each once.
+
+    ν, c, c⁻¹ and α′ are ModuleMaps between the modules the context
+    caches: ν_X: X⊗₂T -> ω(X) from the ``ombar`` module, c_{X,Y}: D(X,Y)
+    -> X⊙Y between the ``product`` modules, ``inverse(m)``: m.target ->
+    m.source, and α′ from its first c's source to its last c⁻¹'s target.
+    So ``associator`` caches α′ as built, ⊙'s ``mor`` takes c and c⁻¹ as
+    they are, and λ′, ρ′ read D(I,X), D(X,I) off c; no caller looks a
+    module up to wrap one of them."""
 
     _shared = CustomTensor._shared + ("_omega", "_ombar", "_nu", "_c",
                                       "_inv")
@@ -811,22 +819,23 @@ class WattsContext(CustomTensor):
         return ModuleMap(self.R, X, _orbit(X.action, a, self.R.space))
 
     @_memo("_nu")
-    def nu(self, X: Module) -> LinearMap:
-        """X⊗₂T -> R⊙X, x⊗t ↦ (id_R ⊙ x̂)(t)."""
-        cell = self.ombar(X)
+    def nu(self, X: Module) -> ModuleMap:
+        """ν_X: X⊗₂T -> ω(X), x⊗t ↦ (id_R ⊙ x̂)(t), a map of bimodules."""
+        cell, omega = self.ombar(X), self.omega(X)
         idR = self.ct.ident(self.R)
         blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
                   for a in range(X.dim)]
         try:
-            return _collapse(cell, blocks, self.omega(X).space)
+            return ModuleMap(cell.module, omega,
+                             _collapse(cell, blocks, omega.space))
         except LinAlgError as exc:
             raise MalformedTensor(f"ν[{X.name}] is not balanced") from exc
 
     @_memo("_inv")
-    def inverse(self, m: LinearMap) -> LinearMap:
-        """m⁻¹, the cache of c⁻¹: m is a map the context caches, so its
-        key is found by pointer."""
-        return solve_iso(m)
+    def inverse(self, m: ModuleMap) -> ModuleMap:
+        """m⁻¹: m.target -> m.source, the cache of c⁻¹: m is a map the
+        context caches, so its key is found by pointer."""
+        return ModuleMap(m.target, m.source, solve_iso(m.lin))
 
     # -- the transported product D(X,Y) = X⊗₁(Y⊗₂T) -------------------------
 
@@ -859,14 +868,15 @@ class WattsContext(CustomTensor):
         return _collapse(cell, blocks, self.ct.product(X, Y).module.space)
 
     @_memo("_c")
-    def c_iso(self, X: Module, Y: Module) -> LinearMap:
+    def c_iso(self, X: Module, Y: Module) -> ModuleMap:
         """c_{X,Y}: D(X,Y) -> X⊙Y, x⊗w ↦ (x̂ ⊙ id_Y)(ν_Y(w)), natural in X
         and Y (Watts 1960), and its inverse, whose failure is a colimit
         failure: MalformedTensor for a ν that does not balance or is
         singular."""
-        cell, nu = self.product(X, Y), self.nu(Y)
+        cell = self.product(X, Y)
         try:
-            c = self._hat_collapse(cell, X, Y, nu)
+            c = ModuleMap(cell.module, self.ct.product(X, Y).module,
+                          self._hat_collapse(cell, X, Y, self.nu(Y).lin))
             self.inverse(c)
         except NotInvertible as exc:
             raise MalformedTensor(
@@ -876,38 +886,36 @@ class WattsContext(CustomTensor):
                 f"c[{X.name},{Y.name}] is not balanced") from exc
         return c
 
-    def alpha_prime(self, X: Module, Y: Module, Z: Module) -> LinearMap:
+    def alpha_prime(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
         """Build α′: D(D(X,Y),Z) -> D(X,D(Y,Z)) as c_{D(X,Y),Z},
         c_{X,Y} ⊙ id_Z, α, id_X ⊙ c_{Y,Z}⁻¹, c_{X,D(Y,Z)}⁻¹ (diagram
         order): by naturality of c, α transported through D(X⊙Y,Z) and
         D(X,Y⊙Z) without building them; ``associator`` caches it."""
         ct = self.ct
-        DXY, DYZ = self.product(X, Y).module, self.product(Y, Z).module
-        c_xy = ModuleMap(DXY, ct.product(X, Y).module, self.c_iso(X, Y))
-        c_yz_inv = ModuleMap(ct.product(Y, Z).module, DYZ,
-                             self.inverse(self.c_iso(Y, Z)))
-        return compose_all(
-            self.c_iso(DXY, Z),
+        c_xy, c_yz_inv = self.c_iso(X, Y), self.inverse(self.c_iso(Y, Z))
+        first = self.c_iso(c_xy.source, Z)
+        last = self.inverse(self.c_iso(X, c_yz_inv.target))
+        return ModuleMap(first.source, last.target, compose_all(
+            first.lin,
             ct.mor(c_xy, ct.ident(Z)).lin,
             ct.associator(X, Y, Z).lin,
             ct.mor(ct.ident(X), c_yz_inv).lin,
-            self.inverse(self.c_iso(X, DYZ)))
+            last.lin))
 
     def _associator(self, X, Y, Z):
-        D = self.product
-        return ModuleMap(D(D(X, Y).module, Z).module,
-                         D(X, D(Y, Z).module).module,
-                         self.alpha_prime(X, Y, Z))
+        return self.alpha_prime(X, Y, Z)
 
     def left_unit(self, X):
         """λ′_X = λ_X ∘ c_{I,X}: D(I,X) -> X."""
-        return ModuleMap(self.product(self.unit, X).module, X, compose(
-            self.ct.left_unit(X).lin, self.c_iso(self.unit, X)))
+        c = self.c_iso(self.unit, X)
+        return ModuleMap(c.source, X,
+                         compose(self.ct.left_unit(X).lin, c.lin))
 
     def right_unit(self, X):
         """ρ′_X = ρ_X ∘ c_{X,I}: D(X,I) -> X."""
-        return ModuleMap(self.product(X, self.unit).module, X, compose(
-            self.ct.right_unit(X).lin, self.c_iso(X, self.unit)))
+        c = self.c_iso(X, self.unit)
+        return ModuleMap(c.source, X,
+                         compose(self.ct.right_unit(X).lin, c.lin))
 
 
 def check_T_coherence(wc: WattsContext) -> CoherenceReport:
@@ -1020,7 +1028,10 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 
 class OmegaFunctor:
     """ω together with ξ and η over a WattsContext.  ξ is built from α,
-    so it is cached once per functor and freed with it, never shared."""
+    so it is cached once per functor and freed with it, never shared.
+    ξ, η and ω(f) (``WattsContext.omega_map``) are LinearMaps, not
+    ModuleMaps: their modules would include bimodules ω(D(D(X,Y),Z))
+    that no check builds, and the checks compose them as matrices."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
@@ -1044,10 +1055,8 @@ class OmegaFunctor:
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
-        c_inv = ModuleMap(ct.product(X, Y).module, wc.product(X, Y).module,
-                          wc.inverse(wc.c_iso(X, Y)))
         return compose_all(kappa, ct.associator(R, X, Y).lin,
-                           ct.mor(ct.ident(R), c_inv).lin)
+                           ct.mor(ct.ident(R), wc.inverse(wc.c_iso(X, Y))).lin)
 
 
 def verify_monoidal_functor(wc: WattsContext,

@@ -126,7 +126,7 @@ def test_criterion_05_twisted_graded_fixture():
         assert rep.ok, rep.failures
     R = fx.module("R")
     a = wc.alpha_prime(R, R, R)
-    assert a.matrix != identity(a.source).matrix
+    assert a.lin.matrix != identity(a.source.space).matrix
     # every single-sign flip that breaks the coherence data must produce a
     # pentagon failure with a concrete witness; the indicator of (1,1,1)
     # is itself a cocycle, so that flip lands on the untwisted bundled

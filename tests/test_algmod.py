@@ -14,8 +14,9 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             tensor_maps)
 from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
-                            is_identity, make_map, rank, serialize_raw,
-                            solve_iso, tensor, zero_map)
+                            is_identity, linear_combination, make_map, rank,
+                            serialize_raw, solve_iso, tensor, tensor_space,
+                            zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
 from monocat.watts import StrictTensor
 
@@ -392,7 +393,9 @@ def _balancing_relations(X, Y):
     """(x·r)⊗y − x⊗(r·y) as ambient maps, one per algebra basis element;
     Y's right action is a left one, as the algebra is commutative."""
     idX, idY = identity(X.space), identity(Y.space)
-    return [tensor(A, idY) - tensor(idX, L)
+    ambient = tensor_space(X.space, Y.space)
+    return [linear_combination(ambient, ambient,
+                               ((1, tensor(A, idY)), (-1, tensor(idX, L))))
             for A, L in zip(X.action, Y.action)]
 
 

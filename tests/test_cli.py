@@ -9,6 +9,7 @@ import pytest
 
 import monocat.algmod as algmod
 import monocat.linalg as linalg
+import monocat.watts as watts
 from monocat.cli import main
 from monocat.fixtures import bundled_watts_fixtures, strict_f3_z2
 from monocat.watts import MalformedTensor, check_monoidal_axioms
@@ -129,6 +130,21 @@ def test_report_transports_at_the_endpoints(capsys, monkeypatch):
     assert len(calls) <= 90
 
 
+def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
+    # a guard on the transported maps: ν, c, c⁻¹ and α′ carry their
+    # modules, so no caller looks a product up to wrap them again, and
+    # ``report --seed 7`` makes 5,877 product calls (6,746 with the lookups)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    product = watts.CustomTensor.product
+    monkeypatch.setattr(watts.CustomTensor, "product",
+                        lambda self, *args: calls.append(1)
+                        or product(self, *args))
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 5900
+
+
 class TestExitCodes:
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["validate", "no-such-fixture"])
@@ -236,7 +252,16 @@ class TestExitCodes:
         ("graded-repeated-triple",
          "graded-sign: the cocycle lists the triple (1, 1, 1) twice"),
         ("graded-zero-value",
-         "cocycle value at (0, 0, 1) must be 1 or -1, got 0")])
+         "cocycle value at (0, 0, 1) must be 1 or -1, got 0"),
+        ("boolean-char", "char: expected an integer, got False"),
+        ("float-char", "char: expected an integer, got 0.0"),
+        ("float-prime-char", "char: expected an integer, got 3.0"),
+        ("graded-unknown-unit",
+         "graded-sign: tensor.unit: no sample module named 'Nope'"),
+        ("unknown-sequence-space",
+         "strict-f3-z2: sequences[1].spaces: no sample module named 'Nope'"),
+        ("graded-unknown-dual",
+         "graded-sign: rigidity[1].dual: no sample module named 'Nope'")])
     def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
                                                        case, fragment):
         source = "graded-sign" if case.startswith("graded") else \
@@ -276,6 +301,18 @@ class TestExitCodes:
         elif case == "graded-zero-value":
             data["tensor"]["cocycle"].remove([0, 0, 1, 1])
             data["tensor"]["cocycle"].append([0, 0, 1, 0])
+        elif case.endswith("-char"):
+            # ℚ would load: the sample without Sm is a valid ℚ[Z/2] sample
+            algebra["char"] = {"boolean-char": False, "float-char": 0.0,
+                               "float-prime-char": 3.0}[case]
+            modules.remove(byname["Sm"])
+            data["sequences"] = []
+        elif case == "graded-unknown-unit":
+            data["tensor"]["unit"] = "Nope"
+        elif case == "unknown-sequence-space":
+            data["sequences"][1]["spaces"][0] = "Nope"
+        elif case == "graded-unknown-dual":
+            data["rigidity"][1]["dual"] = "Nope"
         else:
             modules[1]["dim"] = True
         path = tmp_path / f"{case}.json"

@@ -125,6 +125,19 @@ def test_xi_is_built_from_c_with_one_tensor_maps():
     assert "mu" not in context and "collapse" not in context
 
 
+def test_transported_maps_are_taken_as_they_are():
+    # ν, c, c⁻¹ and α′ carry their modules: α is α′ itself, ξ hands c⁻¹
+    # to ``mor`` unwrapped, and λ′, ρ′ read their source off c
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    context = _methods(tree, "WattsContext")
+    calls = [node.func for node in ast.walk(context["_associator"])
+             if isinstance(node, ast.Call)]
+    assert [getattr(func, "attr", None) for func in calls] == ["alpha_prime"]
+    assert _calls(_methods(tree, "OmegaFunctor")["xi"], "ModuleMap") == 0
+    for unit in ("left_unit", "right_unit"):
+        assert _calls(context[unit], "product") == 0
+
+
 def _table_writes(node) -> int:
     """Assignments to ``cells[...]`` under ``node``."""
     return sum(isinstance(sub, ast.Subscript)

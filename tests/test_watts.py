@@ -203,18 +203,20 @@ class TestTransport:
         for X in (wc_strict.R, ):
             nu = wc_strict.nu(X)
             mu = wc_strict.inverse(nu)
-            assert compose(nu, mu).matrix == identity(nu.target).matrix
+            assert (mu.source, mu.target) == (nu.target, nu.source)
+            assert compose(nu.lin, mu.lin).matrix == \
+                identity(nu.target.space).matrix
 
     def test_twisted_transported_associator_not_identity(self, wc_sign):
         R = wc_sign.R
         a = wc_sign.alpha_prime(R, R, R)
-        assert a.matrix != identity(a.source).matrix
+        assert a.lin.matrix != identity(a.source.space).matrix
 
     def test_c_is_iso(self, wc_strict, fx_strict):
         for X in fx_strict.sample:
             for Y in fx_strict.sample:
                 c = wc_strict.c_iso(X, Y)
-                assert rank(c) == c.source.dim == c.target.dim
+                assert rank(c.lin) == c.source.dim == c.target.dim
 
     def test_transported_structure_is_monoidal(self, wc_strict, fx_strict):
         sample = [fx_strict.module("R"), fx_strict.module("Sm")]
@@ -229,11 +231,10 @@ class TestTransport:
         for X in fx_sign.sample:
             assert wc_sign.product(X, R) == wc_sign.dcell(X, R)
             assert wc_sign.left_unit(X).lin.rows == compose(
-                ct.left_unit(X).lin, wc_sign.c_iso(I, X)).rows
+                ct.left_unit(X).lin, wc_sign.c_iso(I, X).lin).rows
             assert wc_sign.right_unit(X).lin.rows == compose(
-                ct.right_unit(X).lin, wc_sign.c_iso(X, I)).rows
-        assert wc_sign.associator(R, R, R).lin == \
-            wc_sign.alpha_prime(R, R, R)
+                ct.right_unit(X).lin, wc_sign.c_iso(X, I).lin).rows
+        assert wc_sign.associator(R, R, R) == wc_sign.alpha_prime(R, R, R)
 
     @pytest.mark.parametrize("flip", [None, (0, 1, 1)])
     def test_transported_axioms_at_R(self, fx_sign, flip):
@@ -978,7 +979,8 @@ def _reference_c(wc, X, Y):
         tuple(itertools.chain.from_iterable(blk.rows[r] for blk in blocks))
         for r in range(target.dim)))
     theta = descend(cell, ambient)
-    step = tensor_maps(wc.product(X, Y), cell, identity(X.space), wc.nu(Y))
+    step = tensor_maps(wc.product(X, Y), cell, identity(X.space),
+                       wc.nu(Y).lin)
     return compose(theta, step)
 
 
@@ -990,7 +992,7 @@ def test_c_matches_the_theta_route(name):
     wc = WattsContext(fx.ct)
     for X in fx.sample:
         for Y in fx.sample:
-            assert wc.c_iso(X, Y).rows == _reference_c(wc, X, Y).rows
+            assert wc.c_iso(X, Y).lin.rows == _reference_c(wc, X, Y).rows
 
 
 def _reference_u(wc, X):
@@ -1007,13 +1009,13 @@ def _reference_xi(wc, X, Y):
     obX, obY = wc.ombar(X).module, wc.ombar(Y).module
     cell_bar = bim.product(obX, obY)
     m1 = tensor_maps(bim.product(wc.omega(X), wc.omega(Y)), cell_bar,
-                     wc.inverse(wc.nu(X)), wc.inverse(wc.nu(Y)))
+                     wc.inverse(wc.nu(X)).lin, wc.inverse(wc.nu(Y)).lin)
     ddc = wc.product(wc.product(wc.R, X).module, Y)
     m2 = tensor_maps(cell_bar, ddc, solve_iso(_reference_u(wc, X)),
                      identity(obY.space))
     D = wc.product(X, Y).module
     return compose_all(m1, m2, wc.associator(wc.R, X, Y).lin,
-                       _reference_u(wc, D), wc.nu(D))
+                       _reference_u(wc, D), wc.nu(D).lin)
 
 
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
@@ -1024,12 +1026,12 @@ def test_xi_matches_the_five_map_route(name):
     wc = WattsContext(fx.ct)
     om = OmegaFunctor(wc)
     for X in fx.sample:
-        assert wc.c_iso(wc.R, X).rows == \
-            compose(wc.nu(X), _reference_u(wc, X)).rows
+        assert wc.c_iso(wc.R, X).lin.rows == \
+            compose(wc.nu(X).lin, _reference_u(wc, X)).rows
         for Y in fx.sample:
             D = wc.product(X, Y).module
-            assert wc.c_iso(wc.R, D).rows == \
-                compose(wc.nu(D), _reference_u(wc, D)).rows
+            assert wc.c_iso(wc.R, D).lin.rows == \
+                compose(wc.nu(D).lin, _reference_u(wc, D)).rows
             assert om.xi(X, Y).rows == _reference_xi(wc, X, Y).rows
 
 
@@ -1037,14 +1039,12 @@ def _reference_alpha_prime(wc, X, Y, Z):
     """α′ by the transport through D(X⊙Y,Z) and D(X,Y⊙Z): c_{X,Y} ⊙′ id_Z,
     c_{X⊙Y,Z}, α_{X,Y,Z}, c_{X,Y⊙Z}⁻¹ and id_X ⊙′ c_{Y,Z}⁻¹, in diagram
     order, each ⊙′ through the context's own ``mor``."""
-    ct = wc.ct
-    XY, YZ = ct.product(X, Y).module, ct.product(Y, Z).module
-    c_xy = ModuleMap(wc.product(X, Y).module, XY, wc.c_iso(X, Y))
-    c_yz_inv = ModuleMap(YZ, wc.product(Y, Z).module,
-                         solve_iso(wc.c_iso(Y, Z)))
-    return compose_all(wc.mor(c_xy, wc.ident(Z)).lin, wc.c_iso(XY, Z),
-                       ct.associator(X, Y, Z).lin,
-                       solve_iso(wc.c_iso(X, YZ)),
+    c_xy, c_yz = wc.c_iso(X, Y), wc.c_iso(Y, Z)
+    c_yz_inv = ModuleMap(c_yz.target, c_yz.source, solve_iso(c_yz.lin))
+    return compose_all(wc.mor(c_xy, wc.ident(Z)).lin,
+                       wc.c_iso(c_xy.target, Z).lin,
+                       wc.ct.associator(X, Y, Z).lin,
+                       solve_iso(wc.c_iso(X, c_yz.target).lin),
                        wc.mor(wc.ident(X), c_yz_inv).lin)
 
 
@@ -1054,9 +1054,9 @@ def _reference_xi_through_dd(wc, X, Y):
     R = wc.R
     m = tensor_maps(wc.bimodules.product(wc.omega(X), wc.omega(Y)),
                     wc.product(wc.product(R, X).module, Y),
-                    solve_iso(wc.c_iso(R, X)), solve_iso(wc.nu(Y)))
+                    solve_iso(wc.c_iso(R, X).lin), solve_iso(wc.nu(Y).lin))
     return compose_all(m, _reference_alpha_prime(wc, R, X, Y),
-                       wc.c_iso(R, wc.product(X, Y).module))
+                       wc.c_iso(R, wc.product(X, Y).module).lin)
 
 
 @pytest.mark.parametrize(
@@ -1077,8 +1077,39 @@ def test_endpoint_routes_match_the_routes_through_d(name, flip):
     for X, Y in itertools.product(fx.sample, repeat=2):
         assert om.xi(X, Y).rows == _reference_xi_through_dd(wc, X, Y).rows
         for Z in fx.sample:
-            assert wc.alpha_prime(X, Y, Z).rows == \
+            assert wc.alpha_prime(X, Y, Z).lin.rows == \
                 _reference_alpha_prime(wc, X, Y, Z).rows
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_structure_maps_carry_the_cached_modules(name):
+    # ν, c, c⁻¹ and α′ are equivariant maps of the modules the context
+    # caches, the very objects, so no caller looks them up to wrap them
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+
+    def D(X, Y):
+        return wc.product(X, Y).module
+
+    maps = []
+    for X in fx.sample:
+        nu = wc.nu(X)
+        assert nu.source is wc.ombar(X).module and nu.target is wc.omega(X)
+        maps.append(nu)
+        for Y in fx.sample:
+            c = wc.c_iso(X, Y)
+            c_inv = wc.inverse(c)
+            assert c.source is D(X, Y)
+            assert c.target is wc.ct.product(X, Y).module
+            assert c_inv.source is c.target and c_inv.target is c.source
+            maps += [c, c_inv]
+            for Z in fx.sample:
+                a = wc.alpha_prime(X, Y, Z)
+                assert a.source is D(D(X, Y), Z)
+                assert a.target is D(X, D(Y, Z))
+                maps.append(a)
+    assert all(isinstance(m, ModuleMap) and m.is_equivariant()
+               for m in maps)
 
 
 def _swap_nu(monkeypatch):
@@ -1087,8 +1118,9 @@ def _swap_nu(monkeypatch):
 
     def swapped(self, X):
         m = nu(self, X)
-        rows = tuple((row[1], row[0]) + row[2:] for row in m.rows)
-        return LinearMap.from_rows(m.source, m.target, rows)
+        rows = tuple((row[1], row[0]) + row[2:] for row in m.lin.rows)
+        return ModuleMap(m.source, m.target, LinearMap.from_rows(
+            m.lin.source, m.lin.target, rows))
 
     monkeypatch.setattr(WattsContext, "nu", swapped)
 
@@ -1127,8 +1159,9 @@ def test_a_singular_nu_fails_c_under_each_group(monkeypatch, groups, first):
     # negative control: a ν that balances but is the zero map gives a c
     # that descends and is singular; each group reports the first such c
     # as a failed construction, not a bare NotInvertible
-    monkeypatch.setattr(WattsContext, "nu", lambda self, X: zero_map(
-        self.ombar(X).space, self.omega(X).space))
+    monkeypatch.setattr(WattsContext, "nu", lambda self, X: ModuleMap(
+        self.ombar(X).module, self.omega(X),
+        zero_map(self.ombar(X).space, self.omega(X).space)))
     last = _watts_reports(graded_sign(), groups)[-1].results[-1]
     assert last.name == "pipeline-construction" and not last.ok
     assert last.witness == {"error": "MalformedTensor",
