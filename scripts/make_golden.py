@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the golden CLI outputs under tests/golden/, always from the
-bundled fixtures: MONOCAT_FIXTURES is ignored.  One golden pins a failing
-run (exit 1) on a fixture derived from a bundled one in a temporary
-directory: graded-sign with ω(0,1,1) negated and module L repeated as L2."""
+bundled fixtures: MONOCAT_FIXTURES is ignored.  One golden, FLIPPED_DUP,
+pins a failing run (exit 1) on a fixture derived from a bundled one in a
+temporary directory: graded-sign with ω(0,1,1) negated and module L
+repeated as L2.  ``tests/test_cli.py`` reads CASES, FLIPPED_DUP and
+``flipped_dup_fixture`` from here, so this file is the one manifest of
+the goldens."""
 
 import contextlib
 import io
@@ -34,6 +37,7 @@ CASES = {
     "report-seed7.json":
         ["--format", "json", "report", "--seed", "7"],
 }
+FLIPPED_DUP = "watts-graded-flipped-dup.json"
 
 
 def run(argv, expected=0):
@@ -45,19 +49,25 @@ def run(argv, expected=0):
     return buf.getvalue()
 
 
-def flipped_dup() -> str:
-    """``watts`` on graded-sign with ω(0,1,1) negated and L repeated as
-    L2, read by its relative path from a temporary directory."""
+def flipped_dup_fixture() -> dict:
+    """graded-sign with ω(0,1,1) negated and L repeated as L2: a sample
+    holding two modules of one content, and failing checks."""
     data = json.loads((FIXTURES / "graded-sign.json").read_text())
     for triple in data["tensor"]["cocycle"]:
         if triple[:3] == [0, 1, 1]:
             triple[3] = -triple[3]
     L = next(m for m in data["modules"] if m["name"] == "L")
     data["modules"].append(dict(L, name="L2"))
+    return data
+
+
+def flipped_dup() -> str:
+    """``watts`` on ``flipped_dup_fixture()``, read by its relative path
+    from a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "graded-flipped-dup.json").write_text(
-            json.dumps(data), encoding="utf-8")
+            json.dumps(flipped_dup_fixture()), encoding="utf-8")
         os.chdir(tmp)
         try:
             return run(["--format", "json", "watts",
@@ -73,7 +83,7 @@ def main_():
         path = OUT / name
         path.write_text(run(argv), encoding="utf-8")
         print(f"wrote {path}")
-    path = OUT / "watts-graded-flipped-dup.json"
+    path = OUT / FLIPPED_DUP
     path.write_text(flipped_dup(), encoding="utf-8")
     print(f"wrote {path}")
 

@@ -21,11 +21,15 @@ Every product here is a balancing cokernel, so the one cache is a table
 of them: ``cokernel``, the one caller of ``balanced_tensor``, keeps each
 cell in the dict ``cells`` its caller owns, keyed by its arguments, so
 by content; with ``intern`` (below) it is the only code that touches a
-table.  ``hom_basis`` and the products built on ``tensor_over`` take
-that table as a required argument and memoize nothing: ``tensor_over``
-builds a cell with the module it carries and keeps nothing under its
-own arguments, so each product has one store, the product cache of the
-tensor that asks for it.  Every tensor of ``watts`` has a table, the
+table.  Its two readers are ``hom_basis`` and ``tensor_over``, the one
+builder of a balanced product with the module it carries (X⊗_R Y of
+bimodules or over a commutative R, and in ``watts`` X⊗₂T, D(X,Y) and
+the M⊗_R P of a natural family).  Both take that table as a required
+argument and memoize nothing: ``tensor_over`` builds a cell with the
+module it carries and keeps nothing under its own arguments, so each
+product has one store, the product cache of the tensor that asks for
+it (for a natural family, the dict of cells its function keeps while
+it runs).  Every tensor of ``watts`` has a table, the
 caller's, its own or, for a transported tensor, its source tensor's,
 and keeps in it too, under its functor key, the caches that depend only
 on its rule on objects and morphisms, while those that depend on the
@@ -58,7 +62,7 @@ from typing import Sequence
 
 from .linalg import (Field, LinearMap, VectorSpace, _string, cached_hash,
                      compose, compose_tensor, identity, LinAlgError,
-                     linear_combination, make_map, quotient_by_raw_rows,
+                     linear_combination, quotient_by_raw_rows,
                      serialize_raw, tensor_space, transpose)
 
 
@@ -208,10 +212,6 @@ class Bimodule:
     right: tuple  # tuple[LinearMap, ...]
 
     __hash__ = cached_hash
-
-    @property
-    def field(self) -> Field:
-        return self.space.field
 
     @property
     def dim(self) -> int:
@@ -459,7 +459,7 @@ def algebra_from_json(data: dict) -> Algebra:
 def module_from_json(algebra: Algebra, data: dict) -> Module:
     name = _string(data["name"], "module name")
     space = _basis_space(algebra.field, data)
-    action = tuple(make_map(space, space, rows) for rows in data["action"])
+    action = tuple(LinearMap(space, space, rows) for rows in data["action"])
     mod = Module(name, algebra, space, data["side"], action)
     mod.check()
     return mod

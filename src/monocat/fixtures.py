@@ -5,7 +5,11 @@ verification pipeline runs on: sample modules, exact sequences for the
 exactness/flatness probes, and duality data for the snake checks.  Fusion
 fixtures are plain fusion-ring data files; both kinds share one loader
 keyed on the top-level "kind" field.  The bundled fixtures are the JSON
-files under ``fixtures/``; a new fixture is a new file there.
+files under ``fixtures/``; a new fixture is a new file there, and
+``load_fixture_file`` reads any of them.  Three named readers of the
+bundled files remain, ``bundled_watts_fixtures``, ``graded_sign`` and
+``dual_numbers_f2``, because the benchmark harness (``perfbench/``)
+imports them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 from .algmod import (Algebra, Module, ModuleMap, StructureError,
                      algebra_from_json, intern, module_from_json)
 from .fusion import FusionData, _count, fusion_from_json
-from .linalg import _string, make_map
+from .linalg import LinearMap, _string
 from .watts import (CustomTensor, ExactSequence, GradedTensor, StrictTensor,
                     WattsError)
 
@@ -54,12 +58,6 @@ class WattsFixture:
     def algebra(self) -> Algebra:
         return self.ct.algebra
 
-    def module(self, name: str) -> Module:
-        for m in self.sample:
-            if m.name == name:
-                return m
-        raise FixtureError(f"{self.name}: no sample module named {name!r}")
-
 
 def watts_fixture_from_json(data: dict,
                             cells: Optional[dict] = None) -> WattsFixture:
@@ -80,11 +78,8 @@ def watts_fixture_from_json(data: dict,
                        for m in data.get("modules", ()))
         if not sample:
             raise FixtureError(f"{name}: the sample lists no modules")
+        _no_repeats(name, "sample module", [m.name for m in sample])
         byname = {m.name: m for m in sample}
-        names = [m.name for m in sample]
-        if len(byname) != len(names):
-            twice = sorted({n for n in names if names.count(n) > 1})
-            raise FixtureError(f"{name}: sample module names repeat: {twice}")
         if byname.get("R", regular) is not regular:
             raise FixtureError(
                 f"{name}: the sample module R is not the regular module")
@@ -124,11 +119,12 @@ def watts_fixture_from_json(data: dict,
             a, b, c = (member(f"sequences[{i}].spaces", n)
                        for n in s["spaces"])
             seq = ExactSequence(
-                s["name"], s["exactness"],
-                ModuleMap(a, b, make_map(a.space, b.space, s["f"])),
-                ModuleMap(b, c, make_map(b.space, c.space, s["g"])))
+                _string(s["name"], f"sequences[{i}].name"), s["exactness"],
+                ModuleMap(a, b, LinearMap(a.space, b.space, s["f"])),
+                ModuleMap(b, c, LinearMap(b.space, c.space, s["g"])))
             seq.check()
             sequences.append(seq)
+        _no_repeats(name, "sequence", [seq.name for seq in sequences])
 
         rigidity = []
         for i, r in enumerate(data.get("rigidity", ())):
@@ -139,9 +135,9 @@ def watts_fixture_from_json(data: dict,
             rigidity.append(RigidityDatum(
                 X, Xd,
                 ModuleMap(pair_dx, ct.unit,
-                          make_map(pair_dx.space, ct.unit.space, r["ev"])),
+                          LinearMap(pair_dx.space, ct.unit.space, r["ev"])),
                 ModuleMap(ct.unit, pair_xd,
-                          make_map(ct.unit.space, pair_xd.space, r["db"]))))
+                          LinearMap(ct.unit.space, pair_xd.space, r["db"]))))
         return WattsFixture(name, ct, sample, tuple(sequences),
                             tuple(rigidity))
     except FixtureError:
@@ -149,6 +145,14 @@ def watts_fixture_from_json(data: dict,
     except (KeyError, TypeError, ValueError, StructureError,
             WattsError) as exc:
         raise FixtureError(f"malformed watts fixture: {exc}") from exc
+
+
+def _no_repeats(fixture: str, what: str, names: list) -> None:
+    """FixtureError listing the ``what`` names that occur more than once
+    in ``names``, if any."""
+    twice = sorted({n for n in names if names.count(n) > 1})
+    if twice:
+        raise FixtureError(f"{fixture}: {what} names repeat: {twice}")
 
 
 def _sample_module(cells: dict, module: Module) -> Module:
@@ -227,26 +231,9 @@ def bundled_watts_fixtures() -> Dict[str, WattsFixture]:
             if not p.stem.startswith("fusion-")}
 
 
-def bundled_rings() -> Dict[str, FusionData]:
-    """Trivial, pointed Z/2..Z/6, Fibonacci, Ising and Rep(S3), keyed by
-    the file stem after ``fusion-``."""
-    return {p.stem[len("fusion-"):]: load_fixture_file(p)
-            for p in sorted(BUNDLED.glob("fusion-*.json"))}
-
-
-def strict_f3_z2() -> WattsFixture:
-    """Ordinary tensor over the semisimple group algebra F3[Z/2]."""
-    return load_fixture_file(BUNDLED / "strict-f3-z2.json")
-
-
 def dual_numbers_f2() -> WattsFixture:
     """Ordinary tensor over F2[x]/(x^2); the residue line is not flat."""
     return load_fixture_file(BUNDLED / "dual-numbers-f2.json")
-
-
-def graded_trivial() -> WattsFixture:
-    """Z/2-graded lines over F3, untwisted associator."""
-    return load_fixture_file(BUNDLED / "graded-trivial.json")
 
 
 def graded_sign() -> WattsFixture:

@@ -391,10 +391,6 @@ def _gathered(source: VectorSpace, f: LinearMap, idx) -> LinearMap:
                                _inclusion_rows(cols, f.target.dim), cols)
 
 
-def make_map(source: VectorSpace, target: VectorSpace, rows) -> LinearMap:
-    return LinearMap(source, target, rows)
-
-
 def _identity_table(space: VectorSpace) -> tuple:
     """(rows, cols) of the identity of ``space``, built once and kept on
     it; neither refers back to the space."""

@@ -47,7 +47,7 @@ from itertools import chain, combinations, product
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, bimodule_tensor, check_actions, cokernel,
+                     TensorCell, bimodule_tensor, check_actions,
                      descend, hom_basis, intern, matrix_to_json,
                      module_identity, module_tensor_commutative, tensor_maps,
                      tensor_over)
@@ -962,19 +962,15 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 # ---------------------------------------------------------------------------
 # Natural transformations of −⊗P functors and their generating homs
 
-def tensor_with_bimodule(M: Module, P: Bimodule, cells: dict) -> TensorCell:
-    """M ⊗_R P balancing the right action of M against the left of P,
-    kept in the cell table ``cells``."""
-    return cokernel(cells, M.space, M.action, P.space, P.left)
-
-
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
     """The family M ↦ id_M ⊗ f induced by a bimodule homomorphism, its
-    cells built on one table of its own."""
+    cells M⊗_R P and M⊗_R Q built by ``tensor_over`` on one table of its
+    own."""
     P, Q, cells = f.source, f.target, {}
-    return {M: tensor_maps(tensor_with_bimodule(M, P, cells),
-                           tensor_with_bimodule(M, Q, cells),
-                           identity(M.space), f.lin)
+    cells_p, cells_q = (
+        {M: tensor_over(M, 0, B, 0, f"({M.name}⊗{B.name})", cells)
+         for M in modules} for B in (P, Q))
+    return {M: tensor_maps(cells_p[M], cells_q[M], identity(M.space), f.lin)
             for M in modules}
 
 
@@ -996,8 +992,9 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     if R not in components:
         raise NotNatural("the sample must contain the regular module")
     bim = BimoduleTensor(P.algebra)
-    cells_p = {M: tensor_with_bimodule(M, P, bim.cells) for M in modules}
-    cells_q = {M: tensor_with_bimodule(M, Q, bim.cells) for M in modules}
+    cells_p, cells_q = (
+        {M: tensor_over(M, 0, B, 0, f"({M.name}⊗{B.name})", bim.cells)
+         for M in modules} for B in (P, Q))
     for M in modules:
         for N in modules:
             for lin in hom_basis(M, N, bim.cells):

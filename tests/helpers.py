@@ -1,7 +1,9 @@
-"""Small algebras and labelled spaces the tests build by hand; the
-library reads algebras only from fixture JSON."""
+"""Small algebras and labelled spaces the tests build by hand (the
+library reads algebras only from fixture JSON), and the bundled fixture
+files, each read by ``load_fixture_file``."""
 
 from monocat.algmod import Algebra
+from monocat.fixtures import BUNDLED, load_fixture_file
 from monocat.linalg import Field, VectorSpace
 
 
@@ -23,3 +25,21 @@ def truncated_polynomial(field: Field) -> Algebra:
     space = VectorSpace(field, ("1", "x"))
     mult = (((1, 0), (0, 1)), ((0, 1), (0, 0)))
     return Algebra("K[x]/(x²)", space, mult, (1, 0))
+
+
+def bundled(stem: str):
+    """The bundled fixture file ``stem``.json, read by
+    ``load_fixture_file``."""
+    return load_fixture_file(BUNDLED / f"{stem}.json")
+
+
+def fusion_rings() -> dict:
+    """Every bundled fusion ring, keyed by its file stem after
+    ``fusion-``."""
+    return {p.stem[len("fusion-"):]: load_fixture_file(p)
+            for p in sorted(BUNDLED.glob("fusion-*.json"))}
+
+
+def sample_module(fx, name: str):
+    """The sample module of the watts fixture ``fx`` named ``name``."""
+    return next(m for m in fx.sample if m.name == name)

@@ -6,8 +6,8 @@ import random
 import time
 
 from monocat.cli import main as cli_main
-from monocat.fixtures import (bundled_fixture_files, bundled_rings,
-                              dual_numbers_f2, graded_sign, strict_f3_z2)
+from monocat.fixtures import (bundled_fixture_files, dual_numbers_f2,
+                              graded_sign)
 from monocat.fusion import (FusionData, ObjectExpr, check_theorem4,
                             dual_image, dual_object, embed_object, fuse,
                             tensor_images)
@@ -21,12 +21,13 @@ from monocat.watts import (WattsContext, GradedTensor, check_monoidal_axioms,
                            sign_cocycle, verify_embedding,
                            verify_monoidal_functor)
 
-from helpers import group_algebra, truncated_polynomial
+from helpers import (bundled, fusion_rings, group_algebra, sample_module,
+                     truncated_polynomial)
 
 
 def test_criterion_01_fusion_validation_and_mutations():
     t0 = time.perf_counter()
-    rings = bundled_rings()
+    rings = fusion_rings()
     assert set(rings) == {"trivial", "fibonacci", "ising", "rep_s3",
                           "z2", "z3", "z4", "z5", "z6"}
     for fd in rings.values():
@@ -54,7 +55,7 @@ def test_criterion_01_fusion_validation_and_mutations():
 def test_criterion_02_embedding_homomorphism_200_pairs():
     t0 = time.perf_counter()
     rng = random.Random(3701)
-    rings = sorted(bundled_rings().items())
+    rings = sorted(fusion_rings().items())
     done = 0
     while done < 200:
         _, fd = rings[done % len(rings)]
@@ -80,7 +81,7 @@ def test_criterion_02_embedding_homomorphism_200_pairs():
 
 def test_criterion_03_growth_bound_sequences():
     t0 = time.perf_counter()
-    rings = bundled_rings()
+    rings = fusion_rings()
     fib = check_theorem4(rings["fibonacci"], ObjectExpr.simple("tau"), 5)
     assert [r["dim_end"] for r in fib["rows"]] == [1, 2, 5, 13, 34]
     assert fib["ok"] and fib["d"] == 2
@@ -108,7 +109,7 @@ def _pipeline(fx):
 
 def test_criterion_04_strict_fixture_full_pipeline():
     t0 = time.perf_counter()
-    fx = strict_f3_z2()
+    fx = bundled("strict-f3-z2")
     wc, reports = _pipeline(fx)
     # T collapses to the base ring and the two auxiliary left actions agree
     assert wc.T.space.dim == fx.algebra.dim
@@ -124,7 +125,7 @@ def test_criterion_05_twisted_graded_fixture():
     wc, reports = _pipeline(fx)
     for rep in reports:
         assert rep.ok, rep.failures
-    R = fx.module("R")
+    R = sample_module(fx, "R")
     a = wc.alpha_prime(R, R, R)
     assert a.lin.matrix != identity(a.source.space).matrix
     # every single-sign flip that breaks the coherence data must produce a
@@ -132,7 +133,7 @@ def test_criterion_05_twisted_graded_fixture():
     # is itself a cocycle, so that flip lands on the untwisted bundled
     # structure and stays coherent
     for triple in sorted(sign_cocycle()):
-        bad = GradedTensor(fx.algebra, fx.module("I"),
+        bad = GradedTensor(fx.algebra, sample_module(fx, "I"),
                            flip_cocycle(sign_cocycle(), triple),
                            name=f"flip{triple}")
         rep = check_monoidal_axioms(bad, fx.sample)
@@ -183,7 +184,7 @@ def test_criterion_07_flatness_failure_probe():
     short = {s.name for s in fx.sequences if s.kind == "short-exact"}
     assert any(name in short for name, _ in inexact)
 
-    fxs = strict_f3_z2()
+    fxs = bundled("strict-f3-z2")
     wcs = WattsContext(fxs.ct)
     reps = verify_embedding(wcs, fxs.sample, fxs.sequences)
     assert _flatness_summary(reps).witness["inexact"] == []

@@ -14,7 +14,7 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             tensor_maps)
 from monocat.algmod import descend
 from monocat.linalg import (Field, QQ, VectorSpace, compose, identity,
-                            is_identity, linear_combination, make_map, rank,
+                            is_identity, linear_combination, rank,
                             serialize_raw, solve_iso, tensor, tensor_space,
                             zero_map)
 from monocat.linalg import LinAlgError, LinearMap, kernel
@@ -84,9 +84,9 @@ class TestModules:
         R = Module.regular(dual_numbers)
         C = quotient_by_x(dual_numbers)
         # projection R -> R/x, 1 ↦ c, x ↦ 0
-        proj = ModuleMap(R, C, make_map(R.space, C.space, [[1, 0]]))
+        proj = ModuleMap(R, C, LinearMap(R.space, C.space, [[1, 0]]))
         assert proj.is_equivariant()
-        bad = ModuleMap(R, C, make_map(R.space, C.space, [[0, 1]]))
+        bad = ModuleMap(R, C, LinearMap(R.space, C.space, [[0, 1]]))
         assert not bad.is_equivariant()
 
 
@@ -193,7 +193,7 @@ class TestRightExactness:
         # surjection R ↠ R/x stays surjective after C ⊗_R −
         R = Module.regular(dual_numbers)
         C = quotient_by_x(dual_numbers)
-        surj = make_map(R.space, C.space, [[1, 0]])
+        surj = LinearMap(R.space, C.space, [[1, 0]])
         from monocat.linalg import tensor as ktensor
         from monocat.algmod import descend
         src_cell = module_tensor_commutative(C, R, {})
@@ -294,13 +294,13 @@ def _conjugated_sum(alg, summands, seed):
     space = labelled_space(field, dim, "v")
     rng = random.Random(seed)
     while True:
-        P = make_map(space, space, [[rng.randrange(field.char)
+        P = LinearMap(space, space, [[rng.randrange(field.char)
                                      for _ in range(dim)]
                                     for _ in range(dim)])
         if rank(P) == dim:
             break
     P_inv = solve_iso(P)
-    action = tuple(compose(P_inv, compose(make_map(space, space, b), P))
+    action = tuple(compose(P_inv, compose(LinearMap(space, space, b), P))
                    for b in blocks_per_g)
     mod = Module("+".join(summands), alg, space, "right", action)
     mod.check()
@@ -338,8 +338,8 @@ def test_hom_basis_matches_reference_and_is_equivariant(pair):
 class TestActionLaws:
     def test_noncommuting_bimodule_rejected(self, z2_group_algebra):
         space = VectorSpace(F3, ("a", "b"))
-        swap = make_map(space, space, [[0, 1], [1, 0]])
-        sign = make_map(space, space, [[1, 0], [0, -1]])
+        swap = LinearMap(space, space, [[0, 1], [1, 0]])
+        sign = LinearMap(space, space, [[1, 0], [0, -1]])
         # each family alone is a K[Z/2]-action; they do not commute
         B = Bimodule("B", z2_group_algebra, space,
                      (identity(space), swap), (identity(space), sign))
@@ -425,7 +425,7 @@ def test_balanced_tensor_universal_property(pair, k, seed):
     induced = descend(cell, balanced)
     assert compose(induced, cell.proj).matrix == balanced.matrix
 
-    other = make_map(ambient, V, [[rng.randrange(field.char)
+    other = LinearMap(ambient, V, [[rng.randrange(field.char)
                                    for _ in range(ambient.dim)]
                                   for _ in range(k)])
     if all(compose(other, rel).is_zero() for rel in rels):

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,29 +12,22 @@ import monocat.algmod as algmod
 import monocat.linalg as linalg
 import monocat.watts as watts
 from monocat.cli import main
-from monocat.fixtures import bundled_watts_fixtures, strict_f3_z2
+from monocat.fixtures import bundled_watts_fixtures
 from monocat.watts import MalformedTensor, check_monoidal_axioms
+
+from helpers import bundled
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent.parent / "src" / "monocat" / "fixtures"
+SCRIPTS = str(Path(__file__).resolve().parent.parent / "scripts")
 
-GOLDEN_CASES = {
-    "validate-fibonacci.json":
-        ["--format", "json", "validate", "fusion-fibonacci"],
-    "embed-fib-tau.json":
-        ["--format", "json", "embed", "fusion-fibonacci", "tau"],
-    "embed-fib-tau.txt":
-        ["embed", "fusion-fibonacci", "tau"],
-    "bound-fib-tau.json":
-        ["--format", "json", "bound", "fusion-fibonacci", "tau",
-         "--n-max", "5"],
-    "watts-dual-numbers.json":
-        ["--format", "json", "watts", "dual-numbers-f2"],
-    "watts-strict-axioms.json":
-        ["--format", "json", "watts", "strict-f3-z2", "--checks", "axioms"],
-    "report-seed7.json":
-        ["--format", "json", "report", "--seed", "7"],
-}
+# the goldens' one manifest is the script that writes them
+sys.path.insert(0, SCRIPTS)
+try:
+    from make_golden import CASES as GOLDEN_CASES
+    from make_golden import FLIPPED_DUP, flipped_dup_fixture
+finally:
+    sys.path.remove(SCRIPTS)
 
 
 def run(capsys, argv):
@@ -62,22 +56,19 @@ class TestGolden:
 
     def test_failing_run_with_a_duplicate_module(self, capsys, tmp_path,
                                                  monkeypatch):
-        # graded-sign with ω(0,1,1) negated and L repeated as L2: the
-        # failure witnesses of a sample holding two modules of one content
-        data = json.loads((FIXTURES / "graded-sign.json").read_text())
-        for triple in data["tensor"]["cocycle"]:
-            if triple[:3] == [0, 1, 1]:
-                triple[3] = -triple[3]
-        L = next(m for m in data["modules"] if m["name"] == "L")
-        data["modules"].append(dict(L, name="L2"))
+        # the failure witnesses of a sample holding two modules of one
+        # content
         (tmp_path / "graded-flipped-dup.json").write_text(
-            json.dumps(data), encoding="utf-8")
+            json.dumps(flipped_dup_fixture()), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, ["--format", "json", "watts",
                                     "graded-flipped-dup.json"])
         assert code == 1
-        golden = GOLDEN / "watts-graded-flipped-dup.json"
-        assert out == golden.read_text(encoding="utf-8")
+        assert out == (GOLDEN / FLIPPED_DUP).read_text(encoding="utf-8")
+
+    def test_every_golden_file_has_a_case(self):
+        assert sorted(p.name for p in GOLDEN.iterdir()) == \
+            sorted([*GOLDEN_CASES, FLIPPED_DUP])
 
     @pytest.mark.parametrize("fixture", sorted(bundled_watts_fixtures()))
     def test_report_section_is_the_watts_report(
@@ -146,15 +137,24 @@ def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
 
 
 class TestExitCodes:
-    def test_unknown_fixture_is_usage_error(self, capsys):
+    def test_unknown_fixture_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["validate", "no-such-fixture"])
         assert code == 2 and "no-such-fixture" in err
+        # a .json path is read as a file, and an unreadable one is named
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, ["watts", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read fixture {path}")
 
     def test_malformed_json_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         code, _, _ = run(capsys, ["validate", str(bad)])
         assert code == 2
+        bad.write_text("[1, 2]", encoding="utf-8")
+        code, out, err = run(capsys, ["validate", str(bad)])
+        assert code == 2 and out == ""
+        assert err == "error: fixture must be a JSON object\n"
 
     def test_wrong_fixture_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["watts", "fusion-fibonacci"])
@@ -261,7 +261,16 @@ class TestExitCodes:
         ("unknown-sequence-space",
          "strict-f3-z2: sequences[1].spaces: no sample module named 'Nope'"),
         ("graded-unknown-dual",
-         "graded-sign: rigidity[1].dual: no sample module named 'Nope'")])
+         "graded-sign: rigidity[1].dual: no sample module named 'Nope'"),
+        ("numeric-sequence-name",
+         "sequences[1].name: expected a string, got 5"),
+        ("repeated-sequence-name",
+         "strict-f3-z2: sequence names repeat: ['R-(1-g)-R-Sp']"),
+        ("unknown-tensor-kind",
+         "strict-f3-z2: unknown tensor kind 'braided'"),
+        ("sequence-g-after-f-nonzero", "R-(1-g)-R-Sp: g∘f ≠ 0"),
+        ("sequence-g-not-onto", "R-(1-g)-R-Sp: g is not surjective"),
+        ("sequence-f-not-injective", "R-(1-g)-R-Sp: f is not injective")])
     def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
                                                        case, fragment):
         source = "graded-sign" if case.startswith("graded") else \
@@ -313,6 +322,19 @@ class TestExitCodes:
             data["sequences"][1]["spaces"][0] = "Nope"
         elif case == "graded-unknown-dual":
             data["rigidity"][1]["dual"] = "Nope"
+        elif case == "numeric-sequence-name":
+            data["sequences"][1]["name"] = 5
+        elif case == "repeated-sequence-name":
+            data["sequences"][1]["name"] = data["sequences"][0]["name"]
+        elif case == "unknown-tensor-kind":
+            data["tensor"]["kind"] = "braided"
+        elif case == "sequence-g-after-f-nonzero":
+            data["sequences"][0]["f"] = [[1, 0], [0, 1]]
+        elif case == "sequence-g-not-onto":
+            data["sequences"][0]["g"] = [[0, 0]]
+        elif case == "sequence-f-not-injective":
+            # R -(1-g)-> R -> Sp is exact, but 1-g has a kernel
+            data["sequences"][0]["exactness"] = "short-exact"
         else:
             modules[1]["dim"] = True
         path = tmp_path / f"{case}.json"
@@ -328,7 +350,7 @@ class TestExitCodes:
             self, capsys, tmp_path, monkeypatch, command):
         # the groups that ran before the failing construction keep their
         # reports: here the axioms, which run before T
-        fx = strict_f3_z2()
+        fx = bundled("strict-f3-z2")
         axioms = check_monoidal_axioms(fx.ct, fx.sample).to_json()["checks"]
         assert all(check["ok"] for check in axioms)
 

@@ -10,18 +10,20 @@ from monocat.fusion import (BlockMatrix, DivisibilityError, ExprError,
                             check_theorem4, dual_image, dual_object,
                             embed_object, end_dimension, fuse, fuse_power,
                             parse_object, tensor_images)
-from monocat.fixtures import BUNDLED, bundled_rings
+from monocat.fixtures import BUNDLED
+
+from helpers import bundled, fusion_rings
 
 
 @pytest.fixture(scope="module")
 def fib():
-    return bundled_rings()["fibonacci"]
+    return bundled("fusion-fibonacci")
 
 
 class TestValidate:
-    @pytest.mark.parametrize("name", sorted(bundled_rings()))
+    @pytest.mark.parametrize("name", sorted(fusion_rings()))
     def test_bundled_rings_valid(self, name):
-        assert bundled_rings()[name].validate().ok
+        assert fusion_rings()[name].validate().ok
 
     def test_broken_reciprocity_detected(self, fib):
         mult = dict(fib.mult)
@@ -47,7 +49,7 @@ class TestValidate:
                         ("ising", ("sigma", "sigma", "sigma")),
                         ("rep_s3", ("V", "V", "V")),
                         ("Z/2", ("g1", "g1", "g1"))}
-        for name, fd in bundled_rings().items():
+        for name, fd in fusion_rings().items():
             triples = [(i, k, j) for i in fd.simples for k in fd.simples
                        for j in fd.simples]
             for t in triples:
@@ -67,7 +69,7 @@ class TestEmbed:
         assert V.to_lists() == [[1, 0], [0, 1]]
 
     def test_pointed_transposition(self):
-        z2 = bundled_rings()["z2"]
+        z2 = bundled("fusion-z2")
         V = embed_object(z2, ObjectExpr.simple("g1"))
         assert V.to_lists() == [[0, 1], [1, 0]]
 
@@ -94,7 +96,7 @@ class TestTensorImages:
         assert sq == embed_object(fib, fuse(fib, tau, tau))
 
     def test_pointed_square_is_unit(self):
-        z2 = bundled_rings()["z2"]
+        z2 = bundled("fusion-z2")
         V = embed_object(z2, ObjectExpr.simple("g1"))
         assert tensor_images(z2, V, V) == embed_object(
             z2, ObjectExpr.simple("g0"))
@@ -105,13 +107,13 @@ class TestDual:
         ("fibonacci", "1"), ("fibonacci", "tau"),
         ("z2", "g1"), ("ising", "sigma")])
     def test_self_dual_transpose(self, ring, label):
-        fd = bundled_rings()[ring]
+        fd = fusion_rings()[ring]
         V = embed_object(fd, ObjectExpr.simple(label))
         assert dual_image(fd, V) == embed_object(
             fd, dual_object(fd, ObjectExpr.simple(label)))
 
     def test_z3_nontrivial_dual(self):
-        z3 = bundled_rings()["z3"]
+        z3 = bundled("fusion-z3")
         X = ObjectExpr.simple("g1")
         assert dual_image(z3, embed_object(z3, X)) == embed_object(
             z3, dual_object(z3, X))
@@ -151,7 +153,7 @@ class TestGrowthBound:
         assert _growth_bound(fib, "tau") == 2
 
     def test_pointed_bound_one(self):
-        assert _growth_bound(bundled_rings()["z2"], "g1") == 1
+        assert _growth_bound(bundled("fusion-z2"), "g1") == 1
 
     def test_zero_object(self, fib):
         with pytest.raises(ZeroObject):
@@ -175,13 +177,13 @@ class TestTheorem4:
             assert r["bound"] == 4 ** r["n"]
 
     def test_ising_sequence(self):
-        ising = bundled_rings()["ising"]
+        ising = bundled("fusion-ising")
         report = check_theorem4(ising, ObjectExpr.simple("sigma"), 4)
         assert [r["dim_end"] for r in report["rows"]] == [1, 2, 4, 8]
         assert report["ok"]
 
     def test_invertible_all_ones(self):
-        z6 = bundled_rings()["z6"]
+        z6 = bundled("fusion-z6")
         report = check_theorem4(z6, ObjectExpr.simple("g1"), 6)
         assert [r["dim_end"] for r in report["rows"]] == [1] * 6
 
@@ -202,7 +204,7 @@ class TestTheorem4:
 
     def test_matches_brute_force(self):
         for name in ("fibonacci", "ising", "rep_s3"):
-            fd = bundled_rings()[name]
+            fd = fusion_rings()[name]
             for label in fd.simples:
                 X = ObjectExpr.simple(label)
                 report = check_theorem4(fd, X, 4)
@@ -220,7 +222,7 @@ class TestHomomorphism:
 
     def test_random_pairs_against_oracle(self):
         rng = random.Random(20240817)
-        rings = bundled_rings()
+        rings = fusion_rings()
         for _ in range(100):
             fd = rings[rng.choice(sorted(rings))]
             X = ObjectExpr({l: rng.randint(0, 2) for l in fd.simples})
@@ -265,6 +267,19 @@ class TestEndoDims:
         assert check_embedding_homomorphism(quaternionic, H, H)["ok"]
         assert end_dimension(quaternionic, H) == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         "block row V: 1 not divisible by r_j = 2"),
+        (((1, 0, 1), (0, 1, 0), (0, 0, 2)),
+         "middle block (1,V) = 1 not divisible by r_k = 2"),
+    ])
+    def test_indivisible_block_is_rejected(self, quaternionic, rows,
+                                           message):
+        V = BlockMatrix(quaternionic.simples, rows)
+        with pytest.raises(DivisibilityError) as exc:
+            tensor_images(quaternionic, V, V)
+        assert str(exc.value) == message
+
     def test_theorem4_adjusts_base_for_endo_fields(self, quaternionic):
         report = check_theorem4(quaternionic, ObjectExpr.simple("V"), 3)
         assert report["c"] == 2 and report["base"] == report["d"] * 4
@@ -278,9 +293,12 @@ class TestParser:
     def test_product_and_power(self, fib):
         assert parse_object(fib, "tau*tau").mult == {"1": 1, "tau": 1}
         assert parse_object(fib, "tau^3").mult == {"1": 1, "tau": 2}
+        assert parse_object(fib, "tau^0").mult == {"1": 1}
 
     def test_parentheses(self, fib):
         assert parse_object(fib, "(1+tau)*tau").mult == {"1": 1, "tau": 2}
+        assert parse_object(fib, "( 1 + tau ) * tau").mult == \
+            {"1": 1, "tau": 2}
 
     def test_errors(self, fib):
         with pytest.raises(UnknownSimple):
@@ -297,6 +315,12 @@ class TestParser:
              "found end of input"),
         ("tau*", "'tau*': expected a simple object or '(' at position 4, "
                  "found end of input"),
+        ("tau tau", "'tau tau': expected '+', '*', '^' or end of input at "
+                    "position 4, found 'tau'"),
+        ("tau^x", "'tau^x': expected a non-negative integer exponent at "
+                  "position 4, found 'x'"),
+        ("tau^", "'tau^': expected a non-negative integer exponent at "
+                 "position 4, found end of input"),
     ])
     def test_malformed_expression_names_position_and_expectation(
             self, fib, text, message):
@@ -306,11 +330,11 @@ class TestParser:
 
 
 class TestJson:
-    @pytest.mark.parametrize("name", sorted(bundled_rings()))
+    @pytest.mark.parametrize("name", sorted(fusion_rings()))
     def test_loaded_values_are_the_file(self, name):
         data = json.loads((BUNDLED / f"fusion-{name}.json").read_text(
             encoding="utf-8"))
-        fd = bundled_rings()[name]
+        fd = fusion_rings()[name]
         assert (fd.name, fd.simples, fd.unit) == \
             (data["name"], tuple(data["simples"]), data["unit"])
         assert fd.mult == {(i, k, j): c for i, k, j, c in data["fusion"]}

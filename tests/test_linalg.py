@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from monocat.algmod import Module, ModuleMap
 from monocat.linalg import (Field, FieldScalar, LinearMap, QQ, VectorSpace,
                             _rref, compose, compose_tensor, identity,
-                            is_identity, kernel, linear_combination, make_map,
+                            is_identity, kernel, linear_combination,
                             NotInvertible, quotient_by_raw_rows, rank,
                             solve_iso, tensor, tensor_space, zero_map)
 
@@ -27,27 +27,27 @@ def _space(field, n):
 class TestCompose:
     def test_identity_neutral(self):
         V = _space(QQ, 3)
-        f = make_map(V, V, [[1, 2, 0], [0, 1, 5], [7, 0, 1]])
+        f = LinearMap(V, V, [[1, 2, 0], [0, 1, 5], [7, 0, 1]])
         assert compose(identity(V), f).matrix == f.matrix
         assert compose(f, identity(V)).matrix == f.matrix
 
     def test_zero_annihilates(self):
         V = _space(QQ, 2)
-        f = make_map(V, V, [[1, 2], [3, 4]])
+        f = LinearMap(V, V, [[1, 2], [3, 4]])
         assert compose(f, zero_map(V, V)).is_zero()
 
     def test_mod3_product(self):
         # [[1,2],[0,1]]·[[1,0],[1,1]] = [[0,2],[1,1]] over F_3
         V = _space(F3, 2)
-        f = make_map(V, V, [[1, 2], [0, 1]])
-        g = make_map(V, V, [[1, 0], [1, 1]])
-        expected = make_map(V, V, [[0, 2], [1, 1]])
+        f = LinearMap(V, V, [[1, 2], [0, 1]])
+        g = LinearMap(V, V, [[1, 0], [1, 1]])
+        expected = LinearMap(V, V, [[0, 2], [1, 1]])
         assert compose(f, g).matrix == expected.matrix
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            compose(make_map(_space(QQ, 2), _space(QQ, 2), [[1, 0], [0, 1]]),
-                    make_map(_space(QQ, 3), _space(QQ, 3),
+            compose(LinearMap(_space(QQ, 2), _space(QQ, 2), [[1, 0], [0, 1]]),
+                    LinearMap(_space(QQ, 3), _space(QQ, 3),
                              [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
@@ -65,7 +65,7 @@ class TestKernel:
 
     def test_rank_one(self):
         V = _space(QQ, 2)
-        f = make_map(V, V, [[1, 2], [2, 4]])
+        f = LinearMap(V, V, [[1, 2], [2, 4]])
         ker, incl = kernel(f)
         assert ker.dim == 1
         assert compose(f, incl).is_zero()
@@ -79,18 +79,18 @@ class TestSolveIso:
 
     def test_involution(self):
         V = _space(QQ, 2)
-        swap = make_map(V, V, [[0, 1], [1, 0]])
+        swap = LinearMap(V, V, [[0, 1], [1, 0]])
         assert solve_iso(swap).matrix == swap.matrix
 
     def test_non_square(self):
         with pytest.raises(NotInvertible):
-            solve_iso(make_map(_space(QQ, 3), _space(QQ, 2),
+            solve_iso(LinearMap(_space(QQ, 3), _space(QQ, 2),
                                [[1, 0, 0], [0, 1, 0]]))
 
     def test_singular(self):
         V = _space(F3, 2)
         with pytest.raises(NotInvertible):
-            solve_iso(make_map(V, V, [[1, 2], [2, 1]]))
+            solve_iso(LinearMap(V, V, [[1, 2], [2, 1]]))
 
 
 class TestTensor:
@@ -102,7 +102,7 @@ class TestTensor:
 
     def test_zero_tensor(self):
         V = _space(QQ, 2)
-        f = make_map(V, V, [[1, 2], [3, 4]])
+        f = LinearMap(V, V, [[1, 2], [3, 4]])
         assert tensor(f, zero_map(V, V)).is_zero()
 
 
@@ -117,8 +117,8 @@ def _random_map_strategy(field, n):
        _random_map_strategy(F5, 2), _random_map_strategy(F5, 2))
 def test_tensor_interchange(a, b, c, d):
     V = _space(F5, 2)
-    f, fp = make_map(V, V, a), make_map(V, V, b)
-    g, gp = make_map(V, V, c), make_map(V, V, d)
+    f, fp = LinearMap(V, V, a), LinearMap(V, V, b)
+    g, gp = LinearMap(V, V, c), LinearMap(V, V, d)
     lhs = compose(tensor(f, g), tensor(fp, gp))
     rhs = tensor(compose(f, fp), compose(g, gp))
     assert lhs.matrix == rhs.matrix
@@ -129,7 +129,7 @@ def test_tensor_interchange(a, b, c, d):
        _random_map_strategy(F3, 3))
 def test_compose_associative(a, b, c):
     V = _space(F3, 3)
-    f, g, h = (make_map(V, V, m) for m in (a, b, c))
+    f, g, h = (LinearMap(V, V, m) for m in (a, b, c))
     assert compose(compose(f, g), h).matrix == compose(f, compose(g, h)).matrix
 
 
@@ -137,7 +137,7 @@ def test_compose_associative(a, b, c):
 @given(_random_map_strategy(F5, 3))
 def test_rank_nullity(a):
     V = _space(F5, 3)
-    f = make_map(V, V, a)
+    f = LinearMap(V, V, a)
     ker, _ = kernel(f)
     assert rank(f) + ker.dim == V.dim
 
@@ -261,7 +261,7 @@ def _maps(draw, shapes):
             st.lists(_entry(field), min_size=dims[cols_letter],
                      max_size=dims[cols_letter]),
             min_size=dims[rows_letter], max_size=dims[rows_letter]))
-        maps.append(make_map(spaces[cols_letter], spaces[rows_letter],
+        maps.append(LinearMap(spaces[cols_letter], spaces[rows_letter],
                              entries))
     return field, maps
 
@@ -416,17 +416,17 @@ def test_kernel_builds_no_field_scalar(monkeypatch):
     cases = []
     for field in KERNEL_FIELDS:
         V = labelled_space(field, 3)
-        f = make_map(V, V, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # det 1
-        g = make_map(V, V, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # rank 2
+        f = LinearMap(V, V, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])  # det 1
+        g = LinearMap(V, V, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # rank 2
         cases.append((field, f, g, 2))
 
     def boxed(*args, **kwargs):
         raise AssertionError("the exact kernel built a FieldScalar")
 
     # a 3-cycle and an inclusion of a plane: the inclusion paths
-    perms = [make_map(f.source, f.source, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    perms = [LinearMap(f.source, f.source, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
              for _, f, _, _ in cases]
-    incls = [make_map(labelled_space(field, 2, "w"), f.source,
+    incls = [LinearMap(labelled_space(field, 2, "w"), f.source,
                       [[0, 0], [0, 1], [1, 0]])
              for field, f, _, _ in cases]
 
@@ -508,7 +508,7 @@ def _compose_tensor_cases(draw):
         m, identity(m.source), zero_map(m.source, m.target)))) for m in (f, g)]
     inner = tensor_space(f.target, g.target)
     out = labelled_space(field, draw(st.integers(0, 4)), "p")
-    P = make_map(inner, out, draw(st.lists(
+    P = LinearMap(inner, out, draw(st.lists(
         st.lists(_entry(field), min_size=inner.dim, max_size=inner.dim),
         min_size=out.dim, max_size=out.dim)))
     return field, P, f, g
@@ -560,13 +560,13 @@ def test_tensor_space_built_once_and_freed_with_its_left_factor():
 
 def test_linear_combination_lone_and_empty_terms():
     V, W = labelled_space(F5, 2), labelled_space(F5, 3)
-    f = make_map(V, W, [[1, 2], [0, 3], [4, 0]])
+    f = LinearMap(V, W, [[1, 2], [0, 3], [4, 0]])
     assert linear_combination(V, W, [(1, f)]).rows is f.rows
     assert linear_combination(V, W, [(0, f), (1, f), (0, f)]).rows is f.rows
     assert linear_combination(V, W, [(0, f)]) == zero_map(V, W)
     assert linear_combination(V, W, []) == zero_map(V, W)
     assert linear_combination(V, W, [(2, f)]) == \
-        make_map(V, W, [[2, 4], [0, 6], [8, 0]])
+        LinearMap(V, W, [[2, 4], [0, 6], [8, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +598,12 @@ def _flagged_map(draw, field, source, target):
         return identity(source)
     if kind == "inclusion":
         cols = draw(st.permutations(range(target.dim)))[:source.dim]
-        m = make_map(source, target, [[int(cols[c] == r)
+        m = LinearMap(source, target, [[int(cols[c] == r)
                                        for c in range(source.dim)]
                                       for r in range(target.dim)])
         assert m.cols == tuple(cols)
         return m
-    return make_map(source, target, draw(st.lists(
+    return LinearMap(source, target, draw(st.lists(
         st.lists(_entry(field), min_size=source.dim, max_size=source.dim),
         min_size=target.dim, max_size=target.dim)))
 
@@ -691,7 +691,7 @@ def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
     entry = st.sampled_from([0, 0, 1, 1, "2", "1/1", field(1)])
     table = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                min_size=m, max_size=m))
-    f = make_map(labelled_space(field, n), labelled_space(field, m),
+    f = LinearMap(labelled_space(field, n), labelled_space(field, m),
                  table)
     assert f.cols == _ref_inclusion_cols(f.rows, n)
     _assert_cols_agree(f)
@@ -700,12 +700,12 @@ def test_constructor_flags_exactly_the_inclusions(field, m, n, data):
 def test_permutation_is_not_the_identity():
     for field in KERNEL_FIELDS:
         V = labelled_space(field, 3)
-        swap = make_map(V, V, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        f = make_map(V, V, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+        swap = LinearMap(V, V, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        f = LinearMap(V, V, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
         assert swap.cols == (1, 0, 2) and not is_identity(swap)
         assert compose(f, swap) == ref_compose(f, swap) != f
         assert compose(swap, f) == ref_compose(swap, f) != f
-        P = make_map(tensor_space(V, V), V,
+        P = LinearMap(tensor_space(V, V), V,
                      [[(r + c) % 2 for c in range(9)] for r in range(3)])
         idV = identity(V)
         assert compose_tensor(P, swap, idV) == \
@@ -718,7 +718,7 @@ def test_permutation_is_not_the_identity():
         assert W == V and not is_identity(relabel)
         assert compose(relabel, f) == LinearMap.from_rows(V, W, f.rows)
         # the public constructor flags a given identity table, as e0 = id
-        given = make_map(V, V, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        given = LinearMap(V, V, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert is_identity(given)
         assert compose(f, given) is f and compose(given, f) is f
 
@@ -729,18 +729,18 @@ def test_a_gather_that_is_an_inclusion_is_flagged():
     # back flagged; gathered at columns that are none, it does not
     for field in KERNEL_FIELDS:
         V, W = labelled_space(field, 3), labelled_space(field, 2)
-        f = make_map(V, W, [[0, 1, 1], [1, 0, 1]])
-        first = make_map(W, V, [[1, 0], [0, 1], [0, 0]])
-        last = make_map(W, V, [[0, 0], [1, 0], [0, 1]])
+        f = LinearMap(V, W, [[0, 1, 1], [1, 0, 1]])
+        first = LinearMap(W, V, [[1, 0], [0, 1], [0, 0]])
+        last = LinearMap(W, V, [[0, 0], [1, 0], [0, 1]])
         assert f.cols is None and first.cols == (0, 1)
         got = compose(f, first)
         assert got.cols == (1, 0) and got == ref_compose(f, first)
         got = compose(f, last)
         assert got.cols is None and got == ref_compose(f, last)
-        P = make_map(tensor_space(W, W), W, [[1, 0, 0, 1], [0, 1, 0, 1]])
+        P = LinearMap(tensor_space(W, W), W, [[1, 0, 0, 1], [0, 1, 0, 1]])
         L = labelled_space(field, 1)
         for c, cols in ((0, (0, 1)), (1, None)):
-            a = make_map(L, W, [[int(r == c)] for r in range(2)])
+            a = LinearMap(L, W, [[int(r == c)] for r in range(2)])
             got = compose_tensor(P, a, identity(W))
             assert got.cols == cols
             assert got == ref_compose(P, ref_tensor(a, identity(W)))

@@ -1,8 +1,9 @@
 """Each kind of product in ``monocat`` has one implementation.
 
 A stdlib ``ast`` pass over ``src/monocat``, as ``test_imports`` is: every
-balancing cokernel is built by ``algmod.cokernel`` on a cell table, and
-each layer's product goes through its one helper.
+balancing cokernel is built by ``algmod.cokernel`` on a cell table, read
+only by ``hom_basis`` and ``tensor_over``, and each layer's product goes
+through its one helper.
 """
 
 import ast
@@ -73,6 +74,13 @@ def _none_table_branches(tree) -> list:
 def test_balanced_tensor_is_built_only_by_cokernel():
     assert _readers(_package_references(), "balanced_tensor") == \
         {"algmod.cokernel"}
+
+
+def test_cokernel_is_read_only_by_hom_basis_and_tensor_over():
+    # every balanced product, M⊗_R P of a natural family included, is a
+    # tensor_over cell
+    assert _readers(_package_references(), "cokernel") == \
+        {"algmod.hom_basis", "algmod.tensor_over"}
 
 
 def test_algmod_has_no_optional_table():

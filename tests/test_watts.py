@@ -13,17 +13,18 @@ from monocat.algmod import (Algebra, Bimodule, Module, ModuleMap,
                             StructureError, TensorCell, balanced_tensor,
                             bimodule_tensor, descend, hom_basis,
                             matrix_to_json, module_identity,
-                            module_tensor_commutative, tensor_maps)
+                            module_tensor_commutative, tensor_maps,
+                            tensor_over)
 from monocat.cli import CHECK_GROUPS, _watts_reports
 from monocat.fixtures import (BUNDLED, FixtureError, bundled_fixture_files,
                               bundled_watts_fixtures,
                               dual_numbers_f2, fixture_from_json,
-                              graded_sign, graded_trivial, load_fixture_file,
-                              resolve_fixture, strict_f3_z2,
+                              graded_sign, load_fixture_file,
+                              resolve_fixture,
                               watts_fixture_from_json)
 from monocat.linalg import (Field, FieldScalar, LinearMap, VectorSpace,
                             compose, compose_all, identity,
-                            linear_combination, make_map, rank,
+                            linear_combination, rank,
                             serialize_raw, solve_iso, tensor, zero_map)
 from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            MalformedTensor, NotBalanced, NotNatural,
@@ -33,16 +34,16 @@ from monocat.watts import (BimoduleTensor, ExactSequence, GradedTensor,
                            induce_natural_family, is_three_cocycle,
                            merge_reports,
                            nat_to_bimodule_hom, sign_cocycle,
-                           tensor_with_bimodule, trivial_cocycle,
+                           trivial_cocycle,
                            verify_embedding, verify_monoidal_functor)
 from monocat.watts import ActionClash, TripleModule
 
-from helpers import group_algebra
+from helpers import bundled, group_algebra, sample_module
 
 
 @pytest.fixture(scope="module")
 def fx_strict():
-    return strict_f3_z2()
+    return bundled("strict-f3-z2")
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +102,13 @@ class TestGuards:
             StrictTensor(upper_triangular(Field(3)))
 
     def test_bad_sequence_rejected(self, fx_strict):
-        R = fx_strict.module("R")
-        Sp = fx_strict.module("Sp")
-        Sm = fx_strict.module("Sm")
-        f = ModuleMap(Sm, R, make_map(Sm.space, R.space, [[1], [-1]]))
-        g = ModuleMap(R, Sp, make_map(R.space, Sp.space, [[1, 1]]))
+        R = sample_module(fx_strict, "R")
+        Sp = sample_module(fx_strict, "Sp")
+        Sm = sample_module(fx_strict, "Sm")
+        f = ModuleMap(Sm, R, LinearMap(Sm.space, R.space, [[1], [-1]]))
+        g = ModuleMap(R, Sp, LinearMap(R.space, Sp.space, [[1, 1]]))
         # claiming short-exactness of a complex whose f is zero must fail
-        zf = ModuleMap(Sm, R, make_map(Sm.space, R.space, [[0], [0]]))
+        zf = ModuleMap(Sm, R, LinearMap(Sm.space, R.space, [[0], [0]]))
         with pytest.raises(StructureError):
             ExactSequence("bad", "short-exact", zf, g).check()
         ExactSequence("good", "short-exact", f, g).check()
@@ -122,7 +123,7 @@ class TestMonoidalAxioms:
         assert check_monoidal_axioms(fx_sign.ct, fx_sign.sample).ok
 
     def test_flipped_cocycle_fails_pentagon_with_witness(self, fx_sign):
-        bad = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+        bad = GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                            flip_cocycle(sign_cocycle(), (0, 1, 0)),
                            name="flipped")
         rep = check_monoidal_axioms(bad, fx_sign.sample)
@@ -135,7 +136,7 @@ class TestMonoidalAxioms:
         # on one table: the pentagon holds exactly on the 8 cocycles
         # (EGNO ch. 2), and with the unitors fixed only the normalised
         # ones, trivial and sign, pass every axiom
-        sample = [fx_sign.module("I"), fx_sign.module("L")]
+        sample = [sample_module(fx_sign, "I"), sample_module(fx_sign, "L")]
         triples = sorted(sign_cocycle())
         cells = {}
         cocycles, passing = 0, []
@@ -161,14 +162,14 @@ class TestMonoidalAxioms:
         for X, Y, Z in itertools.product(fx_sign.sample, repeat=3):
             assert ct.associator(X, Y, Z).lin.rows == \
                 _dense_graded_alpha(ct, X, Y, Z).rows
-        I, L = fx_sign.module("I"), fx_sign.module("L")
+        I, L = sample_module(fx_sign, "I"), sample_module(fx_sign, "L")
         a = ct.associator(I, L, L).lin
         assert a.cols is not None and a.rows == identity(a.source).rows
         a = ct.associator(L, L, L).lin
         assert a.cols is None and a.rows != identity(a.source).rows
 
     def test_trivial_cocycle_builds_no_projector(self, fx_sign):
-        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+        ct = GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                           trivial_cocycle())
         assert check_monoidal_axioms(ct, fx_sign.sample).ok
         assert ct._parities == {}
@@ -219,7 +220,7 @@ class TestTransport:
                 assert rank(c.lin) == c.source.dim == c.target.dim
 
     def test_transported_structure_is_monoidal(self, wc_strict, fx_strict):
-        sample = [fx_strict.module("R"), fx_strict.module("Sm")]
+        sample = [sample_module(fx_strict, "R"), sample_module(fx_strict, "Sm")]
         assert check_monoidal_axioms(wc_strict, sample).ok
 
     def test_context_is_the_transported_tensor(self, wc_sign, fx_sign):
@@ -242,8 +243,8 @@ class TestTransport:
         # and the derived left unit diagram fail at R, with witnesses
         coc = sign_cocycle() if flip is None else \
             flip_cocycle(sign_cocycle(), flip)
-        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"), coc)
-        R = fx_sign.module("R")
+        ct = GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"), coc)
+        R = sample_module(fx_sign, "R")
         rep = check_monoidal_axioms(WattsContext(ct), [R])
         assert len(rep.results) == 27
         failed = sorted(r.name for r in rep.failures)
@@ -274,7 +275,7 @@ class TestSharedRegularModule:
     def test_context_R_is_the_sample_R(self, name):
         for fx in (bundled_watts_fixtures()[name], resolve_fixture(name)):
             wc = WattsContext(fx.ct)
-            R = fx.module("R")
+            R = sample_module(fx, "R")
             assert wc.R == R
             assert wc.omega(wc.R) is wc.omega(R)
             assert len(wc._omega) == 1
@@ -284,7 +285,7 @@ class TestSharedRegularModule:
         # one object: its space is the algebra's, and every sequence end
         # named R is it
         fx = resolve_fixture(name)
-        R = fx.module("R")
+        R = sample_module(fx, "R")
         assert R == Module.regular(fx.algebra)
         assert R.space is fx.algebra.space
         ends = [M for s in fx.sequences
@@ -294,7 +295,7 @@ class TestSharedRegularModule:
     @pytest.mark.parametrize("name", ["strict-f3-z2", "dual-numbers-f2"])
     def test_strict_unit_is_the_sample_R(self, name):
         for fx in (bundled_watts_fixtures()[name], resolve_fixture(name)):
-            assert fx.ct.unit is fx.module("R") is WattsContext(fx.ct).R
+            assert fx.ct.unit is sample_module(fx, "R") is WattsContext(fx.ct).R
 
     def test_fixtures_on_one_table_share_their_objects(self):
         # on report's table, graded-trivial loads graded-sign's algebra,
@@ -307,13 +308,13 @@ class TestSharedRegularModule:
         assert [m.name for m in trivial.sample] == \
             [m.name for m in sign.sample]
         for m in trivial.sample:
-            assert m is sign.module(m.name)
+            assert m is sample_module(sign, m.name)
         # strict-f3-z2 is over the same algebra: one R, also its unit
         strict = fxs["strict-f3-z2"]
         assert strict.algebra is sign.algebra
-        assert strict.ct.unit is strict.module("R") is sign.module("R")
-        assert WattsContext(trivial.ct).R is sign.module("R")
-        assert sign.module("R").space is sign.algebra.space
+        assert strict.ct.unit is sample_module(strict, "R") is sample_module(sign, "R")
+        assert WattsContext(trivial.ct).R is sample_module(sign, "R")
+        assert sample_module(sign, "R").space is sign.algebra.space
 
     def test_equal_samples_keep_their_names(self):
         # graded-sign with L repeated as L2: L2 is equal to L but stays its
@@ -323,7 +324,7 @@ class TestSharedRegularModule:
         L = next(m for m in data["modules"] if m["name"] == "L")
         data["modules"].append(dict(L, name="L2"))
         fx = watts_fixture_from_json(data)
-        L, L2 = fx.module("L"), fx.module("L2")
+        L, L2 = sample_module(fx, "L"), sample_module(fx, "L2")
         assert L2 == L and L2 is not L and L2.name == "L2"
         maps = _hom_samples(fx.sample, fx.ct.cells)
         pairs = [(X, Y) for X in fx.sample for Y in fx.sample
@@ -357,7 +358,7 @@ class TestSharedCells:
     checks name the caller's modules."""
 
     def test_renamed_module_is_equal_and_hashes_alike(self, fx_strict):
-        X = fx_strict.module("Sp")
+        X = sample_module(fx_strict, "Sp")
         X2 = replace(X, name="X2")
         assert X2 == X and hash(X2) == hash(X)
         B = Bimodule.regular(fx_strict.algebra)
@@ -369,7 +370,7 @@ class TestSharedCells:
         # the product cache keeps one cell per content; its module is the
         # table's one object of that content, here Sp itself, as D(Sp,R) = Sp
         wc = WattsContext(fx_strict.ct)
-        X = fx_strict.module("Sp")
+        X = sample_module(fx_strict, "Sp")
         X2 = replace(X, name="X2")
         first = wc.product(X, wc.R)
         assert wc.product(X2, wc.R) is first
@@ -377,16 +378,16 @@ class TestSharedCells:
         assert first.module == X and first.module.name == "Sp"
 
     def test_renamed_module_shares_the_product(self):
-        fx = strict_f3_z2()
-        X, Y = fx.module("Sp"), fx.module("Sm")
+        fx = bundled("strict-f3-z2")
+        X, Y = sample_module(fx, "Sp"), sample_module(fx, "Sm")
         X2 = replace(X, name="X2")
         first = fx.ct.product(X, Y)
         assert fx.ct.product(X2, Y) is first
         assert first.module.name == "(Sp⊗Sm)"
 
     def test_cells_keep_the_algebra(self):
-        fx = strict_f3_z2()
-        X, Y = fx.module("Sp"), fx.module("Sm")
+        fx = bundled("strict-f3-z2")
+        X, Y = sample_module(fx, "Sp"), sample_module(fx, "Sm")
         fx.ct.product(X, Y)
         other = replace(Y, algebra=replace(Y.algebra, name="other"))
         with pytest.raises(StructureError, match="different algebras"):
@@ -395,11 +396,11 @@ class TestSharedCells:
     def test_each_context_starts_with_its_own_cells(self):
         # a context works on its tensor's table, so contexts over tensors
         # loaded apart share nothing
-        fx = strict_f3_z2()
+        fx = bundled("strict-f3-z2")
         first = WattsContext(fx.ct)
-        first.product(fx.module("Sp"), first.R)
+        first.product(sample_module(fx, "Sp"), first.R)
         assert first._products and first._ombar
-        second = WattsContext(strict_f3_z2().ct)
+        second = WattsContext(bundled("strict-f3-z2").ct)
         assert second._products == {} and second._ombar == {}
 
     def test_one_table_serves_both_graded_fixtures(self, monkeypatch):
@@ -427,7 +428,7 @@ class TestSharedCells:
         assert builds == [] and len(cells) == size
         assert {key: len(cells[key]) for key in sizes} == sizes
         assert [rep.to_json() for rep in second] == \
-            [rep.to_json() for rep in _watts_reports(graded_trivial(), groups)]
+            [rep.to_json() for rep in _watts_reports(bundled("graded-trivial"), groups)]
 
     def test_renamed_bimodule_shares_one_proj_and_one_module(self,
                                                              fx_strict):
@@ -471,8 +472,8 @@ class TestSharedCells:
         assert "name" not in {f.name for f in fields(TensorCell)}
 
     def test_checks_name_the_renamed_module(self):
-        fx = strict_f3_z2()
-        X2 = replace(fx.module("Sp"), name="X2")
+        fx = bundled("strict-f3-z2")
+        X2 = replace(sample_module(fx, "Sp"), name="X2")
         sample = list(fx.sample) + [X2]
         rep = check_monoidal_axioms(fx.ct, sample)
         assert rep.ok and "X2" in rep.sample
@@ -500,7 +501,7 @@ class TestFunctorKey:
         flipped = flip_cocycle(sign_cocycle(), (0, 1, 1))
 
         def reports(table):
-            ct = GradedTensor(sign.algebra, sign.module("I"), flipped,
+            ct = GradedTensor(sign.algebra, sample_module(sign, "I"), flipped,
                               name="graded-flipped", cells=table)
             reps = _watts_reports(replace(sign, ct=ct), groups)
             return ct, [rep.to_json() for rep in reps]
@@ -530,7 +531,7 @@ class TestFunctorKey:
             return StrictTensor(fx_strict.algebra, cells=cells)
 
         def graded(cells):
-            return GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+            return GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                                 trivial_cocycle(), cells=cells)
 
         alone = {build: build(None).product(R, R) for build in
@@ -572,7 +573,7 @@ class TestFunctorKey:
     def test_a_context_works_on_its_tensors_table(self, fx_sign):
         # contexts over one tensor share its table and their functor
         # caches, and keep their own α′
-        ct = GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+        ct = GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                           sign_cocycle())
         first, second = WattsContext(ct), WattsContext(ct)
         assert first.cells is ct.cells and first.bimodules.cells is ct.cells
@@ -589,14 +590,14 @@ class TestIdentityCache:
     every mor(f, id) key after the first is found by pointer."""
 
     def test_one_identity_per_module(self):
-        fx = strict_f3_z2()
-        ct, X = fx.ct, fx.module("Sp")
+        fx = bundled("strict-f3-z2")
+        ct, X = fx.ct, sample_module(fx, "Sp")
         assert ct.ident(X) is ct.ident(X)
         assert ct.ident(X) == module_identity(X)
 
     def test_renamed_module_shares_the_identity(self):
-        fx = strict_f3_z2()
-        ct, X, Y = fx.ct, fx.module("Sp"), fx.module("Sm")
+        fx = bundled("strict-f3-z2")
+        ct, X, Y = fx.ct, sample_module(fx, "Sp"), sample_module(fx, "Sm")
         X2 = replace(X, name="X2")
         assert ct.ident(X2) is ct.ident(X)
         f = ModuleMap(Y, Y, hom_basis(Y, Y, {})[0])
@@ -605,9 +606,9 @@ class TestIdentityCache:
     def test_each_tensor_keeps_its_own_identities(self):
         # each tensor keeps its own dict of identities, and on one table
         # they hold one identity per content
-        fx = strict_f3_z2()
+        fx = bundled("strict-f3-z2")
         wc = WattsContext(fx.ct)
-        X = fx.module("Sp")
+        X = sample_module(fx, "Sp")
         assert wc.ident(X) is fx.ct.ident(X)
         assert wc._ids is not fx.ct._ids
 
@@ -617,13 +618,13 @@ class TestIdentityCache:
         # tensor and a context whose cell table outlives them, since the
         # table holds modules, maps, cells and dicts of them, never a
         # tensor
-        fx = strict_f3_z2()
+        fx = bundled("strict-f3-z2")
         cells = {}
         builds = (
             (lambda: StrictTensor(fx.algebra), fx.sample),
-            (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+            (lambda: GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                                   sign_cocycle()), fx_sign.sample),
-            (lambda: GradedTensor(fx_sign.algebra, fx_sign.module("I"),
+            (lambda: GradedTensor(fx_sign.algebra, sample_module(fx_sign, "I"),
                                   sign_cocycle(), cells=cells),
              fx_sign.sample))
         gc.disable()
@@ -636,7 +637,7 @@ class TestIdentityCache:
                 del ct
                 assert ref() is None, sample
             wc = WattsContext(GradedTensor(
-                fx_sign.algebra, fx_sign.module("I"), sign_cocycle(),
+                fx_sign.algebra, sample_module(fx_sign, "I"), sign_cocycle(),
                 cells=cells))
             assert check_T_coherence(wc).ok
             assert verify_monoidal_functor(wc, fx_sign.sample).ok
@@ -706,9 +707,10 @@ class TestEmbedding:
 
 
 class TestRigidity:
-    @pytest.mark.parametrize("build", [graded_trivial, graded_sign])
-    def test_bundled_duality_data_passes(self, build):
-        fx = build()
+    @pytest.mark.parametrize("stem", ["graded-trivial", "graded-sign"],
+                             ids=["graded_trivial", "graded_sign"])
+    def test_bundled_duality_data_passes(self, stem):
+        fx = bundled(stem)
         assert fx.rigidity
         for r in fx.rigidity:
             assert check_rigidity(fx.ct, r.obj, r.dual, r.ev, r.db).ok
@@ -716,7 +718,7 @@ class TestRigidity:
     def test_wrong_sign_db_fails_snake(self, fx_sign):
         r = [d for d in fx_sign.rigidity if d.obj.name == "L"][0]
         bad_db = ModuleMap(r.db.source, r.db.target,
-                           make_map(r.db.lin.source, r.db.lin.target, [[1]]))
+                           LinearMap(r.db.lin.source, r.db.lin.target, [[1]]))
         rep = check_rigidity(fx_sign.ct, r.obj, r.dual, r.ev, bad_db)
         assert not rep.ok
         assert {f.name for f in rep.failures} & {"snake-X", "snake-Xdual"}
@@ -739,7 +741,7 @@ class TestNaturalFamilies:
         A = fx_strict.algebra
         P = Bimodule.regular(A)
         Q = Bimodule.regular(A)
-        modules = [Module.regular(A), fx_strict.module("Sm")]
+        modules = [Module.regular(A), sample_module(fx_strict, "Sm")]
         for lin in hom_basis(P, Q, {}):
             f = ModuleMap(P, Q, lin)
             fam = induce_natural_family(f, modules)
@@ -763,7 +765,7 @@ class TestNaturalFamilies:
         path = bundled_fixture_files()["strict-f3-z2"]
         data = json.loads(path.read_text().replace('"R"', '"Reg"'))
         fx = watts_fixture_from_json(data)
-        Reg = fx.module("Reg")
+        Reg = sample_module(fx, "Reg")
         A = fx.algebra
         assert Reg == replace(Module.regular(A), name="Reg")
         P = Bimodule.regular(A)
@@ -780,7 +782,7 @@ class TestNaturalFamilies:
         A = fx_strict.algebra
         P, R = Bimodule.regular(A), Module.regular(A)
         f = ModuleMap(P, P, hom_basis(P, P, {})[0])
-        fam = induce_natural_family(f, [R, fx_strict.module("Sm")])
+        fam = induce_natural_family(f, [R, sample_module(fx_strict, "Sm")])
         build, built = algmod.balanced_tensor, []
 
         def counted(*args):
@@ -798,10 +800,10 @@ class TestNaturalFamilies:
         A = fx_strict.algebra
         P = Bimodule.regular(A)
         f = ModuleMap(P, P, hom_basis(P, P, {})[0])
-        modules = [Module.regular(A), fx_strict.module("Sm")]
+        modules = [Module.regular(A), sample_module(fx_strict, "Sm")]
         fam = induce_natural_family(f, modules)
         M = modules[1]
-        fam[M] = make_map(fam[M].source, fam[M].target,
+        fam[M] = LinearMap(fam[M].source, fam[M].target,
                           [[v.value + 1 for v in row]
                            for row in fam[M].matrix])
         with pytest.raises(NotNatural):
@@ -811,7 +813,7 @@ class TestNaturalFamilies:
         A = fx_strict.algebra
         P = Bimodule.regular(A)
         f = ModuleMap(P, P, hom_basis(P, P, {})[0])
-        fam = induce_natural_family(f, [fx_strict.module("Sm")])
+        fam = induce_natural_family(f, [sample_module(fx_strict, "Sm")])
         with pytest.raises(NotNatural):
             nat_to_bimodule_hom(P, P, fam)
 
@@ -898,8 +900,8 @@ def test_clashing_triple_module_raises_action_clash():
     A = group_algebra(Field(3), 2)
     space = VectorSpace(Field(3), ("a", "b"))
     one = identity(space)
-    swap = make_map(space, space, [[0, 1], [1, 0]])
-    sign = make_map(space, space, [[1, 0], [0, -1]])
+    swap = LinearMap(space, space, [[0, 1], [1, 0]])
+    sign = LinearMap(space, space, [[1, 0], [0, -1]])
     # three K[Z/2]-actions; the two left ones do not commute
     T = TripleModule(A, space, (one, swap), (one, sign), (one, one))
     with pytest.raises(ActionClash, match=r"do not commute at \(1,1\)"):
@@ -972,7 +974,7 @@ def _reference_c(wc, X, Y):
     """c_{X,Y} by the θ route: θ_Y(X): X⊗_R ω(Y) -> X⊙Y, x⊗t ↦
     (x̂ ⊙ id_Y)(t), descended through its own cell, after id_X ⊗ ν_Y."""
     ct = wc.ct
-    cell = tensor_with_bimodule(X, wc.omega(Y), {})
+    cell = tensor_over(X, 0, wc.omega(Y), 0, "X⊗ω(Y)", {})
     target = ct.product(X, Y).module.space
     blocks = [ct.mor(wc._xhat(X, b), ct.ident(Y)).lin for b in range(X.dim)]
     ambient = LinearMap.from_rows(cell.proj.source, target, tuple(
@@ -1071,7 +1073,7 @@ def test_endpoint_routes_match_the_routes_through_d(name, flip):
     # every single flip of the sign cocycle, where α is no cocycle
     fx = bundled_watts_fixtures()[name]
     ct = fx.ct if flip is None else GradedTensor(
-        fx.algebra, fx.module("I"), flip_cocycle(fx.ct.cocycle, flip))
+        fx.algebra, sample_module(fx, "I"), flip_cocycle(fx.ct.cocycle, flip))
     wc = WattsContext(ct)
     om = OmegaFunctor(wc)
     for X, Y in itertools.product(fx.sample, repeat=2):
@@ -1131,7 +1133,7 @@ def test_an_unbalanced_nu_fails_c_and_the_pipeline(monkeypatch):
     # as a failed construction, not a bare LinAlgError
     _swap_nu(monkeypatch)
     fx = graded_sign()
-    R = fx.module("R")
+    R = sample_module(fx, "R")
     with pytest.raises(MalformedTensor, match=r"c\[R,R\] is not balanced"):
         WattsContext(fx.ct).c_iso(R, R)
     for groups in ({"T"}, set(CHECK_GROUPS)):
@@ -1168,12 +1170,13 @@ def test_a_singular_nu_fails_c_under_each_group(monkeypatch, groups, first):
                             "detail": f"c[{first}] is not invertible"}
 
 
-@pytest.mark.parametrize("build", [strict_f3_z2, dual_numbers_f2])
-def test_transported_mor_rejects_a_map_that_is_not_equivariant(build):
+@pytest.mark.parametrize("stem", ["strict-f3-z2", "dual-numbers-f2"],
+                         ids=["strict_f3_z2", "dual_numbers_f2"])
+def test_transported_mor_rejects_a_map_that_is_not_equivariant(stem):
     # g⊗₂id_T descends through Y⊗₂T only for a map g of right modules
-    wc = WattsContext(build().ct)
+    wc = WattsContext(bundled(stem).ct)
     R, n = wc.R, wc.R.dim
-    units = (ModuleMap(R, R, make_map(R.space, R.space, [
+    units = (ModuleMap(R, R, LinearMap(R.space, R.space, [
         [int((r, c) == (i, j)) for c in range(n)] for r in range(n)]))
         for i in range(n) for j in range(n))
     g = next(u for u in units if not u.is_equivariant())
@@ -1206,12 +1209,16 @@ def graded_flipped():
 def _widened(fx):
     """The sample plus R in the basis (1, 1 + g), which is not
     homogeneous."""
-    R = fx.module("R")
-    P = make_map(R.space, R.space, [[1, 1], [0, 1]])
+    R = sample_module(fx, "R")
+    P = LinearMap(R.space, R.space, [[1, 1], [0, 1]])
     action = tuple(compose(solve_iso(P), compose(a, P)) for a in R.action)
     Rb = Module("Rb", R.algebra, R.space, "right", action)
     assert Rb.action != R.action
     return replace(fx, sample=fx.sample + (Rb,))
+
+
+def graded_trivial():
+    return bundled("graded-trivial")
 
 
 def graded_trivial_widened():
@@ -1233,7 +1240,7 @@ def test_graded_associator_matches_eight_term_sum(build):
     def combination(terms):
         """Σ c·f over (raw c, map f) pairs, entry by entry."""
         f = terms[0][1]
-        return make_map(f.source, f.target, [
+        return LinearMap(f.source, f.target, [
             [sum(c * g.rows[r][k] for c, g in terms)
              for k in range(f.source.dim)] for r in range(f.target.dim)])
 
