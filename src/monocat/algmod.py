@@ -47,9 +47,8 @@ object when the table's has another name), the unit R of the strict
 tensor and of a Watts context, the identities ``ct.ident``, the shared
 α of the strict and bimodule tensors, the product modules of the graded
 tensor and of ``tensor_over``, which checks its module only when the
-content is new, and the hom-sample maps the checks read (each keeps its
-own object unless the table's has the same source and target).  An
-interned product module keeps the name it was first built under.  An α
+content is new, and the hom-sample maps the checks read.  An interned
+product module, or map, keeps the names it was first built under.  An α
 that depends on the instance (a graded tensor's, a context's α′) is not
 interned, and goes with its tensor by refcount.
 """

@@ -116,10 +116,15 @@ def watts_fixture_from_json(data: dict,
 
         sequences = []
         for i, s in enumerate(data.get("sequences", ())):
-            a, b, c = (member(f"sequences[{i}].spaces", n)
-                       for n in s["spaces"])
+            where, spaces, kind = (f"{name}: sequences[{i}]", s["spaces"],
+                                   s["exactness"])
+            if not isinstance(spaces, list) or len(spaces) != 3:
+                raise FixtureError(f"{where}.spaces: not 3 names: {spaces!r}")
+            if kind not in ("right-exact", "short-exact"):
+                raise FixtureError(f"{where}.exactness: unknown kind {kind!r}")
+            a, b, c = (member(f"sequences[{i}].spaces", n) for n in spaces)
             seq = ExactSequence(
-                _string(s["name"], f"sequences[{i}].name"), s["exactness"],
+                _string(s["name"], f"sequences[{i}].name"), kind,
                 ModuleMap(a, b, LinearMap(a.space, b.space, s["f"])),
                 ModuleMap(b, c, LinearMap(b.space, c.space, s["g"])))
             seq.check()

@@ -185,10 +185,6 @@ class ObjectExpr:
     def simple(label: str) -> "ObjectExpr":
         return ObjectExpr({label: 1})
 
-    @staticmethod
-    def zero() -> "ObjectExpr":
-        return ObjectExpr({})
-
 
 def fuse(fd: FusionData, X: ObjectExpr, Y: ObjectExpr) -> ObjectExpr:
     """Expand X ⊙ Y through the fusion coefficients."""
@@ -231,9 +227,6 @@ class BlockMatrix:
 
     simples: tuple
     rows: tuple
-
-    def entry(self, j: str, k: str) -> int:
-        return self.rows[self.simples.index(j)][self.simples.index(k)]
 
     def to_lists(self) -> list:
         return [list(row) for row in self.rows]

@@ -3,19 +3,22 @@
 A CustomTensor packages a tensor product ⊙ on right R-modules: product
 cells (quotients of the scalar Kronecker product), morphism tensoring,
 and the associator/unit components.  From such a structure we build the
-triple-action bimodule T = R⊙R, the natural isomorphisms ν and c
-(collapsed out of D(X,Y) through ν), the transported structure
+embedding functor ω = R⊙(−) into R-R-bimodules, written on maps in one
+place (``WattsContext.omega_map``); the triple-action bimodule T = ω(R)
+with its second left action ω(ℓ_r) (by Watts (1960) a right-exact
+functor is −⊗_R its value at R); the natural isomorphisms ν and c
+(collapsed out of D(X,Y) through ν); the transported structure
 (D, α′, λ′, ρ′), itself a CustomTensor (a ``WattsContext``) whose product
-D(X,Y) = X⊗_R(Y⊗₂T) is one balanced tensor cell like every other, and
-the embedding functor ω into R-R-bimodules with its monoidal structure
-ξ.  The target of ω is a CustomTensor too: ``BimoduleTensor``, ⊗_R on
-bimodules, which shares its associator and unitors with the strict
-tensor.  Every claimed identity is checked by exact matrix equality and
-reported with witnesses.
+D(X,Y) = X⊗_R(Y⊗₂T) is one balanced tensor cell like every other; and
+ω's monoidal structure ξ.  The target of ω is a CustomTensor too:
+``BimoduleTensor``, ⊗_R on bimodules, which shares its associator and
+unitors with the strict tensor.  Every claimed identity is checked by
+exact matrix equality and reported with witnesses.
 
 All verification is performed on a declared finite sample of modules,
 with morphisms drawn from hom bases between sample members (every basis
-map of every pair, see ``_hom_samples``).  The regular module R, also
+map of every pair, see ``_hom_samples``, which carries each map with the
+names of the pair it was drawn for).  The regular module R, also
 the unit of the strict tensor, is ``Module.regular(algebra)``, named ``R``
 as in every bundled sample, and one object on a table: the loader, the
 strict tensor and a context intern it (``algmod.intern``).  A module is
@@ -27,8 +30,10 @@ interned, is the first module of its content on the table.  Each product
 cell has one store, its tensor's ``product`` cache (``_ombar`` for
 X⊗₂T): ``algmod.tensor_over`` builds it and keeps nothing.  Check names
 and witnesses are formed from the sample and the loop variables, never
-from cached objects, so reports name the caller's modules; an exception
-raised inside a cached construction can still carry the first name.
+from cached objects, so reports name the caller's modules: an interned
+hom-sample map may run between modules of other names, and its witness
+``pair`` is the pair of the sample loop.  An exception raised inside a
+cached construction can still carry the first name.
 Almost every check whiskers a map with an identity, f⊙id_Z, so a table
 keeps one identity map per content (``CustomTensor.ident``), and interns
 the other objects that key the caches: the ``mor`` key is then found by
@@ -67,7 +72,8 @@ class MalformedTensor(WattsError):
 
 
 class ActionClash(WattsError):
-    """The actions on T fail to commute: ⊙ is not bifunctorial."""
+    """The actions ⊙ builds on T or on ω(X) fail the action laws or fail
+    to commute: ⊙ is not bifunctorial."""
 
 
 class NotNatural(WattsError):
@@ -158,13 +164,14 @@ class _Recorder:
             yield (objs, f"{family}[{','.join(names)}]",
                    {"object": names[0]} if n == 1 else {"objects": names})
 
-    def maps(self, family: str, morphisms: Sequence[ModuleMap], per: int = 1):
-        """Each (k, f) of the morphism sample with its check name
-        family[k] and its context; the domain is ``per`` instances a map."""
+    def maps(self, family: str, morphisms: Sequence[tuple], per: int = 1):
+        """Each (k, f) of the morphism sample, its (f, source name, target
+        name) triples (``_hom_samples``), with its check name family[k]
+        and its context, whose ``pair`` is the triple's names; the domain
+        is ``per`` instances a map."""
         self.domains[family] = len(morphisms) * per
-        for k, f in enumerate(morphisms):
-            yield (k, f), f"{family}[{k}]", {
-                "morphism": k, "pair": [f.source.name, f.target.name]}
+        for k, (f, *pair) in enumerate(morphisms):
+            yield (k, f), f"{family}[{k}]", {"morphism": k, "pair": pair}
 
     def report(self, title: str, names: Sequence[str]) -> CoherenceReport:
         return CoherenceReport(title, tuple(names), tuple(self.results),
@@ -542,21 +549,19 @@ def _iso_inverse(m: LinearMap, what: str) -> LinearMap:
 
 
 def _hom_maps(X: Module, Y: Module, cells: dict) -> list:
-    """Every hom-basis map X -> Y as a ModuleMap, the basis's quotient
-    looked up and each map interned in the cell table ``cells``.  A map
-    keeps its own object unless the table's has X and Y themselves as
-    source and target, so that witnesses name the caller's modules."""
-    out = []
-    for lin in hom_basis(X, Y, cells):
-        f = ModuleMap(X, Y, lin)
-        found = intern(cells, f)
-        out.append(found if found.source is X and found.target is Y else f)
-    return out
+    """Every hom-basis map X -> Y as a ModuleMap interned in the cell table
+    ``cells``, where the basis's quotient is looked up too.  An interned
+    map may run between modules of other names: its caller names it from
+    its own loop."""
+    return [intern(cells, ModuleMap(X, Y, lin))
+            for lin in hom_basis(X, Y, cells)]
 
 
-def _hom_samples(sample: Sequence[Module], cells: dict):
-    """Morphism sample: every hom-basis map between sample modules."""
-    return [f for X in sample for Y in sample for f in _hom_maps(X, Y, cells)]
+def _hom_samples(sample: Sequence[Module], cells: dict) -> list:
+    """Morphism sample: every hom-basis map f between sample modules, as
+    (f, X.name, Y.name) for the pair (X, Y) it was drawn for."""
+    return [(f, X.name, Y.name) for X in sample for Y in sample
+            for f in _hom_maps(X, Y, cells)]
 
 
 def _pentagon(ct: CustomTensor, W: Module, X: Module, Y: Module,
@@ -665,7 +670,7 @@ def check_monoidal_axioms(ct: CustomTensor,
     # bifunctor interchange on sampled morphism pairs
     rec.domains["interchange-a"] = rec.domains["interchange-b"] = \
         len(morphisms) ** 2
-    for (k, f), (l, g) in product(enumerate(morphisms), repeat=2):
+    for (k, (f, *_)), (l, (g, *_)) in product(enumerate(morphisms), repeat=2):
         fg = ct.mor(f, g).lin
         a = compose(ct.mor(ct.ident(f.target), g).lin,
                     ct.mor(f, ct.ident(g.source)).lin)
@@ -683,8 +688,8 @@ def check_monoidal_axioms(ct: CustomTensor,
         rec.equal(name, compose(rhos[f.target][0].lin, ct.mor(f, one).lin),
                   compose(f.lin, rhos[f.source][0].lin), ctx)
     rec.domains["alpha-natural"] = len(morphisms) * len(sample) ** 2
-    for (k, f), Y, Z in product(enumerate(morphisms[:6]), sample[:2],
-                                sample[:2]):
+    for (k, (f, *_)), Y, Z in product(enumerate(morphisms[:6]), sample[:2],
+                                      sample[:2]):
         YZ = ct.product(Y, Z).module
         lhs = compose(ct.associator(f.target, Y, Z).lin,
                       ct.mor(ct.mor(f, ct.ident(Y)), ct.ident(Z)).lin)
@@ -698,11 +703,12 @@ def check_monoidal_axioms(ct: CustomTensor,
 
 
 # ---------------------------------------------------------------------------
-# The bimodule T = R⊙R with three actions
+# The bimodule T = ω(R) with three actions
 
 @dataclass(frozen=True)
 class TripleModule:
-    """R⊙R with its two left actions and its right module structure."""
+    """T = R⊙R with its two left actions and its right module structure:
+    ω(R)'s left and right actions, and ω(ℓ_r) (``WattsContext``)."""
 
     algebra: Algebra
     space: VectorSpace
@@ -716,24 +722,17 @@ class TripleModule:
                 ("right", self.right))
 
     def check(self):
-        try:
-            check_actions("T", self.algebra, self.space, self.families)
-        except StructureError as exc:
-            raise ActionClash(str(exc)) from exc
+        _bifunctorial(check_actions, "T", self.algebra, self.space,
+                      self.families)
 
 
-def build_T(ct: CustomTensor, R: Module,
-            lmult: Sequence[ModuleMap]) -> TripleModule:
-    """T = R⊙R; left1 from −⊙R on the left multiplications ``lmult`` of
-    R, left2 from R⊙−."""
-    cell = ct.product(R, R)
-    idR = ct.ident(R)
-    left1 = tuple(ct.mor(lm, idR).lin for lm in lmult)
-    left2 = tuple(ct.mor(idR, lm).lin for lm in lmult)
-    T = TripleModule(ct.algebra, cell.module.space, left1, left2,
-                     tuple(cell.module.action))
-    T.check()
-    return T
+def _bifunctorial(check, *args) -> None:
+    """``check(*args)``, the check of actions built from ⊙: its failure is
+    an ActionClash, since ⊙ is then not bifunctorial."""
+    try:
+        check(*args)
+    except StructureError as exc:
+        raise ActionClash(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +742,15 @@ class WattsContext(CustomTensor):
     """The monoidal structure (D, α′, λ′, ρ′) that T transports ⊙ to on
     Mod_R: a CustomTensor whose product X⊙′Y is the ``tensor_over`` cell
     D(X,Y) = X⊗_R(Y⊗₂T) and whose f⊙′g is ``tensor_maps`` of f and
-    g⊗₂id_T (``_right_factor``), with T
-    and every construction derived from the source tensor ``ct``, each
-    built once per table and functor key.  D(X,Y)
-    is cached by ``product`` and α′ by ``associator`` alone: ``dcell`` and
+    g⊗₂id_T (``_right_factor``), with T and every construction derived
+    from the source tensor ``ct``, each built once per table and functor
+    key.  T is built from ω: its first left and its right actions are
+    ω(R)'s, its second left action is ω(ℓ_r) for each ``lmult``, and ν's
+    blocks ω(x̂) and ξ's last factor ω(c⁻¹) are ``omega_map`` too, so ⊙
+    with R on the left is applied to maps only in ``omega_map`` and ω's
+    left action (ℓ_r⊙id_X).  The actions of ω(X) and T are checked where
+    they are built, and a failure is an ActionClash.  D(X,Y) is cached
+    by ``product`` and α′ by ``associator`` alone: ``dcell`` and
     ``alpha_prime`` build, every other caller reads the cache.  ``R`` is
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
@@ -784,7 +788,10 @@ class WattsContext(CustomTensor):
         R = self.R = intern(self.cells, Module.regular(ct.algebra))
         self.lmult = tuple(ModuleMap(R, R, self.algebra.left_mult_matrix(i))
                            for i in range(self.algebra.dim))
-        self.T = build_T(ct, R, self.lmult)
+        oR = self.omega(R)
+        left2 = tuple(self.omega_map(lm) for lm in self.lmult)
+        self.T = TripleModule(self.algebra, oR.space, oR.left, left2, oR.right)
+        self.T.check()
 
     def functor_key(self) -> tuple:
         return ("transported", self.ct.key)
@@ -793,13 +800,14 @@ class WattsContext(CustomTensor):
 
     @_memo("_omega")
     def omega(self, X: Module) -> Bimodule:
-        """R⊙X; r acts on the left through ℓ_r ⊙ id_X."""
+        """R⊙X; r acts on the left through ℓ_r ⊙ id_X.  Its actions are
+        checked: ActionClash when they fail."""
         cell = self.ct.product(self.R, X)
         idX = self.ct.ident(X)
         left = tuple(self.ct.mor(lm, idX).lin for lm in self.lmult)
         bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
                        left, tuple(cell.module.action))
-        bim.check()
+        _bifunctorial(bim.check)
         return bim
 
     def omega_map(self, f: ModuleMap) -> LinearMap:
@@ -820,11 +828,9 @@ class WattsContext(CustomTensor):
 
     @_memo("_nu")
     def nu(self, X: Module) -> ModuleMap:
-        """ν_X: X⊗₂T -> ω(X), x⊗t ↦ (id_R ⊙ x̂)(t), a map of bimodules."""
+        """ν_X: X⊗₂T -> ω(X), x⊗t ↦ ω(x̂)(t), a map of bimodules."""
         cell, omega = self.ombar(X), self.omega(X)
-        idR = self.ct.ident(self.R)
-        blocks = [self.ct.mor(idR, self._xhat(X, a)).lin
-                  for a in range(X.dim)]
+        blocks = [self.omega_map(self._xhat(X, a)) for a in range(X.dim)]
         try:
             return ModuleMap(cell.module, omega,
                              _collapse(cell, blocks, omega.space))
@@ -936,10 +942,9 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
               {"objects": [R.name, R.name]})
 
     # α′_{R,R,R} is equivariant for the three slot actions and the right one
-    alpha = wc.associator(R, R, R).lin
-    RR = wc.product(R, R).module
+    alpha = wc.associator(R, R, R)
     idR = wc.ident(R)
-    idRR = wc.ident(RR)
+    idRR = wc.ident(wc.product(R, R).module)
     for i, lm in enumerate(wc.lmult):
         src_slots = (wc.mor(wc.mor(lm, idR), idR).lin,
                      wc.mor(wc.mor(idR, lm), idR).lin,
@@ -949,12 +954,11 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
                      wc.mor(idR, wc.mor(idR, lm)).lin)
         for s, (a_src, a_tgt) in enumerate(zip(src_slots, tgt_slots), 1):
             rec.equal(f"T-alpha-slot-equivariant[slot{s},e{i}]",
-                      compose(alpha, a_src), compose(a_tgt, alpha),
+                      compose(alpha.lin, a_src), compose(a_tgt, alpha.lin),
                       {"slot": s, "basis": i})
-        a_src = wc.product(RR, R).module.action[i]
-        a_tgt = wc.product(R, RR).module.action[i]
         rec.equal(f"T-alpha-right-equivariant[e{i}]",
-                  compose(alpha, a_src), compose(a_tgt, alpha), {"basis": i})
+                  compose(alpha.lin, alpha.source.action[i]),
+                  compose(alpha.target.action[i], alpha.lin), {"basis": i})
 
     return rec.report(f"T coherence: {wc.ct.name}", (R.name, I.name))
 
@@ -1040,7 +1044,7 @@ class OmegaFunctor:
 
     @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
-        """ξ_{X,Y} = (id_R ⊙ c_{X,Y}⁻¹) ∘ α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) ->
+        """ξ_{X,Y} = ω(c_{X,Y}⁻¹) ∘ α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) ->
         ω(D(X,Y)), κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into (R⊙X)⊙Y.  This is
         c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ ν_Y⁻¹) with α′ unfolded and
         c moved by naturality, c_{R⊙X,Y} ∘ (id ⊗ ν_Y ν_Y⁻¹) = κ, so no
@@ -1053,7 +1057,7 @@ class OmegaFunctor:
             raise MalformedTensor(
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
         return compose_all(kappa, ct.associator(R, X, Y).lin,
-                           ct.mor(ct.ident(R), wc.inverse(wc.c_iso(X, Y))).lin)
+                           wc.omega_map(wc.inverse(wc.c_iso(X, Y))))
 
 
 def verify_monoidal_functor(wc: WattsContext,

@@ -67,13 +67,13 @@ def test_criterion_02_embedding_homomorphism_200_pairs():
         prod = tensor_images(fd, VX, VY)
         assert prod == embed_object(fd, fuse(fd, X, Y))
         # brute-force oracle, entry by entry
-        for j in fd.simples:
-            for n in fd.simples:
+        for a, j in enumerate(fd.simples):
+            for b, n in enumerate(fd.simples):
                 oracle = sum(
                     X.m(p) * Y.m(q) * fd.c(p, q, i) * fd.c(i, n, j)
                     for p in fd.simples for q in fd.simples
                     for i in fd.simples) * fd.r(j)
-                assert prod.entry(j, n) == oracle
+                assert prod.rows[a][b] == oracle
         assert dual_image(fd, VX) == embed_object(fd, dual_object(fd, X))
         done += 1
     assert time.perf_counter() - t0 < 1.0

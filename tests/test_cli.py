@@ -124,7 +124,7 @@ def test_report_transports_at_the_endpoints(capsys, monkeypatch):
 def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
     # a guard on the transported maps: ν, c, c⁻¹ and α′ carry their
     # modules, so no caller looks a product up to wrap them again, and
-    # ``report --seed 7`` makes 5,877 product calls (6,746 with the lookups)
+    # ``report --seed 7`` makes 5,857 product calls (6,746 with the lookups)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     product = watts.CustomTensor.product
@@ -270,7 +270,11 @@ class TestExitCodes:
          "strict-f3-z2: unknown tensor kind 'braided'"),
         ("sequence-g-after-f-nonzero", "R-(1-g)-R-Sp: g∘f ≠ 0"),
         ("sequence-g-not-onto", "R-(1-g)-R-Sp: g is not surjective"),
-        ("sequence-f-not-injective", "R-(1-g)-R-Sp: f is not injective")])
+        ("sequence-f-not-injective", "R-(1-g)-R-Sp: f is not injective"),
+        ("short-sequence-spaces",
+         "strict-f3-z2: sequences[1].spaces: not 3 names: ['Sm', 'R']"),
+        ("unknown-exactness",
+         "strict-f3-z2: sequences[1].exactness: unknown kind 5")])
     def test_inconsistent_watts_fixture_is_usage_error(self, capsys, tmp_path,
                                                        case, fragment):
         source = "graded-sign" if case.startswith("graded") else \
@@ -335,6 +339,10 @@ class TestExitCodes:
         elif case == "sequence-f-not-injective":
             # R -(1-g)-> R -> Sp is exact, but 1-g has a kernel
             data["sequences"][0]["exactness"] = "short-exact"
+        elif case == "short-sequence-spaces":
+            data["sequences"][1]["spaces"].pop()
+        elif case == "unknown-exactness":
+            data["sequences"][1]["exactness"] = 5
         else:
             modules[1]["dim"] = True
         path = tmp_path / f"{case}.json"

@@ -146,6 +146,56 @@ def test_transported_maps_are_taken_as_they_are():
         assert _calls(context[unit], "product") == 0
 
 
+def _ident_of_R(node) -> int:
+    """Calls ``ident(R)`` or ``ident(….R)`` under ``node``."""
+    return sum(isinstance(call, ast.Call)
+               and "ident" in (getattr(call.func, "id", None),
+                               getattr(call.func, "attr", None))
+               and any("R" in (getattr(arg, "id", None),
+                               getattr(arg, "attr", None))
+                       for arg in call.args)
+               for call in ast.walk(node))
+
+
+def _identity_tests(node) -> int:
+    """``is`` and ``is not`` comparisons under ``node``."""
+    return sum(isinstance(cmp, ast.Compare)
+               and any(isinstance(op, (ast.Is, ast.IsNot)) for op in cmp.ops)
+               for cmp in ast.walk(node))
+
+
+def _top_level(tree, name: str):
+    """The module-level function ``name`` of ``tree``."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_T_is_omega_of_R():
+    # T's families are ω(R)'s two and ω(ℓ_r), so R⊙(−) on maps is written
+    # only in omega_map and ω's left action: ν's blocks and ξ's last factor
+    # are omega_map too, and no separate builder of T is left
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    assert "build_T" not in {node.name for node in ast.walk(tree)
+                             if isinstance(node, ast.FunctionDef)}
+    context = _methods(tree, "WattsContext")
+    assert _calls(context["__init__"], "omega", on="self") == 1
+    assert _calls(context["__init__"], "omega_map", on="self") == 1
+    for method in (context["nu"], _methods(tree, "OmegaFunctor")["xi"]):
+        assert _calls(method, "omega_map") == 1
+        assert _ident_of_R(method) == 0
+
+
+def test_the_sample_loop_names_the_morphisms():
+    # every hom-basis map is interned, whatever its modules are named, and
+    # a witness pair is the pair of the sample loop, never a map's modules
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    assert _calls(_top_level(tree, "_hom_maps"), "intern") == 1
+    assert _identity_tests(_top_level(tree, "_hom_maps")) == 0
+    maps = _methods(tree, "_Recorder")["maps"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "name"
+                   for node in ast.walk(maps))
+
+
 def _table_writes(node) -> int:
     """Assignments to ``cells[...]`` under ``node``."""
     return sum(isinstance(sub, ast.Subscript)
@@ -159,9 +209,7 @@ def test_tensor_over_builds_and_keeps_nothing():
     # asks for it: tensor_over finds its cokernel and interns its module
     # on the table, and writes nothing there under its own key
     tree = ast.parse((SRC / "algmod.py").read_text(encoding="utf-8"))
-    tensor_over = next(node for node in tree.body
-                       if isinstance(node, ast.FunctionDef)
-                       and node.name == "tensor_over")
+    tensor_over = _top_level(tree, "tensor_over")
     assert _table_writes(tensor_over) == 0
     assert _calls(tensor_over, "cokernel") == 1
     assert _calls(tensor_over, "intern") == 1
@@ -180,3 +228,8 @@ def test_the_walk_finds_callers_and_optional_tables():
     writes = ast.parse("cells[k] = v\ncells[k]\nx = cells.get(k)\n"
                        "other[k] = v\n")
     assert _table_writes(writes) == 1
+    idents = ast.parse("ct.ident(R)\nself.ct.ident(self.R)\nident(X)\n"
+                       "ct.mor(R, X)\n")
+    assert _ident_of_R(idents) == 2
+    tests = ast.parse("a is b\na is not None\na == b\nx in y\n")
+    assert _identity_tests(tests) == 2

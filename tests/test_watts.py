@@ -318,22 +318,29 @@ class TestSharedRegularModule:
 
     def test_equal_samples_keep_their_names(self):
         # graded-sign with L repeated as L2: L2 is equal to L but stays its
-        # own object, and every sampled map runs between the sample's own
-        # modules, so witnesses name the pair asked for
+        # own object; every sampled map is interned, so the map drawn for
+        # (L2, L2) is the one drawn for (L, L), and each carries the names
+        # of the pair it was drawn for, which the recorder puts in ``pair``
         data = json.loads((BUNDLED / "graded-sign.json").read_text())
         L = next(m for m in data["modules"] if m["name"] == "L")
         data["modules"].append(dict(L, name="L2"))
         fx = watts_fixture_from_json(data)
         L, L2 = sample_module(fx, "L"), sample_module(fx, "L2")
         assert L2 == L and L2 is not L and L2.name == "L2"
-        maps = _hom_samples(fx.sample, fx.ct.cells)
+        samples = _hom_samples(fx.sample, fx.ct.cells)
         pairs = [(X, Y) for X in fx.sample for Y in fx.sample
                  for _ in hom_basis(X, Y, {})]
-        assert len(maps) == len(pairs)
-        assert all(f.source is X and f.target is Y
-                   for f, (X, Y) in zip(maps, pairs))
-        assert any(f.source is L2 for f in maps)
-        assert _hom_samples(fx.sample, fx.ct.cells)[0] is maps[0]
+        assert [(source, target) for _, source, target in samples] == \
+            [(X.name, Y.name) for X, Y in pairs]
+        assert all(f.source == X and f.target == Y
+                   for (f, _, _), (X, Y) in zip(samples, pairs))
+        drawn_for_L2 = [f for f, source, _ in samples if source == "L2"]
+        assert drawn_for_L2 and all(f.source is L for f in drawn_for_L2)
+        contexts = [ctx for _, _, ctx in watts._Recorder().maps("f", samples)]
+        assert [ctx["pair"] for ctx in contexts] == \
+            [[X.name, Y.name] for X, Y in pairs]
+        assert ["L2", "L2"] in [ctx["pair"] for ctx in contexts]
+        assert _hom_samples(fx.sample, fx.ct.cells)[0][0] is samples[0][0]
 
     def test_parity_projectors_built_once(self, fx_sign):
         for X in fx_sign.sample:
@@ -1168,6 +1175,32 @@ def test_a_singular_nu_fails_c_under_each_group(monkeypatch, groups, first):
     assert last.name == "pipeline-construction" and not last.ok
     assert last.witness == {"error": "MalformedTensor",
                             "detail": f"c[{first}] is not invertible"}
+
+
+def test_a_non_functorial_tensor_reaching_omega_fails_the_pipeline(
+        monkeypatch):
+    # negative control: ℓ_g ⊙ id_Sp made zero is still equivariant, so
+    # ``mor`` takes it, but then g acts on ω(Sp) as zero while g·g = 1, and
+    # the pipeline reports an ActionClash, not a bare StructureError
+    fx = bundled("strict-f3-z2")
+    R, Sp = sample_module(fx, "R"), sample_module(fx, "Sp")
+    l_g = fx.algebra.left_mult_matrix(1)
+    mor = StrictTensor.mor
+
+    def zero_on_sp(self, f, g):
+        out = mor(self, f, g)
+        if f.source == R and f.lin.rows == l_g.rows and g == self.ident(Sp):
+            return ModuleMap(out.source, out.target, zero_map(
+                out.source.space, out.target.space))
+        return out
+
+    monkeypatch.setattr(StrictTensor, "mor", zero_on_sp)
+    [last] = [r for rep in _watts_reports(fx, {"functor"})
+              for r in rep.results]
+    assert last.name == "pipeline-construction" and not last.ok
+    assert last.witness == {
+        "error": "ActionClash",
+        "detail": "ω(Sp): action incompatible with product at (1,1)"}
 
 
 @pytest.mark.parametrize("stem", ["strict-f3-z2", "dual-numbers-f2"],
