@@ -46,8 +46,9 @@ its regular module R and sample modules (a sample module keeps its own
 object when the table's has another name), the unit R of the strict
 tensor and of a Watts context, the identities ``ct.ident``, the shared
 α of the strict and bimodule tensors, the product modules of the graded
-tensor and of ``tensor_over``, which checks its module only when the
-content is new, and the hom-sample maps the checks read.  An interned
+tensor and of ``tensor_over``, and the hom-sample maps the checks read.
+A product module is not checked: its actions descend from actions
+checked where they were loaded or built (``tensor_over``).  An interned
 product module, or map, keeps the names it was first built under.  An α
 that depends on the instance (a graded tensor's, a context's α′) is not
 interned, and goes with its tensor by refcount.
@@ -164,12 +165,17 @@ def _action_of(space: VectorSpace, mats: Sequence[LinearMap],
 
 
 def check_actions(name: str, algebra: Algebra, space: VectorSpace,
-                  families) -> None:
+                  families, checked=()) -> None:
     """Each (side, matrices) family is an action of the algebra on space,
     and every two families commute; StructureError names the first failure.
+    The families at the indices ``checked`` are known to be commuting
+    actions, so only the others' laws and their commutation with every
+    family are checked.
     """
     d = algebra.dim
-    for side, mats in families:
+    for k, (side, mats) in enumerate(families):
+        if k in checked:
+            continue
         if side not in ("left", "right"):
             raise StructureError(f"{name}: unknown side {side!r}")
         if len(mats) != d:
@@ -190,7 +196,9 @@ def check_actions(name: str, algebra: Algebra, space: VectorSpace,
                     raise StructureError(
                         f"{name}: action incompatible with product at ({i},{j})")
     for a, (side_a, first) in enumerate(families):
-        for side_b, second in families[a + 1:]:
+        for b, (side_b, second) in enumerate(families[a + 1:], a + 1):
+            if a in checked and b in checked:
+                continue
             for i, L in enumerate(first):
                 for j, R in enumerate(second):
                     if compose(L, R).rows != compose(R, L).rows:
@@ -379,10 +387,15 @@ def tensor_over(X, i: int, Y, j: int, name: str, cells: dict) -> TensorCell:
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
-    a Bimodule, named ``name`` and checked only when its content is new
-    on the table ``cells``, where ``cokernel`` finds the balanced cell and
-    ``intern`` the module.  The cell is built, not kept: its caller's
-    product cache is its one store."""
+    a Bimodule, named ``name`` and interned on the table ``cells``, where
+    ``cokernel`` finds the balanced cell.  The cell is built, not kept:
+    its caller's product cache is its one store.
+
+    The module is not checked: X's and Y's families are actions that
+    commute (checked where they were loaded or built, or themselves such
+    products), the residual ones commute with the balanced pair, so they
+    descend to the cokernel, and descent keeps the action laws and the
+    commutation."""
     if X.algebra != Y.algebra:
         raise StructureError(f"{name}: tensor over different algebras")
     cell = cokernel(cells, X.space, X.families[i][1], Y.space,
@@ -399,8 +412,6 @@ def tensor_over(X, i: int, Y, j: int, name: str, cells: dict) -> TensorCell:
     else:
         (_, left), (_, right) = families
         result = Bimodule(name, X.algebra, cell.space, left, right)
-    if result not in cells.get("interned", ()):
-        result.check()
     return TensorCell(cell.space, cell.proj, cell.section,
                       intern(cells, result))
 

@@ -135,14 +135,15 @@ def watts_fixture_from_json(data: dict,
         for i, r in enumerate(data.get("rigidity", ())):
             X, Xd = (member(f"rigidity[{i}].{key}", r[key])
                      for key in ("object", "dual"))
-            pair_dx = ct.product(Xd, X).module
-            pair_xd = ct.product(X, Xd).module
-            rigidity.append(RigidityDatum(
-                X, Xd,
-                ModuleMap(pair_dx, ct.unit,
-                          LinearMap(pair_dx.space, ct.unit.space, r["ev"])),
-                ModuleMap(ct.unit, pair_xd,
-                          LinearMap(ct.unit.space, pair_xd.space, r["db"]))))
+            ends = {"ev": (ct.product(Xd, X).module, ct.unit),
+                    "db": (ct.unit, ct.product(X, Xd).module)}
+            ev, db = (ModuleMap(s, t, LinearMap(s.space, t.space, r[key]))
+                      for key, (s, t) in ends.items())
+            for key, m in zip(ends, (ev, db)):
+                if not m.is_equivariant():
+                    raise FixtureError(
+                        f"{name}: rigidity[{i}].{key}: not equivariant")
+            rigidity.append(RigidityDatum(X, Xd, ev, db))
         return WattsFixture(name, ct, sample, tuple(sequences),
                             tuple(rigidity))
     except FixtureError:

@@ -95,8 +95,9 @@ class TestGolden:
 
 def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
     # a guard on the fast paths: with gathered inclusions flagged, zero
-    # terms of the graded α skipped and each tensor_over product built
-    # once, ``report --seed 7`` makes 2,369 full products (6,789 without)
+    # terms of the graded α skipped, each tensor_over product built once
+    # and no check re-run on what ⊙ and tensor_over build, ``report
+    # --seed 7`` makes 1,660 full products (2,071 with those checks)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     mul_rows = linalg._mul_rows
@@ -104,7 +105,7 @@ def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
                         lambda *args: calls.append(1) or mul_rows(*args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 2500
+    assert len(calls) <= 1700
 
 
 def test_report_transports_at_the_endpoints(capsys, monkeypatch):
@@ -262,6 +263,10 @@ class TestExitCodes:
          "strict-f3-z2: sequences[1].spaces: no sample module named 'Nope'"),
         ("graded-unknown-dual",
          "graded-sign: rigidity[1].dual: no sample module named 'Nope'"),
+        ("graded-ev-not-equivariant",
+         "graded-sign: rigidity[1].ev: not equivariant"),
+        ("graded-db-not-equivariant",
+         "graded-sign: rigidity[1].db: not equivariant"),
         ("numeric-sequence-name",
          "sequences[1].name: expected a string, got 5"),
         ("repeated-sequence-name",
@@ -326,6 +331,12 @@ class TestExitCodes:
             data["sequences"][1]["spaces"][0] = "Nope"
         elif case == "graded-unknown-dual":
             data["rigidity"][1]["dual"] = "Nope"
+        elif case.endswith("-not-equivariant"):
+            # L with the dual I: g acts by −1 on I⊙L and L⊙I, by 1 on I, so
+            # only ev = 0 and db = 0 are equivariant
+            data["rigidity"][1]["dual"] = "I"
+            if case.startswith("graded-db"):
+                data["rigidity"][1]["ev"] = [[0]]
         elif case == "numeric-sequence-name":
             data["sequences"][1]["name"] = 5
         elif case == "repeated-sequence-name":

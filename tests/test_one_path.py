@@ -215,6 +215,21 @@ def test_tensor_over_builds_and_keeps_nothing():
     assert _calls(tensor_over, "intern") == 1
 
 
+def test_what_is_built_from_checked_inputs_is_not_checked_again():
+    # f⊙g is equivariant and a tensor_over module obeys the action laws by
+    # construction, so neither builder re-runs the check, and T checks
+    # only its second left action; test_watts.py's
+    # test_every_cached_map_and_module_holds_its_laws runs the checks
+    algmod_tree = ast.parse((SRC / "algmod.py").read_text(encoding="utf-8"))
+    watts_tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    mor = _methods(watts_tree, "CustomTensor")["mor"]
+    tensor_over = _top_level(algmod_tree, "tensor_over")
+    for node in (mor, tensor_over):
+        assert _calls(node, "is_equivariant") == _calls(node, "check") == 0
+    T_check = _methods(watts_tree, "TripleModule")["check"]
+    assert ast.literal_eval(T_check.body[0].value.args[-1]) == (0, 2)
+
+
 def test_the_walk_finds_callers_and_optional_tables():
     tree = ast.parse("def cokernel(cells):\n    return balanced_tensor()\n"
                      "class T:\n    def f(self, cells=None):\n"
