@@ -228,8 +228,11 @@ class Bimodule:
     def families(self) -> tuple:
         return (("left", self.left), ("right", self.right))
 
-    def check(self):
-        check_actions(self.name, self.algebra, self.space, self.families)
+    def check(self, checked=()):
+        """``check_actions`` on both families, skipping the laws of those
+        at the indices ``checked``."""
+        check_actions(self.name, self.algebra, self.space, self.families,
+                      checked)
 
     @staticmethod
     def regular(algebra: Algebra) -> "Bimodule":

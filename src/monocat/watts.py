@@ -221,7 +221,9 @@ class CustomTensor:
     ``ident(X)`` is the one identity of X's content on the table, interned
     there (``algmod.intern``), so a tensor and its context share it; it is
     the identity every f⊙id and id⊙f is formed with, so that its ``mor``
-    key hits by pointer.
+    key hits by pointer.  ``product`` keeps each cell in ``_products``
+    under ``_product_key``: the pair, or a graded tensor's sequence of
+    factors.
 
     Each cache is a dict bound to its attribute.  Those in ``_shared``
     depend only on ⊙'s rule on objects and morphisms, named by the
@@ -260,9 +262,18 @@ class CustomTensor:
     def field(self) -> Field:
         return self.algebra.field
 
-    @_memo("_products")
     def product(self, X: Module, Y: Module) -> TensorCell:
-        return self._product(X, Y)
+        """The cell X⊙Y, built once per ``_product_key(X, Y)`` and kept
+        under it in ``_products``, its one store."""
+        key = self._product_key(X, Y)
+        cell = self._products.get(key)
+        if cell is None:
+            cell = self._products[key] = self._product(X, Y)
+        return cell
+
+    def _product_key(self, X: Module, Y: Module) -> tuple:
+        """The key of X⊙Y in ``_products``: the pair (X, Y)."""
+        return X, Y
 
     def _product(self, X: Module, Y: Module) -> TensorCell:
         raise NotImplementedError
@@ -459,9 +470,15 @@ class GradedTensor(CustomTensor):
     cocycle is no part of the functor key: graded tensors over one
     algebra share their products, maps and parity projectors through a
     common table, and only α is their own.
+
+    (X⊙Y)⊙Z and X⊙(Y⊙Z) have one content, since the Kronecker product is
+    associative and spaces compare by shape, so a product is keyed by
+    its sequence of sample factors (``_product_key``), which ``_factors``
+    keeps for each product module on the table: each product is built
+    once per sequence.
     """
 
-    _shared = CustomTensor._shared + ("_parities",)
+    _shared = CustomTensor._shared + ("_parities", "_factors")
 
     def __init__(self, algebra: Algebra, unit: Module, cocycle: dict,
                  name: Optional[str] = None, cells: Optional[dict] = None):
@@ -490,11 +507,18 @@ class GradedTensor(CustomTensor):
         super().__init__(algebra, unit, name or "graded[Z/2]", cells)
         self.cocycle = dict(cocycle)
 
+    def _product_key(self, X: Module, Y: Module) -> tuple:
+        """The sequence of sample factors of X⊙Y: X's and then Y's, as
+        ``_factors`` keeps them for each product module, (M,) for any
+        other module M."""
+        return self._factors.get(X, (X,)) + self._factors.get(Y, (Y,))
+
     def _product(self, X: Module, Y: Module) -> TensorCell:
         space = tensor_space(X.space, Y.space)
         action = (identity(space), tensor(X.action[1], Y.action[1]))
         mod = intern(self.cells, Module(f"({X.name}⊙{Y.name})",
                                         self.algebra, space, "right", action))
+        self._factors.setdefault(mod, self._product_key(X, Y))
         one = identity(mod.space)
         return TensorCell(mod.space, one, one, mod)
 
@@ -763,7 +787,9 @@ class WattsContext(CustomTensor):
     left action (ℓ_r⊙id_X).  The actions of ω(X) and T are checked where
     they are built, and a failure is an ActionClash.  D(X,Y) is cached
     by ``product`` and α′ by ``associator`` alone: ``dcell`` and
-    ``alpha_prime`` build, every other caller reads the cache.  ``R`` is
+    ``alpha_prime`` build, every other caller reads the cache, but for
+    the functor pentagon, which reads α′'s core (``alpha_core``) and
+    builds α′ only for a failing instance.  ``R`` is
     the regular module, named ``R``, ``lmult[i]`` the left multiplication
     by e_i on it, a map of right modules, and ``bimodules`` the target
     tensor ⊗_R of ω.  Every cache is keyed by content, so a hit returns
@@ -819,7 +845,7 @@ class WattsContext(CustomTensor):
         left = tuple(self.ct.mor(lm, idX).lin for lm in self.lmult)
         bim = Bimodule(f"ω({X.name})", self.algebra, cell.module.space,
                        left, tuple(cell.module.action))
-        _bifunctorial(bim.check)
+        _bifunctorial(bim.check, (1,))
         return bim
 
     def omega_map(self, f: ModuleMap) -> LinearMap:
@@ -904,21 +930,28 @@ class WattsContext(CustomTensor):
                 f"c[{X.name},{Y.name}] is not balanced") from exc
         return c
 
-    def alpha_prime(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
-        """Build α′: D(D(X,Y),Z) -> D(X,D(Y,Z)) as c_{D(X,Y),Z},
-        c_{X,Y} ⊙ id_Z, α, id_X ⊙ c_{Y,Z}⁻¹, c_{X,D(Y,Z)}⁻¹ (diagram
-        order): by naturality of c, α transported through D(X⊙Y,Z) and
-        D(X,Y⊙Z) without building them; ``associator`` caches it."""
+    def alpha_core(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
+        """α′ without its outer c's: c_{X,Y} ⊙ id_Z, α, id_X ⊙ c_{Y,Z}⁻¹
+        (diagram order), D(X,Y)⊙Z -> X⊙D(Y,Z).  Not cached: ``alpha_prime``
+        and the functor pentagon each build it once per triple."""
         ct = self.ct
         c_xy, c_yz_inv = self.c_iso(X, Y), self.inverse(self.c_iso(Y, Z))
-        first = self.c_iso(c_xy.source, Z)
-        last = self.inverse(self.c_iso(X, c_yz_inv.target))
+        first = ct.mor(c_xy, ct.ident(Z))
+        last = ct.mor(ct.ident(X), c_yz_inv)
         return ModuleMap(first.source, last.target, compose_all(
-            first.lin,
-            ct.mor(c_xy, ct.ident(Z)).lin,
-            ct.associator(X, Y, Z).lin,
-            ct.mor(ct.ident(X), c_yz_inv).lin,
-            last.lin))
+            first.lin, ct.associator(X, Y, Z).lin, last.lin))
+
+    def alpha_prime(self, X: Module, Y: Module, Z: Module) -> ModuleMap:
+        """Build α′: D(D(X,Y),Z) -> D(X,D(Y,Z)) as c_{D(X,Y),Z}, the core
+        (``alpha_core``) and c_{X,D(Y,Z)}⁻¹ (diagram order): by naturality
+        of c, α transported through D(X⊙Y,Z) and D(X,Y⊙Z) without building
+        them; ``associator`` caches it.  A passing functor pentagon reads
+        the core alone, so only the T checks and a failing instance build
+        α′."""
+        first = self.c_iso(self.c_iso(X, Y).source, Z)
+        last = self.inverse(self.c_iso(X, self.c_iso(Y, Z).source))
+        return ModuleMap(first.source, last.target, compose_all(
+            first.lin, self.alpha_core(X, Y, Z).lin, last.lin))
 
     def _associator(self, X, Y, Z):
         return self.alpha_prime(X, Y, Z)
@@ -1041,7 +1074,9 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 
 class OmegaFunctor:
     """ω together with ξ and η over a WattsContext.  ξ is built from α,
-    so it is cached once per functor and freed with it, never shared.
+    so it is cached once per functor and freed with it, never shared;
+    ξ°, ξ without its last factor, is read by the functor pentagon at D
+    arguments, once per triple, and not cached.
     ξ, η and ω(f) (``WattsContext.omega_map``) are LinearMaps, not
     ModuleMaps: their modules would include bimodules ω(D(D(X,Y),Z))
     that no check builds, and the checks compose them as matrices."""
@@ -1054,13 +1089,11 @@ class OmegaFunctor:
         """η: R -> ω(I), the inverse of the right unit at R."""
         return solve_iso(self.wc.ct.right_unit(self.wc.R).lin)
 
-    @_memo("_xi")
-    def xi(self, X: Module, Y: Module) -> LinearMap:
-        """ξ_{X,Y} = ω(c_{X,Y}⁻¹) ∘ α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) ->
-        ω(D(X,Y)), κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into (R⊙X)⊙Y.  This is
-        c_{R,D(X,Y)} ∘ α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ ν_Y⁻¹) with α′ unfolded and
-        c moved by naturality, c_{R⊙X,Y} ∘ (id ⊗ ν_Y ν_Y⁻¹) = κ, so no
-        D(D(R,X),Y) is built; MalformedTensor when κ does not descend."""
+    def xi_open(self, X: Module, Y: Module) -> LinearMap:
+        """ξ°_{X,Y} = α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) -> ω(X⊙Y), ξ without its
+        last factor ω(c_{X,Y}⁻¹), with κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into
+        (R⊙X)⊙Y; MalformedTensor when κ does not descend.  Not cached: the
+        functor pentagon reads it at D(X,Y),Z and X,D(Y,Z) once each."""
         wc, ct, R = self.wc, self.wc.ct, self.wc.R
         cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
         try:
@@ -1068,8 +1101,68 @@ class OmegaFunctor:
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
-        return compose_all(kappa, ct.associator(R, X, Y).lin,
-                           wc.omega_map(wc.inverse(wc.c_iso(X, Y))))
+        return compose(ct.associator(R, X, Y).lin, kappa)
+
+    @_memo("_xi")
+    def xi(self, X: Module, Y: Module) -> LinearMap:
+        """ξ_{X,Y} = ω(c_{X,Y}⁻¹) ∘ ξ°_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)),
+        with ξ° = α_{R,X,Y} ∘ κ (``xi_open``).  This is c_{R,D(X,Y)} ∘
+        α′_{R,X,Y} ∘ (c_{R,X}⁻¹ ⊗ ν_Y⁻¹) with α′ unfolded and c moved by
+        naturality, c_{R⊙X,Y} ∘ (id ⊗ ν_Y ν_Y⁻¹) = κ, so no D(D(R,X),Y) is
+        built."""
+        wc = self.wc
+        return compose(wc.omega_map(wc.inverse(wc.c_iso(X, Y))),
+                       self.xi_open(X, Y))
+
+
+def _functor_pentagon(wc: WattsContext, om: OmegaFunctor, X: Module,
+                      Y: Module, Z: Module) -> tuple:
+    """The two sides (ωX⊗ωY)⊗ωZ -> ω(D(X,D(Y,Z))) of the functor
+    pentagon, ω(α′) ∘ ξ_{D(X,Y),Z} ∘ (ξ_{X,Y} ⊗ id) and ξ_{X,D(Y,Z)} ∘
+    (id ⊗ ξ_{Y,Z}) ∘ a, with a the bimodule associator: a failing
+    instance's witness."""
+    bim = wc.bimodules
+    oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
+    DXY = wc.product(X, Y).module
+    DYZ = wc.product(Y, Z).module
+    m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
+                     bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
+                     identity(oZ.space))
+    lhs = compose_all(m1, om.xi(DXY, Z),
+                      wc.omega_map(wc.associator(X, Y, Z)))
+    m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
+                     bim.product(oX, wc.omega(DYZ)),
+                     identity(oX.space), om.xi(Y, Z))
+    rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2, om.xi(X, DYZ))
+    return lhs, rhs
+
+
+def _functor_pentagon_met(wc: WattsContext, om: OmegaFunctor, X: Module,
+                          Y: Module, Z: Module) -> tuple:
+    """The two sides of the functor pentagon where they meet: after the
+    surjection q: ωX⊗_K ωY⊗_K ωZ -> (ωX⊗ωY)⊗ωZ and before their common
+    last factor, the isomorphism ω(c_{X,D(Y,Z)}⁻¹).  Equal exactly when
+    the full sides (``_functor_pentagon``) are: a∘q is the projection
+    onto ωX⊗(ωY⊗ωZ), so a drops out; (ξ⊗id)∘q and (id⊗ξ)∘q are the
+    ambient maps they descend; ω(α′) ∘ ξ_{D(X,Y),Z} is ω(c_{X,D(Y,Z)}⁻¹)
+    ∘ ω(core) ∘ ξ°_{D(X,Y),Z}, as ω is a functor and c ∘ c⁻¹ = id.  So
+    neither side builds α′, c_{D(X,Y),Z}, c_{X,D(Y,Z)}, a cell on three
+    factors or the bimodule associator."""
+    bim = wc.bimodules
+    oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
+    DXY = wc.product(X, Y).module
+    DYZ = wc.product(Y, Z).module
+    lhs = compose_all(
+        compose_tensor(bim.product(wc.omega(DXY), oZ).proj,
+                       compose(om.xi(X, Y), bim.product(oX, oY).proj),
+                       identity(oZ.space)),
+        om.xi_open(DXY, Z), wc.omega_map(wc.alpha_core(X, Y, Z)))
+    rhs = compose_all(
+        compose_tensor(bim.product(oX, wc.omega(DYZ)).proj,
+                       identity(oX.space),
+                       compose(om.xi(Y, Z), bim.product(oY, oZ).proj)),
+        om.xi_open(X, DYZ))
+    return lhs, rhs
 
 
 def verify_monoidal_functor(wc: WattsContext,
@@ -1100,19 +1193,11 @@ def verify_monoidal_functor(wc: WattsContext,
         rec.add(name, mm.is_equivariant(), ctx)
 
     for (X, Y, Z), name, ctx in rec.objects("functor-pentagon", sample, 3):
-        oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
-        DXY = wc.product(X, Y).module
-        DYZ = wc.product(Y, Z).module
-        m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
-                         bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
-                         identity(oZ.space))
-        lhs = compose_all(m1, om.xi(DXY, Z),
-                          wc.omega_map(wc.associator(X, Y, Z)))
-        m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
-                         bim.product(oX, wc.omega(DYZ)),
-                         identity(oX.space), om.xi(Y, Z))
-        rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2, om.xi(X, DYZ))
-        rec.equal(name, lhs, rhs, ctx)
+        lhs, rhs = _functor_pentagon_met(wc, om, X, Y, Z)
+        if lhs.rows == rhs.rows:
+            rec.add(name, True)
+        else:
+            rec.equal(name, *_functor_pentagon(wc, om, X, Y, Z), ctx)
 
     oI = wc.omega(I)
     for (X,), name, ctx in rec.objects("functor-unit-left", sample, 1):

@@ -95,9 +95,11 @@ class TestGolden:
 
 def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
     # a guard on the fast paths: with gathered inclusions flagged, zero
-    # terms of the graded α skipped, each tensor_over product built once
-    # and no check re-run on what ⊙ and tensor_over build, ``report
-    # --seed 7`` makes 1,660 full products (2,071 with those checks)
+    # terms of the graded α skipped, each tensor_over product built once,
+    # no check re-run on what ⊙ and tensor_over build and the functor
+    # pentagon compared where its sides meet, ``report --seed 7`` makes
+    # 1,503 full products (1,660 through the full sides, 2,071 with those
+    # checks too)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     mul_rows = linalg._mul_rows
@@ -105,13 +107,15 @@ def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
                         lambda *args: calls.append(1) or mul_rows(*args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 1700
+    assert len(calls) <= 1550
 
 
 def test_report_transports_at_the_endpoints(capsys, monkeypatch):
     # a guard on the endpoint routes: α′ and ξ take c at their endpoints,
-    # so no D(X⊙Y,Z), D(X,Y⊙Z) or D(D(R,X),Y) is built, and ``report
-    # --seed 7`` builds 84 balanced tensors (118 through those cells)
+    # so no D(X⊙Y,Z), D(X,Y⊙Z) or D(D(R,X),Y) is built, and a passing
+    # functor pentagon builds no D(D(X,Y),Z), D(X,D(Y,Z)) and no cell on
+    # three factors, so ``report --seed 7`` builds 53 balanced tensors (84
+    # through the functor pentagon's full sides, 118 through those cells)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     build = algmod.balanced_tensor
@@ -119,13 +123,15 @@ def test_report_transports_at_the_endpoints(capsys, monkeypatch):
                         lambda *args: calls.append(1) or build(*args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 90
+    assert len(calls) <= 55
 
 
 def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
     # a guard on the transported maps: ν, c, c⁻¹ and α′ carry their
     # modules, so no caller looks a product up to wrap them again, and
-    # ``report --seed 7`` makes 5,857 product calls (6,746 with the lookups)
+    # with the functor pentagon compared where its sides meet ``report
+    # --seed 7`` makes 5,791 product calls (5,857 through the full sides,
+    # 6,746 with the lookups too)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     product = watts.CustomTensor.product
@@ -134,7 +140,42 @@ def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
                         or product(self, *args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 5900
+    assert len(calls) <= 5800
+
+
+def test_report_builds_no_bimodule_cell_on_three_factors(capsys, monkeypatch):
+    # a guard on the functor pentagon: a passing instance compares its
+    # sides after ωX⊗_K ωY⊗_K ωZ, so it builds neither (ωX⊗ωY)⊗ωZ nor
+    # ωX⊗(ωY⊗ωZ), and ``report --seed 7`` builds 46 bimodule cells (94
+    # through the full sides)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    build = algmod.bimodule_tensor
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    for module in (algmod, watts):  # watts imports it by name
+        monkeypatch.setattr(module, "bimodule_tensor", counted)
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 50
+
+
+def test_report_builds_each_graded_product_once(capsys, monkeypatch):
+    # a guard on the graded products: one build per sequence of sample
+    # factors, so (X⊙Y)⊙Z and X⊙(Y⊙Z) are one, and ``report --seed 7``
+    # builds 127 graded products (228 keyed by pair)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    build = watts.GradedTensor._product
+    monkeypatch.setattr(watts.GradedTensor, "_product",
+                        lambda self, *args: calls.append(1)
+                        or build(self, *args))
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 130
 
 
 class TestExitCodes:

@@ -120,17 +120,64 @@ def _calls(node, name: str, on: str = None) -> int:
 
 
 def test_xi_is_built_from_c_with_one_tensor_maps():
-    # c is natural, so α′ and ξ take it at their endpoints: ξ reads c and
-    # the ⊙ associator and tensors no maps into D(D(R,X),Y), α′ takes no
-    # ⊙′ of maps, μ is gone, and no collapse u_X onto X⊗₂T is defined
+    # c is natural, so α′ and ξ take it at their endpoints: ξ is ξ° (the ⊙
+    # associator after κ) followed by ω(c⁻¹), and tensors no maps into
+    # D(D(R,X),Y); α′ is c, its core and c⁻¹, and neither takes a ⊙′ of
+    # maps; μ is gone, and no collapse u_X onto X⊗₂T is defined
     tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
     context = _methods(tree, "WattsContext")
-    xi = _methods(tree, "OmegaFunctor")["xi"]
+    functor = _methods(tree, "OmegaFunctor")
+    xi, xi_open = functor["xi"], functor["xi_open"]
     assert "c_iso" in _package_references()["watts.OmegaFunctor.xi"]
-    assert _calls(xi, "associator", on="ct") == 1
-    assert _calls(xi, "tensor_maps") == _calls(xi, "mu") == 0
-    assert _calls(context["alpha_prime"], "mor", on="self") == 0
+    assert _calls(xi, "xi_open", on="self") == 1
+    assert _calls(xi, "omega_map") == 1 and _calls(xi, "associator") == 0
+    assert _calls(xi_open, "associator", on="ct") == 1
+    assert _calls(xi_open, "omega_map") == _calls(xi_open, "c_iso") == 0
+    for method in (xi, xi_open):
+        assert _calls(method, "tensor_maps") == _calls(method, "mu") == 0
+    for method in ("alpha_prime", "alpha_core"):
+        assert _calls(context[method], "mor", on="self") == 0
+    assert _calls(context["alpha_prime"], "alpha_core", on="self") == 1
+    assert _calls(context["alpha_prime"], "associator") == 0
     assert "mu" not in context and "collapse" not in context
+
+
+def test_the_functor_pentagon_compares_where_its_sides_meet():
+    # a passing instance reads α′'s core and ξ° and builds neither α′ nor
+    # the bimodule associator; only the failure branch of
+    # verify_monoidal_functor builds the full sides, its witness
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    met = _top_level(tree, "_functor_pentagon_met")
+    verify = _top_level(tree, "verify_monoidal_functor")
+    for node in (met, verify):
+        assert _calls(node, "associator") == _calls(node, "alpha_prime") == 0
+    assert _calls(met, "tensor_maps") == 0
+    assert _calls(met, "alpha_core", on="wc") == 1
+    assert _calls(met, "xi_open", on="om") == 2
+    full = [call for call in ast.walk(verify) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_functor_pentagon"]
+    branches = [node for node in ast.walk(verify) if isinstance(node, ast.If)
+                and any(_calls(sub, "_functor_pentagon") for sub in node.orelse)]
+    assert len(full) == 1 and len(branches) == 1
+    assert _calls(branches[0].body[0], "_functor_pentagon") == 0
+    refs = _package_references()
+    assert {"watts.WattsContext.alpha_prime", "watts._functor_pentagon_met"} \
+        <= _readers(refs, "alpha_core")
+
+
+def test_graded_products_are_keyed_by_their_factors():
+    # ⊙ looks each product up under its tensor's _product_key, and the
+    # graded tensor's is the sequence of sample factors it keeps per
+    # product module, so (X⊙Y)⊙Z and X⊙(Y⊙Z) are one build
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    product = _methods(tree, "CustomTensor")["product"]
+    assert _calls(product, "_product_key", on="self") == 1
+    assert not product.decorator_list
+    graded = _methods(tree, "GradedTensor")
+    assert "_factors" in _package_references()[
+        "watts.GradedTensor._product_key"]
+    assert _calls(graded["_product"], "setdefault") == 1
+    assert "product" not in graded
 
 
 def test_transported_maps_are_taken_as_they_are():

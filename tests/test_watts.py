@@ -550,25 +550,43 @@ class TestFunctorKey:
                 assert build(cells).product(R, R) == alone[build]
 
     def test_contexts_share_what_the_key_fixes(self):
-        # ⊗_R's α is the canonical rebracketing and c_{X,Y} collapses
-        # D(X,Y) through ν, both fixed by the functor key: graded-trivial's
-        # context reads the ones graded-sign's run built and adds none, and
-        # keeps its own α′
+        # ⊗_R's products and c_{X,Y}, which collapses D(X,Y) through ν,
+        # are fixed by the functor key: graded-trivial's context reads the
+        # ones graded-sign's run built and adds none, and keeps its own α′
         groups = set(CHECK_GROUPS)
         cells = {}
         sign = load_fixture_file(BUNDLED / "graded-sign.json", cells)
         trivial = load_fixture_file(BUNDLED / "graded-trivial.json", cells)
         assert all(rep.ok for rep in _watts_reports(sign, groups))
         first, second = WattsContext(sign.ct), WattsContext(trivial.ct)
-        assert second.bimodules._assocs is first.bimodules._assocs
+        assert second.bimodules._products is first.bimodules._products
         assert second._c is first._c and second._inv is first._inv
         assert second._assocs is not first._assocs
-        sizes = [len(memo) for memo in (first.bimodules._assocs, first._c,
+        sizes = [len(memo) for memo in (first.bimodules._products, first._c,
                                         first._inv)]
         assert all(sizes)
         assert all(rep.ok for rep in _watts_reports(trivial, groups))
-        assert [len(memo) for memo in (second.bimodules._assocs, second._c,
-                                       second._inv)] == sizes
+        assert [len(memo) for memo in (second.bimodules._products,
+                                       second._c, second._inv)] == sizes
+
+    def test_failing_functor_pentagons_share_the_bimodule_associator(self):
+        # only a failing functor-pentagon instance builds ⊗_R's α, which
+        # the functor key fixes too: a second tensor with the same flipped
+        # cocycle on the table reads the α's the first one's run built
+        text = (BUNDLED / "graded-sign.json").read_text()
+        data = json.loads(text)
+        data["tensor"]["cocycle"][3][3] *= -1
+        cells = {}
+        first = watts_fixture_from_json(data, cells)
+        second = watts_fixture_from_json(json.loads(json.dumps(data)), cells)
+        assert second.ct is not first.ct
+        assocs = WattsContext(first.ct).bimodules._assocs
+        assert not assocs
+        assert not _watts_reports(first, {"functor"})[0].ok
+        size = len(assocs)
+        assert size and WattsContext(second.ct).bimodules._assocs is assocs
+        assert not _watts_reports(second, {"functor"})[0].ok
+        assert len(assocs) == size
 
     def test_strict_tensors_share_alpha(self, fx_strict):
         cells = {}
@@ -1090,6 +1108,105 @@ def test_endpoint_routes_match_the_routes_through_d(name, flip):
                 _reference_alpha_prime(wc, X, Y, Z).rows
 
 
+def _reference_functor_pentagon(wc, om, X, Y, Z):
+    """The functor pentagon's full sides out of (ωX⊗ωY)⊗ωZ, the route
+    every instance took before the sides were compared where they meet:
+    ω(α′) ∘ ξ_{D(X,Y),Z} ∘ m1 and ξ_{X,D(Y,Z)} ∘ m2 ∘ a, with the cells on
+    three factors, m1 = ξ_{X,Y} ⊗ id, m2 = id ⊗ ξ_{Y,Z} and a the bimodule
+    associator."""
+    bim = wc.bimodules
+    oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
+    DXY = wc.product(X, Y).module
+    DYZ = wc.product(Y, Z).module
+    m1 = tensor_maps(bim.product(bim.product(oX, oY).module, oZ),
+                     bim.product(wc.omega(DXY), oZ), om.xi(X, Y),
+                     identity(oZ.space))
+    lhs = compose_all(m1, om.xi(DXY, Z),
+                      wc.omega_map(wc.alpha_prime(X, Y, Z)))
+    m2 = tensor_maps(bim.product(oX, bim.product(oY, oZ).module),
+                     bim.product(oX, wc.omega(DYZ)),
+                     identity(oX.space), om.xi(Y, Z))
+    rhs = compose_all(bim.associator(oX, oY, oZ).lin, m2, om.xi(X, DYZ))
+    return lhs, rhs
+
+
+def _watts_fixture_and_flips():
+    """(stem, k) for the 4 watts fixtures as they are (k = -1) and for
+    each single cocycle flip k of the graded ones."""
+    cases = []
+    for stem in ("dual-numbers-f2", "graded-sign", "graded-trivial",
+                 "strict-f3-z2"):
+        data = json.loads((BUNDLED / f"{stem}.json").read_text())
+        cases += [(stem, k) for k in
+                  range(-1, len(data["tensor"].get("cocycle", ())))]
+    return cases
+
+
+@pytest.mark.parametrize("stem, k", _watts_fixture_and_flips())
+def test_functor_pentagon_decides_as_its_full_sides(stem, k):
+    # each instance compares its sides where they meet, after
+    # ωX⊗_K ωY⊗_K ωZ -> (ωX⊗ωY)⊗ωZ and before ω(c⁻¹_{X,D(Y,Z)}); the full
+    # sides decide alike on every sample triple, and a failing instance's
+    # witness is the full sides
+    data = json.loads((BUNDLED / f"{stem}.json").read_text())
+    if k >= 0:
+        data["tensor"]["cocycle"][k][3] *= -1
+    fx = watts_fixture_from_json(data, {})
+    rep = verify_monoidal_functor(WattsContext(fx.ct), fx.sample)
+    results = {r.name: r for r in rep.results
+               if r.name.startswith("functor-pentagon[")}
+    assert len(results) == len(fx.sample) ** 3
+    wc = WattsContext(fx.ct)
+    om = OmegaFunctor(wc)
+    for X, Y, Z in itertools.product(fx.sample, repeat=3):
+        got = results[f"functor-pentagon[{X.name},{Y.name},{Z.name}]"]
+        lhs, rhs = _reference_functor_pentagon(wc, om, X, Y, Z)
+        assert got.ok == (lhs.rows == rhs.rows)
+        if not got.ok:
+            assert got.witness == {"objects": [X.name, Y.name, Z.name],
+                                   "lhs": matrix_to_json(lhs),
+                                   "rhs": matrix_to_json(rhs)}
+
+
+@pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
+def test_a_passing_functor_pentagon_builds_no_full_side(name, monkeypatch):
+    # where every instance passes, the functor checks build no α′, no
+    # bimodule associator, and no c on a D argument: c_{D(X,Y),Z} and
+    # c_{X,D(Y,Z)} cancel before they are built
+    fx = bundled_watts_fixtures()[name]
+    wc = WattsContext(fx.ct)
+
+    def refused(*args):
+        raise AssertionError("built on a passing run")
+
+    asked = []
+    c_iso = WattsContext.c_iso
+    monkeypatch.setattr(WattsContext, "alpha_prime", refused)
+    monkeypatch.setattr(BimoduleTensor, "_associator", refused)
+    monkeypatch.setattr(WattsContext, "c_iso", lambda self, X, Y:
+                        asked.append((X, Y)) or c_iso(self, X, Y))
+    rep = verify_monoidal_functor(wc, fx.sample)
+    assert rep.ok
+    atoms = set(fx.sample) | {fx.ct.unit}
+    assert asked and all(X in atoms and Y in atoms for X, Y in asked)
+
+
+def test_functor_pentagon_flips_fail_with_witnesses():
+    # the differential test above has failing instances to compare: 264
+    # over the 16 flips, none on the single flip that keeps α a cocycle
+    failing = 0
+    for stem, k in _watts_fixture_and_flips():
+        if k < 0:
+            continue
+        data = json.loads((BUNDLED / f"{stem}.json").read_text())
+        data["tensor"]["cocycle"][k][3] *= -1
+        fx = watts_fixture_from_json(data, {})
+        rep = verify_monoidal_functor(WattsContext(fx.ct), fx.sample)
+        failing += sum(r.name.startswith("functor-pentagon[")
+                       for r in rep.failures)
+    assert failing == 264
+
+
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
 def test_structure_maps_carry_the_cached_modules(name):
     # ν, c, c⁻¹ and α′ are equivariant maps of the modules the context
@@ -1325,6 +1442,41 @@ def test_graded_associator_matches_eight_term_sum(build):
                 if ct.cocycle == trivial_cocycle():
                     # the identity inclusion keeps the compose fast paths
                     assert got.lin.cols is not None
+
+
+class _PairKeyedGradedTensor(GradedTensor):
+    """The graded tensor with its products keyed by the pair (X, Y)."""
+
+    def _product_key(self, X, Y):
+        return X, Y
+
+
+def test_graded_products_are_built_once_per_factor_sequence(monkeypatch):
+    # (X⊙Y)⊙Z and X⊙(Y⊙Z) have one content, as the Kronecker product is
+    # associative and spaces compare by shape, so the graded tensor builds
+    # each product once per sequence of sample factors: on graded-sign's
+    # widened sample, each sequence a pair-keyed tensor builds is built
+    # once, and the reports are equal
+    fx = graded_sign_widened()
+    built = []
+    build = GradedTensor._product
+
+    def recorded(self, X, Y):
+        built.append((type(self), f"{X.name}⊙{Y.name}".replace(
+            "(", "").replace(")", "")))
+        return build(self, X, Y)
+
+    monkeypatch.setattr(GradedTensor, "_product", recorded)
+    reports = [check_monoidal_axioms(kind(fx.algebra, fx.ct.unit,
+                                          sign_cocycle()), fx.sample)
+               for kind in (GradedTensor, _PairKeyedGradedTensor)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].ok and reports[0].domains == reports[1].domains
+    by_sequence = [seq for kind, seq in built if kind is GradedTensor]
+    by_pair = [seq for kind, seq in built if kind is not GradedTensor]
+    assert len(by_sequence) == len(set(by_sequence))
+    assert set(by_sequence) == set(by_pair)
+    assert len(by_pair) > len(by_sequence)
 
 
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
