@@ -1073,27 +1073,29 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 # The monoidal embedding ω with structure ξ
 
 class OmegaFunctor:
-    """ω together with ξ and η over a WattsContext.  ξ is built from α,
-    so it is cached once per functor and freed with it, never shared;
-    ξ°, ξ without its last factor, is read by the functor pentagon at D
-    arguments, once per triple, and not cached.
+    """ω together with ξ and η over a WattsContext.  ξ°, ξ without its
+    last factor, is built from α, so it is cached once per functor
+    (``_xi_open``) and freed with it, never shared; ξ is ω(c⁻¹) after
+    it, one product per call.
     ξ, η and ω(f) (``WattsContext.omega_map``) are LinearMaps, not
     ModuleMaps: their modules would include bimodules ω(D(D(X,Y),Z))
     that no check builds, and the checks compose them as matrices."""
 
     def __init__(self, wc: WattsContext):
         self.wc = wc
-        self._xi: Dict[tuple, LinearMap] = {}
+        self._xi_open: Dict[tuple, LinearMap] = {}
 
     def eta(self) -> LinearMap:
         """η: R -> ω(I), the inverse of the right unit at R."""
         return solve_iso(self.wc.ct.right_unit(self.wc.R).lin)
 
+    @_memo("_xi_open")
     def xi_open(self, X: Module, Y: Module) -> LinearMap:
         """ξ°_{X,Y} = α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) -> ω(X⊙Y), ξ without its
         last factor ω(c_{X,Y}⁻¹), with κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into
-        (R⊙X)⊙Y; MalformedTensor when κ does not descend.  Not cached: the
-        functor pentagon reads it at D(X,Y),Z and X,D(Y,Z) once each."""
+        (R⊙X)⊙Y; MalformedTensor when κ does not descend.  The functor
+        pentagon reads it at D(X,Y),Z and X,D(Y,Z), where many triples
+        give one content."""
         wc, ct, R = self.wc, self.wc.ct, self.wc.R
         cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
         try:
@@ -1103,7 +1105,6 @@ class OmegaFunctor:
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
         return compose(ct.associator(R, X, Y).lin, kappa)
 
-    @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
         """ξ_{X,Y} = ω(c_{X,Y}⁻¹) ∘ ξ°_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)),
         with ξ° = α_{R,X,Y} ∘ κ (``xi_open``).  This is c_{R,D(X,Y)} ∘
