@@ -36,6 +36,8 @@ CASES = {
         ["--format", "json", "watts", "strict-f3-z2", "--checks", "axioms"],
     "report-seed7.json":
         ["--format", "json", "report", "--seed", "7"],
+    "report-seed7.txt":
+        ["report", "--seed", "7"],
 }
 FLIPPED_DUP = "watts-graded-flipped-dup.json"
 

@@ -21,19 +21,22 @@ Every product here is a balancing cokernel, so the one cache is a table
 of them: ``cokernel``, the one caller of ``balanced_tensor``, keeps each
 cell in the dict ``cells`` its caller owns, keyed by its arguments, so
 by content; with ``intern`` (below) it is the only code that touches a
-table.  Its two readers are ``hom_basis`` and ``tensor_over``, the one
-builder of a balanced product with the module it carries (X⊗_R Y of
-bimodules or over a commutative R, and in ``watts`` X⊗₂T, D(X,Y) and
-the M⊗_R P of a natural family).  Both take that table as a required
-argument and memoize nothing: ``tensor_over`` builds a cell with the
-module it carries and keeps nothing under its own arguments, so each
-product has one store, the product cache of the tensor that asks for
-it (for a natural family, the dict of cells its function keeps while
-it runs).  Every tensor of ``watts`` has a table, the
-caller's, its own or, for a transported tensor, its source tensor's,
-and keeps in it too, under its functor key, the caches that depend only
-on its rule on objects and morphisms, while those that depend on the
-associator stay on the tensor.  The table holds modules, spaces, maps,
+table.  Its two readers are ``hom_basis`` and ``balanced_cell``, the
+bare cell of a balanced product, which ``tensor_over``, the one builder
+of a balanced product with the module it carries (X⊗_R Y of bimodules
+or over a commutative R, and in ``watts`` X⊗₂T and D(X,Y)), builds on.
+A caller that reads only the quotient takes the bare cell: in ``watts``
+the M⊗_R P of a natural family, and the bimodule cells ξ° and the
+functor pentagon descend through, whose residual actions nothing reads.
+All three take that table as a required argument and memoize nothing:
+``tensor_over`` builds a cell with the module it carries and keeps
+nothing under its own arguments, so each product has one store, the
+product cache of the tensor that asks for it.  Every tensor of
+``watts`` has a table, the caller's, its own or, for a transported
+tensor, its source tensor's, and keeps in it too, under its functor
+key, the caches that depend only on its rule on objects and
+morphisms, while those that depend on the associator stay on the
+tensor.  The table holds modules, spaces, maps,
 cells and dicts of them, never a tensor or a context; ``monocat
 report`` keeps one for all its fixtures.  The one process-wide store is
 ``linalg``'s: each F_p's p boxed scalars, kept for the life of the
@@ -385,24 +388,36 @@ def tensor_maps(src, tgt, f: LinearMap, g: LinearMap) -> LinearMap:
     return descend(src, compose_tensor(tgt.proj, f, g))
 
 
+def balanced_cell(X, i: int, Y, j: int, cells: dict) -> TensorCell:
+    """The bare cell of X ⊗_R Y balancing X.families[i], read as a right
+    action, against Y.families[j], read as a left one: the quotient, its
+    projection and its section, with no module, as ``cokernel`` keeps it
+    on the table ``cells``; StructureError when X and Y are over
+    different algebras.  For a caller that reads only the quotient (a
+    source or target cell of ``tensor_maps``), and the cell
+    ``tensor_over`` builds its module on."""
+    if X.algebra != Y.algebra:
+        raise StructureError(
+            f"({X.name}⊗{Y.name}): tensor over different algebras")
+    return cokernel(cells, X.space, X.families[i][1], Y.space,
+                    Y.families[j][1])
+
+
 def tensor_over(X, i: int, Y, j: int, name: str, cells: dict) -> TensorCell:
     """X ⊗_R Y balancing X.families[i], read as a right action, against
     Y.families[j], read as a left one, with every other family of X (as
     a ⊗ id_Y) and of Y (as id_X ⊗ b) descended to the quotient.  One
     residual family gives a Module, a left and a right one (in that order)
     a Bimodule, named ``name`` and interned on the table ``cells``, where
-    ``cokernel`` finds the balanced cell.  The cell is built, not kept:
-    its caller's product cache is its one store.
+    ``balanced_cell`` finds the balanced cell.  The cell is built, not
+    kept: its caller's product cache is its one store.
 
     The module is not checked: X's and Y's families are actions that
     commute (checked where they were loaded or built, or themselves such
     products), the residual ones commute with the balanced pair, so they
     descend to the cokernel, and descent keeps the action laws and the
     commutation."""
-    if X.algebra != Y.algebra:
-        raise StructureError(f"{name}: tensor over different algebras")
-    cell = cokernel(cells, X.space, X.families[i][1], Y.space,
-                    Y.families[j][1])
+    cell = balanced_cell(X, i, Y, j, cells)
     idX, idY = identity(X.space), identity(Y.space)
     families = [
         (side, tuple(tensor_maps(cell, cell, a, idY) for a in mats))

@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring
 from typing import List, Optional
 
 from .fixtures import (FixtureError, WattsFixture, bundled_fixture_files,
@@ -33,11 +34,53 @@ SCHEMA = 1
 CHECK_GROUPS = ("axioms", "T", "functor", "embedding", "rigidity")
 
 
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False),
+    byte for byte.  With ``indent`` json runs its pure-Python encoder;
+    this walks the containers directly and quotes strings with json's C
+    ``encode_basestring``.  Any other value is left to json.dumps: a
+    scalar to its C encoder, an empty container or a dict with a key that
+    is not a string to the indenting one, re-indented to its depth."""
+    out: List[str] = []
+    _indent_into(value, "\n", out)
+    return "".join(out)
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _indent_into(value, pad: str, out: List[str]) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is True or value is False or value is None:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _indent_into(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif (isinstance(value, dict) and value
+          and all(isinstance(key, str) for key in value)):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring(key) + ": ")
+            _indent_into(value[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value, sort_keys=True, indent=2,
+                              ensure_ascii=False).replace("\n", pad))
+    else:
+        out.append(json.dumps(value))
+
+
 def _emit(payload: dict, text: str, fmt: str) -> None:
     if fmt == "json":
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True, indent=2,
-                         ensure_ascii=False))
+        print(_dumps({"schema": SCHEMA, **payload}))
     else:
         print(text)
 
@@ -243,7 +286,7 @@ def cmd_report(args) -> int:
                 for name, path in sorted(files.items())}
     rng = random.Random(args.seed)
     sections = {}
-    texts = []
+    texts = []  # built only for the text output, which prints them
     for name, fx in fixtures.items():
         if isinstance(fx, FusionData):
             rep = _fusion_report(fx, rng, args.n_max)
@@ -251,7 +294,8 @@ def cmd_report(args) -> int:
             rep = merge_reports(f"watts: {fx.name}",
                                 _watts_reports(fx, set(CHECK_GROUPS)))
         sections[name] = rep.to_json()
-        texts.append(rep.to_text())
+        if args.format == "text":
+            texts.append(rep.to_text())
     ok = all(sec["ok"] for sec in sections.values())
     texts.append(f"overall: {'all fixtures passed' if ok else 'FAILURES'}")
     payload = {"command": "report", "seed": args.seed, "n_max": args.n_max,

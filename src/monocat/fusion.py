@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from operator import add, mul
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Tuple
 
 from .linalg import _string
@@ -53,6 +54,15 @@ class FusionData:
 
     def r(self, i: str) -> int:
         return self.endo_dim.get(i, 1)
+
+    @cached_property
+    def images(self) -> dict:
+        """The block matrix of each simple i, rows[j][k] = c_{ik}^j r_j,
+        built on first read and kept on the datum: ``embed_object`` sums
+        them."""
+        return {i: tuple(tuple(self.c(i, k, j) * self.r(j)
+                               for k in self.simples) for j in self.simples)
+                for i in self.simples}
 
     def index(self, label: str) -> int:
         try:
@@ -241,7 +251,8 @@ class BlockMatrix:
 
 
 def embed_object(fd: FusionData, X: ObjectExpr) -> BlockMatrix:
-    """Block dimensions of the image of X: entry (j,k) = Σ_i m_i c_{ik}^j r_j."""
+    """Block dimensions of the image of X: entry (j,k) = Σ_i m_i c_{ik}^j r_j,
+    the sum of the m_i-fold images of the simples (``FusionData.images``)."""
     terms = []
     for i, mi in X.mult.items():
         if mi == 0:
@@ -249,10 +260,12 @@ def embed_object(fd: FusionData, X: ObjectExpr) -> BlockMatrix:
         fd.index(i)
         if mi < 0:
             raise FusionError("negative multiplicity")
-        terms.append((i, mi))
-    return BlockMatrix(fd.simples, tuple(
-        tuple(sum(mi * fd.c(i, k, j) for i, mi in terms) * fd.r(j)
-              for k in fd.simples) for j in fd.simples))
+        terms.append((fd.images[i], mi))
+    rows = ((0,) * len(fd.simples),) * len(fd.simples)
+    for image, mi in terms:
+        rows = tuple([tuple([a + mi * b for a, b in zip(row, add_row)])
+                      for row, add_row in zip(rows, image)])
+    return BlockMatrix(fd.simples, rows)
 
 
 def tensor_images(fd: FusionData, V: BlockMatrix, W: BlockMatrix) -> BlockMatrix:

@@ -52,13 +52,13 @@ from itertools import chain, combinations, product
 from typing import Dict, Optional, Sequence
 
 from .algmod import (Algebra, Bimodule, Module, ModuleMap, StructureError,
-                     TensorCell, bimodule_tensor, check_actions,
-                     descend, hom_basis, intern, matrix_to_json,
-                     module_identity, module_tensor_commutative, tensor_maps,
-                     tensor_over)
+                     TensorCell, balanced_cell, bimodule_tensor,
+                     check_actions, descend, hom_basis, intern,
+                     matrix_to_json, module_identity,
+                     module_tensor_commutative, tensor_maps, tensor_over)
 from .linalg import (Field, LinAlgError, LinearMap, NotInvertible, VectorSpace,
-                     compose, compose_all, compose_tensor, identity,
-                     linear_combination, rank, solve_iso, tensor,
+                     _kron_nz, compose, compose_all, compose_tensor,
+                     identity, linear_combination, rank, solve_iso, tensor,
                      tensor_space)
 
 
@@ -540,11 +540,15 @@ class GradedTensor(CustomTensor):
         projector is zero and is skipped, so α is the identity inclusion
         where no term is left: for the trivial cocycle, which builds no
         projector, and for the sign cocycle wherever a factor has no odd
-        part; else one full-size Kronecker product."""
+        part.  Else the nonzeros of each S_c⊗P_c (``_kron_nz``) are
+        subtracted twice from the identity's rows in one pass, each entry
+        reduced once, with no full-size Kronecker product formed."""
         XY = self.product(X, Y).module
         pL = self.product(XY, Z)
-        pR = self.product(X, self.product(Y, Z).module)
-        terms = [(1, identity(pL.module.space))]
+        target = self.product(X, self.product(Y, Z).module).module
+        one = identity(pL.module.space)
+        rows, cols = one.rows, one.cols
+        defects = []
         for c in (0, 1):
             odd = [(a, b) for a in (0, 1) for b in (0, 1)
                    if self.cocycle[(a, b, c)] == -1]
@@ -555,9 +559,19 @@ class GradedTensor(CustomTensor):
                        if pX[a] is not None and pY[b] is not None]
             if nonzero and pZ[c] is not None:
                 inner = linear_combination(XY.space, XY.space, nonzero)
-                terms.append((-2, tensor(inner, pZ[c])))
-        lin = linear_combination(pL.module.space, pR.module.space, terms)
-        return ModuleMap(pL.module, pR.module, lin)
+                defects.append(_kron_nz(inner, pZ[c]))
+        if defects:
+            out = [list(row) for row in rows]
+            for defect in defects:
+                for row, nz in zip(out, defect):
+                    for col, v in nz:
+                        row[col] -= 2 * v
+            p = self.field.char
+            rows = tuple([tuple([v % p for v in row]) if p else tuple(row)
+                          for row in out])
+            cols = None
+        return ModuleMap(pL.module, target, LinearMap.from_rows(
+            one.source, target.space, rows, cols))
 
     def _unitor(self, cell, X):
         same = identity(X.space)
@@ -904,12 +918,30 @@ class WattsContext(CustomTensor):
                       inner: Optional[LinearMap] = None) -> LinearMap:
         """x⊗w ↦ (x̂ ⊙ id_Y)(inner(w)) into X⊙Y, descended through
         ``cell``, a quotient of X⊗W, with inner: W -> R⊙Y (the identity
-        when None); raises LinAlgError when it is not well defined."""
-        blocks = [self.ct.mor(self._xhat(X, a), self.ct.ident(Y)).lin
-                  for a in range(X.dim)]
+        when None); raises LinAlgError when it is not well defined.
+
+        One ambient map is descended: proj_{X⊙Y} ∘ (act_X ⊗ id_Y) ∘
+        (id_X ⊗ sec_{R⊙Y}) ∘ (id_X ⊗ inner), with act_X: X⊗R -> X, x⊗r ↦
+        x·r, X's right action, and the section a gather of columns.  Its
+        block at x_a is x̂_a ⊙ id_Y = proj ∘ (x̂_a ⊗ id_Y) ∘ sec, since
+        x̂_a(r) = x_a·r, so no ⊙ of maps is formed.  Those blocks need no
+        descent check of their own: x̂_a is a map of right modules (R is
+        associative and X's action is checked), so x̂_a ⊗ id_Y descends
+        through every cell ⊙ builds (``mor``).  The collapse through
+        ``cell`` is still verified, by ``descend``."""
+        ct, R = self.ct, self.R
+        n = R.dim
+        act = LinearMap.from_rows(
+            tensor_space(X.space, R.space), X.space,
+            tuple(tuple(X.action[r].rows[i][a] for a in range(X.dim)
+                        for r in range(n)) for i in range(X.dim)))
+        idX = identity(X.space)
+        amb = compose_tensor(compose_tensor(ct.product(X, Y).proj, act,
+                                           identity(Y.space)),
+                             idX, ct.product(R, Y).section)
         if inner is not None:
-            blocks = [compose(blk, inner) for blk in blocks]
-        return _collapse(cell, blocks, self.ct.product(X, Y).module.space)
+            amb = compose_tensor(amb, idX, inner)
+        return descend(cell, amb)
 
     @_memo("_c")
     def c_iso(self, X: Module, Y: Module) -> ModuleMap:
@@ -1013,12 +1045,11 @@ def check_T_coherence(wc: WattsContext) -> CoherenceReport:
 
 def induce_natural_family(f: ModuleMap, modules: Sequence[Module]) -> dict:
     """The family M ↦ id_M ⊗ f induced by a bimodule homomorphism, its
-    cells M⊗_R P and M⊗_R Q built by ``tensor_over`` on one table of its
-    own."""
+    cells M⊗_R P and M⊗_R Q bare ``balanced_cell``s on one table of its
+    own: only their quotients are read."""
     P, Q, cells = f.source, f.target, {}
-    cells_p, cells_q = (
-        {M: tensor_over(M, 0, B, 0, f"({M.name}⊗{B.name})", cells)
-         for M in modules} for B in (P, Q))
+    cells_p, cells_q = ({M: balanced_cell(M, 0, B, 0, cells) for M in modules}
+                        for B in (P, Q))
     return {M: tensor_maps(cells_p[M], cells_q[M], identity(M.space), f.lin)
             for M in modules}
 
@@ -1032,9 +1063,10 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
     under any name.
     Naturality is verified on full hom bases between sample members, the
     extracted map is verified two-sided linear, and every component is
-    reproduced from the extraction.  The component cells, the hom bases
-    and λ_P, λ_Q are built on the table of one ``BimoduleTensor``, so the
-    cell R⊗P of the component at R is the one λ_P collapses.
+    reproduced from the extraction.  The component cells, bare
+    ``balanced_cell``s whose residual actions nothing reads, the hom
+    bases and λ_P, λ_Q are built on the table of one ``BimoduleTensor``,
+    so the cell R⊗P of the component at R is the one λ_P collapses.
     """
     modules = list(components)
     R = Module.regular(P.algebra)   # equal to the sample's, whatever its name
@@ -1042,8 +1074,8 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
         raise NotNatural("the sample must contain the regular module")
     bim = BimoduleTensor(P.algebra)
     cells_p, cells_q = (
-        {M: tensor_over(M, 0, B, 0, f"({M.name}⊗{B.name})", bim.cells)
-         for M in modules} for B in (P, Q))
+        {M: balanced_cell(M, 0, B, 0, bim.cells) for M in modules}
+        for B in (P, Q))
     for M in modules:
         for N in modules:
             for lin in hom_basis(M, N, bim.cells):
@@ -1074,9 +1106,13 @@ def nat_to_bimodule_hom(P: Bimodule, Q: Bimodule,
 
 class OmegaFunctor:
     """ω together with ξ and η over a WattsContext.  ξ°, ξ without its
-    last factor, is built from α, so it is cached once per functor
-    (``_xi_open``) and freed with it, never shared; ξ is ω(c⁻¹) after
-    it, one product per call.
+    last factor ω(c⁻¹), ξ, and the ambient maps each of them descends
+    are built from α, so each is cached once per functor and pair
+    (``_xi_open``, ``_xi``, ``_xi_open_ambient``, ``_xi_ambient``) and
+    freed with it, never shared: the functor pentagon reads ξ at X,Y and
+    Y,Z and ξ° at D(X,Y),Z and X,D(Y,Z) on each of its n³ triples, where
+    there are only n² pairs (ξ°: strict-f3-z2 widened reads 144, of 24
+    contents), and ξ° at a sample pair is ξ's too.
     ξ, η and ω(f) (``WattsContext.omega_map``) are LinearMaps, not
     ModuleMaps: their modules would include bimodules ω(D(D(X,Y),Z))
     that no check builds, and the checks compose them as matrices."""
@@ -1084,6 +1120,15 @@ class OmegaFunctor:
     def __init__(self, wc: WattsContext):
         self.wc = wc
         self._xi_open: Dict[tuple, LinearMap] = {}
+        self._xi: Dict[tuple, LinearMap] = {}
+        self._xi_ambient: Dict[tuple, LinearMap] = {}
+        self._xi_open_ambient: Dict[tuple, LinearMap] = {}
+
+    def _cell(self, X: Module, Y: Module) -> TensorCell:
+        """The bare cell of ω(X)⊗_R ω(Y): ξ is read through its quotient
+        alone, never through its actions."""
+        wc = self.wc
+        return balanced_cell(wc.omega(X), 1, wc.omega(Y), 0, wc.cells)
 
     def eta(self) -> LinearMap:
         """η: R -> ω(I), the inverse of the right unit at R."""
@@ -1093,18 +1138,18 @@ class OmegaFunctor:
     def xi_open(self, X: Module, Y: Module) -> LinearMap:
         """ξ°_{X,Y} = α_{R,X,Y} ∘ κ: ω(X)⊗_R ω(Y) -> ω(X⊙Y), ξ without its
         last factor ω(c_{X,Y}⁻¹), with κ: m⊗z ↦ (m̂ ⊙ id_Y)(z) into
-        (R⊙X)⊙Y; MalformedTensor when κ does not descend.  The functor
-        pentagon reads it at D(X,Y),Z and X,D(Y,Z), where many triples
-        give one content."""
+        (R⊙X)⊙Y collapsed through the bare cell of ω(X)⊗_R ω(Y);
+        MalformedTensor when κ does not descend."""
         wc, ct, R = self.wc, self.wc.ct, self.wc.R
-        cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
         try:
-            kappa = wc._hat_collapse(cell, ct.product(R, X).module, Y)
+            kappa = wc._hat_collapse(self._cell(X, Y),
+                                     ct.product(R, X).module, Y)
         except LinAlgError as exc:
             raise MalformedTensor(
                 f"ξ[{X.name},{Y.name}] is not well defined") from exc
         return compose(ct.associator(R, X, Y).lin, kappa)
 
+    @_memo("_xi")
     def xi(self, X: Module, Y: Module) -> LinearMap:
         """ξ_{X,Y} = ω(c_{X,Y}⁻¹) ∘ ξ°_{X,Y}: ω(X)⊗_R ω(Y) -> ω(D(X,Y)),
         with ξ° = α_{R,X,Y} ∘ κ (``xi_open``).  This is c_{R,D(X,Y)} ∘
@@ -1114,6 +1159,19 @@ class OmegaFunctor:
         wc = self.wc
         return compose(wc.omega_map(wc.inverse(wc.c_iso(X, Y))),
                        self.xi_open(X, Y))
+
+    @_memo("_xi_ambient")
+    def xi_ambient(self, X: Module, Y: Module) -> LinearMap:
+        """ξ_{X,Y} ∘ proj: ω(X)⊗_K ω(Y) -> ω(D(X,Y)), the ambient map ξ
+        descends, which the functor pentagon tensors with an identity."""
+        return compose(self.xi(X, Y), self._cell(X, Y).proj)
+
+    @_memo("_xi_open_ambient")
+    def xi_open_ambient(self, X: Module, Y: Module) -> LinearMap:
+        """ξ°_{X,Y} ∘ proj: ω(X)⊗_K ω(Y) -> ω(X⊙Y), the ambient map ξ°
+        descends, which the functor pentagon composes after a tensor of
+        maps into ω(X)⊗_K ω(Y)."""
+        return compose(self.xi_open(X, Y), self._cell(X, Y).proj)
 
 
 def _functor_pentagon(wc: WattsContext, om: OmegaFunctor, X: Module,
@@ -1148,21 +1206,18 @@ def _functor_pentagon_met(wc: WattsContext, om: OmegaFunctor, X: Module,
     ambient maps they descend; ω(α′) ∘ ξ_{D(X,Y),Z} is ω(c_{X,D(Y,Z)}⁻¹)
     ∘ ω(core) ∘ ξ°_{D(X,Y),Z}, as ω is a functor and c ∘ c⁻¹ = id.  So
     neither side builds α′, c_{D(X,Y),Z}, c_{X,D(Y,Z)}, a cell on three
-    factors or the bimodule associator."""
-    bim = wc.bimodules
-    oX, oY, oZ = wc.omega(X), wc.omega(Y), wc.omega(Z)
+    factors or the bimodule associator.  ξ° after the projection onto
+    its bare cell is kept per pair (``xi_open_ambient``), so each side
+    is one ``compose_tensor`` of maps kept per pair, and the left one
+    ω(core) after it."""
     DXY = wc.product(X, Y).module
     DYZ = wc.product(Y, Z).module
-    lhs = compose_all(
-        compose_tensor(bim.product(wc.omega(DXY), oZ).proj,
-                       compose(om.xi(X, Y), bim.product(oX, oY).proj),
-                       identity(oZ.space)),
-        om.xi_open(DXY, Z), wc.omega_map(wc.alpha_core(X, Y, Z)))
-    rhs = compose_all(
-        compose_tensor(bim.product(oX, wc.omega(DYZ)).proj,
-                       identity(oX.space),
-                       compose(om.xi(Y, Z), bim.product(oY, oZ).proj)),
-        om.xi_open(X, DYZ))
+    lhs = compose_tensor(
+        compose(wc.omega_map(wc.alpha_core(X, Y, Z)),
+                om.xi_open_ambient(DXY, Z)),
+        om.xi_ambient(X, Y), identity(wc.omega(Z).space))
+    rhs = compose_tensor(om.xi_open_ambient(X, DYZ),
+                         identity(wc.omega(X).space), om.xi_ambient(Y, Z))
     return lhs, rhs
 
 

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monocat.algmod as algmod
 import monocat.linalg as linalg
 import monocat.watts as watts
-from monocat.cli import main
+from monocat.cli import _dumps, main
 from monocat.fixtures import bundled_watts_fixtures
 from monocat.watts import MalformedTensor, check_monoidal_axioms
 
@@ -93,13 +94,60 @@ class TestGolden:
                 assert data["schema"] == 1
 
 
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+_TEXT = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\n\t\r\"\\/", "é∘⊗ξ°", "\u2028\u2029", "𝔽₂"])
+_SCALARS = (st.none() | st.booleans() | _TEXT | st.floats()
+            | st.integers() | st.integers(min_value=-10 ** 40,
+                                          max_value=10 ** 40))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=25)
+
+
+class TestDumps:
+    """``cli._dumps`` writes what json.dumps(sort_keys=True, indent=2,
+    ensure_ascii=False) writes, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in GOLDEN.glob("*.json")))
+    def test_every_json_golden(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        value = json.loads(text)
+        assert _dumps(value) == _json_dumps(value)
+        assert _dumps(value) + "\n" == text
+
+    @settings(derandomize=True, database=None, max_examples=300,
+              deadline=None)
+    @given(_JSON)
+    def test_matches_json(self, value):
+        assert _dumps(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], {"k": {2: [1]}},
+        {1: "a", 10: "b", -3: None}, [True, False, None, 0, -1, 10 ** 30],
+        [float("nan"), float("inf"), -0.0, 1e300], "é\x01\n",
+    ], ids=repr)
+    def test_edge_values(self, value):
+        assert _dumps(value) == _json_dumps(value)
+
+
 def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
     # a guard on the fast paths: with gathered inclusions flagged, zero
     # terms of the graded α skipped, each tensor_over product built once,
-    # no check re-run on what ⊙ and tensor_over build and the functor
-    # pentagon compared where its sides meet, ``report --seed 7`` makes
-    # 1,489 full products (1,660 through the full sides, 2,071 with those
-    # checks too)
+    # no check re-run on what ⊙ and tensor_over build, the functor
+    # pentagon compared where its sides meet, κ and c each one descended
+    # ambient map and ξ and ξ° after their cells' projections kept per
+    # pair, ``report --seed 7`` makes 1,302 full products (1,347 with ξ°'s
+    # composed per triple, 1,489 before κ and c were one ambient map each,
+    # 1,660 through the full sides, 2,071 with those checks too)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     mul_rows = linalg._mul_rows
@@ -107,7 +155,7 @@ def test_report_takes_the_kernel_shortcuts(capsys, monkeypatch):
                         lambda *args: calls.append(1) or mul_rows(*args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 1530
+    assert len(calls) <= 1320
 
 
 def test_report_transports_at_the_endpoints(capsys, monkeypatch):
@@ -129,9 +177,11 @@ def test_report_transports_at_the_endpoints(capsys, monkeypatch):
 def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
     # a guard on the transported maps: ν, c, c⁻¹ and α′ carry their
     # modules, so no caller looks a product up to wrap them again, and
-    # with the functor pentagon compared where its sides meet ``report
-    # --seed 7`` makes 5,347 product calls (5,857 through the full sides,
-    # 6,746 with the lookups too)
+    # with the functor pentagon compared where its sides meet and κ and c
+    # each one descended ambient map, ``report --seed 7`` makes 4,826
+    # product calls (5,106 with one x̂_a ⊙ id_Y per basis vector, 5,347
+    # before κ and c were one ambient map each and ξ was kept per pair,
+    # 5,857 through the full sides, 6,746 with the lookups too)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     product = watts.CustomTensor.product
@@ -140,14 +190,16 @@ def test_report_takes_the_structure_maps_as_they_are(capsys, monkeypatch):
                         or product(self, *args))
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 5400
+    assert len(calls) <= 4850
 
 
 def test_report_builds_no_bimodule_cell_on_three_factors(capsys, monkeypatch):
     # a guard on the functor pentagon: a passing instance compares its
     # sides after ωX⊗_K ωY⊗_K ωZ, so it builds neither (ωX⊗ωY)⊗ωZ nor
-    # ωX⊗(ωY⊗ωZ), and ``report --seed 7`` builds 46 bimodule cells (94
-    # through the full sides)
+    # ωX⊗(ωY⊗ωZ), and the cells ξ° and the pentagon only descend through
+    # are bare cells with no bimodule, so ``report --seed 7`` builds 28
+    # bimodule cells (46 with those as bimodule products, 94 through the
+    # full sides)
     monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
     calls = []
     build = algmod.bimodule_tensor
@@ -160,7 +212,38 @@ def test_report_builds_no_bimodule_cell_on_three_factors(capsys, monkeypatch):
         monkeypatch.setattr(module, "bimodule_tensor", counted)
     code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
     assert code == 0 and out
-    assert len(calls) <= 50
+    assert len(calls) <= 30
+
+
+def test_report_collapses_with_no_map_per_basis_vector(capsys, monkeypatch):
+    # a guard on κ and c: each descends one ambient map, with no
+    # x̂_a ⊙ id_Y per basis vector, so ``report --seed 7`` makes 2,954 ⊙
+    # of maps (3,178 with the per-basis blocks, 3,409 before ξ was kept
+    # per pair too)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+    calls = []
+    mor = watts.CustomTensor.mor
+    monkeypatch.setattr(watts.CustomTensor, "mor",
+                        lambda self, *args: calls.append(1)
+                        or mor(self, *args))
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0 and out
+    assert len(calls) <= 2980
+
+
+def test_a_json_report_builds_no_text(capsys, monkeypatch):
+    # the text of a section is built only for text output: under
+    # ``--format json`` no report's to_text runs, and the bytes are the
+    # golden's (the text report's bytes are a golden of their own)
+    monkeypatch.delenv("MONOCAT_FIXTURES", raising=False)
+
+    def refused(self):
+        raise AssertionError("text built for JSON output")
+
+    monkeypatch.setattr(watts.CoherenceReport, "to_text", refused)
+    code, out, _ = run(capsys, GOLDEN_CASES["report-seed7.json"])
+    assert code == 0
+    assert out == (GOLDEN / "report-seed7.json").read_text(encoding="utf-8")
 
 
 def test_report_builds_each_graded_product_once(capsys, monkeypatch):

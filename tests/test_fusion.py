@@ -240,6 +240,35 @@ class TestHomomorphism:
                     assert prod.rows[a][b] == oracle
 
 
+class TestEmbedTable:
+    @pytest.mark.parametrize("name", sorted(fusion_rings()))
+    def test_entries_are_the_fusion_sum(self, name):
+        # embed_object sums the m_i-fold images of the simples, kept on
+        # the datum; each entry is Σ_i m_i c_{ik}^j r_j, entry by entry
+        fd = fusion_rings()[name]
+        rng = random.Random(name)
+        for _ in range(20):
+            X = ObjectExpr({l: rng.randint(0, 3) for l in fd.simples})
+            assert embed_object(fd, X).rows == tuple(
+                tuple(sum(X.m(i) * fd.c(i, k, j) for i in fd.simples)
+                      * fd.r(j) for k in fd.simples) for j in fd.simples)
+
+    def test_each_simple_image_is_built_once(self, monkeypatch):
+        # the images are built on the first embedding and read after it:
+        # no later embedding looks a fusion coefficient up
+        fd = fusion_rings()["rep_s3"]
+        looked_up = []
+        lookup = FusionData.c
+        monkeypatch.setattr(FusionData, "c", lambda self, *ikj:
+                            looked_up.append(ikj) or lookup(self, *ikj))
+        last = ObjectExpr.simple(fd.simples[-1])
+        first = embed_object(fd, last)
+        assert len(looked_up) == len(fd.simples) ** 3
+        embed_object(fd, ObjectExpr({label: 2 for label in fd.simples}))
+        assert embed_object(fd, last) == first
+        assert len(looked_up) == len(fd.simples) ** 3
+
+
 class TestEndoDims:
     """A ring with a non-trivial endomorphism field dimension."""
 

@@ -2,8 +2,9 @@
 
 A stdlib ``ast`` pass over ``src/monocat``, as ``test_imports`` is: every
 balancing cokernel is built by ``algmod.cokernel`` on a cell table, read
-only by ``hom_basis`` and ``tensor_over``, and each layer's product goes
-through its one helper.
+only by ``hom_basis`` and ``balanced_cell``, the bare cell ``tensor_over``
+builds its module on, and each layer's product goes through its one
+helper.
 """
 
 import ast
@@ -77,10 +78,17 @@ def test_balanced_tensor_is_built_only_by_cokernel():
 
 
 def test_cokernel_is_read_only_by_hom_basis_and_tensor_over():
-    # every balanced product, M⊗_R P of a natural family included, is a
-    # tensor_over cell
-    assert _readers(_package_references(), "cokernel") == \
-        {"algmod.hom_basis", "algmod.tensor_over"}
+    # every balanced product is a balanced_cell: tensor_over builds its
+    # module on one, and the callers that read only the quotient (the
+    # M⊗_R P of a natural family, and through OmegaFunctor._cell the
+    # bimodule cells ξ° and the functor pentagon descend through) take it
+    # bare
+    refs = _package_references()
+    assert _readers(refs, "cokernel") == \
+        {"algmod.hom_basis", "algmod.balanced_cell"}
+    assert _readers(refs, "balanced_cell") == {
+        "algmod.tensor_over", "watts.OmegaFunctor._cell",
+        "watts.induce_natural_family", "watts.nat_to_bimodule_hom"}
 
 
 def test_algmod_has_no_optional_table():
@@ -153,7 +161,9 @@ def test_the_functor_pentagon_compares_where_its_sides_meet():
         assert _calls(node, "associator") == _calls(node, "alpha_prime") == 0
     assert _calls(met, "tensor_maps") == 0
     assert _calls(met, "alpha_core", on="wc") == 1
-    assert _calls(met, "xi_open", on="om") == 2
+    assert _calls(met, "xi_open_ambient", on="om") == 2
+    assert _calls(met, "xi_ambient", on="om") == 2
+    assert _calls(met, "xi_open", on="om") == _calls(met, "xi", on="om") == 0
     full = [call for call in ast.walk(verify) if isinstance(call, ast.Call)
             and getattr(call.func, "id", None) == "_functor_pentagon"]
     branches = [node for node in ast.walk(verify) if isinstance(node, ast.If)
@@ -163,6 +173,41 @@ def test_the_functor_pentagon_compares_where_its_sides_meet():
     refs = _package_references()
     assert {"watts.WattsContext.alpha_prime", "watts._functor_pentagon_met"} \
         <= _readers(refs, "alpha_core")
+
+
+def test_kappa_and_c_descend_one_ambient_map():
+    # κ and c are the descent of one ambient map, (act_X ⊗ id_Y) after
+    # the section of R⊙Y: no ⊙ of maps x̂_a ⊙ id_Y per basis vector, and
+    # the collapse through the cell is still verified by descend
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    collapse = _methods(tree, "WattsContext")["_hat_collapse"]
+    assert _calls(collapse, "mor") == _calls(collapse, "_xhat") == 0
+    assert _calls(collapse, "compose") == 0
+    assert _calls(collapse, "descend") == 1
+
+
+def test_xi_open_and_the_functor_pentagon_read_the_bare_cell():
+    # the bimodule cells ξ° collapses through and the functor pentagon
+    # projects onto are read for their quotient alone, so they are ξ's
+    # bare balanced_cells and no bimodule product is built for them; the
+    # pentagon reads them only through ξ and ξ° after their cells'
+    # projections, which are cached beside ξ and ξ°, once per pair
+    tree = ast.parse((SRC / "watts.py").read_text(encoding="utf-8"))
+    functor = _methods(tree, "OmegaFunctor")
+    assert _calls(functor["_cell"], "balanced_cell") == 1
+    met = _top_level(tree, "_functor_pentagon_met")
+    for name in ("xi_open", "xi_ambient", "xi_open_ambient"):
+        assert _calls(functor[name], "_cell", on="self") == 1
+    for node in (*functor.values(), met):
+        assert _calls(node, "balanced_cell") <= (node is functor["_cell"])
+        assert not any(isinstance(sub, ast.Attribute)
+                       and sub.attr == "bimodules" for sub in ast.walk(node))
+    assert _calls(met, "_cell") == 0
+    for name in ("xi", "xi_open", "xi_ambient", "xi_open_ambient"):
+        assert [ast.unparse(d) for d in functor[name].decorator_list] == \
+            [f"_memo('_{name}')"]
+    for name in ("induce_natural_family", "nat_to_bimodule_hom"):
+        assert _calls(_top_level(tree, name), "tensor_over") == 0
 
 
 def test_graded_products_are_keyed_by_their_factors():
@@ -258,7 +303,7 @@ def test_tensor_over_builds_and_keeps_nothing():
     tree = ast.parse((SRC / "algmod.py").read_text(encoding="utf-8"))
     tensor_over = _top_level(tree, "tensor_over")
     assert _table_writes(tensor_over) == 0
-    assert _calls(tensor_over, "cokernel") == 1
+    assert _calls(tensor_over, "balanced_cell") == 1
     assert _calls(tensor_over, "intern") == 1
 
 

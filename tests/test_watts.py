@@ -1207,6 +1207,105 @@ def test_functor_pentagon_flips_fail_with_witnesses():
     assert failing == 264
 
 
+def _reference_hat_collapse(wc, cell, X, Y, inner=None):
+    """x⊗w ↦ (x̂ ⊙ id_Y)(inner(w)) by the per-basis route κ and c took
+    before they descended one ambient map: one ⊙ of maps x̂_a ⊙ id_Y
+    through ``ct.mor`` per basis vector x_a of X, each composed with
+    inner, and the blocks collapsed through ``cell``."""
+    ct = wc.ct
+    blocks = [ct.mor(wc._xhat(X, a), ct.ident(Y)).lin for a in range(X.dim)]
+    if inner is not None:
+        blocks = [compose(blk, inner) for blk in blocks]
+    return watts._collapse(cell, blocks, ct.product(X, Y).module.space)
+
+
+def _skewed_regular(fx) -> Module:
+    """R in the basis (r₀ + r₁, r₁): a module whose action matrices are
+    not all symmetric on every watts fixture, so a route that reads an
+    action transposed gives other rows on it."""
+    R = sample_module(fx, "R")
+    P = LinearMap(R.space, R.space, ((1, 0), (1, 1)))
+    P_inv = LinearMap(R.space, R.space, ((1, 0), (-1, 1)))
+    skewed = Module("Rt", R.algebra, R.space, "right",
+                    tuple(compose(P_inv, compose(a, P)) for a in R.action))
+    skewed.check()
+    assert any(a.rows != tuple(zip(*a.rows)) for a in skewed.action)
+    return skewed
+
+
+@pytest.mark.parametrize("stem, k", _watts_fixture_and_flips())
+def test_kappa_and_c_match_the_per_basis_collapse(stem, k):
+    # κ and c descend one ambient map, act_X ⊗ id_Y after the section of
+    # R⊙Y, where they took one x̂_a ⊙ id_Y per basis vector of X: ξ°, κ
+    # and c have the per-basis route's rows on every pair of the sample
+    # widened by a module with a non-symmetric action, and on every pair
+    # with a D argument the functor pentagon reads, (D(X,Y), Z) and
+    # (X, D(Y,Z)); ξ° and ξ after their cell's projection too
+    data = json.loads((BUNDLED / f"{stem}.json").read_text())
+    if k >= 0:
+        data["tensor"]["cocycle"][k][3] *= -1
+    fx = watts_fixture_from_json(data, {})
+    wc = WattsContext(fx.ct)
+    om = OmegaFunctor(wc)
+    ct, R = wc.ct, wc.R
+
+    def D(X, Y):
+        return wc.product(X, Y).module
+
+    sample = list(fx.sample) + [_skewed_regular(fx)]
+    triples = list(itertools.product(sample, repeat=3))
+    pairs = dict.fromkeys(
+        list(itertools.product(sample, repeat=2))
+        + [(D(X, Y), Z) for X, Y, Z in triples]
+        + [(X, D(Y, Z)) for X, Y, Z in triples])
+    for X, Y in pairs:
+        cell = wc.bimodules.product(wc.omega(X), wc.omega(Y))
+        RX = ct.product(R, X).module
+        kappa = _reference_hat_collapse(wc, cell, RX, Y)
+        assert wc._hat_collapse(cell, RX, Y).rows == kappa.rows
+        xi_open = compose(ct.associator(R, X, Y).lin, kappa)
+        assert om.xi_open(X, Y).rows == xi_open.rows
+        assert om.xi_open_ambient(X, Y).rows == \
+            compose(xi_open, cell.proj).rows
+        c = _reference_hat_collapse(wc, wc.product(X, Y), X, Y,
+                                    wc.nu(Y).lin)
+        assert wc.c_iso(X, Y).lin.rows == c.rows
+        c_inv = ModuleMap(ct.product(X, Y).module, D(X, Y), solve_iso(c))
+        xi = compose(wc.omega_map(c_inv), xi_open)
+        assert om.xi_ambient(X, Y).rows == compose(xi, cell.proj).rows
+
+
+def test_xi_is_built_once_per_pair(monkeypatch):
+    # the functor pentagon reads ξ after its cell's projection at X,Y and
+    # Y,Z, and ξ° after its cell's projection at D(X,Y),Z and X,D(Y,Z),
+    # on each of the n³ triples; each is built once per pair, kept on the
+    # functor, and ξ once per sample pair beside them
+    fx = graded_sign()
+    sample, n = fx.sample, len(fx.sample)
+    functors, reads = [], Counter()
+    init = OmegaFunctor.__init__
+    monkeypatch.setattr(OmegaFunctor, "__init__", lambda self, wc: (
+        functors.append(self), init(self, wc))[-1])
+    for name in ("xi", "xi_ambient", "xi_open_ambient"):
+        read = getattr(OmegaFunctor, name)
+        monkeypatch.setattr(OmegaFunctor, name,
+                            lambda self, *XY, name=name, read=read: (
+                                reads.update([name]), read(self, *XY))[-1])
+    wc = WattsContext(fx.ct)
+    assert verify_monoidal_functor(wc, sample).ok
+    (om,) = functors
+    pairs = set(itertools.product(sample, repeat=2))
+    assert reads["xi_ambient"] == reads["xi_open_ambient"] == 2 * n ** 3
+    assert set(om._xi_ambient) == set(om._xi) == pairs
+    D = {XY: wc.product(*XY).module for XY in pairs}
+    assert set(om._xi_open_ambient) == \
+        {(D[X, Y], Z) for X, Y, Z in itertools.product(sample, repeat=3)} \
+        | {(X, D[Y, Z]) for X, Y, Z in itertools.product(sample, repeat=3)}
+    assert len(om._xi_open_ambient) < 2 * n ** 3
+    for X, Y in pairs:
+        assert om.xi_ambient(X, Y) is om._xi_ambient[X, Y]
+
+
 @pytest.mark.parametrize("name", sorted(bundled_watts_fixtures()))
 def test_structure_maps_carry_the_cached_modules(name):
     # ν, c, c⁻¹ and α′ are equivariant maps of the modules the context
@@ -1442,6 +1541,59 @@ def test_graded_associator_matches_eight_term_sum(build):
                 if ct.cocycle == trivial_cocycle():
                     # the identity inclusion keeps the compose fast paths
                     assert got.lin.cols is not None
+
+
+def _linear_combination_graded_alpha(ct, X, Y, Z):
+    """The graded α by the route it took before it was written in one
+    pass: each defect S_c⊗P_c a dense ``tensor``, summed with the identity
+    by one full-size ``linear_combination``, which keeps the identity
+    inclusion where no term is left."""
+    XY = ct.product(X, Y).module
+    pL = ct.product(XY, Z)
+    pR = ct.product(X, ct.product(Y, Z).module)
+    terms = [(1, identity(pL.module.space))]
+    for c in (0, 1):
+        odd = [(a, b) for a in (0, 1) for b in (0, 1)
+               if ct.cocycle[(a, b, c)] == -1]
+        if not odd:
+            continue
+        pX, pY, pZ = ct._parity(X), ct._parity(Y), ct._parity(Z)
+        nonzero = [(1, tensor(pX[a], pY[b])) for a, b in odd
+                   if pX[a] is not None and pY[b] is not None]
+        if nonzero and pZ[c] is not None:
+            inner = linear_combination(XY.space, XY.space, nonzero)
+            terms.append((-2, tensor(inner, pZ[c])))
+    return linear_combination(pL.module.space, pR.module.space, terms)
+
+
+def test_graded_alpha_matches_its_references_on_every_table():
+    # α written in one pass from the nonzeros of each S_c⊗P_c has the rows
+    # of Σ ω(a,b,c)·P_a⊗P_b⊗P_c and of the dense route on every sample
+    # triple of graded-sign under all 2^8 ±1 tables, and is the flagged
+    # identity inclusion where the dense route was
+    fx = graded_sign()
+    half = fx.ct.field._coerce("1/2")
+    parity = {M: [linear_combination(M.space, M.space, (
+        (half, identity(M.space)), (sign * half, M.action[1])))
+        for sign in (1, -1)] for M in fx.sample}
+    # the eight P_a⊗P_b⊗P_c of each sample triple, which no table changes
+    eight = {objs: {abc: tensor(tensor(parity[objs[0]][abc[0]],
+                                       parity[objs[1]][abc[1]]),
+                                parity[objs[2]][abc[2]])
+                    for abc in trivial_cocycle()}
+             for objs in itertools.product(fx.sample, repeat=3)}
+    triples = sorted(sign_cocycle())
+    cells = {}
+    for signs in itertools.product((1, -1), repeat=len(triples)):
+        ct = GradedTensor(fx.algebra, fx.ct.unit, dict(zip(triples, signs)),
+                          cells=cells)
+        for objs, terms in eight.items():
+            got = ct.associator(*objs).lin
+            ref = _linear_combination_graded_alpha(ct, *objs)
+            assert got.rows == ref.rows and got.cols == ref.cols
+            assert got.rows == linear_combination(
+                got.source, got.target,
+                [(ct.cocycle[abc], t) for abc, t in terms.items()]).rows
 
 
 class _PairKeyedGradedTensor(GradedTensor):
